@@ -2,6 +2,15 @@
 
 Exit codes: 0 success (check: all pass), 2 at least one flagged verdict,
 1 operational error, 64 usage error, 66 missing input file.
+
+check writes one verdict per record. A record with too few comparable
+reference records gets a "rxcheck: record <id>: <reason>" line on stderr
+instead, the batch goes on, and the exit code is 1.
+
+train skips a technique with at least 2 kept records that cannot be split
+into reference and holdout or built, with a "rxcheck: train[<T>]: skipped:
+<reason>" line on stderr; params.json still holds the other techniques and
+the exit code is 1. With no technique trained it is a usage error.
 """
 
 from __future__ import annotations
@@ -18,10 +27,16 @@ from .detector import (
     detect,
     load_params_json,
     params_for_technique,
-    verdict_to_dict,
     write_params_json,
+    write_verdicts_jsonl,
 )
-from .distance import pairwise_histograms, write_histogram_csv
+from .distance import (
+    IncomparablePair,
+    InsufficientData,
+    InsufficientNeighbors,
+    pairwise_histograms,
+    write_histogram_csv,
+)
 from .evaluate import (
     BEST_CASE,
     WORST_CASE,
@@ -182,17 +197,25 @@ def _load_cohort(config: RunConfig) -> CohortConfig:
     return CohortConfig()
 
 
-def _build_dbs(input_path: str, cohort: CohortConfig, technique: str | None):
+def _read_cohort(input_path: str, cohort: CohortConfig):
     records, diagnostics = parse_dataset(input_path)
     normalized, norm_report = normalize_dataset(records, cohort.label_mappings)
     kept, log = filter_cohort(normalized, cohort)
-    dbs = {}
-    for tech, rows in kept.items():
-        if technique is not None and tech != technique:
-            continue
-        if len(rows) >= 2:
-            dbs[tech] = build_historical_db(rows)
-    return dbs, kept, log, diagnostics, norm_report
+    return kept, log, diagnostics, norm_report
+
+
+def _eligible(kept, technique: str | None) -> dict:
+    """The techniques (or the one asked for) with at least 2 kept records."""
+    return {
+        tech: rows
+        for tech, rows in kept.items()
+        if len(rows) >= 2 and technique in (None, tech)
+    }
+
+
+def _build_dbs(input_path: str, cohort: CohortConfig, technique: str | None):
+    kept, _, _, _ = _read_cohort(input_path, cohort)
+    return {tech: build_historical_db(rows) for tech, rows in _eligible(kept, technique).items()}
 
 
 def _load_new_records(input_path: str, cohort: CohortConfig):
@@ -210,7 +233,8 @@ def _cmd_ingest(args) -> int:
     cohort = _load_cohort(config)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs, kept, log, diagnostics, norm_report = _build_dbs(args.input, cohort, args.technique)
+    kept, log, diagnostics, norm_report = _read_cohort(args.input, cohort)
+    dbs = {tech: build_historical_db(rows) for tech, rows in _eligible(kept, args.technique).items()}
 
     log.write_csv(out / "exclusions.csv")
     meta = {}
@@ -242,16 +266,19 @@ def _cmd_train(args) -> int:
     seed = _resolve(args.seed, config.seed, 0)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs, kept, _, _, _ = _build_dbs(args.input, cohort, args.technique)
-    if not dbs:
-        raise UsageError("no technique had enough records to train on")
+    kept, _, _, _ = _read_cohort(args.input, cohort)
 
     space = SearchSpace(budget=args.budget, runs_per_point=args.runs, strategy=args.strategy)
     params_by_technique = {}
-    for tech in sorted(dbs):
-        rows = kept[tech]
-        reference, pool = split_holdout(rows, args.sn, substream(seed, f"split:{tech}"))
-        reference_db = build_historical_db(reference)
+    skipped = 0
+    for tech, rows in sorted(_eligible(kept, args.technique).items()):
+        try:
+            reference, pool = split_holdout(rows, args.sn, substream(seed, f"split:{tech}"))
+            reference_db = build_historical_db(reference)
+        except (InsufficientData, IncomparablePair) as exc:
+            print(f"rxcheck: train[{tech}]: skipped: {exc}", file=sys.stderr)
+            skipped += 1
+            continue
         sa_set = generate_sa_set(
             reference_db,
             DEFAULT_SA_COUNTS,
@@ -270,8 +297,10 @@ def _cmd_train(args) -> int:
             f"b={outcome.best_params.b:.3f} mu={outcome.best_params.mu:.4f} "
             f"nu={outcome.best_params.nu:.4f}"
         )
+    if not params_by_technique:
+        raise UsageError("no technique had enough records to train on")
     write_params_json(out / "params.json", params_by_technique)
-    return EX_OK
+    return EX_ERROR if skipped else EX_OK
 
 
 def _cmd_check(args) -> int:
@@ -288,7 +317,7 @@ def _cmd_check(args) -> int:
     boundaries_path = _resolve(args.boundaries, config.boundaries)
     boundaries = load_boundaries(boundaries_path) if boundaries_path else None
     params_by_technique = load_params_json(params_path)
-    dbs, _, _, _, _ = _build_dbs(historical, cohort, args.technique)
+    dbs = _build_dbs(historical, cohort, args.technique)
     if args.quantile_boundaries:
         try:
             low, high = (float(q) for q in args.quantile_boundaries.split(","))
@@ -306,6 +335,7 @@ def _cmd_check(args) -> int:
         print(f"rxcheck: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
 
     verdicts = []
+    errored = False
     for record in records:
         db = dbs.get(record.technique)
         if db is None:
@@ -314,17 +344,21 @@ def _cmd_check(args) -> int:
                 f"(record {record.record_id})"
             )
         params = params_for_technique(params_by_technique, record.technique)
-        verdicts.append(detect(record, db, params, boundaries))
+        try:
+            verdicts.append(detect(record, db, params, boundaries))
+        except InsufficientNeighbors as exc:
+            print(f"rxcheck: record {record.record_id}: {exc}", file=sys.stderr)
+            errored = True
 
     out = _resolve(args.out, config.out)
-    lines = [json.dumps(verdict_to_dict(v), sort_keys=True) for v in verdicts]
     if out is None:
-        for line in lines:
-            print(line)
+        write_verdicts_jsonl(sys.stdout, verdicts)
     else:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "verdicts.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+        write_verdicts_jsonl(out_dir / "verdicts.jsonl", verdicts)
+    if errored:
+        return EX_ERROR
     return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
 
 
@@ -334,7 +368,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve(args.seed, config.seed, 0)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs, _, _, _, _ = _build_dbs(args.input, cohort, args.technique)
+    dbs = _build_dbs(args.input, cohort, args.technique)
     if not dbs:
         raise UsageError("no technique had enough records to simulate from")
     for tech, db in sorted(dbs.items()):
@@ -373,7 +407,7 @@ def _cmd_hist(args) -> int:
     cohort = _load_cohort(config)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs, _, _, _, _ = _build_dbs(args.input, cohort, args.technique)
+    dbs = _build_dbs(args.input, cohort, args.technique)
     if not dbs:
         raise UsageError("no technique had enough records for histograms")
     for tech, db in sorted(dbs.items()):

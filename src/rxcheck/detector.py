@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, TYPE_CHECKING
+from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .distance import (
     GroupDistanceResult,
@@ -27,7 +27,7 @@ from .ranges import (
     UnsupportedTechnique,
     check_range,
 )
-from .records import TreatmentRecord, validate_record
+from .records import TreatmentRecord, text_stream, validate_record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -212,19 +212,19 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     }
 
 
-def write_verdicts_jsonl(destination: IO[str], verdicts: Iterable[Verdict]) -> None:
-    for verdict in verdicts:
-        destination.write(json.dumps(verdict_to_dict(verdict), sort_keys=True))
-        destination.write("\n")
+def write_verdicts_jsonl(destination, verdicts: Iterable[Verdict]) -> None:
+    """One verdict_to_dict JSON object per line, to a path or an open handle."""
+    with text_stream(destination, "w") as handle:
+        for verdict in verdicts:
+            handle.write(json.dumps(verdict_to_dict(verdict), sort_keys=True))
+            handle.write("\n")
 
 
 def load_params_json(source) -> dict[str, ModelParams]:
     """Read trained parameters: either one flat object or a mapping keyed by
     technique. A flat object is returned under the wildcard key '*'."""
-    if isinstance(source, (str,)) or hasattr(source, "__fspath__"):
-        with open(source) as handle:
-            return load_params_json(handle)
-    payload = json.load(source)
+    with text_stream(source) as handle:
+        payload = json.load(handle)
     if set(payload) >= {"a", "b", "mu", "nu"}:
         return {"*": ModelParams.from_dict(payload)}
     return {technique: ModelParams.from_dict(entry) for technique, entry in payload.items()}
@@ -243,10 +243,6 @@ def write_params_json(destination, params_by_technique: Mapping[str, ModelParams
         technique: params.as_dict()
         for technique, params in sorted(params_by_technique.items())
     }
-    if isinstance(destination, (str,)) or hasattr(destination, "__fspath__"):
-        with open(destination, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return
-    json.dump(payload, destination, indent=2, sort_keys=True)
-    destination.write("\n")
+    with text_stream(destination, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

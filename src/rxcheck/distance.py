@@ -25,7 +25,14 @@ from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .records import CATEGORICAL, NUMERIC, FeatureSchema, Prescription, TreatmentRecord
+from .records import (
+    CATEGORICAL,
+    NUMERIC,
+    FeatureSchema,
+    Prescription,
+    TreatmentRecord,
+    text_stream,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .ingest import HistoricalDB
@@ -156,7 +163,8 @@ def _numeric_contribution(a: float, b: float, spec) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Columnar encoding for query-vs-reference and pairwise computation
+# Array kernels: one left side (a query or a block of records) against every
+# encoded reference record
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -165,8 +173,7 @@ class _Column:
     kind: str
     weight: float
     values: np.ndarray          # float64 values or int64 category codes
-    missing: np.ndarray         # bool mask
-    lo: float = 0.0
+    present: np.ndarray         # bool mask, False where the value is missing
     width: float = 0.0
     codes: dict = field(default_factory=dict)
 
@@ -183,15 +190,13 @@ def encode_features(records: Sequence[TreatmentRecord], schema: FeatureSchema) -
     columns: list[_Column] = []
     for spec in schema.features:
         raw = [getattr(r, spec.name) for r in records]
-        missing = np.array([v is None for v in raw], dtype=bool)
+        present = np.array([v is not None for v in raw], dtype=bool)
         if spec.kind == NUMERIC:
             if spec.value_range is None:
                 raise ValueError(f"numeric feature {spec.name!r} has no bound range")
             lo, hi = spec.value_range
             values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
-            columns.append(
-                _Column(spec.name, NUMERIC, spec.weight, values, missing, lo=lo, width=hi - lo)
-            )
+            columns.append(_Column(spec.name, NUMERIC, spec.weight, values, present, width=hi - lo))
         else:
             codes: dict[str, int] = {}
             encoded = np.empty(len(raw), dtype=np.int64)
@@ -200,56 +205,81 @@ def encode_features(records: Sequence[TreatmentRecord], schema: FeatureSchema) -
                     encoded[k] = -1
                 else:
                     encoded[k] = codes.setdefault(str(v), len(codes))
-            columns.append(_Column(spec.name, CATEGORICAL, spec.weight, encoded, missing, codes=codes))
+            columns.append(_Column(spec.name, CATEGORICAL, spec.weight, encoded, present, codes=codes))
     return EncodedFeatures(tuple(columns), len(records))
 
 
-def gower_to_all(record: TreatmentRecord, encoded: EncodedFeatures) -> np.ndarray:
-    """Gower distance from one record to every encoded record.
+def scaled_rx_arrays(records: Sequence[TreatmentRecord], scaler: RxScaler) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled (fractions, dose per fraction) of every record, as RxScaler.scale
+    computes them one at a time."""
+    f = np.array([r.prescription.fractions for r in records], dtype=np.float64)
+    d = np.array([r.prescription.dose_per_fraction for r in records], dtype=np.float64)
+    return _scale_array(f, scaler.f_min, scaler.f_max), _scale_array(d, scaler.d_min, scaler.d_max)
 
-    Entries are NaN where the pair is incomparable. Accumulates features in
-    schema order so results match the scalar gower_distance bit for bit.
+
+def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    width = hi - lo
+    if width <= 0:
+        return np.zeros_like(values)
+    return (values - lo) / width
+
+
+def _rho(f, d, rx_f: np.ndarray, rx_d: np.ndarray) -> np.ndarray:
+    """Prescription distances from scaled left coordinates (scalars or a
+    column block) to every reference record."""
+    df = f - rx_f
+    dd = d - rx_d
+    return np.sqrt(df * df + dd * dd)
+
+
+def _gower(left, shape) -> np.ndarray:
+    """Gower distances from a left side to every encoded record.
+
+    left yields (column, values, valid) for each column the left side has:
+    values are in the column's code space and broadcast against it, and
+    valid marks the pairs where neither side misses the feature. Entries are
+    NaN where the pair is incomparable. Accumulates features in schema order
+    so results match the scalar gower_distance bit for bit.
     """
-    num = np.zeros(encoded.size, dtype=np.float64)
-    den = np.zeros(encoded.size, dtype=np.float64)
-    for col in encoded.columns:
-        value = getattr(record, col.name)
-        if value is None:
-            continue
-        valid = ~col.missing
-        if col.kind == NUMERIC:
-            if col.width <= 0:
-                contribution = (col.values != float(value)).astype(np.float64)
-            else:
-                contribution = np.minimum(np.abs(col.values - float(value)) / col.width, 1.0)
+    num = np.zeros(shape, dtype=np.float64)
+    den = np.zeros(shape, dtype=np.float64)
+    for col, values, valid in left:
+        if col.kind == NUMERIC and col.width > 0:
+            contribution = np.minimum(np.abs(values - col.values) / col.width, 1.0)
         else:
-            code = col.codes.get(str(value), -2)
-            contribution = (col.values != code).astype(np.float64)
+            # Categories, or a degenerate numeric range: any difference is maximal.
+            contribution = (values != col.values).astype(np.float64)
         num = np.where(valid, num + col.weight * contribution, num)
         den = np.where(valid, den + col.weight, den)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
 
 
-def scaled_rx_arrays(records: Sequence[TreatmentRecord], scaler: RxScaler) -> tuple[np.ndarray, np.ndarray]:
-    f = np.array(
-        [_scale_component(r.prescription.fractions, scaler.f_min, scaler.f_max) for r in records],
-        dtype=np.float64,
-    )
-    d = np.array(
-        [
-            _scale_component(r.prescription.dose_per_fraction, scaler.d_min, scaler.d_max)
-            for r in records
-        ],
-        dtype=np.float64,
-    )
-    return f, d
+def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
+    # Only the query's present features, so a pair is valid wherever the
+    # reference has the value. A category the reference never saw gets code
+    # -2, which matches nothing.
+    for col in encoded.columns:
+        value = getattr(record, col.name)
+        if value is None:
+            continue
+        yield col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2), col.present
 
 
-def rx_to_all(p: Prescription, scaler: RxScaler, rx_f: np.ndarray, rx_d: np.ndarray) -> np.ndarray:
-    scaled = scaler.scale(p)
-    df = rx_f - scaled.f
-    dd = rx_d - scaled.d
-    return np.sqrt(df * df + dd * dd)
+def _pair_blocks(rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures):
+    """Yields (rows, rho, g): the distances from records rows (a block of at
+    most _PAIR_BLOCK) to every record, with one row per block record."""
+    size = encoded.size
+    for lo in range(0, size, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, size)
+        block = slice(lo, hi)
+        left = (
+            (col, col.values[block, None], col.present[block, None] & col.present)
+            for col in encoded.columns
+        )
+        # Gower before rho: the caller still holds the previous block's
+        # arrays while this runs, and Gower's temporaries are the larger peak.
+        g = _gower(left, (hi - lo, size))
+        yield np.arange(lo, hi), _rho(rx_f[block, None], rx_d[block, None], rx_f, rx_d), g
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +303,9 @@ class GroupDistanceResult:
 
 
 def _query_vectors(record: TreatmentRecord, db: "HistoricalDB") -> tuple[np.ndarray, np.ndarray]:
-    rho = rx_to_all(record.prescription, db.rx_scaler, db.rx_f, db.rx_d)
-    g = gower_to_all(record, db.encoded)
+    scaled = db.rx_scaler.scale(record.prescription)
+    rho = _rho(scaled.f, scaled.d, db.rx_f, db.rx_d)
+    g = _gower(_query_features(record, db.encoded), db.size)
     return rho, g
 
 
@@ -346,35 +377,23 @@ def closest_n_feature_distance(record: TreatmentRecord, db: "HistoricalDB", n: i
 # ---------------------------------------------------------------------------
 
 def pairwise_means(
-    records: Sequence[TreatmentRecord],
-    schema: FeatureSchema,
-    scaler: RxScaler,
-    *,
-    encoded: EncodedFeatures | None = None,
+    rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures
 ) -> tuple[float, float, int]:
-    """Mean prescription and feature distance over ordered pairs j != k.
+    """Mean prescription and feature distance over ordered pairs j != k of
+    the records behind scaled_rx_arrays and encode_features.
 
     Returns (theta, tau, incomparable_pairs). Incomparable pairs are skipped
     from tau's average and counted; theta always averages over S*(S-1) pairs.
     """
-    size = len(records)
+    size = len(rx_f)
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
-    if encoded is None:
-        encoded = encode_features(records, schema)
-    rx_f, rx_d = scaled_rx_arrays(records, scaler)
-
     rho_sums: list[float] = []
     g_sums: list[float] = []
     comparable = 0
-    for lo in range(0, size, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, size)
-        rows = np.arange(lo, hi)
-        rho = _rho_block(rx_f, rx_d, lo, hi)
-        g = _gower_block(encoded, lo, hi)
-        rho[rows - lo, rows] = 0.0
+    for rows, rho, g in _pair_blocks(rx_f, rx_d, encoded):
         comp = ~np.isnan(g)
-        comp[rows - lo, rows] = False
+        comp[rows - rows[0], rows] = False     # a record paired with itself
         rho_sums.append(float(np.sum(rho)))
         g_sums.append(float(np.sum(np.where(comp, g, 0.0))))
         comparable += int(comp.sum())
@@ -383,32 +402,6 @@ def pairwise_means(
         raise IncomparablePair("no comparable pair in the reference set")
     tau = math.fsum(g_sums) / comparable
     return theta, tau, size * (size - 1) - comparable
-
-
-def _rho_block(rx_f: np.ndarray, rx_d: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    df = rx_f[lo:hi, None] - rx_f[None, :]
-    dd = rx_d[lo:hi, None] - rx_d[None, :]
-    return np.sqrt(df * df + dd * dd)
-
-
-def _gower_block(encoded: EncodedFeatures, lo: int, hi: int) -> np.ndarray:
-    rows = slice(lo, hi)
-    num = np.zeros((hi - lo, encoded.size), dtype=np.float64)
-    den = np.zeros((hi - lo, encoded.size), dtype=np.float64)
-    for col in encoded.columns:
-        valid = ~col.missing[rows, None] & ~col.missing[None, :]
-        if col.kind == NUMERIC:
-            if col.width <= 0:
-                contribution = (col.values[rows, None] != col.values[None, :]).astype(np.float64)
-            else:
-                contribution = np.minimum(
-                    np.abs(col.values[rows, None] - col.values[None, :]) / col.width, 1.0
-                )
-        else:
-            contribution = (col.values[rows, None] != col.values[None, :]).astype(np.float64)
-        num = np.where(valid, num + col.weight * contribution, num)
-        den = np.where(valid, den + col.weight, den)
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
 
 
 def characteristic_distances(db: "HistoricalDB") -> tuple[float, float]:
@@ -445,18 +438,13 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    size = db.size
     rho_edges = _edges(RX_DISTANCE_MAX, bin_width)
     g_edges = _edges(1.0, bin_width)
     rho_counts = np.zeros(len(rho_edges) - 1, dtype=np.int64)
     g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
-    cols = np.arange(size)
-    for lo in range(0, size, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, size)
-        rows = np.arange(lo, hi)
+    cols = np.arange(db.size)
+    for rows, rho, g in _pair_blocks(db.rx_f, db.rx_d, db.encoded):
         upper = cols[None, :] > rows[:, None]
-        rho = _rho_block(db.rx_f, db.rx_d, lo, hi)
-        g = _gower_block(db.encoded, lo, hi)
         rho_counts += np.histogram(rho[upper], bins=rho_edges)[0]
         g_vals = g[upper & ~np.isnan(g)]
         g_counts += np.histogram(g_vals, bins=g_edges)[0]
@@ -480,11 +468,8 @@ def _normalize(counts: np.ndarray) -> np.ndarray:
 
 def write_histogram_csv(destination: str | Path | IO[str], histogram: Histogram) -> None:
     """Plot-ready export: columns bin_low, bin_high, mass."""
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            write_histogram_csv(handle, histogram)
-        return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(("bin_low", "bin_high", "mass"))
-    for low, high, mass in histogram.rows():
-        writer.writerow((f"{low:.10g}", f"{high:.10g}", repr(mass)))
+    with text_stream(destination, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("bin_low", "bin_high", "mass"))
+        for low, high, mass in histogram.rows():
+            writer.writerow((f"{low:.10g}", f"{high:.10g}", repr(mass)))

@@ -9,8 +9,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .distance import Histogram, write_histogram_csv
-
 BEST_CASE = "BestCase"
 WORST_CASE = "WorstCase"
 
@@ -184,11 +182,9 @@ def emit_report(
     metrics: Mapping[str, MacroMetrics],
     destination: str | Path,
     venn: OverlapSummary | None = None,
-    traces: Mapping[str, Sequence] | None = None,
-    histograms: Mapping[str, Histogram] | None = None,
 ) -> list[Path]:
-    """Write summary.json, confusion.csv, metrics.csv, venn.csv (and any
-    histogram CSVs) under destination. Byte-stable for identical inputs."""
+    """Write summary.json, confusion.csv, metrics.csv and venn.csv under
+    destination. Byte-stable for identical inputs."""
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
@@ -241,21 +237,6 @@ def emit_report(
             for region, count in sorted(venn.region_counts.items()):
                 writer.writerow((region, count))
     written.append(venn_path)
-
-    if traces:
-        from .train import write_trace_csv  # local import avoids a cycle
-
-        for name, outcome in sorted(traces.items()):
-            trace_path = destination / f"trace_{name}.csv"
-            write_trace_csv(trace_path, outcome)
-            written.append(trace_path)
-
-    if histograms:
-        for name, histogram in sorted(histograms.items()):
-            hist_path = destination / f"hist_{name}.csv"
-            write_histogram_csv(hist_path, histogram)
-            written.append(hist_path)
-
     return written
 
 

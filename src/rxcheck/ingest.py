@@ -21,6 +21,7 @@ from .records import (
     TreatmentRecord,
     default_schema,
     record_from_row,
+    text_stream,
 )
 
 REQUIRED_COLUMNS = CSV_COLUMNS[:6]
@@ -118,10 +119,8 @@ class CohortConfig:
 
     @classmethod
     def from_json(cls, source: str | Path | IO[str]) -> "CohortConfig":
-        if isinstance(source, (str, Path)):
-            with open(source) as handle:
-                return cls.from_json(handle)
-        payload = json.load(source)
+        with text_stream(source) as handle:
+            payload = json.load(handle)
         kwargs = {}
         if "excluded_techniques" in payload:
             kwargs["excluded_techniques"] = frozenset(payload["excluded_techniques"])
@@ -155,13 +154,9 @@ class CohortConfig:
             "replan_policy": self.replan_policy,
             "subject_delimiter": self.subject_delimiter,
         }
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            return
-        json.dump(payload, destination, indent=2, sort_keys=True)
-        destination.write("\n")
+        with text_stream(destination, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,27 +184,25 @@ def parse_dataset(
     canonical names for exports with renamed columns. An unreadable source
     raises OSError; a header missing required columns raises SchemaError.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            return parse_dataset(handle, columns)
-    reader = csv.DictReader(source)
-    header = reader.fieldnames
-    if header is None:
-        raise SchemaError("empty input: no header row")
-    if columns:
-        header = [columns.get(name, name) for name in header]
-    missing = [column for column in REQUIRED_COLUMNS if column not in header]
-    if missing:
-        raise SchemaError(f"header missing required columns: {', '.join(missing)}")
-    records: list[TreatmentRecord] = []
-    diagnostics: list[ParseDiagnostic] = []
-    for number, raw in enumerate(reader, start=1):
-        row = dict(zip(header, raw.values())) if columns else raw
-        try:
-            records.append(record_from_row(row))
-        except (ValueError, TypeError) as exc:
-            diagnostics.append(ParseDiagnostic(number, str(exc)))
-    return records, diagnostics
+    with text_stream(source) as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is None:
+            raise SchemaError("empty input: no header row")
+        if columns:
+            header = [columns.get(name, name) for name in header]
+        missing = [column for column in REQUIRED_COLUMNS if column not in header]
+        if missing:
+            raise SchemaError(f"header missing required columns: {', '.join(missing)}")
+        records: list[TreatmentRecord] = []
+        diagnostics: list[ParseDiagnostic] = []
+        for number, raw in enumerate(reader, start=1):
+            row = dict(zip(header, raw.values())) if columns else raw
+            try:
+                records.append(record_from_row(row))
+            except (ValueError, TypeError) as exc:
+                diagnostics.append(ParseDiagnostic(number, str(exc)))
+        return records, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +287,11 @@ class ExclusionLog:
         return (counts[RULE_REPLAN] + counts[RULE_REPLAN_INITIAL]) / total_records
 
     def write_csv(self, destination: str | Path | IO[str]) -> None:
-        if isinstance(destination, (str, Path)):
-            with open(destination, "w", newline="") as handle:
-                self.write_csv(handle)
-            return
-        writer = csv.writer(destination, lineterminator="\n")
-        writer.writerow(("record_id", "rule", "detail"))
-        for exclusion in self.exclusions:
-            writer.writerow((exclusion.record_id, exclusion.rule, exclusion.detail))
+        with text_stream(destination, "w") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("record_id", "rule", "detail"))
+            for exclusion in self.exclusions:
+                writer.writerow((exclusion.record_id, exclusion.rule, exclusion.detail))
 
 
 def filter_cohort(
@@ -427,7 +417,7 @@ def build_historical_db(
     scaler = RxScaler.fit([r.prescription for r in records])
     encoded = distance.encode_features(records, schema)
     rx_f, rx_d = distance.scaled_rx_arrays(records, scaler)
-    theta, tau, skipped = distance.pairwise_means(records, schema, scaler, encoded=encoded)
+    theta, tau, skipped = distance.pairwise_means(rx_f, rx_d, encoded)
     rx_index = Counter(r.rx for r in records)
     return HistoricalDB(
         technique=observed,

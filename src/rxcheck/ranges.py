@@ -15,7 +15,7 @@ from typing import IO, Mapping, TYPE_CHECKING, Union
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord
+from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, text_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -209,20 +209,14 @@ def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) 
             for technique, bounds in sorted(boundaries.by_technique.items())
         },
     }
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return
-    json.dump(payload, destination, indent=2, sort_keys=True)
-    destination.write("\n")
+    with text_stream(destination, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
-    if isinstance(source, (str, Path)):
-        with open(source) as handle:
-            return load_boundaries(handle)
-    payload = json.load(source)
+    with text_stream(source) as handle:
+        payload = json.load(handle)
     return Boundaries(
         by_technique={
             technique: TechniqueBounds(

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 TECH_3D = "3D"
 TECH_IMRT = "IMRT"
@@ -298,15 +299,23 @@ def record_from_row(row: dict[str, str]) -> TreatmentRecord:
     )
 
 
-def write_records_csv(destination: str | Path | IO[str], records: Iterable[TreatmentRecord]) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            write_records_csv(handle, records)
-        return
-    writer = csv.DictWriter(destination, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record_to_row(record))
+@contextmanager
+def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterator[IO[str]]:
+    """An open text handle for target. A path (str or os.PathLike) is opened
+    in mode with newline="" and closed on exit; a handle is used as it is."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode, newline="") as handle:
+            yield handle
+    else:
+        yield target
+
+
+def write_records_csv(destination: str | os.PathLike | IO[str], records: Iterable[TreatmentRecord]) -> None:
+    with text_stream(destination, "w") as handle:
+        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        for record in records:
+            writer.writerow(record_to_row(record))
 
 
 def records_csv_text(records: Iterable[TreatmentRecord]) -> str:
@@ -315,13 +324,10 @@ def records_csv_text(records: Iterable[TreatmentRecord]) -> str:
     return buffer.getvalue()
 
 
-def read_records_csv(source: str | Path | IO[str]) -> list[TreatmentRecord]:
+def read_records_csv(source: str | os.PathLike | IO[str]) -> list[TreatmentRecord]:
     """Strict reader for canonical files: any malformed row raises.
 
     Use ingest.parse_dataset for per-row diagnostics instead of exceptions.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, newline="") as handle:
-            return read_records_csv(handle)
-    reader = csv.DictReader(source)
-    return [record_from_row(row) for row in reader]
+    with text_stream(source) as handle:
+        return [record_from_row(row) for row in csv.DictReader(handle)]

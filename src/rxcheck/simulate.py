@@ -9,7 +9,6 @@ rarity threshold, never by clinical judgment.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -22,8 +21,8 @@ from .records import (
     FeatureSchema,
     Prescription,
     TreatmentRecord,
-    record_to_row,
-    CSV_COLUMNS,
+    text_stream,
+    write_records_csv,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -369,11 +368,7 @@ def write_sa_set(
     json_destination: str | Path | IO[str],
     anomalies: Sequence[SimulatedAnomaly],
 ) -> None:
-    if isinstance(csv_destination, (str, Path)):
-        with open(csv_destination, "w", newline="") as handle:
-            _write_sa_csv(handle, anomalies)
-    else:
-        _write_sa_csv(csv_destination, anomalies)
+    write_records_csv(csv_destination, [sa.mutated for sa in anomalies])
     payload = [
         {
             "record_id": sa.mutated.record_id,
@@ -388,17 +383,6 @@ def write_sa_set(
         }
         for sa in anomalies
     ]
-    if isinstance(json_destination, (str, Path)):
-        with open(json_destination, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    else:
-        json.dump(payload, json_destination, indent=2, sort_keys=True)
-        json_destination.write("\n")
-
-
-def _write_sa_csv(handle: IO[str], anomalies: Sequence[SimulatedAnomaly]) -> None:
-    writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for sa in anomalies:
-        writer.writerow(record_to_row(sa.mutated))
+    with text_stream(json_destination, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")

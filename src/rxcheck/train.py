@@ -21,7 +21,7 @@ import numpy as np
 from .detector import ModelParams, detect
 from .distance import InsufficientData
 from .ranges import Boundaries
-from .records import TreatmentRecord
+from .records import TreatmentRecord, text_stream
 from .seeding import substream
 from .simulate import SimulatedAnomaly
 
@@ -310,14 +310,11 @@ def _kde(x: float, points: list[float], bandwidth: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(destination: str | Path | IO[str], outcome: TrainingOutcome) -> None:
-    if isinstance(destination, (str, Path)):
-        with open(destination, "w", newline="") as handle:
-            write_trace_csv(handle, outcome)
-        return
-    writer = csv.writer(destination, lineterminator="\n")
-    writer.writerow(("eval_index", "a", "b", "mu", "nu", "f1_mean", "f1_std"))
-    for index, entry in enumerate(outcome.trace):
-        p = entry.params
-        writer.writerow(
-            (index, repr(p.a), repr(p.b), repr(p.mu), repr(p.nu), repr(entry.f1_mean), repr(entry.f1_std))
-        )
+    with text_stream(destination, "w") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(("eval_index", "a", "b", "mu", "nu", "f1_mean", "f1_std"))
+        for index, entry in enumerate(outcome.trace):
+            p = entry.params
+            writer.writerow(
+                (index, repr(p.a), repr(p.b), repr(p.mu), repr(p.nu), repr(entry.f1_mean), repr(entry.f1_std))
+            )

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rxcheck.cli import EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
+from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
 from rxcheck.ingest import build_historical_db, filter_cohort
 from rxcheck.records import write_records_csv
@@ -140,6 +140,28 @@ class TestCheck:
             "--params", str(params_json), "--quantile-boundaries", "nonsense",
         ]) == EX_USAGE
 
+    def test_record_without_comparable_neighbors_does_not_abort_batch(
+        self, cohort_csv, params_json, tmp_path, capsys
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        blank = rec("blank", 4, 1250)  # a common prescription, every feature missing
+        queries = [records[0], blank, records[1]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        argv = ["check", "--input", str(query_path),
+                "--historical", str(cohort_csv), "--params", str(params_json)]
+        assert run(argv) == EX_ERROR
+        captured = capsys.readouterr()
+        kept, _ = filter_cohort(records)
+        db = build_historical_db(kept["3D"])
+        expected = [verdict_to_dict(detect(q, db, PARAMS)) for q in (records[0], records[1])]
+        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert captured.err.count("rxcheck: record blank: ") == 1
+
+        out = tmp_path / "verdicts"
+        assert run(argv + ["--out", str(out)]) == EX_ERROR
+        assert (out / "verdicts.jsonl").read_text() == captured.out
+
     def test_run_config_supplies_paths(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query = tmp_path / "query.csv"
@@ -166,6 +188,33 @@ class TestTrain:
         params = json.loads((out / "params.json").read_text())
         assert set(params["3D"]) == {"a", "b", "mu", "nu"}
         assert (out / "sa_3D.csv").exists() and (out / "sa_3D.json").exists()
+
+    def test_technique_too_small_to_split_is_skipped(self, tmp_path, capsys):
+        three_d, _ = make_cohort("3D", per_cluster=5, seed=21)
+        sbrt, _ = make_cohort("SBRT", per_cluster=3, seed=22)  # 18 rows
+        path = tmp_path / "mixed.csv"
+        write_records_csv(path, three_d + sbrt)
+        out = tmp_path / "trained"
+        code = run([
+            "train", "--input", str(path), "--out", str(out),
+            "--budget", "1", "--runs", "2", "--sn", "20", "--seed", "0",
+            "--strategy", "random",
+        ])
+        assert code == EX_ERROR
+        assert set(json.loads((out / "params.json").read_text())) == {"3D"}
+        err = capsys.readouterr().err
+        assert err.count("rxcheck: train[SBRT]: skipped: ") == 1
+        assert not (out / "trace_SBRT.csv").exists()
+
+    def test_no_technique_trainable_is_usage_error(self, tmp_path, capsys):
+        sbrt, _ = make_cohort("SBRT", per_cluster=3, seed=22)
+        path = tmp_path / "small.csv"
+        write_records_csv(path, sbrt)
+        out = tmp_path / "trained"
+        code = run(["train", "--input", str(path), "--out", str(out), "--sn", "20"])
+        assert code == EX_USAGE
+        assert "train[SBRT]: skipped" in capsys.readouterr().err
+        assert not (out / "params.json").exists()
 
     def test_trained_model_flags_fresh_swap(self, cohort_csv, tmp_path, capsys):
         out = tmp_path / "trained2"

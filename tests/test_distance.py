@@ -23,7 +23,14 @@ from rxcheck.ingest import build_historical_db
 from rxcheck.records import Prescription
 
 from conftest import random_db, random_record, rec
-from oracles import close, oracle_closest_m, oracle_closest_n, oracle_gower, oracle_theta_tau
+from oracles import (
+    close,
+    oracle_closest_m,
+    oracle_closest_n,
+    oracle_gower,
+    oracle_rho,
+    oracle_theta_tau,
+)
 
 
 def scaler(f_lo=0, f_hi=10, d_lo=0, d_hi=1000):
@@ -241,21 +248,25 @@ class TestClosestGroups:
         rng = np.random.default_rng(8)
         for _ in range(20):
             db = random_db(rng, int(rng.integers(5, 30)))
-            query = random_record(rng, 999)
-            m = int(rng.integers(1, db.size + 1))
-            expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, m)
-            got = closest_m_rx_distance(query, db, m)
-            assert close(got.value, expected)
-            assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
-            n = int(rng.integers(1, db.size + 1))
-            expected_f, ids_f = oracle_closest_n(query, list(db.records), db.feature_schema, n)
-            if expected_f is None:
-                with pytest.raises(InsufficientNeighbors):
-                    closest_n_feature_distance(query, db, n)
-            else:
-                got_f = closest_n_feature_distance(query, db, n)
-                assert close(got_f.value, expected_f)
-                assert [t[0] for t in got_f.members] == [db.records[i].record_id for i in ids_f]
+            _assert_groups_match_oracle(rng, db, random_record(rng, 999))
+        # Edges of the array kernels: a reference spanning several pair
+        # blocks, a constant (degenerate) age column, and queries with an
+        # unseen category and an age outside the reference range.
+        large = random_db(rng, 300)
+        ages = [random_record(rng, i) for i in range(40)]
+        constant_age = build_historical_db(
+            [r if r.age_at_tx is None else replace(r, age_at_tx=60) for r in ages]
+        )
+        for db in (large, constant_age):
+            theta, tau = oracle_theta_tau(list(db.records), db.feature_schema)
+            assert close(db.theta, theta) and close(db.tau, tau)
+            for k, (energy, age) in enumerate(((None, None), ("x99", 140), ("x99", 5), (None, 60))):
+                query = random_record(rng, 900 + k)
+                if energy is not None:
+                    query = replace(query, energy=energy, icd10="Z99.9")
+                if age is not None:
+                    query = replace(query, age_at_tx=age)
+                _assert_groups_match_oracle(rng, db, query)
 
     def test_f_nondecreasing_in_n_within_same_rx(self):
         rng = np.random.default_rng(12)
@@ -270,6 +281,23 @@ class TestClosestGroups:
         same = db.rx_index[query.rx]
         values = [closest_n_feature_distance(query, db, n).value for n in range(1, same + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
+
+
+def _assert_groups_match_oracle(rng, db, query):
+    m = int(rng.integers(1, db.size + 1))
+    expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, m)
+    got = closest_m_rx_distance(query, db, m)
+    assert close(got.value, expected)
+    assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
+    n = int(rng.integers(1, db.size + 1))
+    expected_f, ids_f = oracle_closest_n(query, list(db.records), db.feature_schema, n)
+    if expected_f is None:
+        with pytest.raises(InsufficientNeighbors):
+            closest_n_feature_distance(query, db, n)
+    else:
+        got_f = closest_n_feature_distance(query, db, n)
+        assert close(got_f.value, expected_f)
+        assert [t[0] for t in got_f.members] == [db.records[i].record_id for i in ids_f]
 
 
 class TestCharacteristicDistances:
@@ -331,6 +359,28 @@ class TestPairwiseHistograms:
     def test_shared_prescriptions_spike_at_zero(self, small_db):
         rx_hist, _ = pairwise_histograms(small_db, 0.05)
         assert rx_hist.mass[0] == rx_hist.mass.max()
+
+    def test_counts_match_oracle_pair_distances(self):
+        # 300 records span two pair blocks; the second reference has a
+        # constant age column.
+        rng = np.random.default_rng(15)
+        records = [random_record(rng, i) for i in range(300)]
+        constant_age = [r if r.age_at_tx is None else replace(r, age_at_tx=60) for r in records[:40]]
+        for db in (build_historical_db(records), build_historical_db(constant_age)):
+            refs, schema = list(db.records), db.feature_schema
+            f_lo, f_hi, d_lo, d_hi = (db.rx_scaler.f_min, db.rx_scaler.f_max,
+                                      db.rx_scaler.d_min, db.rx_scaler.d_max)
+            rhos, gowers = [], []
+            for j in range(db.size):
+                for k in range(j + 1, db.size):
+                    rhos.append(oracle_rho(refs[j].prescription, refs[k].prescription,
+                                           f_lo, f_hi, d_lo, d_hi))
+                    g = oracle_gower(refs[j], refs[k], schema)
+                    if g is not None:
+                        gowers.append(g)
+            for hist, values in zip(pairwise_histograms(db, 0.05), (rhos, gowers)):
+                counts = np.histogram(values, bins=hist.bin_edges)[0]
+                assert np.array_equal(np.rint(hist.mass * len(values)), counts)
 
     def test_bad_bin_width(self, small_db):
         with pytest.raises(ValueError):
