@@ -22,6 +22,7 @@ from .distance import (
     GroupDistanceResult,
     Histogram,
     IncomparablePair,
+    QueryProfile,
     RxScaler,
     ScaledRx,
     characteristic_distances,
@@ -29,6 +30,7 @@ from .distance import (
     closest_n_feature_distance,
     gower_distance,
     pairwise_histograms,
+    query_profile,
     rx_distance,
     scale_rx,
 )
@@ -104,6 +106,7 @@ __all__ = [
     "ModelParams",
     "Prescription",
     "Quantile",
+    "QueryProfile",
     "RangeViolation",
     "RxScaler",
     "ScaledRx",
@@ -137,6 +140,7 @@ __all__ = [
     "normalize_labels",
     "pairwise_histograms",
     "parse_dataset",
+    "query_profile",
     "read_records_csv",
     "relabel_technique",
     "rx_distance",

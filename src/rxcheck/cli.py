@@ -4,8 +4,9 @@ Exit codes: 0 success (check: all pass), 2 at least one flagged verdict,
 1 operational error, 64 usage error, 66 missing input file.
 
 check writes one verdict per record. A record with too few comparable
-reference records gets a "rxcheck: record <id>: <reason>" line on stderr
-instead, the batch goes on, and the exit code is 1.
+reference records, or of a technique with no reference set or no trained
+parameters, gets a "rxcheck: record <id>: <reason>" line on stderr instead,
+the batch goes on, and the exit code is 1.
 
 train skips a technique with at least 2 kept records that cannot be split
 into reference and holdout or built, with a "rxcheck: train[<T>]: skipped:
@@ -53,7 +54,13 @@ from .ingest import (
     normalize_dataset,
     parse_dataset,
 )
-from .ranges import Boundaries, Quantile, derive_boundaries, load_boundaries
+from .ranges import (
+    Boundaries,
+    Quantile,
+    UnsupportedTechnique,
+    derive_boundaries,
+    load_boundaries,
+)
 from .records import MODELED_TECHNIQUES, write_records_csv
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set, write_sa_set
@@ -337,17 +344,18 @@ def _cmd_check(args) -> int:
     verdicts = []
     errored = False
     for record in records:
-        db = dbs.get(record.technique)
-        if db is None:
-            raise UsageError(
-                f"no reference database for technique {record.technique!r} "
-                f"(record {record.record_id})"
-            )
-        params = params_for_technique(params_by_technique, record.technique)
         try:
+            db = dbs.get(record.technique)
+            if db is None:
+                raise UnsupportedTechnique(
+                    f"no reference database for technique {record.technique!r}"
+                )
+            params = params_for_technique(params_by_technique, record.technique)
             verdicts.append(detect(record, db, params, boundaries))
-        except InsufficientNeighbors as exc:
-            print(f"rxcheck: record {record.record_id}: {exc}", file=sys.stderr)
+        except (UnsupportedTechnique, InsufficientNeighbors) as exc:
+            # args[0], not str(exc): UnsupportedTechnique is a KeyError,
+            # whose str() quotes the message.
+            print(f"rxcheck: record {record.record_id}: {exc.args[0]}", file=sys.stderr)
             errored = True
 
     out = _resolve(args.out, config.out)

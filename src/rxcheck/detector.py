@@ -16,9 +16,10 @@ from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .distance import (
     GroupDistanceResult,
+    QueryProfile,
     closest_m_rx_distance,
     closest_n_feature_distance,
-    scale_rx,
+    query_profile,
 )
 from .ranges import (
     DEFAULT_ALPHA_BETA,
@@ -112,18 +113,21 @@ class Verdict:
 
 
 def detect(
-    record: TreatmentRecord,
+    query: TreatmentRecord | QueryProfile,
     db: "HistoricalDB",
     params: ModelParams,
     boundaries: Boundaries | None = None,
     alpha_beta: float = DEFAULT_ALPHA_BETA,
 ) -> Verdict:
-    """Classify one record against its technique's reference set.
+    """Classify one record, given as is or as its QueryProfile against db,
+    against its technique's reference set.
 
     The range check runs first and short-circuits classification but not
     diagnostics: distances are still computed so the verdict stays
     explainable. Pure and deterministic for identical inputs.
     """
+    profile = query_profile(query, db)
+    record = profile.record
     if record.technique != db.technique:
         raise UnsupportedTechnique(
             f"record technique {record.technique!r} does not match reference {db.technique!r}"
@@ -134,14 +138,14 @@ def detect(
     violations = tuple(check_range(record, boundaries, alpha_beta)) if boundaries else ()
 
     warnings = [v.kind for v in validate_record(record).violations]
-    scaled = scale_rx(record.prescription, db.rx_scaler)
+    scaled = profile.scaled
     if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
         warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
 
-    r_group = closest_m_rx_distance(record, db, m)
+    r_group = closest_m_rx_distance(profile, db, m)
     f_group = None
     if r_group.value <= t_rx:
-        f_group = closest_n_feature_distance(record, db, n)
+        f_group = closest_n_feature_distance(profile, db, n)
         if f_group.warning:
             warnings.append(WARN_INSUFFICIENT_SAME_RX)
 

@@ -12,6 +12,12 @@ Group distances average each metric over the closest reference neighbors.
 The feature group orders candidates by prescription distance first, feature
 distance second, and stable input order last, so records sharing the query's
 exact prescription are consumed before more distant prescriptions.
+
+A QueryProfile holds what a query needs against one reference set that the
+detector's parameters do not change: both distance vectors, the neighbour
+order and the same-prescription count. The group functions and the detector
+take a record or its profile; training profiles each record once and scores
+every parameter point from the profile.
 """
 
 from __future__ import annotations
@@ -302,45 +308,82 @@ class GroupDistanceResult:
     warning: bool
 
 
-def _query_vectors(record: TreatmentRecord, db: "HistoricalDB") -> tuple[np.ndarray, np.ndarray]:
-    scaled = db.rx_scaler.scale(record.prescription)
+@dataclass(frozen=True, eq=False)
+class QueryProfile:
+    """What one record against one reference set needs that the parameters
+    (a, b, mu, nu) do not change.
+
+    rho and g are the prescription and Gower distances to every reference
+    record (g is NaN where the pair is incomparable); order ranks the
+    reference records by rho, then g (NaN last within ties), then input
+    order; comparable is the subsequence of order with a defined g. Build it
+    with query_profile and reuse it for every group size and threshold.
+    """
+
+    record: TreatmentRecord
+    db: "HistoricalDB" = field(repr=False)
+    scaled: ScaledRx
+    rho: np.ndarray = field(repr=False)
+    g: np.ndarray = field(repr=False)
+    order: np.ndarray = field(repr=False)
+    comparable: np.ndarray = field(repr=False)
+    same_rx_count: int
+
+
+def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> QueryProfile:
+    """The profile of a record against db; a profile of db is returned as is."""
+    if isinstance(query, QueryProfile):
+        if query.db is not db:
+            raise ValueError(
+                f"profile of record {query.record.record_id!r} was built against another reference set"
+            )
+        return query
+    scaled = db.rx_scaler.scale(query.prescription)
     rho = _rho(scaled.f, scaled.d, db.rx_f, db.rx_d)
-    g = _gower(_query_features(record, db.encoded), db.size)
-    return rho, g
+    g = _gower(_query_features(query, db.encoded), db.size)
+    # lexsort's last key is the primary one; it is stable, so input order
+    # breaks the remaining ties.
+    order = np.lexsort((g, rho))
+    return QueryProfile(
+        record=query,
+        db=db,
+        scaled=scaled,
+        rho=rho,
+        g=g,
+        order=order,
+        comparable=order[~np.isnan(g[order])],
+        same_rx_count=db.rx_index.get(query.rx, 0),
+    )
 
 
-def _neighbor_order(rho: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # Primary key rho, secondary g (NaN sorts last within ties), tertiary
-    # stable input order. lexsort's last key is the primary one.
-    return np.lexsort((g, rho))
+def _group(profile: QueryProfile, take: np.ndarray, value: float, warning: bool) -> GroupDistanceResult:
+    records = profile.db.records
+    members = zip(take.tolist(), profile.rho[take].tolist(), profile.g[take].tolist())
+    return GroupDistanceResult(
+        value=value,
+        members=tuple(
+            (records[k].record_id, r, None if math.isnan(x) else x) for k, r, x in members
+        ),
+        same_rx_count=profile.same_rx_count,
+        warning=warning,
+    )
 
 
-def closest_m_rx_distance(record: TreatmentRecord, db: "HistoricalDB", m: int) -> GroupDistanceResult:
+def closest_m_rx_distance(
+    query: TreatmentRecord | QueryProfile, db: "HistoricalDB", m: int
+) -> GroupDistanceResult:
     """Mean prescription distance over the m nearest reference records."""
     size = db.size
     if not 1 <= m <= size:
         raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
-    rho, g = _query_vectors(record, db)
-    order = _neighbor_order(rho, g)
-    take = order[:m]
-    value = math.fsum(float(rho[k]) for k in take) / m
-    members = tuple(
-        (
-            db.records[k].record_id,
-            float(rho[k]),
-            None if math.isnan(g[k]) else float(g[k]),
-        )
-        for k in take
-    )
-    return GroupDistanceResult(
-        value=value,
-        members=members,
-        same_rx_count=db.rx_index.get(record.rx, 0),
-        warning=False,
-    )
+    profile = query_profile(query, db)
+    take = profile.order[:m]
+    return _group(profile, take, math.fsum(profile.rho[take].tolist()) / m, warning=False)
 
 
-def closest_n_feature_distance(record: TreatmentRecord, db: "HistoricalDB", n: int) -> GroupDistanceResult:
+def closest_n_feature_distance(
+    query: TreatmentRecord | QueryProfile, db: "HistoricalDB", n: int
+) -> GroupDistanceResult:
     """Mean feature distance over the n closest-prescription reference records.
 
     Candidates sort by prescription distance, then feature distance, then
@@ -352,24 +395,14 @@ def closest_n_feature_distance(record: TreatmentRecord, db: "HistoricalDB", n: i
     size = db.size
     if not 1 <= n <= size:
         raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
-    rho, g = _query_vectors(record, db)
-    order = _neighbor_order(rho, g)
-    take = [int(k) for k in order if not math.isnan(g[k])][:n]
+    profile = query_profile(query, db)
+    take = profile.comparable[:n]
     if len(take) < n:
         raise InsufficientNeighbors(
             f"only {len(take)} comparable reference records for n={n}"
         )
-    value = math.fsum(float(g[k]) for k in take) / n
-    members = tuple(
-        (db.records[k].record_id, float(rho[k]), float(g[k])) for k in take
-    )
-    same_rx = db.rx_index.get(record.rx, 0)
-    return GroupDistanceResult(
-        value=value,
-        members=members,
-        same_rx_count=same_rx,
-        warning=same_rx < n,
-    )
+    value = math.fsum(profile.g[take].tolist()) / n
+    return _group(profile, take, value, warning=profile.same_rx_count < n)
 
 
 # ---------------------------------------------------------------------------

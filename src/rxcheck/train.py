@@ -19,7 +19,7 @@ from typing import IO, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .detector import ModelParams, detect
-from .distance import InsufficientData
+from .distance import InsufficientData, QueryProfile, query_profile
 from .ranges import Boundaries
 from .records import TreatmentRecord, text_stream
 from .seeding import substream
@@ -130,8 +130,8 @@ def f1_metric(tp: int, fp: int, fn: int) -> float:
 def f1_objective(
     params: ModelParams,
     reference_db: "HistoricalDB",
-    holdout_pool: Sequence[TreatmentRecord],
-    sa_set: Sequence[SimulatedAnomaly],
+    holdout_pool: Sequence[TreatmentRecord | QueryProfile],
+    sa_set: Sequence[SimulatedAnomaly | QueryProfile],
     runs: int,
     s_n: int,
     rng: np.random.Generator,
@@ -142,6 +142,8 @@ def f1_objective(
 
     The anomaly set is scored once per parameter point: detect is
     deterministic, so only the resampled normal draws vary between runs.
+    Either set may be given as QueryProfiles against reference_db (of the
+    mutated records, for the anomalies), which detect then reuses.
     """
     if not sa_set:
         raise InvalidTrainingSet("the anomaly class is empty")
@@ -150,7 +152,7 @@ def f1_objective(
             f"s_n={s_n} exceeds the holdout pool size {len(holdout_pool)}"
         )
     sa_flagged = [
-        detect(sa.mutated, reference_db, params, boundaries).flagged for sa in sa_set
+        detect(_anomaly_query(sa), reference_db, params, boundaries).flagged for sa in sa_set
     ]
     tp = sum(sa_flagged)
     fn = len(sa_flagged) - tp
@@ -164,6 +166,10 @@ def f1_objective(
         fp = int(pool_flagged[sample].sum()) if s_n else 0
         scores[run] = f1_metric(tp, fp, fn)
     return float(np.mean(scores)), float(np.std(scores))
+
+
+def _anomaly_query(sa: SimulatedAnomaly | QueryProfile) -> TreatmentRecord | QueryProfile:
+    return sa.mutated if isinstance(sa, SimulatedAnomaly) else sa
 
 
 # ---------------------------------------------------------------------------
@@ -185,13 +191,17 @@ def search_parameters(
     deterministic; rerunning with the same seed reproduces the trace bitwise.
     """
     per_run_sn = len(holdout_pool) if s_n is None else s_n
+    # The distances and neighbour order of a record do not depend on the
+    # parameters: compute them once for the whole search.
+    pool_profiles = [query_profile(record, reference_db) for record in holdout_pool]
+    sa_profiles = [query_profile(sa.mutated, reference_db) for sa in sa_set]
 
     def evaluate(index: int, params: ModelParams) -> TraceEntry:
         mean, std = f1_objective(
             params,
             reference_db,
-            holdout_pool,
-            sa_set,
+            pool_profiles,
+            sa_profiles,
             runs=space.runs_per_point,
             s_n=per_run_sn,
             rng=substream(seed, f"objective:{index}"),
@@ -265,26 +275,26 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
     for index in range(n_init, space.budget):
         order = sorted(range(len(trace)), key=lambda k: (-trace[k].f1_mean, k))
         n_good = max(2, int(math.ceil(gamma * len(trace))))
-        good = [trace[k].params for k in order[:n_good]]
-        bad = [trace[k].params for k in order[n_good:]] or good
-
+        good = [_param_values(trace[k].params) for k in order[:n_good]]
+        bad = [_param_values(trace[k].params) for k in order[n_good:]] or good
+        # Per dimension: the values of the good and the bad points, and the
+        # bandwidth, which narrows as the search progresses.
+        good_by_dim = list(zip(*good))
+        bad_by_dim = list(zip(*bad))
         progress = index / space.budget
+        bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in space.ranges]
+
         best_candidate = None
         best_score = -math.inf
         for _ in range(n_candidates):
             values = []
             for dim, (lo, hi) in enumerate(space.ranges):
-                width = hi - lo
-                bw = width * max(0.35 * (1.0 - progress), 0.05)
-                anchor = _param_value(good[int(rng.integers(len(good)))], dim)
-                values.append(_in_range(anchor + bw * float(rng.standard_normal()), lo, hi))
+                anchor = good[int(rng.integers(len(good)))][dim]
+                values.append(_in_range(anchor + bandwidths[dim] * float(rng.standard_normal()), lo, hi))
             score = 0.0
-            for dim, (lo, hi) in enumerate(space.ranges):
-                width = hi - lo
-                bw = width * max(0.35 * (1.0 - progress), 0.05)
-                gx = [_param_value(p, dim) for p in good]
-                bx = [_param_value(p, dim) for p in bad]
-                score += math.log(_kde(values[dim], gx, bw)) - math.log(_kde(values[dim], bx, bw))
+            for dim, x in enumerate(values):
+                bw = bandwidths[dim]
+                score += math.log(_kde(x, good_by_dim[dim], bw)) - math.log(_kde(x, bad_by_dim[dim], bw))
             if score > best_score:
                 best_score = score
                 best_candidate = values
@@ -292,11 +302,11 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
     return trace
 
 
-def _param_value(params: ModelParams, dim: int) -> float:
-    return (params.a, params.b, params.mu, params.nu)[dim]
+def _param_values(params: ModelParams) -> tuple[float, float, float, float]:
+    return (params.a, params.b, params.mu, params.nu)
 
 
-def _kde(x: float, points: list[float], bandwidth: float) -> float:
+def _kde(x: float, points: Sequence[float], bandwidth: float) -> float:
     total = 0.0
     for p in points:
         z = (x - p) / bandwidth

@@ -162,6 +162,41 @@ class TestCheck:
         assert run(argv + ["--out", str(out)]) == EX_ERROR
         assert (out / "verdicts.jsonl").read_text() == captured.out
 
+    def test_record_without_model_does_not_abort_batch(
+        self, cohort_csv, params_json, tmp_path, capsys
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        imrt, _ = make_cohort("IMRT", per_cluster=15, seed=21)
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, [records[0], imrt[0], records[1]])
+        kept, _ = filter_cohort(records)
+        db = build_historical_db(kept["3D"])
+        expected = [verdict_to_dict(detect(q, db, PARAMS)) for q in (records[0], records[1])]
+
+        def check(historical):
+            return run(["check", "--input", str(query_path),
+                        "--historical", str(historical), "--params", str(params_json)])
+
+        # No IMRT reference set in a 3D-only history.
+        assert check(cohort_csv) == EX_ERROR
+        captured = capsys.readouterr()
+        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert captured.err == (
+            f"rxcheck: record {imrt[0].record_id}: "
+            "no reference database for technique 'IMRT'\n"
+        )
+
+        # An IMRT reference set, but no IMRT parameters.
+        both_path = tmp_path / "both.csv"
+        write_records_csv(both_path, records + imrt)
+        assert check(both_path) == EX_ERROR
+        captured = capsys.readouterr()
+        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert captured.err == (
+            f"rxcheck: record {imrt[0].record_id}: "
+            "no trained parameters for technique 'IMRT'\n"
+        )
+
     def test_run_config_supplies_paths(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query = tmp_path / "query.csv"

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from rxcheck.detector import ModelParams, detect, verdict_to_dict
 from rxcheck.distance import (
     IncomparablePair,
     InsufficientNeighbors,
@@ -16,6 +17,7 @@ from rxcheck.distance import (
     closest_n_feature_distance,
     gower_distance,
     pairwise_histograms,
+    query_profile,
     rx_distance,
     scale_rx,
 )
@@ -283,21 +285,81 @@ class TestClosestGroups:
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
 
-def _assert_groups_match_oracle(rng, db, query):
+def _assert_groups_match_oracle(rng, db, query, candidate=None):
+    # candidate is what the group functions get: the query or its profile.
+    candidate = query if candidate is None else candidate
     m = int(rng.integers(1, db.size + 1))
     expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, m)
-    got = closest_m_rx_distance(query, db, m)
+    got = closest_m_rx_distance(candidate, db, m)
     assert close(got.value, expected)
     assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
     n = int(rng.integers(1, db.size + 1))
     expected_f, ids_f = oracle_closest_n(query, list(db.records), db.feature_schema, n)
     if expected_f is None:
         with pytest.raises(InsufficientNeighbors):
-            closest_n_feature_distance(query, db, n)
+            closest_n_feature_distance(candidate, db, n)
     else:
-        got_f = closest_n_feature_distance(query, db, n)
+        got_f = closest_n_feature_distance(candidate, db, n)
         assert close(got_f.value, expected_f)
         assert [t[0] for t in got_f.members] == [db.records[i].record_id for i in ids_f]
+
+
+class TestQueryProfile:
+    """A profile computed once and reused across parameter points gives what
+    a record passed as is gives, and what the oracle computes."""
+
+    def test_profile_path_matches_record_path_and_oracle(self):
+        rng = np.random.default_rng(16)
+        dbs = [random_db(rng, int(rng.integers(5, 30))) for _ in range(8)]
+        dbs.append(random_db(rng, 300))
+        ages = [random_record(rng, i) for i in range(40)]
+        dbs.append(build_historical_db(
+            [r if r.age_at_tx is None else replace(r, age_at_tx=60) for r in ages]
+        ))
+        for db in dbs:
+            for k in range(3):
+                query = random_record(rng, 900 + k)
+                profile = query_profile(query, db)
+                for _ in range(4):
+                    params = ModelParams(
+                        a=float(rng.uniform(0.05, 3.0)), b=float(rng.uniform(0.05, 3.0)),
+                        mu=float(rng.uniform(0.001, 0.1)), nu=float(rng.uniform(0.001, 0.1)),
+                    )
+                    assert _outcome(profile, db, params) == _outcome(query, db, params)
+                for _ in range(3):
+                    _assert_groups_match_oracle(rng, db, query, profile)
+
+    def test_all_missing_query(self):
+        rng = np.random.default_rng(17)
+        db = random_db(rng, 40)
+        query = rec("blank", 12, 300)
+        profile = query_profile(query, db)
+        assert len(profile.comparable) == 0
+        for candidate in (query, profile):
+            expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, 5)
+            got = closest_m_rx_distance(candidate, db, 5)
+            assert close(got.value, expected)
+            assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
+            assert all(t[2] is None for t in got.members)
+            with pytest.raises(InsufficientNeighbors):
+                closest_n_feature_distance(candidate, db, 1)
+            with pytest.raises(InsufficientNeighbors):
+                detect(candidate, db, ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1))
+
+    def test_profile_of_another_reference_rejected(self):
+        rng = np.random.default_rng(18)
+        db, other = random_db(rng, 10), random_db(rng, 10)
+        profile = query_profile(random_record(rng, 900), db)
+        assert query_profile(profile, db) is profile
+        with pytest.raises(ValueError):
+            closest_m_rx_distance(profile, other, 1)
+
+
+def _outcome(query, db, params):
+    try:
+        return verdict_to_dict(detect(query, db, params))
+    except InsufficientNeighbors as exc:
+        return str(exc)
 
 
 class TestCharacteristicDistances:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rxcheck.detector import ModelParams
-from rxcheck.distance import InsufficientData
+from rxcheck.distance import InsufficientData, QueryProfile
 from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set
 from rxcheck.train import (
@@ -192,6 +192,24 @@ class TestSearchParameters:
         space = SearchSpace(budget=40, runs_per_point=3, strategy="adaptive")
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=3)
         assert outcome.best_f1_mean >= 0.9
+
+    def test_profiles_each_record_once(self, setup, monkeypatch):
+        # The search profiles every anomaly and pool record once, however
+        # many parameter points it scores.
+        reference_db, pool, sa_set = setup
+        built = []
+        original = QueryProfile.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryProfile, "__init__", counting_init)
+        for budget in (1, 12):
+            built.clear()
+            space = SearchSpace(budget=budget, runs_per_point=2, strategy="adaptive")
+            search_parameters(space, reference_db, pool, sa_set, seed=4)
+            assert len(built) == len(sa_set) + len(pool)
 
     def test_trace_csv(self, setup, tmp_path):
         reference_db, pool, sa_set = setup
