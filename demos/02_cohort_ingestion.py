@@ -2,8 +2,8 @@
 
 Walks the preprocessing pipeline on a deliberately dirty CSV: label variants
 that need normalization, an unsupported technique, a rare energy, an
-off-whitelist diagnosis, a dose inconsistency, and a re-plan with its
-initial course.
+off-whitelist diagnosis, a dose inconsistency, a re-plan with its initial
+course, a zero-fraction prescription, and an implausible age.
 
 Usage:
   python demos/02_cohort_ingestion.py
@@ -29,6 +29,8 @@ P10/1,5,1000,5200,5200,SBRT,x06FFF,curative,C34.10,,63
 P11/1,30,200,6000,6000,SBRT,x06FFF,curative,C34.10,81406,59
 P11/2,5,1000,5000,11000,SBRT,x06FFF,curative,C34.10,81406,59
 P12/1,5,1000,5000,5000,SBRT,x06FFF,curative,C34.10,81406,66
+P13/1,0,1000,0,0,SBRT,x06FFF,curative,C34.10,,62
+P14/1,5,1000,5000,5000,SBRT,x06FFF,curative,C34.10,,500
 oops,five,1000,5000,5000,SBRT,x06FFF,curative,C34.10,,60
 """
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rxcheck import build_historical_db, characteristic_distances, pairwise_histograms
+from rxcheck import build_historical_db, pairwise_histograms
 from rxcheck.distance import write_histogram_csv
 from rxcheck.records import TreatmentRecord
 
@@ -35,7 +35,7 @@ for k in range(150):
     ))
 
 db = build_historical_db(records)
-theta, tau = characteristic_distances(db)
+theta, tau = db.theta, db.tau
 print(f"S={db.size}  theta={theta:.4f}  tau={tau:.4f}")
 print(f"incomparable pairs skipped from tau: {db.incomparable_pairs}")
 

@@ -25,7 +25,6 @@ from .distance import (
     QueryProfile,
     RxScaler,
     ScaledRx,
-    characteristic_distances,
     closest_m_rx_distance,
     closest_n_feature_distance,
     gower_distance,
@@ -117,7 +116,6 @@ __all__ = [
     "Verdict",
     "build_cohort_dbs",
     "build_historical_db",
-    "characteristic_distances",
     "check_range",
     "closest_m_rx_distance",
     "closest_n_feature_distance",

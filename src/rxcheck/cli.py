@@ -95,7 +95,6 @@ class RunConfig:
     params: str | None = None
     out: str | None = None
     seed: int | None = None
-    technique: str | None = None
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -112,10 +111,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"rxcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # Each subcommand takes only the options its handler reads.
     def common(p, out_required=False):
         p.add_argument("--config", help="run-config JSON with default paths")
         p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
         p.add_argument("--technique", choices=MODELED_TECHNIQUES, default=None)
 
     p = sub.add_parser("ingest", help="filter a raw export and build reference databases")
@@ -129,6 +128,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=("grid", "random", "adaptive"), default="adaptive")
     p.add_argument("--sn", type=int, default=20, help="holdout normals per run")
     p.add_argument("--rarity-threshold", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common(p, out_required=True)
 
     p = sub.add_parser("check", help="emit a verdict for each input record")
@@ -147,11 +147,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="forge simulated anomalies from a historical set")
     p.add_argument("--input", required=True, help="historical records CSV")
     p.add_argument("--rarity-threshold", type=int, default=1)
+    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common(p, out_required=True)
 
     p = sub.add_parser("evaluate", help="score labeled predictions and write a report bundle")
     p.add_argument("--input", required=True, help="predictions CSV (record_id,truth,prediction,source)")
-    common(p, out_required=True)
+    p.add_argument("--config", help="run-config JSON with default paths")
+    p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("hist", help="export pairwise-distance histograms")
     p.add_argument("--input", required=True, help="historical records CSV")

@@ -15,19 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .distance import (
-    GroupDistanceResult,
     QueryProfile,
     closest_m_rx_distance,
     closest_n_feature_distance,
     query_profile,
 )
-from .ranges import (
-    DEFAULT_ALPHA_BETA,
-    Boundaries,
-    RangeViolation,
-    UnsupportedTechnique,
-    check_range,
-)
+from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
 from .records import TreatmentRecord, text_stream, validate_record
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,8 +97,6 @@ class Verdict:
     same_rx_count: int
     warnings: tuple[str, ...]
     range_violations: tuple[RangeViolation, ...]
-    r_group: GroupDistanceResult
-    f_group: GroupDistanceResult | None
 
     @property
     def flagged(self) -> bool:
@@ -117,7 +108,6 @@ def detect(
     db: "HistoricalDB",
     params: ModelParams,
     boundaries: Boundaries | None = None,
-    alpha_beta: float = DEFAULT_ALPHA_BETA,
 ) -> Verdict:
     """Classify one record, given as is or as its QueryProfile against db,
     against its technique's reference set.
@@ -135,7 +125,7 @@ def detect(
     t_rx, t_f = thresholds(params, db)
     m, n = params.group_sizes(db.size)
 
-    violations = tuple(check_range(record, boundaries, alpha_beta)) if boundaries else ()
+    violations = tuple(check_range(record, boundaries)) if boundaries else ()
 
     warnings = [v.kind for v in validate_record(record).violations]
     scaled = profile.scaled
@@ -165,11 +155,9 @@ def detect(
         t_rx=t_rx,
         f=None if f_group is None else f_group.value,
         t_f=t_f,
-        same_rx_count=r_group.same_rx_count,
+        same_rx_count=profile.same_rx_count,
         warnings=tuple(warnings),
         range_violations=violations,
-        r_group=r_group,
-        f_group=f_group,
     )
 
 

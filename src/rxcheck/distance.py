@@ -292,22 +292,6 @@ def _pair_blocks(rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures):
 # Group distances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupDistanceResult:
-    """Mean distance over the selected neighbor group.
-
-    members lists (record_id, rx_distance, feature_distance) for exactly the
-    averaged records, in selection order; the feature distance is None for an
-    incomparable pair. warning flags a feature group padded beyond the
-    same-prescription records.
-    """
-
-    value: float
-    members: tuple[tuple[str, float, float | None], ...]
-    same_rx_count: int
-    warning: bool
-
-
 @dataclass(frozen=True, eq=False)
 class QueryProfile:
     """What one record against one reference set needs that the parameters
@@ -356,17 +340,36 @@ def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> 
     )
 
 
-def _group(profile: QueryProfile, take: np.ndarray, value: float, warning: bool) -> GroupDistanceResult:
-    records = profile.db.records
-    members = zip(take.tolist(), profile.rho[take].tolist(), profile.g[take].tolist())
-    return GroupDistanceResult(
-        value=value,
-        members=tuple(
-            (records[k].record_id, r, None if math.isnan(x) else x) for k, r, x in members
-        ),
-        same_rx_count=profile.same_rx_count,
-        warning=warning,
-    )
+@dataclass(frozen=True)
+class GroupDistanceResult:
+    """Mean distance over the selected neighbor group.
+
+    indices are the averaged reference records' positions in the profile's
+    reference set, in selection order. warning flags a feature group padded
+    beyond the same-prescription records.
+    """
+
+    value: float
+    warning: bool
+    profile: QueryProfile = field(repr=False, compare=False)
+    indices: np.ndarray = field(repr=False, compare=False)
+
+    @property
+    def members(self) -> tuple[tuple[str, float, float | None], ...]:
+        """(record_id, rx_distance, feature_distance) of each averaged record,
+        in selection order; the feature distance is None for an incomparable
+        pair."""
+        records = self.profile.db.records
+        rho = self.profile.rho[self.indices].tolist()
+        g = self.profile.g[self.indices].tolist()
+        return tuple(
+            (records[k].record_id, r, None if math.isnan(x) else x)
+            for k, r, x in zip(self.indices.tolist(), rho, g)
+        )
+
+    @property
+    def same_rx_count(self) -> int:
+        return self.profile.same_rx_count
 
 
 def closest_m_rx_distance(
@@ -378,7 +381,7 @@ def closest_m_rx_distance(
         raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
     profile = query_profile(query, db)
     take = profile.order[:m]
-    return _group(profile, take, math.fsum(profile.rho[take].tolist()) / m, warning=False)
+    return GroupDistanceResult(math.fsum(profile.rho[take].tolist()) / m, False, profile, take)
 
 
 def closest_n_feature_distance(
@@ -402,7 +405,7 @@ def closest_n_feature_distance(
             f"only {len(take)} comparable reference records for n={n}"
         )
     value = math.fsum(profile.g[take].tolist()) / n
-    return _group(profile, take, value, warning=profile.same_rx_count < n)
+    return GroupDistanceResult(value, profile.same_rx_count < n, profile, take)
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +438,6 @@ def pairwise_means(
         raise IncomparablePair("no comparable pair in the reference set")
     tau = math.fsum(g_sums) / comparable
     return theta, tau, size * (size - 1) - comparable
-
-
-def characteristic_distances(db: "HistoricalDB") -> tuple[float, float]:
-    """The reference set's typical pairwise distances (theta, tau).
-
-    These are fixed at build time; incomparable pairs were skipped from tau
-    and counted in db.incomparable_pairs.
-    """
-    if db.size < 2:
-        raise InsufficientData(f"need at least 2 records, got {db.size}")
-    return db.theta, db.tau
 
 
 @dataclass(frozen=True)

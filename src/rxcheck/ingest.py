@@ -15,13 +15,16 @@ import numpy as np
 from . import distance
 from .distance import EncodedFeatures, InsufficientData, RxScaler
 from .records import (
+    AGE_OUT_OF_RANGE,
     CSV_COLUMNS,
     MODELED_TECHNIQUES,
+    NON_POSITIVE_RX,
     FeatureSchema,
     TreatmentRecord,
     default_schema,
     record_from_row,
     text_stream,
+    validate_record,
 )
 
 REQUIRED_COLUMNS = CSV_COLUMNS[:6]
@@ -33,8 +36,8 @@ RULE_DIAGNOSIS = "DiagnosisNotWhitelisted"
 RULE_DOSE = "DoseInconsistent"
 RULE_REPLAN = "ReplanConeDown"
 RULE_REPLAN_INITIAL = "ReplanInitial"
-
-DROP_REPLAN_AND_INITIAL = "DropReplanAndInitial"
+RULE_NON_POSITIVE_RX = NON_POSITIVE_RX
+RULE_AGE = AGE_OUT_OF_RANGE
 
 # Allowed energies per technique: the nonzero usage cells of the historical
 # energy-by-technique tally.
@@ -106,7 +109,6 @@ class CohortConfig:
     label_mappings: Mapping[str, Mapping[str, str]] = field(
         default_factory=lambda: {k: dict(v) for k, v in DEFAULT_LABEL_MAPPINGS.items()}
     )
-    replan_policy: str = DROP_REPLAN_AND_INITIAL
     subject_delimiter: str = "/"
 
     def __post_init__(self) -> None:
@@ -134,8 +136,6 @@ class CohortConfig:
             kwargs["label_mappings"] = {
                 fld: dict(table) for fld, table in payload["label_mappings"].items()
             }
-        if "replan_policy" in payload:
-            kwargs["replan_policy"] = payload["replan_policy"]
         if "subject_delimiter" in payload:
             kwargs["subject_delimiter"] = payload["subject_delimiter"]
         return cls(**kwargs)
@@ -151,7 +151,6 @@ class CohortConfig:
                 fld: dict(sorted(table.items()))
                 for fld, table in sorted(self.label_mappings.items())
             },
-            "replan_policy": self.replan_policy,
             "subject_delimiter": self.subject_delimiter,
         }
         with text_stream(destination, "w") as handle:
@@ -175,29 +174,25 @@ class SchemaError(ValueError):
 
 def parse_dataset(
     source: str | Path | IO[str],
-    columns: Mapping[str, str] | None = None,
 ) -> tuple[list[TreatmentRecord], list[ParseDiagnostic]]:
     """Parse a CSV export, keeping row order.
 
     Every input row yields either a record or a diagnostic carrying the row
-    number and reason. `columns` optionally maps input header names to their
-    canonical names for exports with renamed columns. An unreadable source
-    raises OSError; a header missing required columns raises SchemaError.
+    number and reason; a file's bytes that are not UTF-8 are replaced with
+    U+FFFD. An unreadable source raises OSError; a header missing required
+    columns raises SchemaError.
     """
     with text_stream(source) as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames
         if header is None:
             raise SchemaError("empty input: no header row")
-        if columns:
-            header = [columns.get(name, name) for name in header]
         missing = [column for column in REQUIRED_COLUMNS if column not in header]
         if missing:
             raise SchemaError(f"header missing required columns: {', '.join(missing)}")
         records: list[TreatmentRecord] = []
         diagnostics: list[ParseDiagnostic] = []
-        for number, raw in enumerate(reader, start=1):
-            row = dict(zip(header, raw.values())) if columns else raw
+        for number, row in enumerate(reader, start=1):
             try:
                 records.append(record_from_row(row))
             except (ValueError, TypeError) as exc:
@@ -302,7 +297,8 @@ def filter_cohort(
 
     Decisions depend only on the record multiset, so permuting the input
     permutes nothing but log order: the per-technique sets are identical.
-    Output plus the exclusion log always account for every input record.
+    Output plus the exclusion log always account for every input record, and
+    every kept record passes validate_record.
     """
     config = config or CohortConfig()
 
@@ -338,6 +334,12 @@ def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] 
         )
     if record.record_id in initial_ids:
         return RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
+    # Dose mismatches and re-plans were caught above; what validate_record
+    # can still reject is a non-positive prescription (RULE_NON_POSITIVE_RX)
+    # or an implausible age (RULE_AGE).
+    violations = validate_record(record).violations
+    if violations:
+        return violations[0].kind, violations[0].detail
     return None
 
 
@@ -346,8 +348,6 @@ def _replan_and_initial_ids(
 ) -> tuple[set[str], set[str]]:
     replans = [r for r in records if r.prescription.accumulated_dose != r.prescription.total_dose]
     replan_ids = {r.record_id for r in replans}
-    if config.replan_policy != DROP_REPLAN_AND_INITIAL:
-        return replan_ids, set()
     by_subject: dict[str, list[TreatmentRecord]] = {}
     for r in records:
         by_subject.setdefault(config.subject_key(r.record_id), []).append(r)
@@ -393,11 +393,7 @@ class HistoricalDB:
         return len(self.records)
 
 
-def build_historical_db(
-    records: Sequence[TreatmentRecord],
-    schema: FeatureSchema | None = None,
-    technique: str | None = None,
-) -> HistoricalDB:
+def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
     """Freeze a filtered, single-technique record list into a HistoricalDB.
 
     Scaler bounds, numeric feature ranges, the prescription index, and the
@@ -409,18 +405,15 @@ def build_historical_db(
     techniques = {r.technique for r in records}
     if len(techniques) > 1:
         raise ValueError(f"records span multiple techniques: {sorted(techniques)}")
-    observed = techniques.pop()
-    if technique is not None and technique != observed:
-        raise ValueError(f"records are {observed}, expected {technique}")
 
-    schema = (schema or default_schema()).bind(records)
+    schema = default_schema().bind(records)
     scaler = RxScaler.fit([r.prescription for r in records])
     encoded = distance.encode_features(records, schema)
     rx_f, rx_d = distance.scaled_rx_arrays(records, scaler)
     theta, tau, skipped = distance.pairwise_means(rx_f, rx_d, encoded)
     rx_index = Counter(r.rx for r in records)
     return HistoricalDB(
-        technique=observed,
+        technique=techniques.pop(),
         records=records,
         rx_scaler=scaler,
         feature_schema=schema,
@@ -437,13 +430,12 @@ def build_historical_db(
 def build_cohort_dbs(
     records: Sequence[TreatmentRecord],
     config: CohortConfig | None = None,
-    schema: FeatureSchema | None = None,
 ) -> tuple[dict[str, HistoricalDB], ExclusionLog]:
     """filter_cohort plus build_historical_db for every technique with >= 2
     surviving records."""
     kept, log = filter_cohort(records, config)
     dbs = {
-        technique: build_historical_db(rows, schema=schema)
+        technique: build_historical_db(rows)
         for technique, rows in kept.items()
         if len(rows) >= 2
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Mapping, TYPE_CHECKING, Union
+from typing import IO, Mapping, TYPE_CHECKING
 
 import numpy as np
 
@@ -64,7 +64,7 @@ class TechniqueBounds:
 class Boundaries:
     """Per-technique boundaries. check_bed disables the BED comparison when
     the boundary table's BED convention has not been confirmed against the
-    configured alpha/beta."""
+    default alpha/beta."""
 
     by_technique: Mapping[str, TechniqueBounds]
     check_bed: bool = True
@@ -76,7 +76,6 @@ class Quantile:
 
     low_q: float
     high_q: float
-    alpha_beta: float = DEFAULT_ALPHA_BETA
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.low_q <= self.high_q <= 1.0):
@@ -107,18 +106,14 @@ def table_preset() -> Boundaries:
     )
 
 
-def derive_boundaries(db: "HistoricalDB", method: Union[Boundaries, Quantile]) -> Boundaries:
-    """Explicit boundaries pass through; a Quantile method yields empirical
-    quantiles of fractions, dose per fraction, and BED over the database."""
-    if isinstance(method, Boundaries):
-        return method
-    if not isinstance(method, Quantile):
-        raise TypeError(f"method must be Boundaries or Quantile, got {type(method)!r}")
+def derive_boundaries(db: "HistoricalDB", quantile: Quantile) -> Boundaries:
+    """Empirical quantiles of fractions, dose per fraction, and BED over the
+    database, as boundaries for its technique."""
     fractions = np.array([r.prescription.fractions for r in db.records], dtype=np.float64)
     doses = np.array([r.prescription.dose_per_fraction for r in db.records], dtype=np.float64)
     beds = np.array(
         [
-            compute_bed(r.prescription.fractions, r.prescription.dose_per_fraction, method.alpha_beta)
+            compute_bed(r.prescription.fractions, r.prescription.dose_per_fraction)
             for r in db.records
         ],
         dtype=np.float64,
@@ -126,8 +121,8 @@ def derive_boundaries(db: "HistoricalDB", method: Union[Boundaries, Quantile]) -
 
     def bounds(values: np.ndarray) -> QuantityBounds:
         return QuantityBounds(
-            float(np.quantile(values, method.low_q)),
-            float(np.quantile(values, method.high_q)),
+            float(np.quantile(values, quantile.low_q)),
+            float(np.quantile(values, quantile.high_q)),
         )
 
     return Boundaries(
@@ -158,11 +153,7 @@ class RangeViolation:
         }
 
 
-def check_range(
-    record: TreatmentRecord,
-    boundaries: Boundaries,
-    alpha_beta: float = DEFAULT_ALPHA_BETA,
-) -> list[RangeViolation]:
+def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeViolation]:
     """Empty list iff fractions, dose per fraction, and (when enabled) BED all
     lie inside their inclusive bounds for the record's technique."""
     bounds = boundaries.by_technique.get(record.technique)
@@ -184,7 +175,7 @@ def check_range(
             )
         )
     if boundaries.check_bed:
-        bed = compute_bed(p.fractions, p.dose_per_fraction, alpha_beta)
+        bed = compute_bed(p.fractions, p.dose_per_fraction)
         if not bounds.bed.contains(bed):
             violations.append(RangeViolation("bed", bed, bounds.bed.lo, bounds.bed.hi))
     return violations

@@ -302,9 +302,15 @@ def record_from_row(row: dict[str, str]) -> TreatmentRecord:
 @contextmanager
 def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterator[IO[str]]:
     """An open text handle for target. A path (str or os.PathLike) is opened
-    in mode with newline="" and closed on exit; a handle is used as it is."""
+    in mode with newline="" and closed on exit; a handle is used as it is.
+    A path opened for reading decodes UTF-8 and replaces invalid bytes with
+    U+FFFD, so one bad byte spoils a cell, not the whole read."""
     if isinstance(target, (str, os.PathLike)):
-        with open(target, mode, newline="") as handle:
+        if mode == "r":
+            handle = open(target, mode, newline="", encoding="utf-8", errors="replace")
+        else:
+            handle = open(target, mode, newline="")
+        with handle:
             yield handle
     else:
         yield target

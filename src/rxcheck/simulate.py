@@ -17,6 +17,8 @@ from typing import IO, Callable, Mapping, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .records import (
+    AGE_MAX,
+    AGE_MIN,
     MODELED_TECHNIQUES,
     FeatureSchema,
     Prescription,
@@ -33,6 +35,8 @@ KIND_FEATURE = "FeatureMutation"
 KIND_TECHNIQUE = "TechniqueRelabel"
 
 DEFAULT_RARITY_THRESHOLD = 1
+
+_MAX_ATTEMPTS_PER_ITEM = 200
 
 _RX_FIELDS = ("fractions", "dose_per_fraction", "total_dose", "accumulated_dose")
 
@@ -181,11 +185,9 @@ def vocabulary_sampler(schema: FeatureSchema, field_name: str) -> Callable:
     return sample
 
 
-def extreme_value_sampler(
-    schema: FeatureSchema, field_name: str, floor: int = 0, ceiling: int = 120
-) -> Callable:
+def extreme_value_sampler(schema: FeatureSchema, field_name: str) -> Callable:
     """Draw an integer outside the field's observed range (but inside the
-    plausible [floor, ceiling] domain), creating values never seen in the
+    plausible [AGE_MIN, AGE_MAX] domain), creating values never seen in the
     reference set."""
     value_range = schema.spec(field_name).value_range
     if value_range is None:
@@ -193,8 +195,8 @@ def extreme_value_sampler(
     lo, hi = int(value_range[0]), int(value_range[1])
 
     def sample(rng: np.random.Generator, current):
-        below = list(range(floor, lo))
-        above = list(range(hi + 1, ceiling + 1))
+        below = list(range(AGE_MIN, lo))
+        above = list(range(hi + 1, AGE_MAX + 1))
         pool = below + above
         if not pool:
             raise InvalidMutation(f"observed range of {field_name!r} covers the whole domain")
@@ -212,14 +214,12 @@ def verify_rarity(
     db: "HistoricalDB",
     threshold: int,
     mutation: MutationDescriptor,
-    joint: bool = False,
 ) -> RarityCheck:
     """Check the candidate's mutated pattern against historical conditionals.
 
     Prescription mutations count exact occurrences of the new prescription
-    pair. Feature mutations count, per mutated field (or jointly with
-    joint=True), reference records sharing the candidate's exact prescription
-    and the mutated value. A technique relabel counts records of the target
+    pair. Feature mutations count, per mutated field, reference records
+    sharing the candidate's exact prescription and the mutated value. A technique relabel counts records of the target
     technique sharing the prescription and the full non-missing feature set.
     Accepted iff every count is at or below the threshold.
     """
@@ -229,16 +229,11 @@ def verify_rarity(
         count = db.rx_index.get(rx, 0)
         evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]}", count))
     elif mutation.kind == KIND_FEATURE:
-        if joint:
-            count = _count_matching(db, rx, {c.field: c.new for c in mutation.changes})
-            fields = "&".join(sorted(c.field for c in mutation.changes))
-            evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]} & {fields}", count))
-        else:
-            for change in mutation.changes:
-                count = _count_matching(db, rx, {change.field: change.new})
-                evidence.append(
-                    RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
-                )
+        for change in mutation.changes:
+            count = _count_matching(db, rx, {change.field: change.new})
+            evidence.append(
+                RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
+            )
     elif mutation.kind == KIND_TECHNIQUE:
         if db.technique != candidate.technique:
             raise InvalidMutation(
@@ -281,15 +276,15 @@ def generate_sa_set(
     threshold: int = DEFAULT_RARITY_THRESHOLD,
     rng: np.random.Generator | None = None,
     other_dbs: Mapping[str, "HistoricalDB"] | None = None,
-    max_attempts_per_item: int = 200,
 ) -> list[SimulatedAnomaly]:
     """Produce exactly counts[kind] accepted anomalies per mutation kind.
 
     Base records are drawn from the reference set; each candidate must pass
     verify_rarity at the given threshold and must actually differ from its
     base. Technique relabels are verified against the target technique's
-    reference set, so other_dbs is required when they are requested.
-    Deterministic for a fixed generator.
+    reference set, so other_dbs is required when they are requested. A kind
+    that is still short after _MAX_ATTEMPTS_PER_ITEM candidates per requested
+    anomaly raises GenerationExhausted. Deterministic for a fixed generator.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     out: list[SimulatedAnomaly] = []
@@ -303,7 +298,7 @@ def generate_sa_set(
             )
         produced = 0
         attempts = 0
-        budget = max_attempts_per_item * wanted
+        budget = _MAX_ATTEMPTS_PER_ITEM * wanted
         while produced < wanted:
             if attempts >= budget:
                 raise GenerationExhausted(

@@ -2,7 +2,12 @@
 labeled training set of simulated anomalies plus held-out normal records.
 
 The anomaly class stays fixed across runs; only the normal sample is redrawn,
-which damps the variance coming from the small normal class. The search over
+which damps the variance coming from the small normal class. The redraw only
+varies when the holdout pool is larger than s_n. `rxcheck train` splits off a
+pool of exactly --sn records and draws --sn of them per run, so every run
+draws the whole pool, all runs score the same, and the trace's f1_std is
+floating-point rounding noise (0 or about 1e-16). A larger pool would change
+the trained parameters and the trace. The search over
 (a, b, mu, nu) offers a near-uniform grid, uniform random draws, or an
 adaptive density-ratio strategy that concentrates draws where past
 evaluations scored well.

@@ -39,6 +39,14 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self):
         assert run(["ingest", "--input", "x.csv", "--out", "y", "--bogus"]) == EX_USAGE
 
+    def test_flags_the_handler_does_not_read_are_usage_errors(self, tmp_path, capsys):
+        for command, flag, value in [("ingest", "--seed", "1"), ("check", "--seed", "1"),
+                                     ("hist", "--seed", "1"), ("evaluate", "--seed", "1"),
+                                     ("evaluate", "--technique", "3D")]:
+            argv = [command, "--input", "x.csv", "--out", str(tmp_path), flag, value]
+            assert run(argv) == EX_USAGE, argv
+            assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_file_is_noinput(self, tmp_path, params_json):
         code = run([
             "check", "--input", str(tmp_path / "absent.csv"),

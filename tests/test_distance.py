@@ -12,7 +12,6 @@ from rxcheck.distance import (
     InsufficientNeighbors,
     RxScaler,
     ScaledRx,
-    characteristic_distances,
     closest_m_rx_distance,
     closest_n_feature_distance,
     gower_distance,
@@ -278,7 +277,8 @@ class TestClosestGroups:
                 icd10="C34.10", morphology="80463", age_at_tx=int(rng.integers(40, 80)))
             for i in range(15)
         ]
-        db = build_historical_db(records)
+        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
+            db = build_historical_db(records)
         query = records[0]
         same = db.rx_index[query.rx]
         values = [closest_n_feature_distance(query, db, n).value for n in range(1, same + 1)]
@@ -374,20 +374,20 @@ class TestCharacteristicDistances:
         ]
         db = build_historical_db(records)
         theta, tau = oracle_theta_tau(records, db.feature_schema)
-        got = characteristic_distances(db)
-        assert close(got[0], theta) and close(got[1], tau)
+        assert close(db.theta, theta) and close(db.tau, tau)
 
     def test_all_identical_gives_zero(self):
         records = [rec(f"r{i}", 5, 400, energy="x06", icd10="C34.10", age_at_tx=60)
                    for i in range(4)]
-        db = build_historical_db(records)
-        assert characteristic_distances(db) == (0.0, 0.0)
+        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
+            db = build_historical_db(records)
+        assert (db.theta, db.tau) == (0.0, 0.0)
 
     def test_bounds(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             db = random_db(rng, int(rng.integers(3, 25)))
-            theta, tau = characteristic_distances(db)
+            theta, tau = db.theta, db.tau
             assert 0.0 <= theta <= math.sqrt(2) + 1e-12
             assert 0.0 <= tau <= 1.0
 
@@ -396,7 +396,8 @@ class TestPairwiseHistograms:
     def test_degenerate_db_single_zero_bin(self):
         records = [rec(f"r{i}", 5, 400, energy="x06", icd10="C34.10", age_at_tx=60)
                    for i in range(3)]
-        db = build_historical_db(records)
+        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
+            db = build_historical_db(records)
         rx_hist, f_hist = pairwise_histograms(db, 0.1)
         assert rx_hist.mass[0] == 1.0 and rx_hist.mass[1:].sum() == 0.0
         assert f_hist.mass[0] == 1.0

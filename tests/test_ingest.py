@@ -4,14 +4,17 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.distance import InsufficientData
 from rxcheck.ingest import (
     DEFAULT_ENERGY_WHITELIST,
     DEFAULT_ICD10_WHITELIST,
+    RULE_AGE,
     RULE_DIAGNOSIS,
     RULE_DOSE,
     RULE_ENERGY,
+    RULE_NON_POSITIVE_RX,
     RULE_REPLAN,
     RULE_REPLAN_INITIAL,
     RULE_TECHNIQUE,
@@ -23,7 +26,7 @@ from rxcheck.ingest import (
     normalize_labels,
     parse_dataset,
 )
-from rxcheck.records import records_csv_text
+from rxcheck.records import CSV_COLUMNS, records_csv_text
 
 from conftest import rec
 from oracles import close, oracle_theta_tau
@@ -65,10 +68,45 @@ class TestParseDataset:
         text = text.replace("record_id", "plan_id").replace("fractions", "fx")
         with pytest.raises(SchemaError):
             parse_dataset(io.StringIO(text))
-        parsed, diagnostics = parse_dataset(
-            io.StringIO(text), columns={"plan_id": "record_id", "fx": "fractions"})
+
+    def test_non_utf8_byte_spoils_only_its_cell(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        text = records_csv_text([rec(f"r{i}", 5, 400, energy="x06") for i in range(4)])
+        path.write_bytes(text.encode().replace(b"r2", b"r\xff2"))
+        records, diagnostics = parse_dataset(path)
         assert diagnostics == []
-        assert parsed[0].record_id == "a" and parsed[0].prescription.fractions == 5
+        assert [r.record_id for r in records] == ["r0", "r1", "r\ufffd2", "r3"]
+
+
+# A row of the canonical columns where any cell may be replaced by random
+# bytes (a lone byte of 0x80 or above is not UTF-8), cut short, or followed by
+# extra cells. Cells hold no delimiter, quote or line break, so each row is
+# one CSV record.
+_VALID_CELLS = (b"P1/1", b"5", b"400", b"2000", b"2000", b"3D", b"x06", b"curative",
+                b"C34.10", b"80463", b"60")
+_CELL = st.binary(max_size=6).map(lambda raw: bytes(b for b in raw if b not in b',"\r\n'))
+
+
+@st.composite
+def _rows(draw):
+    cells = [draw(_CELL) if draw(st.integers(0, 4)) == 0 else cell for cell in _VALID_CELLS]
+    cells += [draw(_CELL) for _ in range(3)]
+    cells = cells[: draw(st.just(len(_VALID_CELLS)) | st.integers(1, len(cells)))]
+    if cells == [b""]:
+        cells = [b"-"]      # an empty line is no row at all
+    return b",".join(cells)
+
+
+@seed(20210)
+@settings(deadline=None, max_examples=150, database=None)
+@given(rows=st.lists(_rows(), min_size=1, max_size=6))
+def test_parse_yields_one_record_or_diagnostic_per_row(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("parse") / "rows.csv"
+    path.write_bytes(b"\n".join([",".join(CSV_COLUMNS).encode(), *rows]) + b"\n")
+    records, diagnostics = parse_dataset(path)
+    assert len(records) + len(diagnostics) == len(rows)
+    assert [d.row for d in diagnostics] == sorted({d.row for d in diagnostics})
+    assert all(1 <= d.row <= len(rows) for d in diagnostics)
 
 
 class TestNormalizeLabels:
@@ -168,6 +206,31 @@ class TestFilterCohort:
         for tech in kept_a:
             assert {r.record_id for r in kept_a[tech]} == {r.record_id for r in kept_b[tech]}
 
+    def test_non_positive_rx_excluded(self):
+        zero = rec("a", 0, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10")
+        negative = rec("b", 5, -200, technique="SBRT", energy="x06FFF", icd10="C34.10")
+        kept, log = filter_cohort([zero, negative, good("c")])
+        assert [(e.record_id, e.rule) for e in log.exclusions] == [
+            ("a", RULE_NON_POSITIVE_RX), ("b", RULE_NON_POSITIVE_RX)]
+        assert kept["SBRT"] == [good("c")]
+
+    def test_age_out_of_range_excluded(self):
+        records = [good("a", age_at_tx=500), good("b", age_at_tx=-1),
+                   good("c", age_at_tx=120), good("d", age_at_tx=None)]
+        kept, log = filter_cohort(records)
+        assert [(e.record_id, e.rule) for e in log.exclusions] == [("a", RULE_AGE), ("b", RULE_AGE)]
+        assert [r.record_id for r in kept["SBRT"]] == ["c", "d"]
+
+    def test_validation_rules_come_after_the_others(self):
+        # Each of these also fails validate_record, but an earlier rule names it.
+        mismatch = good("a", age_at_tx=500).with_prescription(
+            good("a").prescription.__class__(5, 1000, 4999, 4999))
+        replan = rec("P1/2", 0, 1000, technique="SBRT", energy="x06FFF",
+                     icd10="C34.10", accumulated_dose=7000)
+        diagnosis = good("c", icd10="C61", age_at_tx=500)
+        _, log = filter_cohort([mismatch, replan, diagnosis])
+        assert [e.rule for e in log.exclusions] == [RULE_DOSE, RULE_REPLAN, RULE_DIAGNOSIS]
+
     def test_replan_fraction_statistic(self):
         initial = good("P1/1")
         replan = rec("P1/2", 2, 1000, technique="SBRT", energy="x06FFF",
@@ -202,7 +265,8 @@ class TestCohortConfig:
 class TestBuildHistoricalDb:
     def test_identical_records_give_zero_characteristics(self):
         records = [good("a"), good("b")]
-        db = build_historical_db(records)
+        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
+            db = build_historical_db(records)
         assert db.theta == 0.0 and db.tau == 0.0
 
     def test_single_pair_full_separation(self):
@@ -211,7 +275,8 @@ class TestBuildHistoricalDb:
         r2 = rec("b", 10, 1000, technique="SBRT", energy="x15", intent="palliative",
                  icd10="C15.9", morphology="81406", age_at_tx=80)
         # Scaled prescriptions differ by (1, 0); every feature fully differs.
-        db = build_historical_db([r1, r2])
+        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
+            db = build_historical_db([r1, r2])
         assert db.theta == 1.0
         assert db.tau == 1.0
 

@@ -69,10 +69,6 @@ class TestTablePreset:
 
 
 class TestDeriveBoundaries:
-    def test_explicit_passes_through(self, small_db):
-        preset = table_preset()
-        assert derive_boundaries(small_db, preset) is preset
-
     def test_full_range_quantiles_match_observed(self, small_db):
         bounds = derive_boundaries(small_db, Quantile(0, 1)).by_technique["3D"]
         fx = [r.prescription.fractions for r in small_db.records]
