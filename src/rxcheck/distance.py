@@ -18,6 +18,19 @@ detector's parameters do not change: both distance vectors, the neighbour
 order and the same-prescription count. The group functions and the detector
 take a record or its profile; training profiles each record once and scores
 every parameter point from the profile.
+
+The characteristic distances theta and tau, the means of both metrics over
+all ordered pairs of a reference set, are grouped sums rather than a pair
+loop. theta weights the distances between distinct prescriptions by their
+counts, O(U^2) in U distinct prescriptions. tau groups the records by
+presence pattern (which features they have, at most 2^k patterns): within a
+pair of patterns the Gower denominator is constant, categorical mismatches
+come from per-pattern value counts, and numeric |difference| sums from one
+sort and per-pattern counts below each gap between sorted values. This
+drops the clamp at 1, so it needs every numeric column's present values to
+lie within the column's bound range, as they do when the schema was bound
+to the same records; pairwise_means checks that. Only the histograms, which
+need each pair's value, still visit every pair, in blocks.
 """
 
 from __future__ import annotations
@@ -420,24 +433,107 @@ def pairwise_means(
 
     Returns (theta, tau, incomparable_pairs). Incomparable pairs are skipped
     from tau's average and counted; theta always averages over S*(S-1) pairs.
+
+    No pair is visited. theta sums count-weighted distances between the
+    distinct scaled prescriptions. tau groups the records by which features
+    they have (their presence pattern): the Gower denominator is constant
+    within a pair of patterns, so each feature's numerator sum over a
+    pattern pair comes from per-pattern counts. The clamp at 1 is dropped,
+    which needs every numeric column's present values to span at most its
+    width, as they do when the schema was bound to these records; a wider
+    column raises ValueError. Raises IncomparablePair when no pair shares a
+    feature.
     """
     size = len(rx_f)
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
-    rho_sums: list[float] = []
-    g_sums: list[float] = []
-    comparable = 0
-    for rows, rho, g in _pair_blocks(rx_f, rx_d, encoded):
-        comp = ~np.isnan(g)
-        comp[rows - rows[0], rows] = False     # a record paired with itself
-        rho_sums.append(float(np.sum(rho)))
-        g_sums.append(float(np.sum(np.where(comp, g, 0.0))))
-        comparable += int(comp.sum())
-    theta = math.fsum(rho_sums) / (size * (size - 1))
+    theta = 2.0 * _distinct_rx_sum(rx_f, rx_d) / (size * (size - 1))
+    tau_sum, comparable = _pattern_gower_sum(encoded)
     if comparable == 0:
         raise IncomparablePair("no comparable pair in the reference set")
-    tau = math.fsum(g_sums) / comparable
-    return theta, tau, size * (size - 1) - comparable
+    return theta, tau_sum / comparable, size * (size - 1) - comparable
+
+
+def _distinct_rx_sum(rx_f: np.ndarray, rx_d: np.ndarray) -> float:
+    """Sum of prescription distances over unordered pairs of records, from
+    the distinct (f, d) rows and their counts; equal prescriptions add 0."""
+    rows, counts = np.unique(np.column_stack((rx_f, rx_d)), axis=0, return_counts=True)
+    f, d = rows[:, 0], rows[:, 1]
+    weights = counts.astype(np.float64)
+
+    def upper_terms():
+        # Rows lo..hi against rows lo.., keeping the pairs u < v.
+        for lo in range(0, len(rows), _PAIR_BLOCK):
+            hi = min(lo + _PAIR_BLOCK, len(rows))
+            rho = _rho(f[lo:hi, None], d[lo:hi, None], f[lo:], d[lo:])
+            terms = weights[lo:hi, None] * weights[lo:] * rho
+            for u in range(hi - lo):
+                yield from terms[u, u + 1:].tolist()
+
+    return math.fsum(upper_terms())
+
+
+def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
+    """Sum of Gower distances over comparable ordered pairs j != k, and their
+    number, from the records grouped by presence pattern."""
+    present = np.column_stack([col.present for col in encoded.columns])
+    patterns, pattern_of, sizes = np.unique(
+        present, axis=0, return_inverse=True, return_counts=True
+    )
+    pattern_of = pattern_of.ravel()
+    count = len(patterns)
+    den = np.zeros((count, count))
+    num = np.zeros((count, count))
+    for f, col in enumerate(encoded.columns):
+        both = np.outer(patterns[:, f], patterns[:, f])
+        # Schema order, as in _gower, so each denominator rounds the same.
+        den += np.where(both, col.weight, 0.0)
+        if col.kind == NUMERIC:
+            diffs = _numeric_abs_diff_sums(col, pattern_of, count)
+        else:
+            diffs = _mismatch_counts(col, pattern_of, count)
+        num += np.where(both, col.weight * diffs, 0.0)
+    pairs = np.outer(sizes, sizes) - np.diag(sizes)
+    comparable = den > 0.0
+    total = math.fsum((num[comparable] / den[comparable]).tolist())
+    return total, int(pairs[comparable].sum())
+
+
+def _pattern_counts(pattern_of: np.ndarray, value_of: np.ndarray, count: int, values: int) -> np.ndarray:
+    """[p, v]: the number of records of pattern p with value index v."""
+    return np.bincount(pattern_of * values + value_of, minlength=count * values).reshape(count, values)
+
+
+def _mismatch_counts(col: _Column, pattern_of: np.ndarray, count: int) -> np.ndarray:
+    """[p, q]: ordered pairs (j in p, k in q), both with the feature, whose
+    codes differ."""
+    per_code = _pattern_counts(pattern_of[col.present], col.values[col.present], count, len(col.codes))
+    with_value = per_code.sum(axis=1)
+    return np.outer(with_value, with_value) - per_code @ per_code.T
+
+
+def _numeric_abs_diff_sums(col: _Column, pattern_of: np.ndarray, count: int) -> np.ndarray:
+    """[p, q]: sum of |a_j - a_k| / width over ordered pairs (j in p, k in q)
+    of records with the feature; 0 for a zero width.
+
+    Each gap between consecutive distinct values adds its length once per
+    pair it separates: below[p] * above[q] + below[q] * above[p]. Every term
+    is non-negative, so the sum does not cancel.
+    """
+    values = col.values[col.present]
+    if len(values) and values.max() - values.min() > col.width:
+        raise ValueError(
+            f"numeric feature {col.name!r}: present values span "
+            f"{values.max() - values.min()!r}, more than the bound width {col.width!r}"
+        )
+    if col.width <= 0.0:
+        return np.zeros((count, count))
+    distinct, rank = np.unique(values, return_inverse=True)
+    per_value = _pattern_counts(pattern_of[col.present], rank.ravel(), count, len(distinct))
+    below = np.cumsum(per_value, axis=1)[:, :-1]
+    above = per_value.sum(axis=1)[:, None] - below
+    one_way = (below * np.diff(distinct)) @ above.T
+    return (one_way + one_way.T) / col.width
 
 
 @dataclass(frozen=True)

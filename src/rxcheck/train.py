@@ -254,8 +254,10 @@ def _grid_points(space: SearchSpace, rng: np.random.Generator) -> list[ModelPara
     """Near-uniform lattice over the 4-cube: the largest k with k**4 <= budget
     levels per axis, topped up with uniform draws to exactly budget points."""
     k = max(1, int(math.floor(space.budget ** 0.25 + 1e-9)))
+    # _in_range: the top level lo + (hi - lo) * k / k can round above hi.
     levels = [
-        [lo + (hi - lo) * (j + 1) / k for j in range(k)] for lo, hi in space.ranges
+        [_in_range(lo + (hi - lo) * (j + 1) / k, lo, hi) for j in range(k)]
+        for lo, hi in space.ranges
     ]
     points: list[ModelParams] = []
     for a in levels[0]:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.detector import ModelParams, detect, verdict_to_dict
 from rxcheck.distance import (
@@ -14,14 +16,17 @@ from rxcheck.distance import (
     ScaledRx,
     closest_m_rx_distance,
     closest_n_feature_distance,
+    encode_features,
     gower_distance,
     pairwise_histograms,
+    pairwise_means,
     query_profile,
     rx_distance,
     scale_rx,
+    scaled_rx_arrays,
 )
 from rxcheck.ingest import build_historical_db
-from rxcheck.records import Prescription
+from rxcheck.records import FeatureSchema, Prescription, default_schema
 
 from conftest import random_db, random_record, rec
 from oracles import (
@@ -390,6 +395,129 @@ class TestCharacteristicDistances:
             theta, tau = db.theta, db.tau
             assert 0.0 <= theta <= math.sqrt(2) + 1e-12
             assert 0.0 <= tau <= 1.0
+
+
+def _means_inputs(records, schema):
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        rx_scaler = RxScaler.fit([r.prescription for r in records])
+    return (*scaled_rx_arrays(records, rx_scaler), encode_features(records, schema))
+
+
+class TestPairwiseMeans:
+    def test_numeric_values_wider_than_the_bound_range_rejected(self, schema):
+        # The grouped sum drops the clamp at 1, which holds only while every
+        # present value lies inside the range the schema was bound to.
+        records = [rec("a", 5, 400, age_at_tx=50), rec("b", 6, 400, age_at_tx=60),
+                   rec("c", 7, 400, age_at_tx=90)]
+        bound = schema.bind(records[:2])
+        with pytest.raises(ValueError, match="age_at_tx"):
+            pairwise_means(*_means_inputs(records, bound))
+
+    def test_no_comparable_pair_raises(self, schema):
+        records = [rec("a", 5, 400, energy="x06"), rec("b", 6, 400, intent="curative"),
+                   rec("c", 7, 400)]
+        with pytest.raises(IncomparablePair):
+            pairwise_means(*_means_inputs(records, schema.bind(records)))
+
+
+_ENERGY = st.sampled_from(("x06", "x10", "x15"))
+_INTENT = st.sampled_from(("curative", "palliative"))
+_ICD10 = st.sampled_from(("C34.10", "C15.9"))
+_MORPHOLOGY = st.sampled_from(("80463", "81406", "87203"))
+_AGE_MODES = {
+    "clinical": st.integers(0, 120),
+    "extreme": st.integers(-(2 ** 63), 2 ** 63),
+    "constant": st.just(60),
+}
+
+
+@st.composite
+def _reference_sets(draw, max_size=24):
+    """Records of one technique: a few repeated prescriptions (possibly
+    huge), random missingness including rows with every feature missing,
+    and an age column that is clinical, extreme or constant."""
+    rx_int = st.integers(1, 40) | st.integers(1, 2 ** 53)
+    prescriptions = draw(st.lists(st.tuples(rx_int, rx_int), min_size=1, max_size=4))
+    ages = _AGE_MODES[draw(st.sampled_from(sorted(_AGE_MODES)))]
+    size = draw(st.integers(2, max_size))
+    records = []
+    for index in range(size):
+        fractions, dose = draw(st.sampled_from(prescriptions))
+        records.append(rec(
+            f"r{index}", fractions, dose,
+            energy=draw(st.none() | _ENERGY),
+            intent=draw(st.none() | _INTENT),
+            icd10=draw(st.none() | _ICD10),
+            morphology=draw(st.none() | _MORPHOLOGY),
+            age_at_tx=draw(st.none() | ages),
+        ))
+    return records
+
+
+def _brute_force_incomparable(records, schema):
+    return sum(
+        oracle_gower(a, b, schema) is None
+        for j, a in enumerate(records) for k, b in enumerate(records) if j != k
+    )
+
+
+@seed(20211)
+@settings(deadline=None, max_examples=120, database=None)
+@given(
+    records=_reference_sets(),
+    weights=st.lists(
+        st.floats(0.05, 20.0).filter(lambda w: w != 1.0), min_size=5, max_size=5
+    ),
+    data=st.data(),
+)
+def test_pairwise_means_matches_oracle_and_ignores_order(records, weights, data):
+    schema = FeatureSchema(tuple(
+        replace(spec, weight=w) for spec, w in zip(default_schema().features, weights)
+    )).bind(records)
+    order = data.draw(st.permutations(range(len(records))))
+    shuffled = [records[k] for k in order]
+    theta, tau = oracle_theta_tau(records, schema)
+    if tau is None:
+        for rows in (records, shuffled):
+            with pytest.raises(IncomparablePair):
+                pairwise_means(*_means_inputs(rows, schema))
+        return
+    got = pairwise_means(*_means_inputs(records, schema))
+    assert close(got[0], theta) and close(got[1], tau)
+    assert got[2] == _brute_force_incomparable(records, schema)
+    assert pairwise_means(*_means_inputs(shuffled, schema)) == got
+
+
+def _r_f_status(query, db, params):
+    try:
+        verdict = detect(query, db, params)
+    except InsufficientNeighbors as exc:
+        return str(exc)
+    return verdict.r, verdict.f, verdict.status
+
+
+@seed(20212)
+@settings(deadline=None, max_examples=60, database=None)
+@given(
+    records=_reference_sets(),
+    queries=_reference_sets(max_size=4),
+    fractions=st.tuples(st.floats(0.01, 0.1), st.floats(0.01, 0.1)),
+    multipliers=st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0)),
+    data=st.data(),
+)
+def test_detect_ignores_reference_order(records, queries, fractions, multipliers, data):
+    order = data.draw(st.permutations(range(len(records))))
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            return
+        shuffled = build_historical_db([records[k] for k in order])
+    params = ModelParams(*multipliers, *fractions)
+    for query in queries:
+        assert _r_f_status(query, shuffled, params) == _r_f_status(query, db, params)
 
 
 class TestPairwiseHistograms:

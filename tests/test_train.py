@@ -157,6 +157,35 @@ class TestSearchParameters:
         assert {entry.params.a for entry in outcome.trace} == {1.0, 2.0}
         assert {entry.params.mu for entry in outcome.trace} == {0.05, 0.1}
 
+    @pytest.mark.parametrize("budget, levels", [(100, 3), (256, 4)])
+    def test_grid_levels_stay_in_range(self, setup, budget, levels):
+        # k = 3 put the top mu and nu level at 0.1 * 3 / 3 > 0.1, which
+        # ModelParams rejects.
+        reference_db, pool, sa_set = setup
+        space = SearchSpace(budget=budget, runs_per_point=1, strategy="grid")
+        outcome = search_parameters(space, reference_db, pool, sa_set, seed=0)
+        assert len(outcome.trace) == budget
+        lattice = [entry.params for entry in outcome.trace[: levels ** 4]]
+        for dim, (lo, hi) in enumerate(space.ranges):
+            values = {(p.a, p.b, p.mu, p.nu)[dim] for p in lattice}
+            assert len(values) == levels
+            assert all(lo < v <= hi for v in values)
+            assert max(values) == hi
+
+    def test_grid_sixteen_levels_unchanged(self, setup):
+        reference_db, pool, sa_set = setup
+        space = SearchSpace(budget=16, runs_per_point=1, strategy="grid")
+        outcome = search_parameters(space, reference_db, pool, sa_set, seed=0)
+        expected = [
+            [lo + (hi - lo) * (j + 1) / 2 for j in range(2)] for lo, hi in space.ranges
+        ]
+        got = [entry.params for entry in outcome.trace]
+        assert got == [
+            ModelParams(a, b, mu, nu)
+            for a in expected[0] for b in expected[1]
+            for mu in expected[2] for nu in expected[3]
+        ]
+
     def test_exactly_budget_points_every_strategy(self, setup):
         reference_db, pool, sa_set = setup
         for strategy in ("grid", "random", "adaptive"):
