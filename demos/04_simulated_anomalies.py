@@ -1,9 +1,8 @@
 """Simulated-anomaly synthesis with conditional-rarity evidence.
 
-Forges the three anomaly families from a toy historical set and prints the
-historical counts that justify each one: digit-swapped prescriptions,
-feature mutations that contradict the prescription's history, and a
-technique relabel checked against the target technique's reference set.
+Forges the two anomaly families from a toy historical set and prints the
+historical counts that justify each one: digit-swapped prescriptions and
+feature mutations that contradict the prescription's history.
 
 Usage:
   python demos/04_simulated_anomalies.py
@@ -13,7 +12,7 @@ import numpy as np
 
 from rxcheck import build_historical_db, generate_sa_set
 from rxcheck.records import TreatmentRecord
-from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, KIND_TECHNIQUE
+from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP
 
 rng = np.random.default_rng(7)
 
@@ -35,17 +34,12 @@ db_3d = cohort("3D", [
     ((10, 300), "x15", "palliative", "C78.1", 74),
     ((25, 200), "x06", "curative", "C34.10", 60),
 ])
-db_imrt = cohort("IMRT", [
-    ((10, 300), "x06", "curative", "C34.10", 65),   # same Rx, different energy mix
-    ((30, 200), "x06", "curative", "C15.9", 63),
-])
 
 anomalies = generate_sa_set(
     db_3d,
-    {KIND_RX_SWAP: 3, KIND_FEATURE: 3, KIND_TECHNIQUE: 2},
+    {KIND_RX_SWAP: 3, KIND_FEATURE: 3},
     threshold=1,
     rng=np.random.default_rng(11),
-    other_dbs={"IMRT": db_imrt},
 )
 
 for sa in anomalies:

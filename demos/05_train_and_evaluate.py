@@ -57,7 +57,7 @@ sa_set = generate_sa_set(
 print(f"forged {len(sa_set)} simulated anomalies for the positive class")
 
 space = SearchSpace(budget=60, runs_per_point=20, strategy="adaptive")
-outcome = search_parameters(space, reference_db, pool, sa_set, seed=SEED, s_n=20)
+outcome = search_parameters(space, reference_db, pool, sa_set, seed=SEED)
 best = outcome.best_params
 print(f"\nbest mean f1 {outcome.best_f1_mean:.3f} +/- {outcome.best_f1_std:.3f} "
       f"after {len(outcome.trace)} evaluations")

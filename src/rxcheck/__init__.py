@@ -76,7 +76,6 @@ from .simulate import (
     SimulatedAnomaly,
     generate_sa_set,
     mutate_features,
-    relabel_technique,
     swap_leading_digits,
     verify_rarity,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "parse_dataset",
     "query_profile",
     "read_records_csv",
-    "relabel_technique",
     "rx_distance",
     "scale_rx",
     "search_parameters",

@@ -294,9 +294,7 @@ def _cmd_train(args) -> int:
             threshold=args.rarity_threshold,
             rng=substream(seed, f"forge:{tech}"),
         )
-        outcome = search_parameters(
-            space, reference_db, pool, sa_set, seed=seed, s_n=args.sn
-        )
+        outcome = search_parameters(space, reference_db, pool, sa_set, seed=seed)
         params_by_technique[tech] = outcome.best_params
         write_trace_csv(out / f"trace_{tech}.csv", outcome)
         write_sa_set(out / f"sa_{tech}.csv", out / f"sa_{tech}.json", sa_set)
@@ -323,18 +321,15 @@ def _cmd_check(args) -> int:
         raise UsageError("check needs --params (or a config with one)")
     if args.boundaries and args.quantile_boundaries:
         raise UsageError("--boundaries and --quantile-boundaries are mutually exclusive")
+    quantile = _parse_quantile(args.quantile_boundaries) if args.quantile_boundaries else None
     boundaries_path = _resolve(args.boundaries, config.boundaries)
     boundaries = load_boundaries(boundaries_path) if boundaries_path else None
     params_by_technique = load_params_json(params_path)
     dbs = _build_dbs(historical, cohort, args.technique)
-    if args.quantile_boundaries:
-        try:
-            low, high = (float(q) for q in args.quantile_boundaries.split(","))
-        except ValueError:
-            raise UsageError("--quantile-boundaries expects LOW,HIGH") from None
+    if quantile is not None:
         merged = {}
         for db in dbs.values():
-            merged.update(derive_boundaries(db, Quantile(low, high)).by_technique)
+            merged.update(derive_boundaries(db, quantile).by_technique)
         boundaries = Boundaries(by_technique=merged, check_bed=True)
 
     records, diagnostics = _load_new_records(args.input, cohort)
@@ -370,6 +365,17 @@ def _cmd_check(args) -> int:
     if errored:
         return EX_ERROR
     return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
+
+
+def _parse_quantile(text: str) -> Quantile:
+    try:
+        low, high = (float(q) for q in text.split(","))
+    except ValueError:
+        raise UsageError("--quantile-boundaries expects LOW,HIGH") from None
+    try:
+        return Quantile(low, high)
+    except ValueError as exc:
+        raise UsageError(f"--quantile-boundaries: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:

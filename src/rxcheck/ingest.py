@@ -19,10 +19,12 @@ from .records import (
     CSV_COLUMNS,
     MODELED_TECHNIQUES,
     NON_POSITIVE_RX,
+    RX_TOO_LARGE,
     FeatureSchema,
     TreatmentRecord,
     default_schema,
     record_from_row,
+    rx_exact_in_float,
     text_stream,
     validate_record,
 )
@@ -38,6 +40,7 @@ RULE_REPLAN = "ReplanConeDown"
 RULE_REPLAN_INITIAL = "ReplanInitial"
 RULE_NON_POSITIVE_RX = NON_POSITIVE_RX
 RULE_AGE = AGE_OUT_OF_RANGE
+RULE_RX_TOO_LARGE = RX_TOO_LARGE
 
 # Allowed energies per technique: the nonzero usage cells of the historical
 # energy-by-technique tally.
@@ -335,8 +338,9 @@ def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] 
     if record.record_id in initial_ids:
         return RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
     # Dose mismatches and re-plans were caught above; what validate_record
-    # can still reject is a non-positive prescription (RULE_NON_POSITIVE_RX)
-    # or an implausible age (RULE_AGE).
+    # can still reject is a non-positive prescription (RULE_NON_POSITIVE_RX),
+    # an implausible age (RULE_AGE) or a prescription float64 cannot hold
+    # exactly (RULE_RX_TOO_LARGE).
     violations = validate_record(record).violations
     if violations:
         return violations[0].kind, violations[0].detail
@@ -398,6 +402,8 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
 
     Scaler bounds, numeric feature ranges, the prescription index, and the
     characteristic distances are all computed over exactly these records.
+    A fraction count or dose per fraction above 2**53 in magnitude raises
+    ValueError: float64 scaling could merge it with a distinct prescription.
     """
     records = tuple(records)
     if len(records) < 2:
@@ -405,13 +411,16 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
     techniques = {r.technique for r in records}
     if len(techniques) > 1:
         raise ValueError(f"records span multiple techniques: {sorted(techniques)}")
+    rx_index = Counter(r.rx for r in records)
+    inexact = sorted(rx for rx in rx_index if not rx_exact_in_float(rx))
+    if inexact:
+        raise ValueError(f"{RX_TOO_LARGE}: prescriptions above 2**53 in magnitude: {inexact[:3]}")
 
     schema = default_schema().bind(records)
     scaler = RxScaler.fit([r.prescription for r in records])
     encoded = distance.encode_features(records, schema)
     rx_f, rx_d = distance.scaled_rx_arrays(records, scaler)
     theta, tau, skipped = distance.pairwise_means(rx_f, rx_d, encoded)
-    rx_index = Counter(r.rx for r in records)
     return HistoricalDB(
         technique=techniques.pop(),
         records=records,

@@ -22,6 +22,11 @@ DOSE_MISMATCH = "DoseMismatch"
 REPLAN_SUSPECT = "ReplanSuspect"
 AGE_OUT_OF_RANGE = "AgeOutOfRange"
 NON_POSITIVE_RX = "NonPositiveRx"
+RX_TOO_LARGE = "RxTooLarge"
+
+# Prescriptions are scaled in float64, which holds every integer of magnitude
+# up to 2**53 exactly; beyond it distinct prescriptions can scale to one point.
+RX_EXACT_MAX = 2 ** 53
 
 AGE_MIN = 0
 AGE_MAX = 120
@@ -140,7 +145,8 @@ def validate_record(record: TreatmentRecord) -> ValidationResult:
 
     Checks: total equals fractions times dose per fraction, accumulated equals
     total (anything else marks a re-plan / cone-down candidate), age within
-    [0, 120] when present, and positive fractions / dose per fraction.
+    [0, 120] when present, positive fractions / dose per fraction, and
+    fractions / dose per fraction of magnitude at most RX_EXACT_MAX.
     """
     p = record.prescription
     violations: list[Violation] = []
@@ -170,7 +176,21 @@ def validate_record(record: TreatmentRecord) -> ValidationResult:
         violations.append(
             Violation(AGE_OUT_OF_RANGE, f"age_at_tx={record.age_at_tx}")
         )
+    if not rx_exact_in_float(p.rx):
+        violations.append(
+            Violation(
+                RX_TOO_LARGE,
+                f"fractions={p.fractions}, dose_per_fraction={p.dose_per_fraction}:"
+                f" above 2**53 in magnitude",
+            )
+        )
     return ValidationResult(tuple(violations))
+
+
+def rx_exact_in_float(rx: tuple[int, int]) -> bool:
+    """Whether float64 holds both parts of (fractions, dose per fraction)
+    exactly."""
+    return abs(rx[0]) <= RX_EXACT_MAX and abs(rx[1]) <= RX_EXACT_MAX
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
-"""Simulated-anomaly synthesis: digit-swapped prescriptions, mutated features,
-and relabeled techniques, each verified rare against the historical
-conditional distributions before being admitted.
+"""Simulated-anomaly synthesis: digit-swapped prescriptions and mutated
+features, each verified rare against the historical conditional
+distributions before being admitted.
 
 The construction is purely data driven: a candidate is accepted only when
 every conditional count drawn from the reference set stays at or below the
@@ -19,7 +19,6 @@ import numpy as np
 from .records import (
     AGE_MAX,
     AGE_MIN,
-    MODELED_TECHNIQUES,
     FeatureSchema,
     Prescription,
     TreatmentRecord,
@@ -32,7 +31,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 KIND_RX_SWAP = "RxDigitSwap"
 KIND_FEATURE = "FeatureMutation"
-KIND_TECHNIQUE = "TechniqueRelabel"
+_KINDS = (KIND_RX_SWAP, KIND_FEATURE)
 
 DEFAULT_RARITY_THRESHOLD = 1
 
@@ -46,7 +45,8 @@ class DegenerateSwap(ValueError):
 
 
 class InvalidMutation(ValueError):
-    """A mutation spec named a prescription field or an unknown feature."""
+    """A mutation spec named a prescription field or an unknown feature, or a
+    generation request named an unknown kind or a negative count."""
 
 
 class GenerationExhausted(RuntimeError):
@@ -153,20 +153,6 @@ def mutate_features(
     return mutated, MutationDescriptor(KIND_FEATURE, tuple(changes))
 
 
-def relabel_technique(record: TreatmentRecord, target: str) -> tuple[TreatmentRecord, MutationDescriptor]:
-    """Change only the technique label; the mutant is then evaluated against
-    the target technique's reference set."""
-    if target == record.technique:
-        raise DegenerateSwap(f"record already has technique {target!r}")
-    if target not in MODELED_TECHNIQUES:
-        raise InvalidMutation(f"{target!r} is not a modeled technique")
-    mutated = replace(record, technique=target)
-    descriptor = MutationDescriptor(
-        KIND_TECHNIQUE, (FieldChange("technique", record.technique, target),)
-    )
-    return mutated, descriptor
-
-
 # Samplers for mutate_features -----------------------------------------------
 
 def vocabulary_sampler(schema: FeatureSchema, field_name: str) -> Callable:
@@ -219,8 +205,7 @@ def verify_rarity(
 
     Prescription mutations count exact occurrences of the new prescription
     pair. Feature mutations count, per mutated field, reference records
-    sharing the candidate's exact prescription and the mutated value. A technique relabel counts records of the target
-    technique sharing the prescription and the full non-missing feature set.
+    sharing the candidate's exact prescription and the mutated value.
     Accepted iff every count is at or below the threshold.
     """
     evidence: list[RarityEvidence] = []
@@ -230,37 +215,20 @@ def verify_rarity(
         evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]}", count))
     elif mutation.kind == KIND_FEATURE:
         for change in mutation.changes:
-            count = _count_matching(db, rx, {change.field: change.new})
+            count = _count_matching(db, rx, change.field, change.new)
             evidence.append(
                 RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
             )
-    elif mutation.kind == KIND_TECHNIQUE:
-        if db.technique != candidate.technique:
-            raise InvalidMutation(
-                f"relabeled candidate is {candidate.technique!r}; verify against that "
-                f"technique's reference set, not {db.technique!r}"
-            )
-        features = {
-            spec.name: getattr(candidate, spec.name)
-            for spec in db.feature_schema
-            if getattr(candidate, spec.name) is not None
-        }
-        count = _count_matching(db, rx, features)
-        evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]} & full feature set", count))
     else:
         raise InvalidMutation(f"unknown mutation kind {mutation.kind!r}")
     accepted = all(item.count <= threshold for item in evidence)
     return RarityCheck(accepted, tuple(evidence))
 
 
-def _count_matching(db: "HistoricalDB", rx: tuple[int, int], conditions: Mapping[str, object]) -> int:
-    count = 0
-    for record in db.records:
-        if record.rx != rx:
-            continue
-        if all(getattr(record, name) == value for name, value in conditions.items()):
-            count += 1
-    return count
+def _count_matching(db: "HistoricalDB", rx: tuple[int, int], field_name: str, value) -> int:
+    return sum(
+        1 for record in db.records if record.rx == rx and getattr(record, field_name) == value
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -275,27 +243,28 @@ def generate_sa_set(
     counts: Mapping[str, int],
     threshold: int = DEFAULT_RARITY_THRESHOLD,
     rng: np.random.Generator | None = None,
-    other_dbs: Mapping[str, "HistoricalDB"] | None = None,
 ) -> list[SimulatedAnomaly]:
-    """Produce exactly counts[kind] accepted anomalies per mutation kind.
+    """Produce exactly counts[kind] accepted anomalies per mutation kind, for
+    the two kinds KIND_RX_SWAP and KIND_FEATURE.
 
     Base records are drawn from the reference set; each candidate must pass
-    verify_rarity at the given threshold and must actually differ from its
-    base. Technique relabels are verified against the target technique's
-    reference set, so other_dbs is required when they are requested. A kind
-    that is still short after _MAX_ATTEMPTS_PER_ITEM candidates per requested
-    anomaly raises GenerationExhausted. Deterministic for a fixed generator.
+    verify_rarity against that same set at the given threshold and must
+    actually differ from its base. Any other key in counts, or a negative
+    count, raises InvalidMutation before any draw. A kind that is still short
+    after _MAX_ATTEMPTS_PER_ITEM candidates per requested anomaly raises
+    GenerationExhausted. Deterministic for a fixed generator.
     """
+    invalid = {kind: wanted for kind, wanted in counts.items() if kind not in _KINDS or wanted < 0}
+    if invalid:
+        raise InvalidMutation(
+            f"counts must map some of {list(_KINDS)} to non-negative numbers, got {invalid}"
+        )
     rng = rng if rng is not None else np.random.default_rng(0)
     out: list[SimulatedAnomaly] = []
-    for kind in (KIND_RX_SWAP, KIND_FEATURE, KIND_TECHNIQUE):
+    for kind in _KINDS:
         wanted = int(counts.get(kind, 0))
         if wanted == 0:
             continue
-        if kind == KIND_TECHNIQUE and not other_dbs:
-            raise InvalidMutation(
-                "technique relabels need other_dbs mapping the target techniques"
-            )
         produced = 0
         attempts = 0
         budget = _MAX_ATTEMPTS_PER_ITEM * wanted
@@ -309,12 +278,12 @@ def generate_sa_set(
             attempts += 1
             base = db.records[int(rng.integers(db.size))]
             try:
-                mutated, descriptor, target_db = _mutate(kind, base, db, other_dbs, rng)
+                mutated, descriptor = _mutate(kind, base, db, rng)
             except (DegenerateSwap, InvalidMutation):
                 continue
             if not descriptor.changes:
                 continue
-            check = verify_rarity(mutated, target_db, threshold, descriptor)
+            check = verify_rarity(mutated, db, threshold, descriptor)
             if not check.accepted:
                 continue
             produced += 1
@@ -330,28 +299,19 @@ def generate_sa_set(
     return out
 
 
-def _mutate(kind, base, db, other_dbs, rng):
+def _mutate(kind, base, db, rng):
     if kind == KIND_RX_SWAP:
-        mutated, descriptor = swap_leading_digits(base)
-        return mutated, descriptor, db
-    if kind == KIND_FEATURE:
-        n_fields = int(rng.integers(1, 3))
-        fields = list(rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False))
-        spec = {}
-        for field_name in fields:
-            feature = db.feature_schema.spec(field_name)
-            if feature.kind == "numeric":
-                spec[field_name] = extreme_value_sampler(db.feature_schema, field_name)
-            else:
-                spec[field_name] = vocabulary_sampler(db.feature_schema, field_name)
-        mutated, descriptor = mutate_features(base, spec, rng)
-        return mutated, descriptor, db
-    targets = sorted(t for t in other_dbs if t != base.technique)
-    if not targets:
-        raise InvalidMutation("no relabel target available")
-    target = targets[int(rng.integers(len(targets)))]
-    mutated, descriptor = relabel_technique(base, target)
-    return mutated, descriptor, other_dbs[target]
+        return swap_leading_digits(base)
+    n_fields = int(rng.integers(1, 3))
+    fields = list(rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False))
+    spec = {}
+    for field_name in fields:
+        feature = db.feature_schema.spec(field_name)
+        if feature.kind == "numeric":
+            spec[field_name] = extreme_value_sampler(db.feature_schema, field_name)
+        else:
+            spec[field_name] = vocabulary_sampler(db.feature_schema, field_name)
+    return mutate_features(base, spec, rng)
 
 
 # ---------------------------------------------------------------------------

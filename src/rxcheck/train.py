@@ -3,11 +3,10 @@ labeled training set of simulated anomalies plus held-out normal records.
 
 The anomaly class stays fixed across runs; only the normal sample is redrawn,
 which damps the variance coming from the small normal class. The redraw only
-varies when the holdout pool is larger than s_n. `rxcheck train` splits off a
-pool of exactly --sn records and draws --sn of them per run, so every run
-draws the whole pool, all runs score the same, and the trace's f1_std is
-floating-point rounding noise (0 or about 1e-16). A larger pool would change
-the trained parameters and the trace. The search over
+varies when the holdout pool is larger than s_n. search_parameters draws the
+whole pool on every run (`rxcheck train` splits off a pool of exactly --sn
+records), so all runs score the same and the trace's f1_std is
+floating-point rounding noise (0 or about 1e-16). The search over
 (a, b, mu, nu) offers a near-uniform grid, uniform random draws, or an
 adaptive density-ratio strategy that concentrates draws where past
 evaluations scored well.
@@ -25,7 +24,6 @@ import numpy as np
 
 from .detector import ModelParams, detect
 from .distance import InsufficientData, QueryProfile, query_profile
-from .ranges import Boundaries
 from .records import TreatmentRecord, text_stream
 from .seeding import substream
 from .simulate import SimulatedAnomaly
@@ -38,6 +36,12 @@ STRATEGY_RANDOM = "random"
 STRATEGY_ADAPTIVE = "adaptive"
 STRATEGIES = (STRATEGY_GRID, STRATEGY_RANDOM, STRATEGY_ADAPTIVE)
 
+# Half-open intervals (lo, hi] of a, b, mu and nu. mu and nu stay at or below
+# 0.1 so the neighbor groups never exceed 10% of the reference set. The a and
+# b ranges cover the multipliers observed to be useful in practice (up to 2x
+# the characteristic distances).
+SEARCH_RANGES = ((0.0, 2.0), (0.0, 2.0), (0.0, 0.1), (0.0, 0.1))
+
 
 class InvalidTrainingSet(ValueError):
     pass
@@ -49,36 +53,20 @@ class UndefinedMetric(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Half-open parameter intervals (lo, hi] and the evaluation budget.
+    """The evaluation budget, the resampling runs per point and the strategy
+    of a search over SEARCH_RANGES."""
 
-    mu and nu stay at or below 0.1 so the neighbor groups never exceed 10% of
-    the reference set. The a and b ranges cover the multipliers observed to be
-    useful in practice (up to 2x the characteristic distances).
-    """
-
-    a_range: tuple[float, float] = (0.0, 2.0)
-    b_range: tuple[float, float] = (0.0, 2.0)
-    mu_range: tuple[float, float] = (0.0, 0.1)
-    nu_range: tuple[float, float] = (0.0, 0.1)
     budget: int = 100
     runs_per_point: int = 50
     strategy: str = STRATEGY_ADAPTIVE
 
     def __post_init__(self) -> None:
-        for name in ("a_range", "b_range", "mu_range", "nu_range"):
-            lo, hi = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name} is empty: ({lo}, {hi}]")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
-
-    @property
-    def ranges(self) -> tuple[tuple[float, float], ...]:
-        return (self.a_range, self.b_range, self.mu_range, self.nu_range)
 
 
 @dataclass(frozen=True)
@@ -94,7 +82,6 @@ class TrainingOutcome:
     best_f1_mean: float
     best_f1_std: float
     trace: tuple[TraceEntry, ...]
-    seed: int
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +127,6 @@ def f1_objective(
     runs: int,
     s_n: int,
     rng: np.random.Generator,
-    boundaries: Boundaries | None = None,
 ) -> tuple[float, float]:
     """Mean and standard deviation of f1 over `runs` resamplings of the
     normal class (anomaly = positive class).
@@ -156,14 +142,11 @@ def f1_objective(
         raise InvalidTrainingSet(
             f"s_n={s_n} exceeds the holdout pool size {len(holdout_pool)}"
         )
-    sa_flagged = [
-        detect(_anomaly_query(sa), reference_db, params, boundaries).flagged for sa in sa_set
-    ]
+    sa_flagged = [detect(_anomaly_query(sa), reference_db, params).flagged for sa in sa_set]
     tp = sum(sa_flagged)
     fn = len(sa_flagged) - tp
     pool_flagged = np.array(
-        [detect(record, reference_db, params, boundaries).flagged for record in holdout_pool],
-        dtype=bool,
+        [detect(record, reference_db, params).flagged for record in holdout_pool], dtype=bool
     )
     scores = np.empty(runs, dtype=np.float64)
     for run in range(runs):
@@ -187,15 +170,13 @@ def search_parameters(
     holdout_pool: Sequence[TreatmentRecord],
     sa_set: Sequence[SimulatedAnomaly],
     seed: int,
-    s_n: int | None = None,
-    boundaries: Boundaries | None = None,
 ) -> TrainingOutcome:
     """Evaluate exactly space.budget parameter points and keep the best.
 
-    Ties on the best mean f1 go to the earliest evaluation, so the outcome is
-    deterministic; rerunning with the same seed reproduces the trace bitwise.
+    Every resampling run draws the whole holdout pool. Ties on the best mean
+    f1 go to the earliest evaluation, so the outcome is deterministic;
+    rerunning with the same seed reproduces the trace bitwise.
     """
-    per_run_sn = len(holdout_pool) if s_n is None else s_n
     # The distances and neighbour order of a record do not depend on the
     # parameters: compute them once for the whole search.
     pool_profiles = [query_profile(record, reference_db) for record in holdout_pool]
@@ -208,9 +189,8 @@ def search_parameters(
             pool_profiles,
             sa_profiles,
             runs=space.runs_per_point,
-            s_n=per_run_sn,
+            s_n=len(holdout_pool),
             rng=substream(seed, f"objective:{index}"),
-            boundaries=boundaries,
         )
         return TraceEntry(params, mean, std)
 
@@ -219,7 +199,7 @@ def search_parameters(
         trace = [evaluate(i, p) for i, p in enumerate(points)]
     elif space.strategy == STRATEGY_RANDOM:
         rng = substream(seed, "random-search")
-        trace = [evaluate(i, _draw_uniform(space, rng)) for i in range(space.budget)]
+        trace = [evaluate(i, _draw_uniform(rng)) for i in range(space.budget)]
     else:
         trace = _adaptive_search(space, evaluate, substream(seed, "adaptive-search"))
 
@@ -233,7 +213,6 @@ def search_parameters(
         best_f1_mean=best.f1_mean,
         best_f1_std=best.f1_std,
         trace=tuple(trace),
-        seed=seed,
     )
 
 
@@ -243,9 +222,9 @@ def _in_range(value: float, lo: float, hi: float) -> float:
     return min(max(value, lo + tiny), hi)
 
 
-def _draw_uniform(space: SearchSpace, rng: np.random.Generator) -> ModelParams:
+def _draw_uniform(rng: np.random.Generator) -> ModelParams:
     values = [
-        _in_range(lo + (hi - lo) * float(rng.random()), lo, hi) for lo, hi in space.ranges
+        _in_range(lo + (hi - lo) * float(rng.random()), lo, hi) for lo, hi in SEARCH_RANGES
     ]
     return ModelParams(*values)
 
@@ -257,7 +236,7 @@ def _grid_points(space: SearchSpace, rng: np.random.Generator) -> list[ModelPara
     # _in_range: the top level lo + (hi - lo) * k / k can round above hi.
     levels = [
         [_in_range(lo + (hi - lo) * (j + 1) / k, lo, hi) for j in range(k)]
-        for lo, hi in space.ranges
+        for lo, hi in SEARCH_RANGES
     ]
     points: list[ModelParams] = []
     for a in levels[0]:
@@ -266,7 +245,7 @@ def _grid_points(space: SearchSpace, rng: np.random.Generator) -> list[ModelPara
                 for nu in levels[3]:
                     points.append(ModelParams(a, b, mu, nu))
     while len(points) < space.budget:
-        points.append(_draw_uniform(space, rng))
+        points.append(_draw_uniform(rng))
     return points[: space.budget]
 
 
@@ -278,7 +257,7 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
     n_candidates = 24
     gamma = 0.25
 
-    trace = [evaluate(i, _draw_uniform(space, rng)) for i in range(n_init)]
+    trace = [evaluate(i, _draw_uniform(rng)) for i in range(n_init)]
     for index in range(n_init, space.budget):
         order = sorted(range(len(trace)), key=lambda k: (-trace[k].f1_mean, k))
         n_good = max(2, int(math.ceil(gamma * len(trace))))
@@ -289,13 +268,13 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
         good_by_dim = list(zip(*good))
         bad_by_dim = list(zip(*bad))
         progress = index / space.budget
-        bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in space.ranges]
+        bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in SEARCH_RANGES]
 
         best_candidate = None
         best_score = -math.inf
         for _ in range(n_candidates):
             values = []
-            for dim, (lo, hi) in enumerate(space.ranges):
+            for dim, (lo, hi) in enumerate(SEARCH_RANGES):
                 anchor = good[int(rng.integers(len(good)))][dim]
                 values.append(_in_range(anchor + bandwidths[dim] * float(rng.standard_normal()), lo, hi))
             score = 0.0

@@ -376,7 +376,7 @@ def run_experiment(technique: str, seed: int):
         rng=substream(seed, f"forge:{technique}"),
     )
     space = SearchSpace(budget=100, runs_per_point=50, strategy="adaptive")
-    outcome = search_parameters(space, reference_db, pool, sa_set, seed=seed, s_n=20)
+    outcome = search_parameters(space, reference_db, pool, sa_set, seed=seed)
 
     oos_normals = extras[:10]
     oos_anomalies = _forge_out_of_sample(extras[10:20], reference_db, seed)

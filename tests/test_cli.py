@@ -143,9 +143,15 @@ class TestCheck:
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload["status"] == "RangeFlag"
         assert code == EX_FLAGGED
+        for bad in ("nonsense", "0.9,0.1", "nan,1"):
+            assert run([
+                "check", "--input", str(query), "--historical", str(cohort_csv),
+                "--params", str(params_json), "--quantile-boundaries", bad,
+            ]) == EX_USAGE, bad
+        # The value is checked before the history is read.
         assert run([
-            "check", "--input", str(query), "--historical", str(cohort_csv),
-            "--params", str(params_json), "--quantile-boundaries", "nonsense",
+            "check", "--input", str(query), "--historical", str(tmp_path / "absent.csv"),
+            "--params", str(params_json), "--quantile-boundaries", "0.9,0.1",
         ]) == EX_USAGE
 
     def test_record_without_comparable_neighbors_does_not_abort_batch(

@@ -25,7 +25,7 @@ from rxcheck.detector import (
 )
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import Boundaries, QuantityBounds, TechniqueBounds, UnsupportedTechnique
-from rxcheck.records import REPLAN_SUSPECT
+from rxcheck.records import REPLAN_SUSPECT, RX_TOO_LARGE
 
 from conftest import rec, random_db, random_record
 
@@ -171,6 +171,10 @@ class TestDecisionLogic:
                      morphology="80463", age_at_tx=62)
         verdict = detect(replan, db, PARAMS)
         assert REPLAN_SUSPECT in verdict.warnings
+
+        huge = rec("q", 2 ** 62, 200, energy="x06", intent="curative",
+                   icd10="C34.10", morphology="80463", age_at_tx=62)
+        assert RX_TOO_LARGE in detect(huge, db, PARAMS).warnings
 
         out_of_range = rec("q", 30, 200, energy="x06", intent="curative",
                            icd10="C34.10", morphology="80463", age_at_tx=62)

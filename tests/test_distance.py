@@ -433,11 +433,10 @@ _AGE_MODES = {
 
 
 @st.composite
-def _reference_sets(draw, max_size=24):
+def _reference_sets(draw, max_size=24, rx_int=st.integers(1, 40) | st.integers(1, 2 ** 53)):
     """Records of one technique: a few repeated prescriptions (possibly
     huge), random missingness including rows with every feature missing,
     and an age column that is clinical, extreme or constant."""
-    rx_int = st.integers(1, 40) | st.integers(1, 2 ** 53)
     prescriptions = draw(st.lists(st.tuples(rx_int, rx_int), min_size=1, max_size=4))
     ages = _AGE_MODES[draw(st.sampled_from(sorted(_AGE_MODES)))]
     size = draw(st.integers(2, max_size))
@@ -487,6 +486,30 @@ def test_pairwise_means_matches_oracle_and_ignores_order(records, weights, data)
     assert close(got[0], theta) and close(got[1], tau)
     assert got[2] == _brute_force_incomparable(records, schema)
     assert pairwise_means(*_means_inputs(shuffled, schema)) == got
+
+
+@seed(20213)
+@settings(deadline=None, max_examples=120, database=None)
+@given(records=_reference_sets(rx_int=(
+    st.integers(1, 40) | st.integers(2 ** 53 - 3, 2 ** 53 + 3)
+    | st.integers(-(2 ** 53), 2 ** 53) | st.integers(-(2 ** 63), 2 ** 63 - 1)
+)))
+def test_build_over_int64_prescriptions_rejects_or_matches_oracle(records):
+    # float64 holds every integer up to 2**53 exactly: beyond that the build
+    # must refuse rather than scale distinct prescriptions to one point.
+    if any(abs(part) > 2 ** 53 for r in records for part in r.rx):
+        with pytest.raises(ValueError, match="RxTooLarge"):
+            build_historical_db(records)
+        return
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            assert oracle_theta_tau(records, default_schema().bind(records))[1] is None
+            return
+    theta, tau = oracle_theta_tau(records, db.feature_schema)
+    assert close(db.theta, theta) and close(db.tau, tau)
 
 
 def _r_f_status(query, db, params):

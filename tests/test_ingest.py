@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from rxcheck.ingest import (
     RULE_NON_POSITIVE_RX,
     RULE_REPLAN,
     RULE_REPLAN_INITIAL,
+    RULE_RX_TOO_LARGE,
     RULE_TECHNIQUE,
     CohortConfig,
     SchemaError,
@@ -26,7 +28,7 @@ from rxcheck.ingest import (
     normalize_labels,
     parse_dataset,
 )
-from rxcheck.records import CSV_COLUMNS, records_csv_text
+from rxcheck.records import CSV_COLUMNS, default_schema, records_csv_text
 
 from conftest import rec
 from oracles import close, oracle_theta_tau
@@ -221,6 +223,15 @@ class TestFilterCohort:
         assert [(e.record_id, e.rule) for e in log.exclusions] == [("a", RULE_AGE), ("b", RULE_AGE)]
         assert [r.record_id for r in kept["SBRT"]] == ["c", "d"]
 
+    def test_rx_above_2_53_excluded_last(self):
+        huge = rec("a", 2 ** 62, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10")
+        huge_and_old = rec("b", 2 ** 62, 1000, technique="SBRT", energy="x06FFF",
+                           icd10="C34.10", age_at_tx=500)
+        kept, log = filter_cohort([huge, huge_and_old, good("c")])
+        assert [(e.record_id, e.rule) for e in log.exclusions] == [
+            ("a", RULE_RX_TOO_LARGE), ("b", RULE_AGE)]
+        assert kept["SBRT"] == [good("c")]
+
     def test_validation_rules_come_after_the_others(self):
         # Each of these also fails validate_record, but an earlier rule names it.
         mismatch = good("a", age_at_tx=500).with_prescription(
@@ -296,6 +307,16 @@ class TestBuildHistoricalDb:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData):
             build_historical_db([good("a")])
+
+    def test_rx_above_2_53_rejected(self):
+        # float64 scaling merges 2**62 and 2**62 + 3, which would give theta
+        # 0.667 where the exact value is 1.011.
+        records = [rec("a", 2 ** 62, 100), rec("b", 2 ** 62 + 3, 200),
+                   rec("c", 2 ** 62 + 3, 300)]
+        theta, _ = oracle_theta_tau(records, default_schema().bind(records))
+        assert close(theta, (math.sqrt(1.25) + math.sqrt(2) + 0.5) / 3)
+        with pytest.raises(ValueError, match="RxTooLarge"):
+            build_historical_db(records)
 
     def test_mixed_techniques_rejected(self):
         with pytest.raises(ValueError):

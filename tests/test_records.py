@@ -9,6 +9,7 @@ from rxcheck.records import (
     DOSE_MISMATCH,
     NON_POSITIVE_RX,
     REPLAN_SUSPECT,
+    RX_TOO_LARGE,
     FeatureSpec,
     Prescription,
     TreatmentRecord,
@@ -51,6 +52,15 @@ class TestValidateRecord:
         assert validate_record(rec("a", 1, 100, age_at_tx=120)).ok
         assert not validate_record(rec("a", 1, 100, age_at_tx=121)).ok
         assert validate_record(rec("a", 1, 100, age_at_tx=None)).ok
+
+    def test_rx_above_2_53(self):
+        # float64 holds every integer up to 2**53 exactly, and no more.
+        assert validate_record(rec("a", 2 ** 53, 100)).ok
+        assert validate_record(rec("a", 5, 2 ** 53)).ok
+        for record in (rec("a", 2 ** 53 + 1, 100), rec("a", 5, 2 ** 62)):
+            assert [v.kind for v in validate_record(record).violations] == [RX_TOO_LARGE]
+        kinds = [v.kind for v in validate_record(rec("a", -(2 ** 60), 100)).violations]
+        assert kinds == [NON_POSITIVE_RX, RX_TOO_LARGE]
 
     def test_deterministic_and_pure(self):
         record = rec("a", 5, 400, total_dose=2200)

@@ -10,14 +10,12 @@ from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import (
     KIND_FEATURE,
     KIND_RX_SWAP,
-    KIND_TECHNIQUE,
     DegenerateSwap,
     GenerationExhausted,
     InvalidMutation,
     extreme_value_sampler,
     generate_sa_set,
     mutate_features,
-    relabel_technique,
     swap_leading_digits,
     verify_rarity,
     vocabulary_sampler,
@@ -32,15 +30,6 @@ from synth import make_cohort
 def db():
     records, _ = make_cohort("3D", per_cluster=12, seed=3)
     return build_historical_db(records)
-
-
-@pytest.fixture(scope="module")
-def dbs():
-    out = {}
-    for technique in ("3D", "IMRT"):
-        records, _ = make_cohort(technique, per_cluster=12, seed=4)
-        out[technique] = build_historical_db(records)
-    return out
 
 
 class TestSwapLeadingDigits:
@@ -128,24 +117,6 @@ class TestMutateFeatures:
             assert 0 <= value <= 120
 
 
-class TestRelabelTechnique:
-    def test_single_field_changes(self):
-        record = rec("a", 10, 300, technique="3D", energy="x15",
-                     intent="palliative", icd10="C78.1")
-        mutated, descriptor = relabel_technique(record, "IMRT")
-        assert mutated.technique == "IMRT"
-        assert dataclasses.replace(mutated, technique="3D") == record
-        assert descriptor.fields == ("technique",)
-
-    def test_same_target_degenerate(self):
-        with pytest.raises(DegenerateSwap):
-            relabel_technique(rec("a", 10, 300), "3D")
-
-    def test_unmodeled_target_rejected(self):
-        with pytest.raises(InvalidMutation):
-            relabel_technique(rec("a", 10, 300), "Brachy")
-
-
 class TestVerifyRarity:
     def test_swapped_rx_count_at_most_threshold_accepted(self, db):
         base = db.records[0]
@@ -184,13 +155,12 @@ class TestVerifyRarity:
         (evidence,) = check.evidence
         assert evidence.count == 0  # this cluster's Rx never pairs with palliative
 
-    def test_relabel_checks_full_feature_set_in_target(self, dbs):
-        base = dbs["3D"].records[0]
-        mutated, descriptor = relabel_technique(base, "IMRT")
-        check = verify_rarity(mutated, dbs["IMRT"], 1, descriptor)
-        assert check.accepted
-        with pytest.raises(InvalidMutation):
-            verify_rarity(mutated, dbs["3D"], 1, descriptor)
+    def test_unknown_kind_rejected(self, db):
+        base = db.records[0]
+        mutated, descriptor = mutate_features(base, {"intent": "palliative"})
+        unknown = dataclasses.replace(descriptor, kind="NoSuchKind")
+        with pytest.raises(InvalidMutation, match="unknown mutation kind"):
+            verify_rarity(mutated, db, 1, unknown)
 
     def test_evidence_matches_independent_scan(self, db):
         rng = np.random.default_rng(5)
@@ -246,15 +216,20 @@ class TestGenerateSaSet:
                 }
                 assert diff == set(sa.mutation.fields)
 
-    def test_relabel_requires_other_dbs(self, db):
-        with pytest.raises(InvalidMutation):
-            generate_sa_set(db, {KIND_TECHNIQUE: 1}, rng=np.random.default_rng(0))
+    @pytest.mark.parametrize("counts", [
+        {"Technique" "Relabel": 2},  # the name of a kind that is no longer forged
+        {"FeatureMutations": 3},
+        {KIND_RX_SWAP: 1, "FeatureMutations": 3},
+        {KIND_RX_SWAP: -2},
+        {KIND_RX_SWAP: 2, KIND_FEATURE: -1},
+    ], ids=["relabel", "misspelled", "misspelled-with-valid", "negative", "negative-with-valid"])
+    def test_unknown_or_negative_counts_rejected(self, db, counts):
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"drew {name} before rejecting the counts")
 
-    def test_relabel_generation(self, dbs):
-        sas = generate_sa_set(dbs["3D"], {KIND_TECHNIQUE: 3}, threshold=1,
-                              rng=np.random.default_rng(9), other_dbs=dbs)
-        assert all(sa.mutation.kind == KIND_TECHNIQUE for sa in sas)
-        assert all(sa.mutated.technique == "IMRT" for sa in sas)
+        with pytest.raises(InvalidMutation):
+            generate_sa_set(db, counts, rng=NoDraws())
 
     def test_generation_exhausted_reports_partial(self):
         # Every record shares the same prescription, so every digit swap is

@@ -10,6 +10,7 @@ from rxcheck.distance import InsufficientData, QueryProfile
 from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set
 from rxcheck.train import (
+    SEARCH_RANGES,
     InvalidTrainingSet,
     SearchSpace,
     UndefinedMetric,
@@ -136,8 +137,6 @@ class TestSearchSpace:
         with pytest.raises(ValueError):
             SearchSpace(budget=0)
         with pytest.raises(ValueError):
-            SearchSpace(a_range=(1.0, 1.0))
-        with pytest.raises(ValueError):
             SearchSpace(strategy="anneal")
 
 
@@ -166,7 +165,7 @@ class TestSearchParameters:
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=0)
         assert len(outcome.trace) == budget
         lattice = [entry.params for entry in outcome.trace[: levels ** 4]]
-        for dim, (lo, hi) in enumerate(space.ranges):
+        for dim, (lo, hi) in enumerate(SEARCH_RANGES):
             values = {(p.a, p.b, p.mu, p.nu)[dim] for p in lattice}
             assert len(values) == levels
             assert all(lo < v <= hi for v in values)
@@ -177,7 +176,7 @@ class TestSearchParameters:
         space = SearchSpace(budget=16, runs_per_point=1, strategy="grid")
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=0)
         expected = [
-            [lo + (hi - lo) * (j + 1) / 2 for j in range(2)] for lo, hi in space.ranges
+            [lo + (hi - lo) * (j + 1) / 2 for j in range(2)] for lo, hi in SEARCH_RANGES
         ]
         got = [entry.params for entry in outcome.trace]
         assert got == [
