@@ -61,7 +61,7 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, write_records_csv
+from .records import MODELED_TECHNIQUES, text_stream, write_records_csv
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
@@ -100,13 +100,28 @@ class RunConfig:
     def load(cls, path: str | None) -> "RunConfig":
         if path is None:
             return cls()
-        with open(path) as handle:
+        with text_stream(path) as handle:
             payload = json.load(handle)
         known = {k: payload.get(k) for k in cls.__dataclass_fields__ if k in payload}
         return cls(**known)
 
 
+def _checked(convert, ok, requirement: str):
+    """An argparse type: convert the text, then require ok(value), so an
+    out-of-range value is a usage error before any input is read."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse's "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> _Parser:
+    at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
+    at_least_0 = _checked(int, lambda v: v >= 0, "at least 0")
+    finite_positive = _checked(float, lambda v: 0 < v < float("inf"), "finite and positive")
     parser = _Parser(prog="rxcheck", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rxcheck {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -123,11 +138,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="optimize detector parameters per technique")
     p.add_argument("--input", required=True, help="historical records CSV")
-    p.add_argument("--budget", type=int, default=100, help="search evaluations")
-    p.add_argument("--runs", type=int, default=50, help="objective resampling runs")
+    p.add_argument("--budget", type=at_least_1, default=100, help="search evaluations")
+    p.add_argument("--runs", type=at_least_1, default=50, help="objective runs per point")
     p.add_argument("--strategy", choices=("grid", "random", "adaptive"), default="adaptive")
-    p.add_argument("--sn", type=int, default=20, help="holdout normals per run")
-    p.add_argument("--rarity-threshold", type=int, default=1)
+    p.add_argument("--sn", type=at_least_0, default=20, help="holdout pool size")
+    p.add_argument("--rarity-threshold", type=at_least_0, default=1)
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common(p, out_required=True)
 
@@ -146,7 +161,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("simulate", help="forge simulated anomalies from a historical set")
     p.add_argument("--input", required=True, help="historical records CSV")
-    p.add_argument("--rarity-threshold", type=int, default=1)
+    p.add_argument("--rarity-threshold", type=at_least_0, default=1)
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     common(p, out_required=True)
 
@@ -157,7 +172,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("hist", help="export pairwise-distance histograms")
     p.add_argument("--input", required=True, help="historical records CSV")
-    p.add_argument("--bin-width", type=float, default=0.05)
+    p.add_argument("--bin-width", type=finite_positive, default=0.05)
     common(p, out_required=True)
 
     return parser

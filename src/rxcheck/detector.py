@@ -15,13 +15,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .distance import (
+    WARN_RX_SCALED_OUT_OF_RANGE,  # noqa: F401 - one of the verdict warnings
     QueryProfile,
     closest_m_rx_distance,
     closest_n_feature_distance,
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, text_stream, validate_record
+from .records import TreatmentRecord, text_stream
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -32,7 +33,6 @@ STATUS_TYPE1 = "Type1Flag"
 STATUS_TYPE2 = "Type2Flag"
 
 WARN_INSUFFICIENT_SAME_RX = "InsufficientSameRx"
-WARN_RX_SCALED_OUT_OF_RANGE = "RxScaledOutOfRange"
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,8 @@ class ModelParams:
     nu: float
 
     def __post_init__(self) -> None:
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(f"a and b must be positive, got a={self.a}, b={self.b}")
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):  # NaN fails too
+            raise ValueError(f"a and b must be finite and positive, got a={self.a}, b={self.b}")
         if not (0.0 < self.mu <= 0.1) or not (0.0 < self.nu <= 0.1):
             raise ValueError(
                 f"mu and nu must lie in (0, 0.1], got mu={self.mu}, nu={self.nu}"
@@ -127,11 +127,7 @@ def detect(
 
     violations = tuple(check_range(record, boundaries)) if boundaries else ()
 
-    warnings = [v.kind for v in validate_record(record).violations]
-    scaled = profile.scaled
-    if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
-        warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
-
+    warnings = list(profile.warnings)
     r_group = closest_m_rx_distance(profile, db, m)
     f_group = None
     if r_group.value <= t_rx:

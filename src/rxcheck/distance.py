@@ -15,9 +15,9 @@ exact prescription are consumed before more distant prescriptions.
 
 A QueryProfile holds what a query needs against one reference set that the
 detector's parameters do not change: both distance vectors, the neighbour
-order and the same-prescription count. The group functions and the detector
-take a record or its profile; training profiles each record once and scores
-every parameter point from the profile.
+order, the same-prescription count and the record's warnings. The group
+functions and the detector take a record or its profile; training profiles
+each record once and scores every parameter point from the profile.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -51,12 +51,14 @@ from .records import (
     Prescription,
     TreatmentRecord,
     text_stream,
+    validate_record,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from .ingest import HistoricalDB
 
 RX_DISTANCE_MAX = math.sqrt(2.0)
+WARN_RX_SCALED_OUT_OF_RANGE = "RxScaledOutOfRange"
 
 _PAIR_BLOCK = 256
 
@@ -313,13 +315,15 @@ class QueryProfile:
     rho and g are the prescription and Gower distances to every reference
     record (g is NaN where the pair is incomparable); order ranks the
     reference records by rho, then g (NaN last within ties), then input
-    order; comparable is the subsequence of order with a defined g. Build it
+    order; comparable is the subsequence of order with a defined g. warnings
+    are the record's validate_record violation kinds, then
+    RxScaledOutOfRange when its prescription scales outside [0, 1]. Build it
     with query_profile and reuse it for every group size and threshold.
     """
 
     record: TreatmentRecord
     db: "HistoricalDB" = field(repr=False)
-    scaled: ScaledRx
+    warnings: tuple[str, ...]
     rho: np.ndarray = field(repr=False)
     g: np.ndarray = field(repr=False)
     order: np.ndarray = field(repr=False)
@@ -341,10 +345,13 @@ def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> 
     # lexsort's last key is the primary one; it is stable, so input order
     # breaks the remaining ties.
     order = np.lexsort((g, rho))
+    warnings = [v.kind for v in validate_record(query).violations]
+    if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
+        warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
     return QueryProfile(
         record=query,
         db=db,
-        scaled=scaled,
+        warnings=tuple(warnings),
         rho=rho,
         g=g,
         order=order,

@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .records import text_stream
+
 BEST_CASE = "BestCase"
 WORST_CASE = "WorstCase"
 
@@ -244,7 +246,7 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
     """Read rater predictions (columns record_id, truth, prediction, source),
     grouped by source."""
     grouped: dict[str, list[LabeledPrediction]] = {}
-    with open(source, newline="") as handle:
+    with text_stream(source) as handle:
         reader = csv.DictReader(handle)
         required = {"record_id", "truth", "prediction", "source"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

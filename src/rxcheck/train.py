@@ -1,12 +1,10 @@
 """Parameter optimization: maximize the mean f1 score of the detector over a
 labeled training set of simulated anomalies plus held-out normal records.
 
-The anomaly class stays fixed across runs; only the normal sample is redrawn,
-which damps the variance coming from the small normal class. The redraw only
-varies when the holdout pool is larger than s_n. search_parameters draws the
-whole pool on every run (`rxcheck train` splits off a pool of exactly --sn
-records), so all runs score the same and the trace's f1_std is
-floating-point rounding noise (0 or about 1e-16). The search over
+Every run scores the whole holdout pool and the whole anomaly set, and no
+draw is made, so all runs score the same; the trace's f1_mean is the mean
+of `runs` copies of one f1, and its f1_std is floating-point rounding noise
+(0 or about 1e-16). The search over
 (a, b, mu, nu) offers a near-uniform grid, uniform random draws, or an
 adaptive density-ratio strategy that concentrates draws where past
 evaluations scored well.
@@ -53,7 +51,7 @@ class UndefinedMetric(ValueError):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """The evaluation budget, the resampling runs per point and the strategy
+    """The evaluation budget, the objective runs per point and the strategy
     of a search over SEARCH_RANGES."""
 
     budget: int = 100
@@ -122,42 +120,25 @@ def f1_metric(tp: int, fp: int, fn: int) -> float:
 def f1_objective(
     params: ModelParams,
     reference_db: "HistoricalDB",
-    holdout_pool: Sequence[TreatmentRecord | QueryProfile],
-    sa_set: Sequence[SimulatedAnomaly | QueryProfile],
+    holdout_pool: Sequence[QueryProfile],
+    sa_set: Sequence[QueryProfile],
     runs: int,
-    s_n: int,
-    rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Mean and standard deviation of f1 over `runs` resamplings of the
-    normal class (anomaly = positive class).
+    """Mean and standard deviation of f1 over `runs` runs (anomaly =
+    positive class), from the QueryProfiles against reference_db of the
+    holdout pool and of the mutated anomaly records.
 
-    The anomaly set is scored once per parameter point: detect is
-    deterministic, so only the resampled normal draws vary between runs.
-    Either set may be given as QueryProfiles against reference_db (of the
-    mutated records, for the anomalies), which detect then reuses.
+    Every run scores the whole pool and the whole anomaly set, so all runs
+    score the same. The mean of `runs` copies can still differ from the one
+    score in its last bit, and the std from 0 by about 1e-16.
     """
     if not sa_set:
         raise InvalidTrainingSet("the anomaly class is empty")
-    if s_n > len(holdout_pool):
-        raise InvalidTrainingSet(
-            f"s_n={s_n} exceeds the holdout pool size {len(holdout_pool)}"
-        )
-    sa_flagged = [detect(_anomaly_query(sa), reference_db, params).flagged for sa in sa_set]
-    tp = sum(sa_flagged)
-    fn = len(sa_flagged) - tp
-    pool_flagged = np.array(
-        [detect(record, reference_db, params).flagged for record in holdout_pool], dtype=bool
-    )
-    scores = np.empty(runs, dtype=np.float64)
-    for run in range(runs):
-        sample = rng.choice(len(holdout_pool), size=s_n, replace=False) if s_n else []
-        fp = int(pool_flagged[sample].sum()) if s_n else 0
-        scores[run] = f1_metric(tp, fp, fn)
+    tp = sum(detect(sa, reference_db, params).flagged for sa in sa_set)
+    fn = len(sa_set) - tp
+    fp = sum(detect(profile, reference_db, params).flagged for profile in holdout_pool)
+    scores = np.full(runs, f1_metric(tp, fp, fn))
     return float(np.mean(scores)), float(np.std(scores))
-
-
-def _anomaly_query(sa: SimulatedAnomaly | QueryProfile) -> TreatmentRecord | QueryProfile:
-    return sa.mutated if isinstance(sa, SimulatedAnomaly) else sa
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +154,7 @@ def search_parameters(
 ) -> TrainingOutcome:
     """Evaluate exactly space.budget parameter points and keep the best.
 
-    Every resampling run draws the whole holdout pool. Ties on the best mean
+    Every run scores the whole holdout pool. Ties on the best mean
     f1 go to the earliest evaluation, so the outcome is deterministic;
     rerunning with the same seed reproduces the trace bitwise.
     """
@@ -182,24 +163,17 @@ def search_parameters(
     pool_profiles = [query_profile(record, reference_db) for record in holdout_pool]
     sa_profiles = [query_profile(sa.mutated, reference_db) for sa in sa_set]
 
-    def evaluate(index: int, params: ModelParams) -> TraceEntry:
+    def evaluate(params: ModelParams) -> TraceEntry:
         mean, std = f1_objective(
-            params,
-            reference_db,
-            pool_profiles,
-            sa_profiles,
-            runs=space.runs_per_point,
-            s_n=len(holdout_pool),
-            rng=substream(seed, f"objective:{index}"),
+            params, reference_db, pool_profiles, sa_profiles, runs=space.runs_per_point
         )
         return TraceEntry(params, mean, std)
 
     if space.strategy == STRATEGY_GRID:
-        points = _grid_points(space, substream(seed, "grid-fill"))
-        trace = [evaluate(i, p) for i, p in enumerate(points)]
+        trace = [evaluate(p) for p in _grid_points(space, substream(seed, "grid-fill"))]
     elif space.strategy == STRATEGY_RANDOM:
         rng = substream(seed, "random-search")
-        trace = [evaluate(i, _draw_uniform(rng)) for i in range(space.budget)]
+        trace = [evaluate(_draw_uniform(rng)) for _ in range(space.budget)]
     else:
         trace = _adaptive_search(space, evaluate, substream(seed, "adaptive-search"))
 
@@ -257,7 +231,7 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
     n_candidates = 24
     gamma = 0.25
 
-    trace = [evaluate(i, _draw_uniform(rng)) for i in range(n_init)]
+    trace = [evaluate(_draw_uniform(rng)) for _ in range(n_init)]
     for index in range(n_init, space.budget):
         order = sorted(range(len(trace)), key=lambda k: (-trace[k].f1_mean, k))
         n_good = max(2, int(math.ceil(gamma * len(trace))))
@@ -284,7 +258,7 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
             if score > best_score:
                 best_score = score
                 best_candidate = values
-        trace.append(evaluate(index, ModelParams(*best_candidate)))
+        trace.append(evaluate(ModelParams(*best_candidate)))
     return trace
 
 

@@ -47,6 +47,28 @@ class TestExitCodes:
             assert run(argv) == EX_USAGE, argv
             assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--budget", "0"],
+        ["train", "--runs", "0"],
+        ["train", "--runs", "-5"],
+        ["train", "--sn", "-1"],
+        ["train", "--rarity-threshold", "-1"],
+        ["simulate", "--rarity-threshold", "-1"],
+        ["hist", "--bin-width", "0"],
+        ["hist", "--bin-width", "-0.1"],
+        ["hist", "--bin-width", "nan"],
+        ["hist", "--bin-width", "inf"],
+    ])
+    def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
+        # Rejected before any input is read: the input file does not exist,
+        # which would otherwise be exit 66.
+        command, flag, value = argv
+        code = run([command, "--input", str(tmp_path / "absent.csv"),
+                    "--out", str(tmp_path / "out"), flag, value])
+        assert code == EX_USAGE
+        assert f"argument {flag}: must be " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_is_noinput(self, tmp_path, params_json):
         code = run([
             "check", "--input", str(tmp_path / "absent.csv"),
@@ -221,6 +243,31 @@ class TestCheck:
         code = run(["check", "--input", str(query), "--config", str(config)])
         assert code == EX_OK
         assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+
+        # A byte that is not UTF-8, here in a key the config ignores, is
+        # replaced as in the other readers.
+        text = json.dumps({"historical": str(cohort_csv), "params": str(params_json),
+                           "note": "caf?"})
+        config.write_bytes(text.encode().replace(b"caf?", b"caf\xe9"))
+        code = run(["check", "--input", str(query), "--config", str(config)])
+        assert code == EX_OK
+        assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_params_rejected_before_any_verdict(
+        self, cohort_csv, tmp_path, capsys, value
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:3])
+        params = tmp_path / "params.json"
+        params.write_text(f'{{"a": {value}, "b": 0.25, "mu": 0.05, "nu": 0.05}}')
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params)])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rxcheck: error: a and b must be finite and positive")
 
 
 class TestTrain:

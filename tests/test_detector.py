@@ -25,7 +25,8 @@ from rxcheck.detector import (
 )
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import Boundaries, QuantityBounds, TechniqueBounds, UnsupportedTechnique
-from rxcheck.records import REPLAN_SUSPECT, RX_TOO_LARGE
+from rxcheck.distance import query_profile
+from rxcheck.records import DOSE_MISMATCH, REPLAN_SUSPECT, RX_TOO_LARGE
 
 from conftest import rec, random_db, random_record
 
@@ -73,6 +74,16 @@ class TestModelParams:
             ModelParams(1, 1, 0.2, 0.05)
         with pytest.raises(ValueError):
             ModelParams(1, 1, 0.05, 0.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_a_and_b_rejected(self, value):
+        # NaN compares False both ways, so "a <= 0" alone lets it through.
+        with pytest.raises(ValueError, match="finite and positive"):
+            ModelParams(value, 1, 0.05, 0.05)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ModelParams(1, value, 0.05, 0.05)
+        with pytest.raises(ValueError, match="finite and positive"):
+            ModelParams.from_dict({"a": value, "b": 1.0, "mu": 0.05, "nu": 0.05})
 
     def test_round_trip_dict(self):
         params = ModelParams(0.4, 0.7, 0.02, 0.03)
@@ -189,6 +200,22 @@ class TestDecisionLogic:
         verdict = detect(unseen, db, params)
         assert verdict.f is not None
         assert WARN_INSUFFICIENT_SAME_RX in verdict.warnings
+
+    def test_warning_order(self, db):
+        # Validation kinds in validate_record's order, then the scaling
+        # warning (both from the query profile), then the same-prescription
+        # warning of the feature step.
+        record = rec("q", 30, 200, total_dose=2000, accumulated_dose=5000,
+                     energy="x06", intent="curative", icd10="C34.10",
+                     morphology="80463", age_at_tx=62)
+        expected = (DOSE_MISMATCH, REPLAN_SUSPECT, WARN_RX_SCALED_OUT_OF_RANGE)
+        profile = query_profile(record, db)
+        assert profile.warnings == expected
+        params = ModelParams(a=50.0, b=0.5, mu=0.1, nu=0.1)
+        for query in (record, profile):
+            verdict = detect(query, db, params)
+            assert verdict.f is not None
+            assert verdict.warnings == expected + (WARN_INSUFFICIENT_SAME_RX,)
 
     def test_identical_record_passes_when_thresholds_positive(self, db):
         verdict = detect(self.normal(), db, ModelParams(0.9, 0.9, 0.1, 0.1))

@@ -220,3 +220,10 @@ class TestPredictionsCsv:
         path.write_text("record_id,truth\nr0,1\n")
         with pytest.raises(ValueError):
             read_predictions_csv(path)
+
+    def test_invalid_utf8_byte_is_replaced(self, tmp_path):
+        # As in the other readers: the bad byte spoils its cell, not the read.
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"record_id,truth,prediction,source\nr0,1,1,md\xff1\n")
+        grouped = read_predictions_csv(path)
+        assert [p.record_id for p in grouped["md\ufffd1"]] == ["r0"]

@@ -5,8 +5,8 @@ import io
 import numpy as np
 import pytest
 
-from rxcheck.detector import ModelParams
-from rxcheck.distance import InsufficientData, QueryProfile
+from rxcheck.detector import ModelParams, detect
+from rxcheck.distance import InsufficientData, QueryProfile, query_profile
 from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set
 from rxcheck.train import (
@@ -23,6 +23,23 @@ from rxcheck.train import (
 
 from oracles import close
 from synth import make_cohort
+
+
+PINNED_ADAPTIVE_TRACE = """\
+eval_index,a,b,mu,nu,f1_mean,f1_std
+0,0.9705154178213997,0.4181651789750427,0.016309527076655762,0.08206977280869227,0.8888888888888888,0.0
+1,1.8773175947444074,1.690127109467817,0.015509126532289565,0.062373374658113004,0.6666666666666666,0.0
+2,1.170398477394892,1.9232978832532892,0.01198618003765959,0.09152398306290482,0.6666666666666666,0.0
+3,1.7144685558614552,0.6949281682910686,0.010070103151577437,0.0025668384001269365,0.75,0.0
+4,1.3209908410304954,1.2190598842359601,0.09162399976017621,0.0033651605537723507,0.6666666666666666,0.0
+5,0.554766189475467,2e-09,0.02472081104386815,1.0000000000000002e-10,1.0,0.0
+6,0.009287103402837449,0.17572502588687622,0.03434202924270355,1.0000000000000002e-10,1.0,0.0
+7,2e-09,2e-09,0.038759763150363793,0.013041608908681097,1.0,0.0
+8,0.5612865980163874,2e-09,0.04423410896081959,1.0000000000000002e-10,1.0,0.0
+9,2e-09,0.06857501655411871,0.028647377795655793,0.021678382579935044,1.0,0.0
+10,0.13233427518848084,0.04353114643105219,0.035040048193680964,0.009285693289829297,1.0,0.0
+11,0.04151591711988261,0.23128639621066333,0.04017166254922956,1.0000000000000002e-10,1.0,0.0
+"""
 
 
 @pytest.fixture(scope="module")
@@ -94,42 +111,48 @@ class TestF1Metric:
 
 
 class TestF1Objective:
+    @staticmethod
+    def profiles(reference_db, pool, sa_set):
+        return (
+            [query_profile(record, reference_db) for record in pool],
+            [query_profile(sa.mutated, reference_db) for sa in sa_set],
+        )
+
     def test_huge_thresholds_score_zero(self, setup):
         reference_db, pool, sa_set = setup
         # Swapped prescriptions sit ~5 theta away; a=500 outruns even those.
         params = ModelParams(a=500.0, b=2.0, mu=0.05, nu=0.05)
         blind = [sa for sa in sa_set if sa.mutation.kind == KIND_FEATURE]
-        mean, std = f1_objective(params, reference_db, pool, blind,
-                                 runs=5, s_n=6, rng=np.random.default_rng(3))
+        pool_profiles, sa_profiles = self.profiles(reference_db, pool, blind)
+        mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=5)
         assert mean == 0.0 and std == 0.0
 
     def test_separating_thresholds_score_one(self, setup):
         reference_db, pool, sa_set = setup
         params = ModelParams(a=1.0, b=0.2, mu=0.05, nu=0.05)
-        mean, std = f1_objective(params, reference_db, pool, sa_set,
-                                 runs=5, s_n=6, rng=np.random.default_rng(3))
+        pool_profiles, sa_profiles = self.profiles(reference_db, pool, sa_set)
+        mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=5)
         assert mean == 1.0 and std == 0.0
+
+    def test_every_run_scores_the_whole_pool(self, setup):
+        # f1 from the flag counts of detect over the whole pool and the whole
+        # anomaly set, whatever the number of runs.
+        reference_db, pool, sa_set = setup
+        params = ModelParams(1.0, 0.01, 0.1, 0.1)
+        pool_profiles, sa_profiles = self.profiles(reference_db, pool, sa_set)
+        tp = sum(detect(sa.mutated, reference_db, params).flagged for sa in sa_set)
+        fp = sum(detect(record, reference_db, params).flagged for record in pool)
+        expected = f1_metric(tp, fp, len(sa_set) - tp)
+        assert 0 < fp < len(pool) and 0.0 < expected < 1.0
+        for runs in (1, 3, 50):
+            mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=runs)
+            assert mean == pytest.approx(expected, abs=1e-15) and std < 1e-15
 
     def test_empty_sa_set_rejected(self, setup):
         reference_db, pool, _ = setup
+        pool_profiles, _ = self.profiles(reference_db, pool, [])
         with pytest.raises(InvalidTrainingSet):
-            f1_objective(ModelParams(1, 1, 0.05, 0.05), reference_db, pool, [],
-                         runs=1, s_n=2, rng=np.random.default_rng(0))
-
-    def test_oversized_sample_rejected(self, setup):
-        reference_db, pool, sa_set = setup
-        with pytest.raises(InvalidTrainingSet):
-            f1_objective(ModelParams(1, 1, 0.05, 0.05), reference_db, pool, sa_set,
-                         runs=1, s_n=len(pool) + 1, rng=np.random.default_rng(0))
-
-    def test_deterministic_with_fixed_sample(self, setup):
-        reference_db, pool, sa_set = setup
-        params = ModelParams(0.8, 0.3, 0.03, 0.04)
-        a = f1_objective(params, reference_db, pool, sa_set, runs=1,
-                         s_n=len(pool), rng=np.random.default_rng(4))
-        b = f1_objective(params, reference_db, pool, sa_set, runs=1,
-                         s_n=len(pool), rng=np.random.default_rng(99))
-        assert a == b  # sampling the whole pool removes the only randomness
+            f1_objective(ModelParams(1, 1, 0.05, 0.05), reference_db, pool_profiles, [], runs=1)
 
 
 class TestSearchSpace:
@@ -238,6 +261,17 @@ class TestSearchParameters:
             space = SearchSpace(budget=budget, runs_per_point=2, strategy="adaptive")
             search_parameters(space, reference_db, pool, sa_set, seed=4)
             assert len(built) == len(sa_set) + len(pool)
+
+    def test_adaptive_trace_bytes_unchanged(self, setup):
+        # The pinned bytes of one adaptive search: a change to the search or
+        # the objective that moves any point or score, even in its last bit,
+        # shows here.
+        reference_db, pool, sa_set = setup
+        space = SearchSpace(budget=12, runs_per_point=3, strategy="adaptive")
+        outcome = search_parameters(space, reference_db, pool, sa_set, seed=4)
+        buffer = io.StringIO()
+        write_trace_csv(buffer, outcome)
+        assert buffer.getvalue() == PINNED_ADAPTIVE_TRACE
 
     def test_trace_csv(self, setup, tmp_path):
         reference_db, pool, sa_set = setup
