@@ -34,6 +34,8 @@ STATUS_TYPE2 = "Type2Flag"
 
 WARN_INSUFFICIENT_SAME_RX = "InsufficientSameRx"
 
+_PARAM_KEYS = ("a", "b", "mu", "nu")
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -65,12 +67,18 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, float]) -> "ModelParams":
-        return cls(
-            a=float(payload["a"]),
-            b=float(payload["b"]),
-            mu=float(payload["mu"]),
-            nu=float(payload["nu"]),
-        )
+        """Raises MalformedParams for a payload that is not an object or
+        lacks a key, naming the missing keys."""
+        if not isinstance(payload, Mapping):
+            raise MalformedParams(f"expected an object with keys {', '.join(_PARAM_KEYS)}, got {payload!r}")
+        missing = [key for key in _PARAM_KEYS if key not in payload]
+        if missing:
+            raise MalformedParams("missing key " + ", ".join(repr(key) for key in missing))
+        return cls(**{key: float(payload[key]) for key in _PARAM_KEYS})
+
+
+class MalformedParams(ValueError):
+    """A parameters entry that is not an object with the keys a, b, mu, nu."""
 
 
 def thresholds(params: ModelParams, db: "HistoricalDB") -> tuple[float, float]:
@@ -210,12 +218,26 @@ def write_verdicts_jsonl(destination, verdicts: Iterable[Verdict]) -> None:
 
 def load_params_json(source) -> dict[str, ModelParams]:
     """Read trained parameters: either one flat object or a mapping keyed by
-    technique. A flat object is returned under the wildcard key '*'."""
+    technique. A flat object is returned under the wildcard key '*'.
+
+    A file that is not an object raises ValueError naming the file; an entry
+    that is not an object or lacks a key raises MalformedParams naming the
+    file, the technique and the keys.
+    """
     with text_stream(source) as handle:
         payload = json.load(handle)
-    if set(payload) >= {"a", "b", "mu", "nu"}:
-        return {"*": ModelParams.from_dict(payload)}
-    return {technique: ModelParams.from_dict(entry) for technique, entry in payload.items()}
+    name = getattr(source, "name", source)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
+    if set(payload) >= set(_PARAM_KEYS):
+        payload = {"*": payload}
+    loaded = {}
+    for technique, entry in payload.items():
+        try:
+            loaded[technique] = ModelParams.from_dict(entry)
+        except MalformedParams as exc:
+            raise MalformedParams(f"{name}: technique {technique!r}: {exc}") from None
+    return loaded
 
 
 def params_for_technique(params_by_technique: Mapping[str, ModelParams], technique: str) -> ModelParams:

@@ -14,10 +14,19 @@ distance second, and stable input order last, so records sharing the query's
 exact prescription are consumed before more distant prescriptions.
 
 A QueryProfile holds what a query needs against one reference set that the
-detector's parameters do not change: both distance vectors, the neighbour
-order, the same-prescription count and the record's warnings. The group
-functions and the detector take a record or its profile; training profiles
-each record once and scores every parameter point from the profile.
+detector's parameters do not change, without sorting the reference set.
+Every record of one distinct scaled prescription (row) lies at the same
+rho, so the profile computes rho per row, U rows against S records, and
+ranks the rows; rows at exactly equal rho form a level. The prescription
+group sums the m smallest rho values from the rows' counts. The feature
+group walks the levels in rho order, computes Gower only for the records of
+the levels it reaches, orders each level's records by feature distance (NaN
+last) and input order, and stops once it holds n comparable records. The
+walked prefix is cached on the profile and extended on demand: training
+profiles each record once and scores every parameter point from it. A group
+mean depends only on its members' multiset, as math.fsum is correctly
+rounded. The full neighbour order and both distance vectors over all
+records stay available as lazy properties.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -29,13 +38,16 @@ come from per-pattern value counts, and numeric |difference| sums from one
 sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's bound range, as they do when the schema was bound
-to the same records; pairwise_means checks that. Only the histograms, which
-need each pair's value, still visit every pair, in blocks.
+to the same records; pairwise_means checks that. Only the feature
+histogram, which needs each pair's value, still visits every pair of
+records, in blocks; the prescription histogram weights each pair of
+distinct prescriptions by the product of their counts.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -245,31 +257,58 @@ def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (values - lo) / width
 
 
+@dataclass(frozen=True)
+class DistinctRx:
+    """A reference set's records grouped by scaled prescription: the distinct
+    (f, d) rows in ascending order and each row's record count. Row k's
+    records are members[starts[k]:starts[k] + counts[k]], in input order."""
+
+    f: np.ndarray
+    d: np.ndarray
+    counts: np.ndarray
+    starts: np.ndarray
+    members: np.ndarray
+
+
+def distinct_rx(rx_f: np.ndarray, rx_d: np.ndarray) -> DistinctRx:
+    """Group records by their scaled float coordinates, so every record of a
+    row lies at exactly the row's distance from any point."""
+    # lexsort is stable: rows in (f, d) order, each row's records in input order.
+    members = np.lexsort((rx_d, rx_f))
+    f, d = rx_f[members], rx_d[members]
+    starts = np.flatnonzero(np.r_[True, (f[1:] != f[:-1]) | (d[1:] != d[:-1])])
+    return DistinctRx(
+        f=f[starts], d=d[starts], counts=np.diff(np.r_[starts, len(members)]),
+        starts=starts, members=members,
+    )
+
+
 def _rho(f, d, rx_f: np.ndarray, rx_d: np.ndarray) -> np.ndarray:
     """Prescription distances from scaled left coordinates (scalars or a
-    column block) to every reference record."""
+    column block) to scaled right coordinates."""
     df = f - rx_f
     dd = d - rx_d
     return np.sqrt(df * df + dd * dd)
 
 
-def _gower(left, shape) -> np.ndarray:
-    """Gower distances from a left side to every encoded record.
+def _gower(pairs, shape) -> np.ndarray:
+    """Gower distances between a left and a right side of encoded records.
 
-    left yields (column, values, valid) for each column the left side has:
-    values are in the column's code space and broadcast against it, and
-    valid marks the pairs where neither side misses the feature. Entries are
-    NaN where the pair is incomparable. Accumulates features in schema order
-    so results match the scalar gower_distance bit for bit.
+    pairs yields (column, left, right, valid) for each column the left side
+    has: left and right are values in the column's code space that broadcast
+    to shape, and valid marks the pairs where neither side misses the
+    feature. Entries are NaN where the pair is incomparable. Accumulates
+    features in schema order so results match the scalar gower_distance bit
+    for bit.
     """
     num = np.zeros(shape, dtype=np.float64)
     den = np.zeros(shape, dtype=np.float64)
-    for col, values, valid in left:
+    for col, left, right, valid in pairs:
         if col.kind == NUMERIC and col.width > 0:
-            contribution = np.minimum(np.abs(values - col.values) / col.width, 1.0)
+            contribution = np.minimum(np.abs(left - right) / col.width, 1.0)
         else:
             # Categories, or a degenerate numeric range: any difference is maximal.
-            contribution = (values != col.values).astype(np.float64)
+            contribution = (left != right).astype(np.float64)
         num = np.where(valid, num + col.weight * contribution, num)
         den = np.where(valid, den + col.weight, den)
     return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
@@ -283,52 +322,150 @@ def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
         value = getattr(record, col.name)
         if value is None:
             continue
-        yield col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2), col.present
+        yield col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2)
 
 
-def _pair_blocks(rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures):
-    """Yields (rows, rho, g): the distances from records rows (a block of at
-    most _PAIR_BLOCK) to every record, with one row per block record."""
+def _against(features, index):
+    """_gower pairs of a query's (column, value) features against the
+    reference records at index (an index array or a slice)."""
+    for col, value in features:
+        yield col, value, col.values[index], col.present[index]
+
+
+def _pair_blocks(encoded: EncodedFeatures):
+    """Yields (rows, g): the Gower distances from records rows (a block of
+    at most _PAIR_BLOCK) to every record, with one row per block record."""
     size = encoded.size
     for lo in range(0, size, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, size)
         block = slice(lo, hi)
-        left = (
-            (col, col.values[block, None], col.present[block, None] & col.present)
+        pairs = (
+            (col, col.values[block, None], col.values, col.present[block, None] & col.present)
             for col in encoded.columns
         )
-        # Gower before rho: the caller still holds the previous block's
-        # arrays while this runs, and Gower's temporaries are the larger peak.
-        g = _gower(left, (hi - lo, size))
-        yield np.arange(lo, hi), _rho(rx_f[block, None], rx_d[block, None], rx_f, rx_d), g
+        yield np.arange(lo, hi), _gower(pairs, (hi - lo, size))
+
+
+def _row_pair_blocks(rows: DistinctRx):
+    """Yields (lo, rho): the distances from distinct rows lo.. (a block of at
+    most _PAIR_BLOCK) to rows lo.., one row per block row; the pairs u < v
+    of row u are rho[u - lo, u - lo + 1:]."""
+    count = len(rows.counts)
+    for lo in range(0, count, _PAIR_BLOCK):
+        hi = min(lo + _PAIR_BLOCK, count)
+        yield lo, _rho(rows.f[lo:hi, None], rows.d[lo:hi, None], rows.f[lo:], rows.d[lo:])
 
 
 # ---------------------------------------------------------------------------
 # Group distances
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class QueryProfile:
     """What one record against one reference set needs that the parameters
     (a, b, mu, nu) do not change.
 
-    rho and g are the prescription and Gower distances to every reference
-    record (g is NaN where the pair is incomparable); order ranks the
-    reference records by rho, then g (NaN last within ties), then input
-    order; comparable is the subsequence of order with a defined g. warnings
-    are the record's validate_record violation kinds, then
-    RxScaledOutOfRange when its prescription scales outside [0, 1]. Build it
-    with query_profile and reuse it for every group size and threshold.
+    warnings are the record's validate_record violation kinds, then
+    RxScaledOutOfRange when its prescription scales outside [0, 1].
+    same_rx_count is the number of reference records with its exact
+    prescription. Build it with query_profile and reuse it for every group
+    size and threshold.
+
+    The profile does not sort the S reference records. It holds rho to each
+    distinct scaled prescription of the reference (row), the rows in rho
+    order and their record counts; rows at exactly equal rho form a
+    level. The selection order ranks records by rho, then g (NaN last), then
+    input order: it is the levels in rho order, each level's records by (g,
+    input order). The profile walks whole levels into that order on demand,
+    computing Gower only for the records of the levels it reaches, and keeps
+    the walked prefix for the next caller. sorted_rho (every record's rho,
+    ascending, from the rows' counts), rho, g, order and comparable (the
+    subsequence of order with a defined g) over every reference record are
+    lazy properties: order and comparable walk to the end.
     """
 
-    record: TreatmentRecord
-    db: "HistoricalDB" = field(repr=False)
-    warnings: tuple[str, ...]
-    rho: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    order: np.ndarray = field(repr=False)
-    comparable: np.ndarray = field(repr=False)
-    same_rx_count: int
+    def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
+        scaled = db.rx_scaler.scale(record.prescription)
+        warnings = [v.kind for v in validate_record(record).violations]
+        if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
+            warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
+        self.record = record
+        self.db = db
+        self.warnings = tuple(warnings)
+        self.same_rx_count = db.rx_index.get(record.rx, 0)
+        self._features = tuple(_query_features(record, db.encoded))
+        self._row_rho = _rho(scaled.f, scaled.d, db.rx_rows.f, db.rx_rows.d)
+        # Rows of one level may come in any order: the walk orders a level's
+        # records by (g, input order).
+        self._rows = np.argsort(self._row_rho)
+        self._level_rho = self._row_rho[self._rows]
+        self._counts = db.rx_rows.counts[self._rows]
+        self._cumulative = np.cumsum(self._counts)
+        self._walked = 0                                # rows walked, at a level end
+        self._order = np.empty(0, dtype=np.intp)
+        self._comparable = np.empty(0, dtype=np.intp)
+        self._comparable_g = np.empty(0, dtype=np.float64)
+
+    @functools.cached_property
+    def sorted_rho(self) -> np.ndarray:
+        """Every reference record's prescription distance, ascending: each
+        row's rho once per record, rows in rho order."""
+        return np.repeat(self._level_rho, self._counts)
+
+    def nearest(self, k: int) -> np.ndarray:
+        """The first k reference records in selection order."""
+        if len(self._order) < k:
+            self._walk(k)
+        return self._order[:k]
+
+    def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k comparable reference records in selection order and
+        their g; all of them when the reference set has fewer."""
+        while len(self._comparable) < k and self._walked < len(self._rows):
+            self._walk(len(self._order) + k - len(self._comparable))
+        return self._comparable[:k], self._comparable_g[:k]
+
+    def _walk(self, target: int) -> None:
+        """Append whole levels to the walked order until it holds at least
+        target records, and at least twice as many as before, so a profile
+        reused over growing group sizes extends it a few times only."""
+        start, count = self._walked, len(self._rows)
+        stop = min(int(np.searchsorted(self._cumulative, max(target, 2 * len(self._order)))) + 1, count)
+        while stop < count and self._level_rho[stop] == self._level_rho[stop - 1]:
+            stop += 1
+        rows = self.db.rx_rows
+        counts = self._counts[start:stop]
+        # The records of rows[start:stop], each row's in input order.
+        first = np.repeat(rows.starts[self._rows[start:stop]] - (np.cumsum(counts) - counts), counts)
+        index = rows.members[first + np.arange(len(first))]
+        g = _gower(_against(self._features, index), len(index))
+        # lexsort's last key is the primary one: levels in rho order, then g
+        # with NaN last, then input order.
+        ranked = np.lexsort((index, g, np.repeat(self._level_rho[start:stop], counts)))
+        index, g = index[ranked], g[ranked]
+        defined = ~np.isnan(g)
+        self._order = np.concatenate((self._order, index))
+        self._comparable = np.concatenate((self._comparable, index[defined]))
+        self._comparable_g = np.concatenate((self._comparable_g, g[defined]))
+        self._walked = stop
+
+    @property
+    def order(self) -> np.ndarray:
+        return self.nearest(self.db.size)
+
+    @property
+    def comparable(self) -> np.ndarray:
+        return self.nearest_comparable(self.db.size)[0]
+
+    @functools.cached_property
+    def rho(self) -> np.ndarray:
+        rows = self.db.rx_rows
+        rho = np.empty(self.db.size)
+        rho[rows.members] = np.repeat(self._row_rho, rows.counts)
+        return rho
+
+    @functools.cached_property
+    def g(self) -> np.ndarray:
+        return _gower(_against(self._features, slice(None)), self.db.size)
 
 
 def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> QueryProfile:
@@ -339,40 +476,31 @@ def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> 
                 f"profile of record {query.record.record_id!r} was built against another reference set"
             )
         return query
-    scaled = db.rx_scaler.scale(query.prescription)
-    rho = _rho(scaled.f, scaled.d, db.rx_f, db.rx_d)
-    g = _gower(_query_features(query, db.encoded), db.size)
-    # lexsort's last key is the primary one; it is stable, so input order
-    # breaks the remaining ties.
-    order = np.lexsort((g, rho))
-    warnings = [v.kind for v in validate_record(query).violations]
-    if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
-        warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
-    return QueryProfile(
-        record=query,
-        db=db,
-        warnings=tuple(warnings),
-        rho=rho,
-        g=g,
-        order=order,
-        comparable=order[~np.isnan(g[order])],
-        same_rx_count=db.rx_index.get(query.rx, 0),
-    )
+    return QueryProfile(query, db)
 
 
 @dataclass(frozen=True)
 class GroupDistanceResult:
     """Mean distance over the selected neighbor group.
 
-    indices are the averaged reference records' positions in the profile's
-    reference set, in selection order. warning flags a feature group padded
-    beyond the same-prescription records.
+    size is the group size; a feature group (comparable_only) skips
+    incomparable records. warning flags a feature group padded beyond the
+    same-prescription records.
     """
 
     value: float
     warning: bool
     profile: QueryProfile = field(repr=False, compare=False)
-    indices: np.ndarray = field(repr=False, compare=False)
+    size: int = field(repr=False, compare=False)
+    comparable_only: bool = field(repr=False, compare=False)
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The averaged reference records' positions in the profile's
+        reference set, in selection order."""
+        if self.comparable_only:
+            return self.profile.nearest_comparable(self.size)[0]
+        return self.profile.nearest(self.size)
 
     @property
     def members(self) -> tuple[tuple[str, float, float | None], ...]:
@@ -380,11 +508,12 @@ class GroupDistanceResult:
         in selection order; the feature distance is None for an incomparable
         pair."""
         records = self.profile.db.records
-        rho = self.profile.rho[self.indices].tolist()
-        g = self.profile.g[self.indices].tolist()
+        indices = self.indices
+        rho = self.profile.rho[indices].tolist()
+        g = self.profile.g[indices].tolist()
         return tuple(
             (records[k].record_id, r, None if math.isnan(x) else x)
-            for k, r, x in zip(self.indices.tolist(), rho, g)
+            for k, r, x in zip(indices.tolist(), rho, g)
         )
 
     @property
@@ -400,8 +529,7 @@ def closest_m_rx_distance(
     if not 1 <= m <= size:
         raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
     profile = query_profile(query, db)
-    take = profile.order[:m]
-    return GroupDistanceResult(math.fsum(profile.rho[take].tolist()) / m, False, profile, take)
+    return GroupDistanceResult(math.fsum(profile.sorted_rho[:m].tolist()) / m, False, profile, m, False)
 
 
 def closest_n_feature_distance(
@@ -419,13 +547,12 @@ def closest_n_feature_distance(
     if not 1 <= n <= size:
         raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
     profile = query_profile(query, db)
-    take = profile.comparable[:n]
+    take, g = profile.nearest_comparable(n)
     if len(take) < n:
         raise InsufficientNeighbors(
             f"only {len(take)} comparable reference records for n={n}"
         )
-    value = math.fsum(profile.g[take].tolist()) / n
-    return GroupDistanceResult(value, profile.same_rx_count < n, profile, take)
+    return GroupDistanceResult(math.fsum(g.tolist()) / n, profile.same_rx_count < n, profile, n, True)
 
 
 # ---------------------------------------------------------------------------
@@ -454,27 +581,22 @@ def pairwise_means(
     size = len(rx_f)
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
-    theta = 2.0 * _distinct_rx_sum(rx_f, rx_d) / (size * (size - 1))
+    theta = 2.0 * _distinct_rx_sum(distinct_rx(rx_f, rx_d)) / (size * (size - 1))
     tau_sum, comparable = _pattern_gower_sum(encoded)
     if comparable == 0:
         raise IncomparablePair("no comparable pair in the reference set")
     return theta, tau_sum / comparable, size * (size - 1) - comparable
 
 
-def _distinct_rx_sum(rx_f: np.ndarray, rx_d: np.ndarray) -> float:
+def _distinct_rx_sum(rows: DistinctRx) -> float:
     """Sum of prescription distances over unordered pairs of records, from
-    the distinct (f, d) rows and their counts; equal prescriptions add 0."""
-    rows, counts = np.unique(np.column_stack((rx_f, rx_d)), axis=0, return_counts=True)
-    f, d = rows[:, 0], rows[:, 1]
-    weights = counts.astype(np.float64)
+    the distinct rows and their counts; equal prescriptions add 0."""
+    weights = rows.counts.astype(np.float64)
 
     def upper_terms():
-        # Rows lo..hi against rows lo.., keeping the pairs u < v.
-        for lo in range(0, len(rows), _PAIR_BLOCK):
-            hi = min(lo + _PAIR_BLOCK, len(rows))
-            rho = _rho(f[lo:hi, None], d[lo:hi, None], f[lo:], d[lo:])
-            terms = weights[lo:hi, None] * weights[lo:] * rho
-            for u in range(hi - lo):
+        for lo, rho in _row_pair_blocks(rows):
+            terms = weights[lo:lo + len(rho), None] * weights[lo:] * rho
+            for u in range(len(rho)):
                 yield from terms[u, u + 1:].tolist()
 
     return math.fsum(upper_terms())
@@ -568,14 +690,20 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
         raise ValueError("bin_width must be positive")
     rho_edges = _edges(RX_DISTANCE_MAX, bin_width)
     g_edges = _edges(1.0, bin_width)
+    rows = db.rx_rows
     rho_counts = np.zeros(len(rho_edges) - 1, dtype=np.int64)
+    # Pairs within a distinct row are at distance 0; a pair of rows stands
+    # for the product of their counts.
+    rho_counts[0] = (rows.counts * (rows.counts - 1) // 2).sum()
+    for lo, rho in _row_pair_blocks(rows):
+        upper = np.arange(lo, len(rows.counts))[None, :] > np.arange(lo, lo + len(rho))[:, None]
+        pairs = rows.counts[lo:lo + len(rho), None] * rows.counts[lo:]
+        rho_counts += np.histogram(rho[upper], bins=rho_edges, weights=pairs[upper])[0]
     g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
     cols = np.arange(db.size)
-    for rows, rho, g in _pair_blocks(db.rx_f, db.rx_d, db.encoded):
-        upper = cols[None, :] > rows[:, None]
-        rho_counts += np.histogram(rho[upper], bins=rho_edges)[0]
-        g_vals = g[upper & ~np.isnan(g)]
-        g_counts += np.histogram(g_vals, bins=g_edges)[0]
+    for block, g in _pair_blocks(db.encoded):
+        upper = cols[None, :] > block[:, None]
+        g_counts += np.histogram(g[upper & ~np.isnan(g)], bins=g_edges)[0]
     return (
         Histogram(rho_edges, _normalize(rho_counts)),
         Histogram(g_edges, _normalize(g_counts)),

@@ -10,10 +10,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import distance
-from .distance import EncodedFeatures, InsufficientData, RxScaler
+from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
 from .records import (
     AGE_OUT_OF_RANGE,
     CSV_COLUMNS,
@@ -377,7 +375,9 @@ class HistoricalDB:
 
     Carries the prescription scaler, the bound feature schema, the exact
     prescription occurrence index, and the characteristic pairwise distances
-    theta (prescriptions) and tau (features). Safe to share across workers.
+    theta (prescriptions) and tau (features); for the distance kernels, the
+    encoded features and the records grouped by distinct scaled
+    prescription. Safe to share across workers.
     """
 
     technique: str
@@ -389,8 +389,7 @@ class HistoricalDB:
     tau: float
     incomparable_pairs: int = 0
     encoded: EncodedFeatures = field(repr=False, compare=False, default=None)
-    rx_f: np.ndarray = field(repr=False, compare=False, default=None)
-    rx_d: np.ndarray = field(repr=False, compare=False, default=None)
+    rx_rows: DistinctRx = field(repr=False, compare=False, default=None)
 
     @property
     def size(self) -> int:
@@ -431,8 +430,7 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
         tau=tau,
         incomparable_pairs=skipped,
         encoded=encoded,
-        rx_f=rx_f,
-        rx_d=rx_d,
+        rx_rows=distance.distinct_rx(rx_f, rx_d),
     )
 
 

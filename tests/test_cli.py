@@ -269,6 +269,27 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err.startswith("rxcheck: error: a and b must be finite and positive")
 
+    @pytest.mark.parametrize("entry, problem", [
+        ('{"a": 1}', "missing key 'b', 'mu', 'nu'"),
+        ("5", "expected an object with keys a, b, mu, nu, got 5"),
+    ])
+    def test_malformed_params_entry_named_before_any_verdict(
+        self, cohort_csv, tmp_path, capsys, entry, problem
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:3])
+        params = tmp_path / "params.json"
+        params.write_text(f'{{"3D": {entry}}}')
+        out = tmp_path / "out"
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params), "--out", str(out)])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rxcheck: error: {params}: technique '3D': {problem}\n"
+        assert not (out / "verdicts.jsonl").exists()
+
 
 class TestTrain:
     def test_budget_one_trace(self, cohort_csv, tmp_path):

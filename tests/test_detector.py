@@ -14,6 +14,7 @@ from rxcheck.detector import (
     STATUS_TYPE2,
     WARN_INSUFFICIENT_SAME_RX,
     WARN_RX_SCALED_OUT_OF_RANGE,
+    MalformedParams,
     ModelParams,
     detect,
     explain,
@@ -88,6 +89,14 @@ class TestModelParams:
     def test_round_trip_dict(self):
         params = ModelParams(0.4, 0.7, 0.02, 0.03)
         assert ModelParams.from_dict(params.as_dict()) == params
+
+    @pytest.mark.parametrize("payload, problem", [
+        ({"a": 1, "nu": 0.1}, "missing key 'b', 'mu'"),
+        ([1, 2], "expected an object with keys a, b, mu, nu, got \\[1, 2\\]"),
+    ])
+    def test_malformed_payload_rejected(self, payload, problem):
+        with pytest.raises(MalformedParams, match=problem):
+            ModelParams.from_dict(payload)
 
 
 class TestThresholds:

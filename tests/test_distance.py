@@ -512,6 +512,98 @@ def test_build_over_int64_prescriptions_rejects_or_matches_oracle(records):
     assert close(db.theta, theta) and close(db.tau, tau)
 
 
+@st.composite
+def _mirrored_references(draw):
+    """A query at the centre of its reference set's scaled range, and
+    records at prescriptions mirrored around it, so distinct prescriptions
+    lie at exactly equal rho from the query. The half-widths are 0 (a
+    degenerate dimension) or powers of two, so scaling and the differences
+    to the centre are exact. Some records miss every feature, and so may the
+    query."""
+    half_f, half_d = draw(st.tuples(*[st.sampled_from((0, 1, 2, 4, 8))] * 2))
+    cf, cd = draw(st.tuples(st.integers(9, 40), st.integers(9, 40)))
+    offsets = draw(st.lists(
+        st.tuples(st.integers(0, half_f), st.integers(0, half_d)), min_size=1, max_size=4
+    ))
+    mirrored = sorted({
+        (cf + sf * i, cd + sd * j) for i, j in offsets for sf in (1, -1) for sd in (1, -1)
+    })
+    # The two corners pin the scaler's range with the query at its centre.
+    prescriptions = [(cf - half_f, cd - half_d), (cf + half_f, cd + half_d)]
+    size = draw(st.integers(2, 30))
+    prescriptions += draw(st.lists(st.sampled_from(mirrored), min_size=size - 2, max_size=size - 2))
+
+    def features():
+        if draw(st.integers(0, 4)) == 0:
+            return {}
+        return dict(
+            energy=draw(st.none() | _ENERGY),
+            intent=draw(st.none() | _INTENT),
+            icd10=draw(st.none() | _ICD10),
+            morphology=draw(st.none() | _MORPHOLOGY),
+            age_at_tx=draw(st.none() | st.integers(40, 90)),
+        )
+
+    records = [rec(f"r{k}", f, d, **features()) for k, (f, d) in enumerate(prescriptions)]
+    return rec("q", cf, cd, **features()), records
+
+
+def _level_sizes(query, db):
+    """Group sizes that end inside a level of equal rho, at its boundary and
+    just past it, counted over all records and over the comparable ones,
+    plus 1 and S."""
+    records, schema = list(db.records), db.feature_schema
+    bounds = (db.rx_scaler.f_min, db.rx_scaler.f_max, db.rx_scaler.d_min, db.rx_scaler.d_max)
+    rho = [oracle_rho(query.prescription, r.prescription, *bounds) for r in records]
+    comparable = [oracle_gower(query, r, schema) is not None for r in records]
+    sizes = {1, db.size}
+    for level in sorted(set(rho)):
+        below = [k for k, value in enumerate(rho) if value <= level]
+        for count in (len(below), sum(comparable[k] for k in below)):
+            sizes.update((count - 1, count, count + 1))
+    return sorted(k for k in sizes if 1 <= k <= db.size)
+
+
+@seed(20214)
+@settings(deadline=None, max_examples=150, database=None)
+@given(drawn=_mirrored_references(), data=st.data())
+def test_groups_over_equal_rho_levels_match_oracle(drawn, data):
+    query, records = drawn
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            return
+    sizes = _level_sizes(query, db)
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(sizes), st.sampled_from(sizes)), min_size=1, max_size=6
+    ))
+    for m, n in pairs:
+        _assert_sizes_match_oracle(query, db, m, n, query)
+    # One profile reused over growing and then shrinking group sizes, as the
+    # search reuses it, extends its walked prefix and reads it back.
+    profile = query_profile(query, db)
+    for m, n in sorted(pairs) + sorted(pairs, reverse=True):
+        _assert_sizes_match_oracle(query, db, m, n, profile)
+
+
+def _assert_sizes_match_oracle(query, db, m, n, candidate):
+    records, schema = list(db.records), db.feature_schema
+    expected, ids = oracle_closest_m(query, records, schema, m)
+    got = closest_m_rx_distance(candidate, db, m)
+    assert close(got.value, expected)
+    assert [t[0] for t in got.members] == [records[i].record_id for i in ids]
+    expected_f, ids_f = oracle_closest_n(query, records, schema, n)
+    if expected_f is None:
+        with pytest.raises(InsufficientNeighbors):
+            closest_n_feature_distance(candidate, db, n)
+    else:
+        got_f = closest_n_feature_distance(candidate, db, n)
+        assert close(got_f.value, expected_f)
+        assert [t[0] for t in got_f.members] == [records[i].record_id for i in ids_f]
+
+
 def _r_f_status(query, db, params):
     try:
         verdict = detect(query, db, params)
