@@ -6,7 +6,8 @@ from __future__ import annotations
 import csv
 import json
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import getitem
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
@@ -19,9 +20,9 @@ from .records import (
     NON_POSITIVE_RX,
     RX_TOO_LARGE,
     FeatureSchema,
+    RowParser,
     TreatmentRecord,
     default_schema,
-    record_from_row,
     rx_exact_in_float,
     text_stream,
     validate_record,
@@ -116,6 +117,10 @@ class CohortConfig:
         for technique in MODELED_TECHNIQUES:
             if not self.energy_whitelist.get(technique):
                 raise ValueError(f"empty energy whitelist for {technique}")
+        if not isinstance(self.subject_delimiter, str) or not self.subject_delimiter:
+            raise ValueError(
+                f"subject_delimiter must be a non-empty string, got {self.subject_delimiter!r}"
+            )
 
     def subject_key(self, record_id: str) -> str:
         return record_id.split(self.subject_delimiter, 1)[0]
@@ -179,23 +184,29 @@ def parse_dataset(
     """Parse a CSV export, keeping row order.
 
     Every input row yields either a record or a diagnostic carrying the row
-    number and reason; a file's bytes that are not UTF-8 are replaced with
+    number and reason; a blank line is no row. A file's leading byte order
+    mark is dropped and its bytes that are not UTF-8 are replaced with
     U+FFFD. An unreadable source raises OSError; a header missing required
     columns raises SchemaError.
     """
     with text_stream(source) as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None:
             raise SchemaError("empty input: no header row")
         missing = [column for column in REQUIRED_COLUMNS if column not in header]
         if missing:
             raise SchemaError(f"header missing required columns: {', '.join(missing)}")
+        parser = RowParser(header)
         records: list[TreatmentRecord] = []
         diagnostics: list[ParseDiagnostic] = []
-        for number, row in enumerate(reader, start=1):
+        number = 0
+        for row in reader:
+            if not row:
+                continue    # a blank line is no row, as in csv.DictReader
+            number += 1
             try:
-                records.append(record_from_row(row))
+                records.append(parser.record(parser.cells(row)))
             except (ValueError, TypeError) as exc:
                 diagnostics.append(ParseDiagnostic(number, str(exc)))
         return records, diagnostics
@@ -218,6 +229,59 @@ class NormalizationReport:
         self.unmapped[(field_name, label)] += 1
 
 
+class _Resolved(dict):
+    """One field's raw label -> label after mapping, each distinct label
+    resolved once. A label that the field's table neither maps nor produces
+    goes into `unmapped` as (field, label); without a table every label
+    passes through as mapped."""
+
+    def __init__(self, field_name: str, table: Mapping[str, str] | None, unmapped: set):
+        super().__init__({None: None})
+        self._field_name = field_name
+        self._table = table
+        self._unmapped = unmapped
+
+    def __missing__(self, label: str) -> str:
+        table = self._table
+        if table is None:
+            mapped = label
+        elif label in table:
+            mapped = table[label]
+        else:
+            mapped = label
+            if label not in table.values():
+                self._unmapped.add((self._field_name, label))
+        self[label] = mapped
+        return mapped
+
+
+class _LabelResolver:
+    """normalize_labels for many records under one set of mapping tables."""
+
+    def __init__(self, mappings: Mapping[str, Mapping[str, str]]):
+        self._unmapped: set[tuple[str, str]] = set()
+        self._fields = tuple(
+            _Resolved(name, mappings.get(name), self._unmapped) for name in _MAPPABLE_FIELDS
+        )
+
+    def normalize(
+        self, record: TreatmentRecord, report: NormalizationReport | None
+    ) -> TreatmentRecord:
+        labels = (record.technique, record.energy, record.intent, record.icd10, record.morphology)
+        mapped = tuple(map(getitem, self._fields, labels))
+        if report is not None and self._unmapped:
+            for field_label in zip(_MAPPABLE_FIELDS, labels):
+                if field_label in self._unmapped:
+                    report.add(*field_label)
+        if mapped == labels:
+            return record
+        technique, energy, intent, icd10, morphology = mapped
+        return TreatmentRecord(
+            record.record_id, record.prescription, technique,
+            energy, intent, icd10, morphology, record.age_at_tx,
+        )
+
+
 def normalize_labels(
     record: TreatmentRecord,
     mappings: Mapping[str, Mapping[str, str]],
@@ -228,21 +292,7 @@ def normalize_labels(
     A field without a table is left untouched. Labels that are already a
     canonical target of their table are not counted as unmapped.
     """
-    updates: dict[str, str] = {}
-    for field_name in _MAPPABLE_FIELDS:
-        value = getattr(record, field_name)
-        if value is None:
-            continue
-        table = mappings.get(field_name)
-        if table is None:
-            continue
-        if value in table:
-            mapped = table[value]
-            if mapped != value:
-                updates[field_name] = mapped
-        elif report is not None and value not in table.values():
-            report.add(field_name, value)
-    return replace(record, **updates) if updates else record
+    return _LabelResolver(mappings).normalize(record, report)
 
 
 def normalize_dataset(
@@ -250,7 +300,8 @@ def normalize_dataset(
     mappings: Mapping[str, Mapping[str, str]],
 ) -> tuple[list[TreatmentRecord], NormalizationReport]:
     report = NormalizationReport()
-    return [normalize_labels(r, mappings, report) for r in records], report
+    resolver = _LabelResolver(mappings)
+    return [resolver.normalize(r, report) for r in records], report
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +399,26 @@ def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] 
 def _replan_and_initial_ids(
     records: Sequence[TreatmentRecord], config: CohortConfig
 ) -> tuple[set[str], set[str]]:
-    replans = [r for r in records if r.prescription.accumulated_dose != r.prescription.total_dose]
-    replan_ids = {r.record_id for r in replans}
-    by_subject: dict[str, list[TreatmentRecord]] = {}
-    for r in records:
-        by_subject.setdefault(config.subject_key(r.record_id), []).append(r)
+    """The ids of the re-plans, and of the initial plans matched to them: a
+    record of the same subject whose accumulated and total doses both equal
+    the re-plan's accumulated minus total dose. A re-plan never matches
+    itself, as its two doses differ; a record sharing a re-plan's id is
+    named by RULE_REPLAN before RULE_REPLAN_INITIAL."""
+    replan_ids: set[str] = set()
+    priors_by_subject: dict[str, set[int]] = {}
+    for record in records:
+        p = record.prescription
+        if p.accumulated_dose != p.total_dose:
+            replan_ids.add(record.record_id)
+            priors_by_subject.setdefault(config.subject_key(record.record_id), set()).add(
+                p.accumulated_dose - p.total_dose
+            )
     initial_ids: set[str] = set()
-    for replan in replans:
-        prior = replan.prescription.accumulated_dose - replan.prescription.total_dose
-        for candidate in by_subject.get(config.subject_key(replan.record_id), []):
-            if candidate.record_id == replan.record_id:
-                continue
-            cp = candidate.prescription
-            if cp.accumulated_dose == cp.total_dose and cp.accumulated_dose == prior:
-                initial_ids.add(candidate.record_id)
+    for candidate in records:
+        p = candidate.prescription
+        if (p.accumulated_dose == p.total_dose
+                and p.total_dose in priors_by_subject.get(config.subject_key(candidate.record_id), ())):
+            initial_ids.add(candidate.record_id)
     return replan_ids, initial_ids
 
 

@@ -7,6 +7,7 @@ import io
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 TECH_3D = "3D"
@@ -298,36 +299,96 @@ def record_to_row(record: TreatmentRecord) -> dict[str, str]:
 
 def record_from_row(row: dict[str, str]) -> TreatmentRecord:
     """Parse one canonical CSV row; raises ValueError on malformed cells."""
-    for column in _REQUIRED_COLUMNS:
-        if _missing(row.get(column)):
-            raise ValueError(f"missing required value: {column}")
-    age_cell = row.get("age_at_tx")
-    return TreatmentRecord(
-        record_id=row["record_id"].strip(),
-        prescription=Prescription(
-            fractions=int(row["fractions"]),
-            dose_per_fraction=int(row["dose_per_fraction"]),
-            total_dose=int(row["total_dose"]),
-            accumulated_dose=int(row["accumulated_dose"]),
-        ),
-        technique=row["technique"].strip(),
-        energy=None if _missing(row.get("energy")) else row["energy"].strip(),
-        intent=None if _missing(row.get("intent")) else row["intent"].strip(),
-        icd10=None if _missing(row.get("icd10")) else row["icd10"].strip(),
-        morphology=None if _missing(row.get("morphology")) else row["morphology"].strip(),
-        age_at_tx=None if _missing(age_cell) else int(age_cell),
-    )
+    return RowParser().record(tuple(row.get(column) for column in CSV_COLUMNS))
+
+
+class _Cells(dict):
+    """Raw cell -> convert(cell), or None for a missing cell; each distinct
+    cell is resolved once. A cell that convert rejects raises on every use
+    and is not stored."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, cell):
+        value = self[cell] = None if _missing(cell) else self._convert(cell)
+        return value
+
+
+class RowParser:
+    """The cell rules of the canonical CSV schema, for rows read under one
+    header.
+
+    Every required cell is checked for a missing value (empty, or a bare
+    "-", after stripping) in CSV_COLUMNS order before any cell is converted;
+    a malformed row raises ValueError naming the first failing cell. Each
+    distinct label cell is stripped once, and rows with the same raw
+    prescription cells share one Prescription, which is frozen.
+    """
+
+    def __init__(self, header: Sequence[str] = CSV_COLUMNS):
+        # The last of duplicate names wins, as in csv.DictReader; a column
+        # the header lacks reads the None appended to every row.
+        self._width = len(header)
+        position = {name: index for index, name in enumerate(header)}
+        self._take = itemgetter(*(position.get(column, self._width) for column in CSV_COLUMNS))
+        self._labels = _Cells(str.strip)
+        self._ages = _Cells(int)
+        self._prescriptions: dict[tuple, Prescription] = {}
+
+    def cells(self, row: list[str]) -> tuple[str | None, ...]:
+        """A csv.reader row's cells in CSV_COLUMNS order. As in
+        csv.DictReader, a short row reads None for its absent cells and extra
+        cells are ignored."""
+        if len(row) != self._width:
+            row = (row + [None] * self._width)[: self._width]
+        row.append(None)
+        return self._take(row)
+
+    def record(self, cells: Sequence[str | None]) -> TreatmentRecord:
+        """The record of one row's cells, given in CSV_COLUMNS order."""
+        (record_id, fractions, dose_per_fraction, total_dose, accumulated_dose,
+         technique, energy, intent, icd10, morphology, age_at_tx) = cells
+        labels = self._labels
+        if _missing(record_id):
+            raise ValueError("missing required value: record_id")
+        rx_cells = (fractions, dose_per_fraction, total_dose, accumulated_dose)
+        prescription = self._prescriptions.get(rx_cells)
+        if prescription is None:
+            for column, cell in zip(_REQUIRED_COLUMNS[1:5], rx_cells):
+                if _missing(cell):
+                    raise ValueError(f"missing required value: {column}")
+        technique = labels[technique]
+        if technique is None:
+            raise ValueError("missing required value: technique")
+        if prescription is None:
+            prescription = Prescription(
+                int(fractions), int(dose_per_fraction), int(total_dose), int(accumulated_dose)
+            )
+            self._prescriptions[rx_cells] = prescription
+        return TreatmentRecord(
+            record_id.strip(),
+            prescription,
+            technique,
+            labels[energy],
+            labels[intent],
+            labels[icd10],
+            labels[morphology],
+            self._ages[age_at_tx],
+        )
 
 
 @contextmanager
 def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterator[IO[str]]:
     """An open text handle for target. A path (str or os.PathLike) is opened
     in mode with newline="" and closed on exit; a handle is used as it is.
-    A path opened for reading decodes UTF-8 and replaces invalid bytes with
-    U+FFFD, so one bad byte spoils a cell, not the whole read."""
+    A path opened for reading decodes UTF-8, drops a leading byte order mark
+    and replaces invalid bytes with U+FFFD, so one bad byte spoils a cell,
+    not the whole read."""
     if isinstance(target, (str, os.PathLike)):
         if mode == "r":
-            handle = open(target, mode, newline="", encoding="utf-8", errors="replace")
+            handle = open(target, mode, newline="", encoding="utf-8-sig", errors="replace")
         else:
             handle = open(target, mode, newline="")
         with handle:
@@ -351,9 +412,11 @@ def records_csv_text(records: Iterable[TreatmentRecord]) -> str:
 
 
 def read_records_csv(source: str | os.PathLike | IO[str]) -> list[TreatmentRecord]:
-    """Strict reader for canonical files: any malformed row raises.
+    """Strict reader for canonical files: the first malformed row raises.
 
     Use ingest.parse_dataset for per-row diagnostics instead of exceptions.
     """
     with text_stream(source) as handle:
-        return [record_from_row(row) for row in csv.DictReader(handle)]
+        reader = csv.reader(handle)
+        parser = RowParser(next(reader, ()))
+        return [parser.record(parser.cells(row)) for row in reader if row]

@@ -244,22 +244,56 @@ def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> 
         progress = index / space.budget
         bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in SEARCH_RANGES]
 
-        best_candidate = None
-        best_score = -math.inf
+        candidates = []
         for _ in range(n_candidates):
             values = []
             for dim, (lo, hi) in enumerate(SEARCH_RANGES):
                 anchor = good[int(rng.integers(len(good)))][dim]
                 values.append(_in_range(anchor + bandwidths[dim] * float(rng.standard_normal()), lo, hi))
-            score = 0.0
-            for dim, x in enumerate(values):
-                bw = bandwidths[dim]
-                score += math.log(_kde(x, good_by_dim[dim], bw)) - math.log(_kde(x, bad_by_dim[dim], bw))
-            if score > best_score:
-                best_score = score
-                best_candidate = values
-        trace.append(evaluate(ModelParams(*best_candidate)))
+            candidates.append(values)
+        best = _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths)
+        trace.append(evaluate(ModelParams(*candidates[best])))
     return trace
+
+
+# numpy's candidate scores differ from the scalar sums by rounding alone:
+# each density is a sum of non-negative terms plus 1e-12, so the error of a
+# score is a few ulps of its terms, about 1e-13 at most. The margin is far
+# above that.
+_RESCORE_MARGIN = 1e-9
+
+
+def _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths) -> int:
+    """Index of the first candidate with the highest _candidate_score.
+
+    numpy scores every candidate at once. Each candidate whose numpy score
+    lies within _RESCORE_MARGIN * max(1, |top|) of the top one is rescored
+    with _candidate_score; the scalar maximum is always among them, so the
+    choice equals that of scoring every candidate with _candidate_score.
+    """
+    x = np.asarray(candidates)[:, None, :]
+    bw = np.asarray(bandwidths)
+
+    def log_density(points_by_dim) -> np.ndarray:
+        points = np.asarray(points_by_dim).T
+        z = (x - points) / bw
+        total = np.exp(-0.5 * z * z).sum(axis=1)
+        return np.log(total / (len(points) * bw * math.sqrt(2.0 * math.pi)) + 1e-12)
+
+    approx = (log_density(good_by_dim) - log_density(bad_by_dim)).sum(axis=1)
+    top = float(approx.max())
+    near = np.flatnonzero(approx >= top - _RESCORE_MARGIN * max(1.0, abs(top)))
+    exact = [_candidate_score(candidates[k], good_by_dim, bad_by_dim, bandwidths) for k in near]
+    return int(near[exact.index(max(exact))])
+
+
+def _candidate_score(values, good_by_dim, bad_by_dim, bandwidths) -> float:
+    """Sum over dimensions of log(good density) - log(bad density)."""
+    score = 0.0
+    for dim, x in enumerate(values):
+        bw = bandwidths[dim]
+        score += math.log(_kde(x, good_by_dim[dim], bw)) - math.log(_kde(x, bad_by_dim[dim], bw))
+    return score
 
 
 def _param_values(params: ModelParams) -> tuple[float, float, float, float]:

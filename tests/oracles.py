@@ -1,12 +1,31 @@
 """Independent brute-force reference implementations used to cross-check the
 library. Plain Python loops and sorts only; no shared code paths with the
-package internals beyond the record dataclasses."""
+package internals beyond the record dataclasses, validate_record and the
+exclusion rule names."""
 
 from __future__ import annotations
 
+import csv
 import math
+from collections import Counter
+from dataclasses import replace
 
-from rxcheck.records import NUMERIC
+from rxcheck.ingest import (
+    RULE_DIAGNOSIS,
+    RULE_DOSE,
+    RULE_ENERGY,
+    RULE_REPLAN,
+    RULE_REPLAN_INITIAL,
+    RULE_TECHNIQUE,
+)
+from rxcheck.records import (
+    CSV_COLUMNS,
+    MODELED_TECHNIQUES,
+    NUMERIC,
+    Prescription,
+    TreatmentRecord,
+    validate_record,
+)
 
 
 def oracle_scale(value, lo, hi):
@@ -121,3 +140,143 @@ def oracle_confusion(predictions):
 def close(a, b, tol=1e-12):
     """Relative comparison with an absolute floor for zeros."""
     return math.isclose(a, b, rel_tol=tol, abs_tol=tol)
+
+
+# ---------------------------------------------------------------------------
+# Cohort front end: the row-at-a-time parse, normalize and filter that the
+# cached stages in rxcheck.ingest and rxcheck.records must reproduce exactly.
+# ---------------------------------------------------------------------------
+
+def _oracle_missing(cell):
+    return cell is None or cell.strip() in ("", "-")
+
+
+def _oracle_record_from_row(row):
+    for column in CSV_COLUMNS[:6]:
+        if _oracle_missing(row.get(column)):
+            raise ValueError(f"missing required value: {column}")
+    age_cell = row.get("age_at_tx")
+    return TreatmentRecord(
+        record_id=row["record_id"].strip(),
+        prescription=Prescription(
+            fractions=int(row["fractions"]),
+            dose_per_fraction=int(row["dose_per_fraction"]),
+            total_dose=int(row["total_dose"]),
+            accumulated_dose=int(row["accumulated_dose"]),
+        ),
+        technique=row["technique"].strip(),
+        energy=None if _oracle_missing(row.get("energy")) else row["energy"].strip(),
+        intent=None if _oracle_missing(row.get("intent")) else row["intent"].strip(),
+        icd10=None if _oracle_missing(row.get("icd10")) else row["icd10"].strip(),
+        morphology=None if _oracle_missing(row.get("morphology")) else row["morphology"].strip(),
+        age_at_tx=None if _oracle_missing(age_cell) else int(age_cell),
+    )
+
+
+def oracle_parse(path):
+    """(records, [(row number, reason)]) of a CSV file, through
+    csv.DictReader; raises ValueError for a header without a required
+    column."""
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as handle:
+        reader = csv.DictReader(handle)
+        header = reader.fieldnames
+        if header is None:
+            raise ValueError("empty input: no header row")
+        missing = [column for column in CSV_COLUMNS[:6] if column not in header]
+        if missing:
+            raise ValueError(f"header missing required columns: {', '.join(missing)}")
+        records = []
+        diagnostics = []
+        for number, row in enumerate(reader, start=1):
+            try:
+                records.append(_oracle_record_from_row(row))
+            except (ValueError, TypeError) as exc:
+                diagnostics.append((number, str(exc)))
+        return records, diagnostics
+
+
+_MAPPABLE_FIELDS = ("technique", "energy", "intent", "icd10", "morphology")
+
+
+def oracle_normalize(records, mappings):
+    """(normalized records, Counter of unmapped (field, label))."""
+    unmapped = Counter()
+    normalized = []
+    for record in records:
+        updates = {}
+        for field_name in _MAPPABLE_FIELDS:
+            value = getattr(record, field_name)
+            if value is None:
+                continue
+            table = mappings.get(field_name)
+            if table is None:
+                continue
+            if value in table:
+                mapped = table[value]
+                if mapped != value:
+                    updates[field_name] = mapped
+            elif value not in table.values():
+                unmapped[(field_name, value)] += 1
+        normalized.append(replace(record, **updates) if updates else record)
+    return normalized, unmapped
+
+
+def oracle_filter(records, config):
+    """(kept records by technique, [(record_id, rule, detail)]) under a
+    CohortConfig, matching every re-plan against every record of its
+    subject. The last rule is validate_record itself."""
+    replan_ids, initial_ids = _oracle_replan_and_initial_ids(records, config)
+
+    kept = {t: [] for t in MODELED_TECHNIQUES}
+    exclusions = []
+    for record in records:
+        rule = _oracle_exclusion_rule(record, config, replan_ids, initial_ids)
+        if rule is None:
+            kept[record.technique].append(record)
+        else:
+            exclusions.append((record.record_id, rule[0], rule[1]))
+    return kept, exclusions
+
+
+def _oracle_exclusion_rule(record, config, replan_ids, initial_ids):
+    p = record.prescription
+    if record.technique not in MODELED_TECHNIQUES:
+        return RULE_TECHNIQUE, f"technique={record.technique}"
+    whitelist = config.energy_whitelist.get(record.technique, frozenset())
+    if record.energy is None or record.energy not in whitelist:
+        return RULE_ENERGY, f"energy={record.energy} for {record.technique}"
+    if record.icd10 is None or record.icd10 not in config.icd10_whitelist:
+        return RULE_DIAGNOSIS, f"icd10={record.icd10}"
+    if p.total_dose != p.fractions * p.dose_per_fraction:
+        return RULE_DOSE, (
+            f"total_dose={p.total_dose} != {p.fractions} x {p.dose_per_fraction}"
+        )
+    if record.record_id in replan_ids:
+        return RULE_REPLAN, (
+            f"accumulated_dose={p.accumulated_dose} != total_dose={p.total_dose}"
+        )
+    if record.record_id in initial_ids:
+        return RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
+    violations = validate_record(record).violations
+    if violations:
+        return violations[0].kind, violations[0].detail
+    return None
+
+
+def _oracle_replan_and_initial_ids(records, config):
+    replans = [r for r in records if r.prescription.accumulated_dose != r.prescription.total_dose]
+    replan_ids = {r.record_id for r in replans}
+    by_subject = {}
+    for r in records:
+        by_subject.setdefault(r.record_id.split(config.subject_delimiter, 1)[0], []).append(r)
+    initial_ids = set()
+    for replan in replans:
+        prior = replan.prescription.accumulated_dose - replan.prescription.total_dose
+        subject = replan.record_id.split(config.subject_delimiter, 1)[0]
+        for candidate in by_subject.get(subject, []):
+            if candidate.record_id == replan.record_id:
+                continue
+            cp = candidate.prescription
+            if cp.accumulated_dose == cp.total_dose and cp.accumulated_dose == prior:
+                initial_ids.add(candidate.record_id)
+    return replan_ids, initial_ids

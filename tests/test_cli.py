@@ -7,8 +7,8 @@ import pytest
 
 from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
-from rxcheck.ingest import build_historical_db, filter_cohort
-from rxcheck.records import write_records_csv
+from rxcheck.ingest import CohortConfig, build_historical_db, filter_cohort
+from rxcheck.records import records_csv_text, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
 from conftest import rec
@@ -251,6 +251,29 @@ class TestCheck:
         config.write_bytes(text.encode().replace(b"caf?", b"caf\xe9"))
         code = run(["check", "--input", str(query), "--config", str(config)])
         assert code == EX_OK
+        assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+
+    def test_byte_order_mark_is_dropped(self, cohort_csv, tmp_path, capsys):
+        # Spreadsheet tools often save UTF-8 with a leading byte order mark.
+        def with_bom(path, text):
+            path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            return str(path)
+
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        history = with_bom(tmp_path / "history.csv", cohort_csv.read_text())
+        query = with_bom(tmp_path / "query.csv", records_csv_text(records[:1]))
+        params = with_bom(tmp_path / "params.json", json.dumps({"3D": PARAMS.as_dict()}))
+        cohort = tmp_path / "cohort.json"
+        CohortConfig().to_json(cohort)
+        cohort = with_bom(cohort, cohort.read_text())
+        config = with_bom(tmp_path / "run.json", json.dumps(
+            {"historical": history, "params": params, "cohort_config": cohort}))
+
+        out = tmp_path / "ingested"
+        assert run(["ingest", "--input", history, "--out", str(out), "--config", config]) == EX_OK
+        assert json.loads((out / "db_meta.json").read_text())["3D"]["size"] == 90
+        capsys.readouterr()
+        assert run(["check", "--input", query, "--config", config]) == EX_OK
         assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

@@ -11,6 +11,7 @@ from rxcheck.distance import InsufficientData
 from rxcheck.ingest import (
     DEFAULT_ENERGY_WHITELIST,
     DEFAULT_ICD10_WHITELIST,
+    DEFAULT_LABEL_MAPPINGS,
     RULE_AGE,
     RULE_DIAGNOSIS,
     RULE_DOSE,
@@ -28,10 +29,16 @@ from rxcheck.ingest import (
     normalize_labels,
     parse_dataset,
 )
-from rxcheck.records import CSV_COLUMNS, default_schema, records_csv_text
+from rxcheck.records import (
+    CSV_COLUMNS,
+    Prescription,
+    TreatmentRecord,
+    default_schema,
+    records_csv_text,
+)
 
 from conftest import rec
-from oracles import close, oracle_theta_tau
+from oracles import close, oracle_filter, oracle_normalize, oracle_parse, oracle_theta_tau
 
 
 def csv_of(records):
@@ -80,35 +87,58 @@ class TestParseDataset:
         assert [r.record_id for r in records] == ["r0", "r1", "r\ufffd2", "r3"]
 
 
-# A row of the canonical columns where any cell may be replaced by random
-# bytes (a lone byte of 0x80 or above is not UTF-8), cut short, or followed by
-# extra cells. Cells hold no delimiter, quote or line break, so each row is
-# one CSV record.
-_VALID_CELLS = (b"P1/1", b"5", b"400", b"2000", b"2000", b"3D", b"x06", b"curative",
-                b"C34.10", b"80463", b"60")
-_CELL = st.binary(max_size=6).map(lambda raw: bytes(b for b in raw if b not in b',"\r\n'))
+# An export whose header holds every required column and any of the optional
+# ones, in any order and with duplicates. Each row is one CSV record or a
+# blank line: a cell is the column's valid value, that value with whitespace
+# around it, a missing-value cell, a quoted cell holding a delimiter or a
+# line break, or random bytes (a lone byte of 0x80 or above is not UTF-8);
+# rows may be cut short or carry extra cells.
+_VALID_CELLS = dict(zip(CSV_COLUMNS, (b"P1/1", b"5", b"400", b"2000", b"2000", b"3D", b"x06",
+                                      b"curative", b"C34.10", b"80463", b"60")))
+_RANDOM_CELL = st.binary(max_size=6).map(lambda raw: bytes(b for b in raw if b not in b',"\r\n'))
+_ODD_CELL = st.sampled_from([b"", b"-", b" - ", b"  ", b'"a,b"', b'"line\nbreak"', b'"x""y"',
+                             b'" 5 "', b'"-"', b'""'])
 
 
 @st.composite
-def _rows(draw):
-    cells = [draw(_CELL) if draw(st.integers(0, 4)) == 0 else cell for cell in _VALID_CELLS]
-    cells += [draw(_CELL) for _ in range(3)]
-    cells = cells[: draw(st.just(len(_VALID_CELLS)) | st.integers(1, len(cells)))]
-    if cells == [b""]:
-        cells = [b"-"]      # an empty line is no row at all
-    return b",".join(cells)
+def _export(draw):
+    required, optional = list(CSV_COLUMNS[:6]), list(CSV_COLUMNS[6:])
+    columns = required + draw(st.lists(st.sampled_from(optional), unique=True))
+    columns += draw(st.lists(st.sampled_from(CSV_COLUMNS), max_size=2))
+    columns = draw(st.permutations(columns))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(b"")
+            continue
+        cells = []
+        for column in columns:
+            kind = draw(st.integers(0, 5))
+            if kind == 0:
+                cells.append(draw(_RANDOM_CELL))
+            elif kind == 1:
+                cells.append(draw(_ODD_CELL))
+            elif kind == 2:
+                cells.append(b" " + _VALID_CELLS[column] + b"\t")
+            else:
+                cells.append(_VALID_CELLS[column])
+        cells += [draw(_RANDOM_CELL) for _ in range(draw(st.integers(0, 2)))]
+        lines.append(b",".join(cells[: draw(st.integers(1, len(cells)))]))
+    return b"\n".join([",".join(columns).encode(), *lines]) + b"\n", lines
 
 
 @seed(20210)
-@settings(deadline=None, max_examples=150, database=None)
-@given(rows=st.lists(_rows(), min_size=1, max_size=6))
-def test_parse_yields_one_record_or_diagnostic_per_row(tmp_path_factory, rows):
+@settings(deadline=None, max_examples=300, database=None)
+@given(export=_export())
+def test_parse_yields_one_record_or_diagnostic_per_row(tmp_path_factory, export):
+    data, lines = export
     path = tmp_path_factory.mktemp("parse") / "rows.csv"
-    path.write_bytes(b"\n".join([",".join(CSV_COLUMNS).encode(), *rows]) + b"\n")
+    path.write_bytes(data)
     records, diagnostics = parse_dataset(path)
-    assert len(records) + len(diagnostics) == len(rows)
+    assert len(records) + len(diagnostics) == sum(line != b"" for line in lines)
     assert [d.row for d in diagnostics] == sorted({d.row for d in diagnostics})
-    assert all(1 <= d.row <= len(rows) for d in diagnostics)
+    assert all(1 <= d.row <= len(lines) for d in diagnostics)
+    assert (records, [(d.row, d.reason) for d in diagnostics]) == oracle_parse(path)
 
 
 class TestNormalizeLabels:
@@ -250,6 +280,60 @@ class TestFilterCohort:
         assert log.replan_fraction(4) == pytest.approx(0.5)
 
 
+# Records for normalize and filter: canonical, mapped, excluded and unmapped
+# labels; consistent and inconsistent prescriptions, re-plans whose
+# accumulated dose adds a common course total, and ids drawn from a few
+# subjects with repeats, so initial plans, duplicate ids and subjects with
+# several re-plans occur.
+_LABEL_VARIANTS = (
+    ("3D", "3d", "3D-CRT", "IMRT", "vmat", "SBRT", "sbrt", "Brachy", "Brachytherapy", "Gamma"),
+    (None, "x06", "6X", "x06FFF", "6XFFF", "x10", "X10", "x15", "Mix Photon", "mixed mode", "x18"),
+    (None, "curative", "Curative", "PALLIATIVE", "palliative", "adjuvant"),
+    (None, "C34.10", "C34.1", "C34.90", "C15.9", "C61"),
+    (None, "80463", "81406"),
+)
+_MAPPING_VARIANTS = (
+    DEFAULT_LABEL_MAPPINGS,
+    {"energy": {"6X": "x06", "x18": "x18"}, "icd10": {"C34.1": "C34.10"}},
+    {**DEFAULT_LABEL_MAPPINGS, "morphology": {}},
+    {},
+)
+
+
+@st.composite
+def _raw_record(draw):
+    fractions = draw(st.sampled_from((0, 1, 2, 5, 2 ** 60)))
+    dose = draw(st.sampled_from((-200, 200, 1000)))
+    total = fractions * dose + draw(st.sampled_from((0, 0, 0, 1)))
+    accumulated = total + draw(st.sampled_from((0, 0, 0, 1000, 2000, 5000)))
+    labels = [draw(st.sampled_from(values)) for values in _LABEL_VARIANTS]
+    return TreatmentRecord(
+        f"P{draw(st.integers(0, 2))}/{draw(st.integers(0, 2))}",
+        Prescription(fractions, dose, total, accumulated),
+        *labels,
+        draw(st.sampled_from((None, 60, 130))),
+    )
+
+
+@seed(20211)
+@settings(deadline=None, max_examples=300, database=None)
+@given(
+    records=st.lists(_raw_record(), max_size=12),
+    mappings=st.sampled_from(_MAPPING_VARIANTS),
+    delimiter=st.sampled_from(("/", "-")),
+)
+def test_normalize_and_filter_match_oracles(records, mappings, delimiter):
+    normalized, report = normalize_dataset(records, mappings)
+    expected, unmapped = oracle_normalize(records, mappings)
+    assert normalized == expected
+    assert list(report.unmapped.items()) == list(unmapped.items())
+    assert [normalize_labels(r, mappings) for r in records] == expected
+    config = CohortConfig(subject_delimiter=delimiter)
+    kept, log = filter_cohort(normalized, config)
+    exclusions = [(e.record_id, e.rule, e.detail) for e in log.exclusions]
+    assert (kept, exclusions) == oracle_filter(normalized, config)
+
+
 class TestCohortConfig:
     def test_defaults_cover_modeled_techniques(self):
         config = CohortConfig()
@@ -260,6 +344,14 @@ class TestCohortConfig:
         with pytest.raises(ValueError):
             CohortConfig(energy_whitelist={"3D": frozenset(), "IMRT": frozenset({"x06"}),
                                            "SBRT": frozenset({"x06"})})
+
+    def test_empty_subject_delimiter_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="subject_delimiter"):
+            CohortConfig(subject_delimiter="")
+        path = tmp_path / "cohort.json"
+        path.write_text('{"subject_delimiter": ""}')
+        with pytest.raises(ValueError, match="subject_delimiter"):
+            CohortConfig.from_json(path)
 
     def test_json_round_trip(self, tmp_path):
         config = CohortConfig()

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.detector import ModelParams, detect
 from rxcheck.distance import InsufficientData, QueryProfile, query_profile
@@ -14,6 +16,8 @@ from rxcheck.train import (
     InvalidTrainingSet,
     SearchSpace,
     UndefinedMetric,
+    _best_candidate,
+    _kde,
     f1_metric,
     f1_objective,
     search_parameters,
@@ -282,3 +286,43 @@ class TestSearchParameters:
         lines = buffer.getvalue().strip().split("\n")
         assert lines[0] == "eval_index,a,b,mu,nu,f1_mean,f1_std"
         assert len(lines) == 6
+
+
+def _scalar_choice(candidates, good_by_dim, bad_by_dim, bandwidths):
+    """The candidate loop of the adaptive search with the scalar _kde: the
+    first candidate of highest log density ratio."""
+    best, best_score = None, -math.inf
+    for index, values in enumerate(candidates):
+        score = 0.0
+        for dim, x in enumerate(values):
+            bw = bandwidths[dim]
+            score += math.log(_kde(x, good_by_dim[dim], bw)) - math.log(_kde(x, bad_by_dim[dim], bw))
+        if score > best_score:
+            best, best_score = index, score
+    return best
+
+
+_COORDINATE = st.floats(0.0, 2.0, allow_subnormal=False)
+_POINT = st.tuples(_COORDINATE, _COORDINATE, _COORDINATE, _COORDINATE)
+
+
+@seed(20212)
+@settings(deadline=None, max_examples=300, database=None)
+@given(
+    good=st.lists(_POINT, min_size=2, max_size=8),
+    bad=st.lists(_POINT, min_size=1, max_size=20),
+    candidates=st.lists(_POINT, min_size=1, max_size=24),
+    copies=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 24), st.booleans()), max_size=6),
+    bandwidths=st.tuples(*[st.floats(0.005, 0.7)] * 4),
+)
+def test_best_candidate_matches_scalar_scoring(good, bad, candidates, copies, bandwidths):
+    # Exact duplicates, and copies one ulp away, tie or nearly tie in score.
+    candidates = [list(values) for values in candidates]
+    for source, position, nudge in copies:
+        values = list(candidates[source % len(candidates)])
+        if nudge:
+            values[0] = float(np.nextafter(values[0], 3.0))
+        candidates.insert(position % (len(candidates) + 1), values)
+    good_by_dim, bad_by_dim = list(zip(*good)), list(zip(*bad))
+    chosen = _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths)
+    assert chosen == _scalar_choice(candidates, good_by_dim, bad_by_dim, bandwidths)
