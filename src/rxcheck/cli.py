@@ -4,9 +4,10 @@ Exit codes: 0 success (check: all pass), 2 at least one flagged verdict,
 1 operational error, 64 usage error, 66 missing input file.
 
 check writes one verdict per record. A record with too few comparable
-reference records, or of a technique with no reference set or no trained
-parameters, gets a "rxcheck: record <id>: <reason>" line on stderr instead,
-the batch goes on, and the exit code is 1.
+reference records, or of a technique with no reference set, no trained
+parameters or no boundaries in the --boundaries preset, gets a
+"rxcheck: record <id>: <reason>" line on stderr instead, the batch goes on,
+and the exit code is 1.
 
 train skips a technique with at least 2 kept records that cannot be split
 into reference and holdout or built, with a "rxcheck: train[<T>]: skipped:
@@ -61,7 +62,7 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, text_stream, write_records_csv
+from .records import MODELED_TECHNIQUES, text_stream, write_json, write_records_csv
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
@@ -275,7 +276,7 @@ def _cmd_ingest(args) -> int:
                 "d_max": db.rx_scaler.d_max,
             },
         }
-    (out / "db_meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    write_json(out / "db_meta.json", meta)
     print(
         f"ingest: kept {sum(len(v) for v in kept.values())} records, "
         f"excluded {len(log)}, parse diagnostics {len(diagnostics)}, "

@@ -22,7 +22,7 @@ from .distance import (
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, text_stream
+from .records import TreatmentRecord, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -253,6 +253,4 @@ def write_params_json(destination, params_by_technique: Mapping[str, ModelParams
         technique: params.as_dict()
         for technique, params in sorted(params_by_technique.items())
     }
-    with text_stream(destination, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(destination, payload)

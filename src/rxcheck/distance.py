@@ -22,11 +22,11 @@ group sums the m smallest rho values from the rows' counts. The feature
 group walks the levels in rho order, computes Gower only for the records of
 the levels it reaches, orders each level's records by feature distance (NaN
 last) and input order, and stops once it holds n comparable records. The
-walked prefix is cached on the profile and extended on demand: training
-profiles each record once and scores every parameter point from it. A group
-mean depends only on its members' multiset, as math.fsum is correctly
-rounded. The full neighbour order and both distance vectors over all
-records stay available as lazy properties.
+walked prefix, with each walked record's rho and g, is cached on the
+profile and extended on demand: training profiles each record once and
+scores every parameter point from it. The walk is the only source of a
+group's members and their distances. A group mean depends only on its
+members' multiset, as math.fsum is correctly rounded.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -40,13 +40,13 @@ drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's bound range, as they do when the schema was bound
 to the same records; pairwise_means checks that. Only the feature
 histogram, which needs each pair's value, still visits every pair of
-records, in blocks; the prescription histogram weights each pair of
-distinct prescriptions by the product of their counts.
+records, in blocks. theta and the prescription histogram share one pass
+over the pairs of distinct prescriptions, each weighted by the product of
+their counts.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 import warnings
@@ -62,8 +62,8 @@ from .records import (
     FeatureSchema,
     Prescription,
     TreatmentRecord,
-    text_stream,
     validate_record,
+    write_csv,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -327,7 +327,7 @@ def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
 
 def _against(features, index):
     """_gower pairs of a query's (column, value) features against the
-    reference records at index (an index array or a slice)."""
+    reference records at index, an index array."""
     for col, value in features:
         yield col, value, col.values[index], col.present[index]
 
@@ -346,14 +346,18 @@ def _pair_blocks(encoded: EncodedFeatures):
         yield np.arange(lo, hi), _gower(pairs, (hi - lo, size))
 
 
-def _row_pair_blocks(rows: DistinctRx):
-    """Yields (lo, rho): the distances from distinct rows lo.. (a block of at
-    most _PAIR_BLOCK) to rows lo.., one row per block row; the pairs u < v
-    of row u are rho[u - lo, u - lo + 1:]."""
+def _row_pairs(rows: DistinctRx):
+    """Yields (rho, pairs) for the pairs of distinct rows u < v, with u in
+    one block of at most _PAIR_BLOCK rows at a time: their prescription
+    distance and the number of record pairs they stand for,
+    counts[u] * counts[v]."""
     count = len(rows.counts)
     for lo in range(0, count, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, count)
-        yield lo, _rho(rows.f[lo:hi, None], rows.d[lo:hi, None], rows.f[lo:], rows.d[lo:])
+        rho = _rho(rows.f[lo:hi, None], rows.d[lo:hi, None], rows.f[lo:], rows.d[lo:])
+        pairs = rows.counts[lo:hi, None] * rows.counts[lo:]
+        upper = np.arange(count - lo)[None, :] > np.arange(hi - lo)[:, None]
+        yield rho[upper], pairs[upper]
 
 
 # ---------------------------------------------------------------------------
@@ -377,10 +381,9 @@ class QueryProfile:
     input order: it is the levels in rho order, each level's records by (g,
     input order). The profile walks whole levels into that order on demand,
     computing Gower only for the records of the levels it reaches, and keeps
-    the walked prefix for the next caller. sorted_rho (every record's rho,
-    ascending, from the rows' counts), rho, g, order and comparable (the
-    subsequence of order with a defined g) over every reference record are
-    lazy properties: order and comparable walk to the end.
+    the walked prefix, each walked record's g and each comparable record's
+    rho for the next caller. sorted_rho is every record's rho, ascending,
+    from the rows' counts; it is the rho of the selection order.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -393,16 +396,18 @@ class QueryProfile:
         self.warnings = tuple(warnings)
         self.same_rx_count = db.rx_index.get(record.rx, 0)
         self._features = tuple(_query_features(record, db.encoded))
-        self._row_rho = _rho(scaled.f, scaled.d, db.rx_rows.f, db.rx_rows.d)
+        row_rho = _rho(scaled.f, scaled.d, db.rx_rows.f, db.rx_rows.d)
         # Rows of one level may come in any order: the walk orders a level's
         # records by (g, input order).
-        self._rows = np.argsort(self._row_rho)
-        self._level_rho = self._row_rho[self._rows]
+        self._rows = np.argsort(row_rho)
+        self._level_rho = row_rho[self._rows]
         self._counts = db.rx_rows.counts[self._rows]
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
         self._order = np.empty(0, dtype=np.intp)
+        self._g = np.empty(0, dtype=np.float64)
         self._comparable = np.empty(0, dtype=np.intp)
+        self._comparable_rho = np.empty(0, dtype=np.float64)
         self._comparable_g = np.empty(0, dtype=np.float64)
 
     @functools.cached_property
@@ -411,18 +416,19 @@ class QueryProfile:
         row's rho once per record, rows in rho order."""
         return np.repeat(self._level_rho, self._counts)
 
-    def nearest(self, k: int) -> np.ndarray:
-        """The first k reference records in selection order."""
+    def nearest(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first k reference records in selection order, their rho and
+        their g (NaN where incomparable)."""
         if len(self._order) < k:
             self._walk(k)
-        return self._order[:k]
+        return self._order[:k], self.sorted_rho[:k], self._g[:k]
 
-    def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The first k comparable reference records in selection order and
-        their g; all of them when the reference set has fewer."""
+    def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first k comparable reference records in selection order, their
+        rho and their g; all of them when the reference set has fewer."""
         while len(self._comparable) < k and self._walked < len(self._rows):
             self._walk(len(self._order) + k - len(self._comparable))
-        return self._comparable[:k], self._comparable_g[:k]
+        return self._comparable[:k], self._comparable_rho[:k], self._comparable_g[:k]
 
     def _walk(self, target: int) -> None:
         """Append whole levels to the walked order until it holds at least
@@ -438,34 +444,18 @@ class QueryProfile:
         first = np.repeat(rows.starts[self._rows[start:stop]] - (np.cumsum(counts) - counts), counts)
         index = rows.members[first + np.arange(len(first))]
         g = _gower(_against(self._features, index), len(index))
+        rho = np.repeat(self._level_rho[start:stop], counts)
         # lexsort's last key is the primary one: levels in rho order, then g
         # with NaN last, then input order.
-        ranked = np.lexsort((index, g, np.repeat(self._level_rho[start:stop], counts)))
-        index, g = index[ranked], g[ranked]
+        ranked = np.lexsort((index, g, rho))
+        index, rho, g = index[ranked], rho[ranked], g[ranked]
         defined = ~np.isnan(g)
         self._order = np.concatenate((self._order, index))
+        self._g = np.concatenate((self._g, g))
         self._comparable = np.concatenate((self._comparable, index[defined]))
+        self._comparable_rho = np.concatenate((self._comparable_rho, rho[defined]))
         self._comparable_g = np.concatenate((self._comparable_g, g[defined]))
         self._walked = stop
-
-    @property
-    def order(self) -> np.ndarray:
-        return self.nearest(self.db.size)
-
-    @property
-    def comparable(self) -> np.ndarray:
-        return self.nearest_comparable(self.db.size)[0]
-
-    @functools.cached_property
-    def rho(self) -> np.ndarray:
-        rows = self.db.rx_rows
-        rho = np.empty(self.db.size)
-        rho[rows.members] = np.repeat(self._row_rho, rows.counts)
-        return rho
-
-    @functools.cached_property
-    def g(self) -> np.ndarray:
-        return _gower(_against(self._features, slice(None)), self.db.size)
 
 
 def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> QueryProfile:
@@ -495,25 +485,17 @@ class GroupDistanceResult:
     comparable_only: bool = field(repr=False, compare=False)
 
     @property
-    def indices(self) -> np.ndarray:
-        """The averaged reference records' positions in the profile's
-        reference set, in selection order."""
-        if self.comparable_only:
-            return self.profile.nearest_comparable(self.size)[0]
-        return self.profile.nearest(self.size)
-
-    @property
     def members(self) -> tuple[tuple[str, float, float | None], ...]:
         """(record_id, rx_distance, feature_distance) of each averaged record,
         in selection order; the feature distance is None for an incomparable
         pair."""
-        records = self.profile.db.records
-        indices = self.indices
-        rho = self.profile.rho[indices].tolist()
-        g = self.profile.g[indices].tolist()
+        profile = self.profile
+        nearest = profile.nearest_comparable if self.comparable_only else profile.nearest
+        indices, rho, g = nearest(self.size)
+        records = profile.db.records
         return tuple(
             (records[k].record_id, r, None if math.isnan(x) else x)
-            for k, r, x in zip(indices.tolist(), rho, g)
+            for k, r, x in zip(indices.tolist(), rho.tolist(), g.tolist())
         )
 
     @property
@@ -547,7 +529,7 @@ def closest_n_feature_distance(
     if not 1 <= n <= size:
         raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
     profile = query_profile(query, db)
-    take, g = profile.nearest_comparable(n)
+    take, _, g = profile.nearest_comparable(n)
     if len(take) < n:
         raise InsufficientNeighbors(
             f"only {len(take)} comparable reference records for n={n}"
@@ -591,15 +573,9 @@ def pairwise_means(
 def _distinct_rx_sum(rows: DistinctRx) -> float:
     """Sum of prescription distances over unordered pairs of records, from
     the distinct rows and their counts; equal prescriptions add 0."""
-    weights = rows.counts.astype(np.float64)
-
-    def upper_terms():
-        for lo, rho in _row_pair_blocks(rows):
-            terms = weights[lo:lo + len(rho), None] * weights[lo:] * rho
-            for u in range(len(rho)):
-                yield from terms[u, u + 1:].tolist()
-
-    return math.fsum(upper_terms())
+    return math.fsum(
+        term for rho, pairs in _row_pairs(rows) for term in (pairs * rho).tolist()
+    )
 
 
 def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
@@ -695,10 +671,8 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     # Pairs within a distinct row are at distance 0; a pair of rows stands
     # for the product of their counts.
     rho_counts[0] = (rows.counts * (rows.counts - 1) // 2).sum()
-    for lo, rho in _row_pair_blocks(rows):
-        upper = np.arange(lo, len(rows.counts))[None, :] > np.arange(lo, lo + len(rho))[:, None]
-        pairs = rows.counts[lo:lo + len(rho), None] * rows.counts[lo:]
-        rho_counts += np.histogram(rho[upper], bins=rho_edges, weights=pairs[upper])[0]
+    for rho, pairs in _row_pairs(rows):
+        rho_counts += np.histogram(rho, bins=rho_edges, weights=pairs)[0]
     g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
     cols = np.arange(db.size)
     for block, g in _pair_blocks(db.encoded):
@@ -724,8 +698,8 @@ def _normalize(counts: np.ndarray) -> np.ndarray:
 
 def write_histogram_csv(destination: str | Path | IO[str], histogram: Histogram) -> None:
     """Plot-ready export: columns bin_low, bin_high, mass."""
-    with text_stream(destination, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("bin_low", "bin_high", "mass"))
-        for low, high, mass in histogram.rows():
-            writer.writerow((f"{low:.10g}", f"{high:.10g}", repr(mass)))
+    write_csv(
+        destination,
+        ("bin_low", "bin_high", "mass"),
+        ((f"{low:.10g}", f"{high:.10g}", repr(mass)) for low, high, mass in histogram.rows()),
+    )

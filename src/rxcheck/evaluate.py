@@ -4,12 +4,11 @@ multi-rater consensus analysis, and a plot-ready report bundle."""
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .records import text_stream
+from .records import text_stream, write_csv, write_json
 
 BEST_CASE = "BestCase"
 WORST_CASE = "WorstCase"
@@ -189,7 +188,6 @@ def emit_report(
     destination. Byte-stable for identical inputs."""
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
     summary = {
         "sources": sorted(set(cms) | set(metrics)),
@@ -209,36 +207,27 @@ def emit_report(
     }
     if venn is not None:
         summary["venn"] = dict(venn.region_counts)
-    summary_path = destination / "summary.json"
-    summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    written.append(summary_path)
-
-    confusion_path = destination / "confusion.csv"
-    with open(confusion_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("source", "tp", "fp", "fn", "tn"))
-        for source, cm in sorted(cms.items()):
-            writer.writerow((source, cm.tp, cm.fp, cm.fn, cm.tn))
-    written.append(confusion_path)
-
-    metrics_path = destination / "metrics.csv"
-    with open(metrics_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("source", "precision", "recall", "f1", "accuracy"))
-        for source, m in sorted(metrics.items()):
-            writer.writerow(
-                (source, repr(m.precision), repr(m.recall), repr(m.f1), repr(m.accuracy))
-            )
-    written.append(metrics_path)
-
-    venn_path = destination / "venn.csv"
-    with open(venn_path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("region", "count"))
-        if venn is not None:
-            for region, count in sorted(venn.region_counts.items()):
-                writer.writerow((region, count))
-    written.append(venn_path)
+    written = [destination / name for name in ("summary.json", "confusion.csv", "metrics.csv", "venn.csv")]
+    summary_path, confusion_path, metrics_path, venn_path = written
+    write_json(summary_path, summary)
+    write_csv(
+        confusion_path,
+        ("source", "tp", "fp", "fn", "tn"),
+        ((source, cm.tp, cm.fp, cm.fn, cm.tn) for source, cm in sorted(cms.items())),
+    )
+    write_csv(
+        metrics_path,
+        ("source", "precision", "recall", "f1", "accuracy"),
+        (
+            (source, repr(m.precision), repr(m.recall), repr(m.f1), repr(m.accuracy))
+            for source, m in sorted(metrics.items())
+        ),
+    )
+    write_csv(
+        venn_path,
+        ("region", "count"),
+        sorted(venn.region_counts.items()) if venn is not None else (),
+    )
     return written
 
 

@@ -15,9 +15,9 @@ from . import distance
 from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
 from .records import (
     AGE_OUT_OF_RANGE,
-    CSV_COLUMNS,
     MODELED_TECHNIQUES,
     NON_POSITIVE_RX,
+    REQUIRED_COLUMNS,
     RX_TOO_LARGE,
     FeatureSchema,
     RowParser,
@@ -26,9 +26,9 @@ from .records import (
     rx_exact_in_float,
     text_stream,
     validate_record,
+    write_csv,
+    write_json,
 )
-
-REQUIRED_COLUMNS = CSV_COLUMNS[:6]
 
 # Exclusion rules, applied in this order; the first matching rule is logged.
 RULE_TECHNIQUE = "TechniqueExcluded"
@@ -159,9 +159,7 @@ class CohortConfig:
             },
             "subject_delimiter": self.subject_delimiter,
         }
-        with text_stream(destination, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(destination, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +332,11 @@ class ExclusionLog:
         return (counts[RULE_REPLAN] + counts[RULE_REPLAN_INITIAL]) / total_records
 
     def write_csv(self, destination: str | Path | IO[str]) -> None:
-        with text_stream(destination, "w") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("record_id", "rule", "detail"))
-            for exclusion in self.exclusions:
-                writer.writerow((exclusion.record_id, exclusion.rule, exclusion.detail))
+        write_csv(
+            destination,
+            ("record_id", "rule", "detail"),
+            ((exclusion.record_id, exclusion.rule, exclusion.detail) for exclusion in self.exclusions),
+        )
 
 
 def filter_cohort(
@@ -444,9 +442,9 @@ class HistoricalDB:
     rx_index: Mapping[tuple[int, int], int]
     theta: float
     tau: float
-    incomparable_pairs: int = 0
-    encoded: EncodedFeatures = field(repr=False, compare=False, default=None)
-    rx_rows: DistinctRx = field(repr=False, compare=False, default=None)
+    incomparable_pairs: int
+    encoded: EncodedFeatures = field(repr=False, compare=False)
+    rx_rows: DistinctRx = field(repr=False, compare=False)
 
     @property
     def size(self) -> int:

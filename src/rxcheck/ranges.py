@@ -15,7 +15,7 @@ from typing import IO, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, text_stream
+from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -158,7 +158,7 @@ def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeVi
     lie inside their inclusive bounds for the record's technique."""
     bounds = boundaries.by_technique.get(record.technique)
     if bounds is None:
-        raise UnsupportedTechnique(record.technique)
+        raise UnsupportedTechnique(f"no boundaries for technique {record.technique!r}")
     p = record.prescription
     violations: list[RangeViolation] = []
     if not bounds.fractions.contains(p.fractions):
@@ -200,24 +200,40 @@ def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) 
             for technique, bounds in sorted(boundaries.by_technique.items())
         },
     }
-    with text_stream(destination, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(destination, payload)
+
+
+_BOUND_KEYS = (
+    "min_bed", "max_bed", "min_fractions", "max_fractions",
+    "min_dose_per_fraction", "max_dose_per_fraction",
+)
 
 
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
+    """Read a boundaries preset as write_boundaries writes it.
+
+    A payload that is not an object with a "techniques" object, or a
+    technique entry that is not an object or lacks a key, raises ValueError
+    naming the file, the technique and the missing keys.
+    """
     with text_stream(source) as handle:
         payload = json.load(handle)
-    return Boundaries(
-        by_technique={
-            technique: TechniqueBounds(
-                bed=QuantityBounds(row["min_bed"], row["max_bed"]),
-                fractions=QuantityBounds(row["min_fractions"], row["max_fractions"]),
-                dose_per_fraction=QuantityBounds(
-                    row["min_dose_per_fraction"], row["max_dose_per_fraction"]
-                ),
+    name = getattr(source, "name", source)
+    techniques = payload.get("techniques") if isinstance(payload, dict) else None
+    if not isinstance(techniques, dict):
+        raise ValueError(f"{name}: expected a JSON object with a \"techniques\" object, got {payload!r}")
+    by_technique = {}
+    for technique, row in techniques.items():
+        if not isinstance(row, dict):
+            raise ValueError(f"{name}: technique {technique!r}: expected an object, got {row!r}")
+        missing = [key for key in _BOUND_KEYS if key not in row]
+        if missing:
+            raise ValueError(
+                f"{name}: technique {technique!r}: missing key " + ", ".join(repr(key) for key in missing)
             )
-            for technique, row in payload["techniques"].items()
-        },
-        check_bed=bool(payload.get("check_bed", True)),
-    )
+        by_technique[technique] = TechniqueBounds(
+            bed=QuantityBounds(row["min_bed"], row["max_bed"]),
+            fractions=QuantityBounds(row["min_fractions"], row["max_fractions"]),
+            dose_per_fraction=QuantityBounds(row["min_dose_per_fraction"], row["max_dose_per_fraction"]),
+        )
+    return Boundaries(by_technique=by_technique, check_bed=bool(payload.get("check_bed", True)))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -48,7 +49,7 @@ CSV_COLUMNS = (
     "age_at_tx",
 )
 
-_REQUIRED_COLUMNS = CSV_COLUMNS[:6]
+REQUIRED_COLUMNS = CSV_COLUMNS[:6]
 
 
 @dataclass(frozen=True)
@@ -356,7 +357,7 @@ class RowParser:
         rx_cells = (fractions, dose_per_fraction, total_dose, accumulated_dose)
         prescription = self._prescriptions.get(rx_cells)
         if prescription is None:
-            for column, cell in zip(_REQUIRED_COLUMNS[1:5], rx_cells):
+            for column, cell in zip(REQUIRED_COLUMNS[1:5], rx_cells):
                 if _missing(cell):
                     raise ValueError(f"missing required value: {column}")
         technique = labels[technique]
@@ -397,12 +398,26 @@ def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterato
         yield target
 
 
-def write_records_csv(destination: str | os.PathLike | IO[str], records: Iterable[TreatmentRecord]) -> None:
+def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:
+    """Write the header and then each row as CSV, every line ending in a
+    bare newline."""
     with text_stream(destination, "w") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for record in records:
-            writer.writerow(record_to_row(record))
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(destination: str | os.PathLike | IO[str], payload) -> None:
+    """Write payload as JSON, indented by 2 with sorted keys, and a final
+    newline."""
+    with text_stream(destination, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def write_records_csv(destination: str | os.PathLike | IO[str], records: Iterable[TreatmentRecord]) -> None:
+    # record_to_row's keys are in CSV_COLUMNS order.
+    write_csv(destination, CSV_COLUMNS, (record_to_row(record).values() for record in records))
 
 
 def records_csv_text(records: Iterable[TreatmentRecord]) -> str:

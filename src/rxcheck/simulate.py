@@ -9,7 +9,6 @@ rarity threshold, never by clinical judgment.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import IO, Callable, Mapping, Sequence, TYPE_CHECKING
@@ -22,7 +21,7 @@ from .records import (
     FeatureSchema,
     Prescription,
     TreatmentRecord,
-    text_stream,
+    write_json,
     write_records_csv,
 )
 
@@ -338,6 +337,4 @@ def write_sa_set(
         }
         for sa in anomalies
     ]
-    with text_stream(json_destination, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(json_destination, payload)

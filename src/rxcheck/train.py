@@ -12,7 +12,6 @@ evaluations scored well.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +21,7 @@ import numpy as np
 
 from .detector import ModelParams, detect
 from .distance import InsufficientData, QueryProfile, query_profile
-from .records import TreatmentRecord, text_stream
+from .records import TreatmentRecord, write_csv
 from .seeding import substream
 from .simulate import SimulatedAnomaly
 
@@ -314,11 +313,12 @@ def _kde(x: float, points: Sequence[float], bandwidth: float) -> float:
 # ---------------------------------------------------------------------------
 
 def write_trace_csv(destination: str | Path | IO[str], outcome: TrainingOutcome) -> None:
-    with text_stream(destination, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(("eval_index", "a", "b", "mu", "nu", "f1_mean", "f1_std"))
-        for index, entry in enumerate(outcome.trace):
-            p = entry.params
-            writer.writerow(
-                (index, repr(p.a), repr(p.b), repr(p.mu), repr(p.nu), repr(entry.f1_mean), repr(entry.f1_std))
-            )
+    write_csv(
+        destination,
+        ("eval_index", "a", "b", "mu", "nu", "f1_mean", "f1_std"),
+        (
+            (index, repr(e.params.a), repr(e.params.b), repr(e.params.mu), repr(e.params.nu),
+             repr(e.f1_mean), repr(e.f1_std))
+            for index, e in enumerate(outcome.trace)
+        ),
+    )

@@ -8,6 +8,7 @@ import pytest
 from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
 from rxcheck.ingest import CohortConfig, build_historical_db, filter_cohort
+from rxcheck.ranges import Boundaries, table_preset, write_boundaries
 from rxcheck.records import records_csv_text, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
@@ -312,6 +313,41 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == f"rxcheck: error: {params}: technique '3D': {problem}\n"
         assert not (out / "verdicts.jsonl").exists()
+
+    def test_record_without_boundaries_does_not_abort_batch(
+        self, cohort_csv, params_json, tmp_path, capsys
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:2])
+        boundaries = tmp_path / "bounds.json"
+        write_boundaries(boundaries, Boundaries(
+            by_technique={"SBRT": table_preset().by_technique["SBRT"]}, check_bed=False))
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--boundaries", str(boundaries)])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(
+            f"rxcheck: record {r.record_id}: no boundaries for technique '3D'\n" for r in records[:2]
+        )
+
+    def test_malformed_boundaries_named_before_any_verdict(
+        self, cohort_csv, params_json, tmp_path, capsys
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:2])
+        boundaries = tmp_path / "bounds.json"
+        boundaries.write_text(json.dumps({"techniques": {"3D": {
+            "min_bed": 0, "min_fractions": 1, "max_fractions": 40,
+            "min_dose_per_fraction": 100, "max_dose_per_fraction": 900}}}))
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--boundaries", str(boundaries)])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rxcheck: error: {boundaries}: technique '3D': missing key 'max_bed'\n"
 
 
 class TestTrain:

@@ -294,19 +294,24 @@ def _assert_groups_match_oracle(rng, db, query, candidate=None):
     # candidate is what the group functions get: the query or its profile.
     candidate = query if candidate is None else candidate
     m = int(rng.integers(1, db.size + 1))
-    expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, m)
-    got = closest_m_rx_distance(candidate, db, m)
-    assert close(got.value, expected)
-    assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
     n = int(rng.integers(1, db.size + 1))
-    expected_f, ids_f = oracle_closest_n(query, list(db.records), db.feature_schema, n)
-    if expected_f is None:
-        with pytest.raises(InsufficientNeighbors):
-            closest_n_feature_distance(candidate, db, n)
-    else:
-        got_f = closest_n_feature_distance(candidate, db, n)
-        assert close(got_f.value, expected_f)
-        assert [t[0] for t in got_f.members] == [db.records[i].record_id for i in ids_f]
+    _assert_sizes_match_oracle(query, db, m, n, candidate)
+
+
+def _assert_members_match_oracle(query, db, got, ids):
+    """got averages the records at ids, each with the oracle's rho and g."""
+    records, schema = list(db.records), db.feature_schema
+    fs = [r.prescription.fractions for r in records]
+    ds = [r.prescription.dose_per_fraction for r in records]
+    bounds = (min(fs), max(fs), min(ds), max(ds))
+    assert [t[0] for t in got.members] == [records[i].record_id for i in ids]
+    for (_, rho, g), i in zip(got.members, ids):
+        assert close(rho, oracle_rho(query.prescription, records[i].prescription, *bounds))
+        expected = oracle_gower(query, records[i], schema)
+        if expected is None:
+            assert g is None
+        else:
+            assert g is not None and close(g, expected)
 
 
 class TestQueryProfile:
@@ -339,7 +344,7 @@ class TestQueryProfile:
         db = random_db(rng, 40)
         query = rec("blank", 12, 300)
         profile = query_profile(query, db)
-        assert len(profile.comparable) == 0
+        assert len(profile.nearest_comparable(db.size)[0]) == 0
         for candidate in (query, profile):
             expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, 5)
             got = closest_m_rx_distance(candidate, db, 5)
@@ -593,7 +598,7 @@ def _assert_sizes_match_oracle(query, db, m, n, candidate):
     expected, ids = oracle_closest_m(query, records, schema, m)
     got = closest_m_rx_distance(candidate, db, m)
     assert close(got.value, expected)
-    assert [t[0] for t in got.members] == [records[i].record_id for i in ids]
+    _assert_members_match_oracle(query, db, got, ids)
     expected_f, ids_f = oracle_closest_n(query, records, schema, n)
     if expected_f is None:
         with pytest.raises(InsufficientNeighbors):
@@ -601,7 +606,7 @@ def _assert_sizes_match_oracle(query, db, m, n, candidate):
     else:
         got_f = closest_n_feature_distance(candidate, db, n)
         assert close(got_f.value, expected_f)
-        assert [t[0] for t in got_f.members] == [records[i].record_id for i in ids_f]
+        _assert_members_match_oracle(query, db, got_f, ids_f)
 
 
 def _r_f_status(query, db, params):

@@ -67,6 +67,21 @@ class TestTablePreset:
         loaded = load_boundaries(path)
         assert loaded == table_preset()
 
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", 'expected a JSON object with a "techniques" object, got []'),
+        ('{"check_bed": true}', 'expected a JSON object with a "techniques" object, got {\'check_bed\': True}'),
+        ('{"techniques": 5}', 'expected a JSON object with a "techniques" object, got {\'techniques\': 5}'),
+        ('{"techniques": {"SBRT": 5}}', "technique 'SBRT': expected an object, got 5"),
+        ('{"techniques": {"SBRT": {"min_bed": 0, "min_fractions": 1, "max_fractions": 5}}}',
+         "technique 'SBRT': missing key 'max_bed', 'min_dose_per_fraction', 'max_dose_per_fraction'"),
+    ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys"])
+    def test_malformed_preset_named(self, tmp_path, text, problem):
+        path = tmp_path / "bounds.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            load_boundaries(str(path))
+        assert str(raised.value) == f"{path}: {problem}"
+
 
 class TestDeriveBoundaries:
     def test_full_range_quantiles_match_observed(self, small_db):
@@ -117,9 +132,10 @@ class TestCheckRange:
         assert [v.quantity for v in violations] == ["bed"]
 
     def test_unknown_technique(self):
-        with pytest.raises(UnsupportedTechnique):
+        with pytest.raises(UnsupportedTechnique) as raised:
             check_range(rec("a", 5, 1000, technique="SBRT"),
                         Boundaries(by_technique={}))
+        assert raised.value.args == ("no boundaries for technique 'SBRT'",)
 
     def test_in_sample_records_inside_full_range_quantiles(self):
         rng = np.random.default_rng(9)
