@@ -40,8 +40,8 @@ for d in diagnostics:
     print(f"  row {d.row}: {d.reason}")
 
 config = CohortConfig()
-normalized, report = normalize_dataset(records, config.label_mappings)
-print(f"\nnormalized labels; unmapped occurrences: {dict(report.unmapped) or 'none'}")
+normalized, unmapped = normalize_dataset(records, config.label_mappings)
+print(f"\nnormalized labels; unmapped occurrences: {dict(unmapped) or 'none'}")
 print("  e.g.", records[0].energy, "->", normalized[0].energy,
       "and", records[0].technique, "->", normalized[0].technique)
 

@@ -46,11 +46,9 @@ from .ingest import (
     CohortConfig,
     ExclusionLog,
     HistoricalDB,
-    build_cohort_dbs,
     build_historical_db,
     filter_cohort,
     normalize_dataset,
-    normalize_labels,
     parse_dataset,
 )
 from .ranges import (
@@ -68,7 +66,6 @@ from .records import (
     Prescription,
     TreatmentRecord,
     default_schema,
-    read_records_csv,
     validate_record,
     write_records_csv,
 )
@@ -113,7 +110,6 @@ __all__ = [
     "TrainingOutcome",
     "TreatmentRecord",
     "Verdict",
-    "build_cohort_dbs",
     "build_historical_db",
     "check_range",
     "closest_m_rx_distance",
@@ -134,11 +130,9 @@ __all__ = [
     "macro_metrics",
     "mutate_features",
     "normalize_dataset",
-    "normalize_labels",
     "pairwise_histograms",
     "parse_dataset",
     "query_profile",
-    "read_records_csv",
     "rx_distance",
     "scale_rx",
     "search_parameters",

@@ -222,11 +222,16 @@ def _load_cohort(config: RunConfig) -> CohortConfig:
     return CohortConfig()
 
 
-def _read_cohort(input_path: str, cohort: CohortConfig):
+def _load_new_records(input_path: str, cohort: CohortConfig):
     records, diagnostics = parse_dataset(input_path)
-    normalized, norm_report = normalize_dataset(records, cohort.label_mappings)
+    normalized, unmapped = normalize_dataset(records, cohort.label_mappings)
+    return normalized, diagnostics, unmapped
+
+
+def _read_cohort(input_path: str, cohort: CohortConfig):
+    normalized, diagnostics, unmapped = _load_new_records(input_path, cohort)
     kept, log = filter_cohort(normalized, cohort)
-    return kept, log, diagnostics, norm_report
+    return kept, log, diagnostics, unmapped
 
 
 def _eligible(kept, technique: str | None) -> dict:
@@ -238,15 +243,8 @@ def _eligible(kept, technique: str | None) -> dict:
     }
 
 
-def _build_dbs(input_path: str, cohort: CohortConfig, technique: str | None):
-    kept, _, _, _ = _read_cohort(input_path, cohort)
+def _build_dbs(kept, technique: str | None) -> dict:
     return {tech: build_historical_db(rows) for tech, rows in _eligible(kept, technique).items()}
-
-
-def _load_new_records(input_path: str, cohort: CohortConfig):
-    records, diagnostics = parse_dataset(input_path)
-    normalized, _ = normalize_dataset(records, cohort.label_mappings)
-    return normalized, diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +256,8 @@ def _cmd_ingest(args) -> int:
     cohort = _load_cohort(config)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    kept, log, diagnostics, norm_report = _read_cohort(args.input, cohort)
-    dbs = {tech: build_historical_db(rows) for tech, rows in _eligible(kept, args.technique).items()}
+    kept, log, diagnostics, unmapped = _read_cohort(args.input, cohort)
+    dbs = _build_dbs(kept, args.technique)
 
     log.write_csv(out / "exclusions.csv")
     meta = {}
@@ -280,7 +278,7 @@ def _cmd_ingest(args) -> int:
     print(
         f"ingest: kept {sum(len(v) for v in kept.values())} records, "
         f"excluded {len(log)}, parse diagnostics {len(diagnostics)}, "
-        f"unmapped labels {sum(norm_report.unmapped.values())}"
+        f"unmapped labels {sum(unmapped.values())}"
     )
     return EX_OK
 
@@ -341,14 +339,14 @@ def _cmd_check(args) -> int:
     boundaries_path = _resolve(args.boundaries, config.boundaries)
     boundaries = load_boundaries(boundaries_path) if boundaries_path else None
     params_by_technique = load_params_json(params_path)
-    dbs = _build_dbs(historical, cohort, args.technique)
+    dbs = _build_dbs(_read_cohort(historical, cohort)[0], args.technique)
     if quantile is not None:
         merged = {}
         for db in dbs.values():
             merged.update(derive_boundaries(db, quantile).by_technique)
         boundaries = Boundaries(by_technique=merged, check_bed=True)
 
-    records, diagnostics = _load_new_records(args.input, cohort)
+    records, diagnostics, _ = _load_new_records(args.input, cohort)
     if args.technique is not None:
         records = [r for r in records if r.technique == args.technique]
     for diagnostic in diagnostics:
@@ -400,7 +398,7 @@ def _cmd_simulate(args) -> int:
     seed = _resolve(args.seed, config.seed, 0)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs = _build_dbs(args.input, cohort, args.technique)
+    dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records to simulate from")
     for tech, db in sorted(dbs.items()):
@@ -439,7 +437,7 @@ def _cmd_hist(args) -> int:
     cohort = _load_cohort(config)
     out = Path(_resolve(args.out, config.out))
     out.mkdir(parents=True, exist_ok=True)
-    dbs = _build_dbs(args.input, cohort, args.technique)
+    dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records for histograms")
     for tech, db in sorted(dbs.items()):

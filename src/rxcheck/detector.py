@@ -22,7 +22,7 @@ from .distance import (
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, text_stream, write_json
+from .records import TreatmentRecord, source_name, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -67,13 +67,18 @@ class ModelParams:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, float]) -> "ModelParams":
-        """Raises MalformedParams for a payload that is not an object or
-        lacks a key, naming the missing keys."""
+        """Raises MalformedParams for a payload that is not an object, lacks
+        a key or holds a value that is not a JSON number, naming the keys."""
         if not isinstance(payload, Mapping):
             raise MalformedParams(f"expected an object with keys {', '.join(_PARAM_KEYS)}, got {payload!r}")
         missing = [key for key in _PARAM_KEYS if key not in payload]
         if missing:
             raise MalformedParams("missing key " + ", ".join(repr(key) for key in missing))
+        for key in _PARAM_KEYS:
+            value = payload[key]
+            # A bool is an int to isinstance, and float() would take a string.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise MalformedParams(f"key {key!r}: expected a number, got {value!r}")
         return cls(**{key: float(payload[key]) for key in _PARAM_KEYS})
 
 
@@ -221,12 +226,13 @@ def load_params_json(source) -> dict[str, ModelParams]:
     technique. A flat object is returned under the wildcard key '*'.
 
     A file that is not an object raises ValueError naming the file; an entry
-    that is not an object or lacks a key raises MalformedParams naming the
+    that is not an object, lacks a key, holds a value that is not a number
+    or is out of range (NaN included) raises MalformedParams naming the
     file, the technique and the keys.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)
-    name = getattr(source, "name", source)
+    name = source_name(source)
     if not isinstance(payload, dict):
         raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
     if set(payload) >= set(_PARAM_KEYS):
@@ -235,7 +241,7 @@ def load_params_json(source) -> dict[str, ModelParams]:
     for technique, entry in payload.items():
         try:
             loaded[technique] = ModelParams.from_dict(entry)
-        except MalformedParams as exc:
+        except ValueError as exc:
             raise MalformedParams(f"{name}: technique {technique!r}: {exc}") from None
     return loaded
 

@@ -39,10 +39,10 @@ sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's bound range, as they do when the schema was bound
 to the same records; pairwise_means checks that. Only the feature
-histogram, which needs each pair's value, still visits every pair of
-records, in blocks. theta and the prescription histogram share one pass
-over the pairs of distinct prescriptions, each weighted by the product of
-their counts.
+histogram, which needs each pair's value, still visits pairs of records:
+each unordered pair once, in blocks. theta and the prescription histogram
+share one pass over the pairs of distinct prescriptions, each weighted by
+the product of their counts.
 """
 
 from __future__ import annotations
@@ -333,17 +333,18 @@ def _against(features, index):
 
 
 def _pair_blocks(encoded: EncodedFeatures):
-    """Yields (rows, g): the Gower distances from records rows (a block of
-    at most _PAIR_BLOCK) to every record, with one row per block record."""
+    """Yields the Gower distances of the pairs of records j < k, with j in
+    one block of at most _PAIR_BLOCK records at a time; NaN where a pair is
+    incomparable."""
     size = encoded.size
     for lo in range(0, size, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, size)
-        block = slice(lo, hi)
         pairs = (
-            (col, col.values[block, None], col.values, col.present[block, None] & col.present)
+            (col, col.values[lo:hi, None], col.values[lo:], col.present[lo:hi, None] & col.present[lo:])
             for col in encoded.columns
         )
-        yield np.arange(lo, hi), _gower(pairs, (hi - lo, size))
+        upper = np.arange(size - lo)[None, :] > np.arange(hi - lo)[:, None]
+        yield _gower(pairs, upper.shape)[upper]
 
 
 def _row_pairs(rows: DistinctRx):
@@ -674,10 +675,8 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     for rho, pairs in _row_pairs(rows):
         rho_counts += np.histogram(rho, bins=rho_edges, weights=pairs)[0]
     g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
-    cols = np.arange(db.size)
-    for block, g in _pair_blocks(db.encoded):
-        upper = cols[None, :] > block[:, None]
-        g_counts += np.histogram(g[upper & ~np.isnan(g)], bins=g_edges)[0]
+    for g in _pair_blocks(db.encoded):
+        g_counts += np.histogram(g[~np.isnan(g)], bins=g_edges)[0]
     return (
         Histogram(rho_edges, _normalize(rho_counts)),
         Histogram(g_edges, _normalize(g_counts)),

@@ -72,9 +72,6 @@ class MacroMetrics:
     f1: float
     accuracy: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.precision, self.recall, self.f1, self.accuracy)
-
 
 def _safe_div(num: float, den: float) -> float:
     # Zero-denominator per-class metrics are defined as 0, so degenerate

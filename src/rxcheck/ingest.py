@@ -68,7 +68,7 @@ DEFAULT_ICD10_WHITELIST = frozenset(
 DEFAULT_EXCLUDED_TECHNIQUES = frozenset({"IMPT", "2D", "Brachy"})
 
 # Static label-normalization tables (per field, raw -> canonical). Unmapped
-# labels pass through unchanged and are tallied in the normalization report.
+# labels pass through unchanged and normalize_dataset tallies them.
 DEFAULT_LABEL_MAPPINGS: Mapping[str, Mapping[str, str]] = {
     "technique": {
         "3d": "3D", "3D-CRT": "3D", "3DCRT": "3D",
@@ -217,16 +217,6 @@ def parse_dataset(
 _MAPPABLE_FIELDS = ("technique", "energy", "intent", "icd10", "morphology")
 
 
-@dataclass
-class NormalizationReport:
-    """Tally of labels that had a mapping table but no entry in it."""
-
-    unmapped: Counter = field(default_factory=Counter)
-
-    def add(self, field_name: str, label: str) -> None:
-        self.unmapped[(field_name, label)] += 1
-
-
 class _Resolved(dict):
     """One field's raw label -> label after mapping, each distinct label
     resolved once. A label that the field's table neither maps nor produces
@@ -253,53 +243,31 @@ class _Resolved(dict):
         return mapped
 
 
-class _LabelResolver:
-    """normalize_labels for many records under one set of mapping tables."""
-
-    def __init__(self, mappings: Mapping[str, Mapping[str, str]]):
-        self._unmapped: set[tuple[str, str]] = set()
-        self._fields = tuple(
-            _Resolved(name, mappings.get(name), self._unmapped) for name in _MAPPABLE_FIELDS
-        )
-
-    def normalize(
-        self, record: TreatmentRecord, report: NormalizationReport | None
-    ) -> TreatmentRecord:
-        labels = (record.technique, record.energy, record.intent, record.icd10, record.morphology)
-        mapped = tuple(map(getitem, self._fields, labels))
-        if report is not None and self._unmapped:
-            for field_label in zip(_MAPPABLE_FIELDS, labels):
-                if field_label in self._unmapped:
-                    report.add(*field_label)
-        if mapped == labels:
-            return record
-        technique, energy, intent, icd10, morphology = mapped
-        return TreatmentRecord(
-            record.record_id, record.prescription, technique,
-            energy, intent, icd10, morphology, record.age_at_tx,
-        )
-
-
-def normalize_labels(
-    record: TreatmentRecord,
-    mappings: Mapping[str, Mapping[str, str]],
-    report: NormalizationReport | None = None,
-) -> TreatmentRecord:
-    """Map each categorical field through its table; unmapped labels pass through.
-
-    A field without a table is left untouched. Labels that are already a
-    canonical target of their table are not counted as unmapped.
-    """
-    return _LabelResolver(mappings).normalize(record, report)
-
-
 def normalize_dataset(
     records: Iterable[TreatmentRecord],
     mappings: Mapping[str, Mapping[str, str]],
-) -> tuple[list[TreatmentRecord], NormalizationReport]:
-    report = NormalizationReport()
-    resolver = _LabelResolver(mappings)
-    return [resolver.normalize(r, report) for r in records], report
+) -> tuple[list[TreatmentRecord], Counter]:
+    """Map each categorical field through its table; unmapped labels pass through.
+
+    A field without a table is left untouched. Returns the records in input
+    order and a Counter of the (field, label) occurrences whose field has a
+    table that neither maps the label nor has it as a canonical target.
+    """
+    unmapped_labels: set[tuple[str, str]] = set()
+    fields = tuple(_Resolved(name, mappings.get(name), unmapped_labels) for name in _MAPPABLE_FIELDS)
+    unmapped: Counter = Counter()
+    normalized: list[TreatmentRecord] = []
+    for record in records:
+        labels = (record.technique, record.energy, record.intent, record.icd10, record.morphology)
+        mapped = tuple(map(getitem, fields, labels))
+        if unmapped_labels:
+            for field_label in zip(_MAPPABLE_FIELDS, labels):
+                if field_label in unmapped_labels:
+                    unmapped[field_label] += 1
+        if mapped != labels:
+            record = TreatmentRecord(record.record_id, record.prescription, *mapped, record.age_at_tx)
+        normalized.append(record)
+    return normalized, unmapped
 
 
 # ---------------------------------------------------------------------------
@@ -487,18 +455,3 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
         encoded=encoded,
         rx_rows=distance.distinct_rx(rx_f, rx_d),
     )
-
-
-def build_cohort_dbs(
-    records: Sequence[TreatmentRecord],
-    config: CohortConfig | None = None,
-) -> tuple[dict[str, HistoricalDB], ExclusionLog]:
-    """filter_cohort plus build_historical_db for every technique with >= 2
-    surviving records."""
-    kept, log = filter_cohort(records, config)
-    dbs = {
-        technique: build_historical_db(rows)
-        for technique, rows in kept.items()
-        if len(rows) >= 2
-    }
-    return dbs, log

@@ -15,7 +15,7 @@ from typing import IO, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, text_stream, write_json
+from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, source_name, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -203,37 +203,42 @@ def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) 
     write_json(destination, payload)
 
 
-_BOUND_KEYS = (
-    "min_bed", "max_bed", "min_fractions", "max_fractions",
-    "min_dose_per_fraction", "max_dose_per_fraction",
-)
+_QUANTITIES = ("bed", "fractions", "dose_per_fraction")
+_BOUND_KEYS = tuple(f"{side}_{quantity}" for quantity in _QUANTITIES for side in ("min", "max"))
 
 
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     """Read a boundaries preset as write_boundaries writes it.
 
     A payload that is not an object with a "techniques" object, or a
-    technique entry that is not an object or lacks a key, raises ValueError
-    naming the file, the technique and the missing keys.
+    technique entry that is not an object, lacks a key, holds a bound that
+    is not a number (NaN included) or a lower bound above its upper bound,
+    raises ValueError naming the file, the technique and the keys.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)
-    name = getattr(source, "name", source)
+    name = source_name(source)
     techniques = payload.get("techniques") if isinstance(payload, dict) else None
     if not isinstance(techniques, dict):
         raise ValueError(f"{name}: expected a JSON object with a \"techniques\" object, got {payload!r}")
     by_technique = {}
     for technique, row in techniques.items():
+        where = f"{name}: technique {technique!r}"
         if not isinstance(row, dict):
-            raise ValueError(f"{name}: technique {technique!r}: expected an object, got {row!r}")
+            raise ValueError(f"{where}: expected an object, got {row!r}")
         missing = [key for key in _BOUND_KEYS if key not in row]
         if missing:
-            raise ValueError(
-                f"{name}: technique {technique!r}: missing key " + ", ".join(repr(key) for key in missing)
-            )
+            raise ValueError(f"{where}: missing key " + ", ".join(repr(key) for key in missing))
+        for key in _BOUND_KEYS:
+            value = row[key]
+            # A bool is an int to isinstance; NaN is the one float unequal to itself.
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+                raise ValueError(f"{where}: key {key!r}: expected a number, got {value!r}")
+        for quantity in _QUANTITIES:
+            lo, hi = row[f"min_{quantity}"], row[f"max_{quantity}"]
+            if lo > hi:
+                raise ValueError(f"{where}: key 'min_{quantity}' {lo!r} exceeds key 'max_{quantity}' {hi!r}")
         by_technique[technique] = TechniqueBounds(
-            bed=QuantityBounds(row["min_bed"], row["max_bed"]),
-            fractions=QuantityBounds(row["min_fractions"], row["max_fractions"]),
-            dose_per_fraction=QuantityBounds(row["min_dose_per_fraction"], row["max_dose_per_fraction"]),
+            **{quantity: QuantityBounds(row[f"min_{quantity}"], row[f"max_{quantity}"]) for quantity in _QUANTITIES}
         )
     return Boundaries(by_technique=by_technique, check_bed=bool(payload.get("check_bed", True)))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 from contextlib import contextmanager
@@ -298,11 +297,6 @@ def record_to_row(record: TreatmentRecord) -> dict[str, str]:
     }
 
 
-def record_from_row(row: dict[str, str]) -> TreatmentRecord:
-    """Parse one canonical CSV row; raises ValueError on malformed cells."""
-    return RowParser().record(tuple(row.get(column) for column in CSV_COLUMNS))
-
-
 class _Cells(dict):
     """Raw cell -> convert(cell), or None for a missing cell; each distinct
     cell is resolved once. A cell that convert rejects raises on every use
@@ -328,7 +322,7 @@ class RowParser:
     prescription cells share one Prescription, which is frozen.
     """
 
-    def __init__(self, header: Sequence[str] = CSV_COLUMNS):
+    def __init__(self, header: Sequence[str]):
         # The last of duplicate names wins, as in csv.DictReader; a column
         # the header lacks reads the None appended to every row.
         self._width = len(header)
@@ -398,6 +392,14 @@ def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterato
         yield target
 
 
+def source_name(source: str | os.PathLike | IO[str]):
+    """How a message names a source: a path's full text, or a handle's
+    name attribute (the handle itself when it has none)."""
+    if isinstance(source, (str, os.PathLike)):
+        return os.fspath(source)
+    return getattr(source, "name", source)
+
+
 def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write the header and then each row as CSV, every line ending in a
     bare newline."""
@@ -418,20 +420,3 @@ def write_json(destination: str | os.PathLike | IO[str], payload) -> None:
 def write_records_csv(destination: str | os.PathLike | IO[str], records: Iterable[TreatmentRecord]) -> None:
     # record_to_row's keys are in CSV_COLUMNS order.
     write_csv(destination, CSV_COLUMNS, (record_to_row(record).values() for record in records))
-
-
-def records_csv_text(records: Iterable[TreatmentRecord]) -> str:
-    buffer = io.StringIO()
-    write_records_csv(buffer, records)
-    return buffer.getvalue()
-
-
-def read_records_csv(source: str | os.PathLike | IO[str]) -> list[TreatmentRecord]:
-    """Strict reader for canonical files: the first malformed row raises.
-
-    Use ingest.parse_dataset for per-row diagnostics instead of exceptions.
-    """
-    with text_stream(source) as handle:
-        reader = csv.reader(handle)
-        parser = RowParser(next(reader, ()))
-        return [parser.record(parser.cells(row)) for row in reader if row]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import sys
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from rxcheck.ingest import build_historical_db
-from rxcheck.records import TreatmentRecord, default_schema
+from rxcheck.records import TreatmentRecord, default_schema, write_records_csv
 
 ENERGIES = ("x06", "x06FFF", "x10", "x15", "mixed photon")
 INTENTS = ("curative", "palliative")
@@ -19,6 +20,13 @@ MORPHOLOGIES = ("80463", "81406", "87203", "80703")
 
 def rec(record_id, fractions, dose, technique="3D", **kwargs):
     return TreatmentRecord.create(record_id, fractions, dose, technique, **kwargs)
+
+
+def records_csv_text(records) -> str:
+    """The canonical CSV text of records, as write_records_csv writes it."""
+    buffer = io.StringIO()
+    write_records_csv(buffer, records)
+    return buffer.getvalue()
 
 
 def random_record(rng: np.random.Generator, index: int, technique="3D", missing_rate=0.15):

@@ -494,7 +494,7 @@ def test_criterion_09_f1_cross_check():
         harmonic = 2 * precision * recall / (precision + recall)
         assert close(f1_metric(tp, fp, fn), harmonic)
     perfect = macro_metrics(ConfusionMatrix(10, 0, 0, 10))
-    assert perfect.as_tuple() == (1.0, 1.0, 1.0, 1.0)
+    assert dataclasses.astuple(perfect) == (1.0, 1.0, 1.0, 1.0)
     _report(9, True, "f1 equals 2PR/(P+R) on 100 triples; perfect macro metrics are all 1")
 
 

@@ -9,10 +9,10 @@ from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
 from rxcheck.ingest import CohortConfig, build_historical_db, filter_cohort
 from rxcheck.ranges import Boundaries, table_preset, write_boundaries
-from rxcheck.records import records_csv_text, write_records_csv
+from rxcheck.records import write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
-from conftest import rec
+from conftest import rec, records_csv_text
 from synth import make_cohort
 
 PARAMS = ModelParams(a=0.5, b=0.25, mu=0.05, nu=0.05)
@@ -291,11 +291,14 @@ class TestCheck:
         assert code == EX_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("rxcheck: error: a and b must be finite and positive")
+        assert captured.err == (f"rxcheck: error: {params}: technique '*': "
+                                f"a and b must be finite and positive, got a={float(value)}, b=0.25\n")
 
     @pytest.mark.parametrize("entry, problem", [
         ('{"a": 1}', "missing key 'b', 'mu', 'nu'"),
         ("5", "expected an object with keys a, b, mu, nu, got 5"),
+        ('{"a": "x", "b": 1, "mu": 0.05, "nu": 0.05}', "key 'a': expected a number, got 'x'"),
+        ('{"a": NaN, "b": 1, "mu": 0.05, "nu": 0.05}', "a and b must be finite and positive, got a=nan, b=1.0"),
     ])
     def test_malformed_params_entry_named_before_any_verdict(
         self, cohort_csv, tmp_path, capsys, entry, problem
@@ -348,6 +351,31 @@ class TestCheck:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"rxcheck: error: {boundaries}: technique '3D': missing key 'max_bed'\n"
+
+    @pytest.mark.parametrize("bad, problem", [
+        ({"min_bed": "a"}, "key 'min_bed': expected a number, got 'a'"),
+        ({"max_bed": None}, "key 'max_bed': expected a number, got None"),
+        ({"min_fractions": True}, "key 'min_fractions': expected a number, got True"),
+        ({"min_bed": 5, "max_bed": 1}, "key 'min_bed' 5 exceeds key 'max_bed' 1"),
+    ])
+    def test_bad_boundary_values_named_before_any_verdict(
+        self, cohort_csv, params_json, tmp_path, capsys, bad, problem
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:2])
+        boundaries = tmp_path / "bounds.json"
+        boundaries.write_text(json.dumps({"techniques": {"3D": {
+            "min_bed": 0, "max_bed": 10 ** 6, "min_fractions": 1, "max_fractions": 40,
+            "min_dose_per_fraction": 100, "max_dose_per_fraction": 900, **bad}}}))
+        out = tmp_path / "out"
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--boundaries", str(boundaries), "--out", str(out)])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rxcheck: error: {boundaries}: technique '3D': {problem}\n"
+        assert not (out / "verdicts.jsonl").exists()
 
 
 class TestTrain:

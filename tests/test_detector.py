@@ -93,6 +93,9 @@ class TestModelParams:
     @pytest.mark.parametrize("payload, problem", [
         ({"a": 1, "nu": 0.1}, "missing key 'b', 'mu'"),
         ([1, 2], "expected an object with keys a, b, mu, nu, got \\[1, 2\\]"),
+        ({"a": "1", "b": 1, "mu": 0.05, "nu": 0.05}, "key 'a': expected a number, got '1'"),
+        ({"a": 1, "b": None, "mu": 0.05, "nu": 0.05}, "key 'b': expected a number, got None"),
+        ({"a": 1, "b": 1, "mu": True, "nu": 0.05}, "key 'mu': expected a number, got True"),
     ])
     def test_malformed_payload_rejected(self, payload, problem):
         with pytest.raises(MalformedParams, match=problem):
@@ -312,6 +315,19 @@ class TestExplainAndWire:
 
 
 class TestParamsIo:
+    @pytest.mark.parametrize("value, problem", [
+        ('"x"', "key 'a': expected a number, got 'x'"),
+        ("null", "key 'a': expected a number, got None"),
+        ("NaN", "a and b must be finite and positive, got a=nan, b=1.0"),
+    ])
+    def test_bad_value_named_with_file_and_technique(self, tmp_path, value, problem):
+        # A pathlib.Path source is named by its full path, not its file name.
+        path = tmp_path / "params.json"
+        path.write_text(f'{{"3D": {{"a": {value}, "b": 1, "mu": 0.05, "nu": 0.05}}}}')
+        with pytest.raises(MalformedParams) as raised:
+            load_params_json(path)
+        assert str(raised.value) == f"{path}: technique '3D': {problem}"
+
     def test_per_technique_and_flat(self, tmp_path):
         path = tmp_path / "params.json"
         path.write_text(json.dumps({"3D": PARAMS.as_dict()}))

@@ -672,12 +672,19 @@ class TestPairwiseHistograms:
         assert rx_hist.mass[0] == rx_hist.mass.max()
 
     def test_counts_match_oracle_pair_distances(self):
-        # 300 records span two pair blocks; the second reference has a
+        # 300 records span two pair blocks, 256 fill exactly one and 257 leave
+        # one record for a second block; in the 257-record reference every
+        # seventh record has no feature at all. The last reference has a
         # constant age column.
         rng = np.random.default_rng(15)
         records = [random_record(rng, i) for i in range(300)]
+        featureless = [
+            replace(r, energy=None, intent=None, icd10=None, morphology=None, age_at_tx=None)
+            if i % 7 == 0 else r
+            for i, r in enumerate(records[:257])
+        ]
         constant_age = [r if r.age_at_tx is None else replace(r, age_at_tx=60) for r in records[:40]]
-        for db in (build_historical_db(records), build_historical_db(constant_age)):
+        for db in map(build_historical_db, (records, records[:256], featureless, constant_age)):
             refs, schema = list(db.records), db.feature_schema
             f_lo, f_hi, d_lo, d_hi = (db.rx_scaler.f_min, db.rx_scaler.f_max,
                                       db.rx_scaler.d_min, db.rx_scaler.d_max)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import filecmp
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -72,7 +73,7 @@ class TestConfusion:
 class TestMacroMetrics:
     def test_perfect_matrix(self):
         metrics = macro_metrics(ConfusionMatrix(5, 0, 0, 5))
-        assert metrics.as_tuple() == (1.0, 1.0, 1.0, 1.0)
+        assert astuple(metrics) == (1.0, 1.0, 1.0, 1.0)
 
     def test_all_negative_case(self):
         metrics = macro_metrics(ConfusionMatrix(0, 0, 17, 30))
@@ -91,7 +92,7 @@ class TestMacroMetrics:
             cm = ConfusionMatrix(*(int(rng.integers(0, 20)) for _ in range(4)))
             if cm.tp + cm.fn == 0 or cm.fp + cm.tn == 0:
                 continue
-            for value in macro_metrics(cm).as_tuple():
+            for value in astuple(macro_metrics(cm)):
                 assert 0.0 <= value <= 1.0
 
     def test_absent_class_undefined(self):

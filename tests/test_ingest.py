@@ -26,7 +26,6 @@ from rxcheck.ingest import (
     build_historical_db,
     filter_cohort,
     normalize_dataset,
-    normalize_labels,
     parse_dataset,
 )
 from rxcheck.records import (
@@ -34,10 +33,9 @@ from rxcheck.records import (
     Prescription,
     TreatmentRecord,
     default_schema,
-    records_csv_text,
 )
 
-from conftest import rec
+from conftest import rec, records_csv_text
 from oracles import close, oracle_filter, oracle_normalize, oracle_parse, oracle_theta_tau
 
 
@@ -144,12 +142,15 @@ def test_parse_yields_one_record_or_diagnostic_per_row(tmp_path_factory, export)
 class TestNormalizeLabels:
     def test_mapping_applies(self):
         record = rec("a", 5, 400, energy="6X")
-        out = normalize_labels(record, {"energy": {"6X": "x06"}})
+        (out,), unmapped = normalize_dataset([record], {"energy": {"6X": "x06"}})
         assert out.energy == "x06"
+        assert not unmapped
 
     def test_pass_through_without_mapping(self):
         record = rec("a", 5, 400, energy="x06")
-        assert normalize_labels(record, {}).energy == "x06"
+        (out,), unmapped = normalize_dataset([record], {})
+        assert out is record
+        assert not unmapped
 
     def test_empty_cell_parses_to_missing(self):
         text = records_csv_text([rec("a", 5, 400, intent=None)])
@@ -158,13 +159,13 @@ class TestNormalizeLabels:
 
     def test_unmapped_labels_counted(self):
         records = [rec("a", 5, 400, energy="exotic"), rec("b", 5, 400, energy="exotic")]
-        _, report = normalize_dataset(records, {"energy": {"6X": "x06"}})
-        assert report.unmapped[("energy", "exotic")] == 2
+        _, unmapped = normalize_dataset(records, {"energy": {"6X": "x06"}})
+        assert unmapped == {("energy", "exotic"): 2}
 
     def test_canonical_target_not_counted_as_unmapped(self):
         records = [rec("a", 5, 400, energy="x06")]
-        _, report = normalize_dataset(records, {"energy": {"6X": "x06"}})
-        assert not report.unmapped
+        _, unmapped = normalize_dataset(records, {"energy": {"6X": "x06"}})
+        assert not unmapped
 
 
 def good(record_id, technique="SBRT", **kwargs):
@@ -323,11 +324,11 @@ def _raw_record(draw):
     delimiter=st.sampled_from(("/", "-")),
 )
 def test_normalize_and_filter_match_oracles(records, mappings, delimiter):
-    normalized, report = normalize_dataset(records, mappings)
-    expected, unmapped = oracle_normalize(records, mappings)
+    normalized, unmapped = normalize_dataset(records, mappings)
+    expected, expected_unmapped = oracle_normalize(records, mappings)
     assert normalized == expected
-    assert list(report.unmapped.items()) == list(unmapped.items())
-    assert [normalize_labels(r, mappings) for r in records] == expected
+    assert list(unmapped.items()) == list(expected_unmapped.items())
+    assert [normalize_dataset([r], mappings)[0][0] for r in records] == expected
     config = CohortConfig(subject_delimiter=delimiter)
     kept, log = filter_cohort(normalized, config)
     exclusions = [(e.record_id, e.rule, e.detail) for e in log.exclusions]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,9 @@ class TestTablePreset:
         loaded = load_boundaries(path)
         assert loaded == table_preset()
 
+    _SBRT = {"min_bed": 0, "max_bed": 9, "min_fractions": 1, "max_fractions": 5,
+             "min_dose_per_fraction": 400, "max_dose_per_fraction": 3000}
+
     @pytest.mark.parametrize("text, problem", [
         ("[]", 'expected a JSON object with a "techniques" object, got []'),
         ('{"check_bed": true}', 'expected a JSON object with a "techniques" object, got {\'check_bed\': True}'),
@@ -74,13 +79,31 @@ class TestTablePreset:
         ('{"techniques": {"SBRT": 5}}', "technique 'SBRT': expected an object, got 5"),
         ('{"techniques": {"SBRT": {"min_bed": 0, "min_fractions": 1, "max_fractions": 5}}}',
          "technique 'SBRT': missing key 'max_bed', 'min_dose_per_fraction', 'max_dose_per_fraction'"),
-    ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys"])
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_bed": "a"}}}),
+         "technique 'SBRT': key 'min_bed': expected a number, got 'a'"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "max_bed": None}}}),
+         "technique 'SBRT': key 'max_bed': expected a number, got None"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_bed": True}}}),
+         "technique 'SBRT': key 'min_bed': expected a number, got True"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "max_dose_per_fraction": float("nan")}}}),
+         "technique 'SBRT': key 'max_dose_per_fraction': expected a number, got nan"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_fractions": 5, "max_fractions": 1}}}),
+         "technique 'SBRT': key 'min_fractions' 5 exceeds key 'max_fractions' 1"),
+    ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys",
+            "string-bound", "null-bound", "bool-bound", "nan-bound", "inverted-bounds"])
     def test_malformed_preset_named(self, tmp_path, text, problem):
         path = tmp_path / "bounds.json"
         path.write_text(text)
         with pytest.raises(ValueError) as raised:
             load_boundaries(str(path))
         assert str(raised.value) == f"{path}: {problem}"
+
+    def test_path_source_named_in_full(self, tmp_path):
+        path = tmp_path / "bounds.json"
+        path.write_text("[]")
+        with pytest.raises(ValueError) as raised:
+            load_boundaries(path)
+        assert str(raised.value).startswith(f"{path}: expected a JSON object")
 
 
 class TestDeriveBoundaries:

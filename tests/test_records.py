@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from rxcheck.ingest import parse_dataset
 from rxcheck.records import (
     AGE_OUT_OF_RANGE,
     DOSE_MISMATCH,
@@ -14,14 +15,12 @@ from rxcheck.records import (
     Prescription,
     TreatmentRecord,
     default_schema,
-    read_records_csv,
-    record_from_row,
     record_to_row,
-    records_csv_text,
     validate_record,
+    write_csv,
 )
 
-from conftest import rec
+from conftest import rec, records_csv_text
 
 
 class TestValidateRecord:
@@ -92,6 +91,14 @@ class TestSchema:
             FeatureSpec("age_at_tx", "ordinal")
 
 
+def parse_rows(*rows: dict[str, str]):
+    """parse_dataset of a CSV with one line per record_to_row dict."""
+    buffer = io.StringIO()
+    write_csv(buffer, rows[0], (row.values() for row in rows))
+    buffer.seek(0)
+    return parse_dataset(buffer)
+
+
 class TestCsvRoundTrip:
     def test_round_trip_preserves_record(self):
         record = rec(
@@ -99,16 +106,16 @@ class TestCsvRoundTrip:
             energy="x06FFF", intent="palliative", icd10="C15.6",
             morphology="87203", age_at_tx=49,
         )
-        text = records_csv_text([record])
-        (parsed,) = read_records_csv(io.StringIO(text))
+        (parsed,), diagnostics = parse_dataset(io.StringIO(records_csv_text([record])))
+        assert diagnostics == []
         assert parsed == record
         assert validate_record(parsed) == validate_record(record)
 
     def test_missing_fields_round_trip(self):
         record = rec("P2/1", 5, 400, intent=None, morphology=None, age_at_tx=None,
                      energy="mixed photon", icd10="C34.90")
-        text = records_csv_text([record])
-        (parsed,) = read_records_csv(io.StringIO(text))
+        (parsed,), diagnostics = parse_dataset(io.StringIO(records_csv_text([record])))
+        assert diagnostics == []
         assert parsed == record
         assert parsed.intent is None and parsed.age_at_tx is None
 
@@ -116,14 +123,16 @@ class TestCsvRoundTrip:
         row = record_to_row(rec("a", 5, 400, icd10="C34.90", energy="x06"))
         row["intent"] = "-"
         row["morphology"] = ""
-        parsed = record_from_row(row)
+        (parsed,), diagnostics = parse_rows(row)
+        assert diagnostics == []
         assert parsed.intent is None and parsed.morphology is None
 
     def test_required_cell_missing_raises(self):
         row = record_to_row(rec("a", 5, 400))
         row["fractions"] = ""
-        with pytest.raises(ValueError):
-            record_from_row(row)
+        records, diagnostics = parse_rows(row)
+        assert records == []
+        assert [(d.row, d.reason) for d in diagnostics] == [(1, "missing required value: fractions")]
 
 
 class TestPrescription:
