@@ -19,7 +19,6 @@ from .detector import (
     verdict_to_dict,
 )
 from .distance import (
-    GroupDistanceResult,
     Histogram,
     IncomparablePair,
     QueryProfile,
@@ -92,7 +91,6 @@ __all__ = [
     "ExclusionLog",
     "FeatureSchema",
     "FeatureSpec",
-    "GroupDistanceResult",
     "Histogram",
     "HistoricalDB",
     "IncomparablePair",

@@ -68,18 +68,24 @@ class ModelParams:
     @classmethod
     def from_dict(cls, payload: Mapping[str, float]) -> "ModelParams":
         """Raises MalformedParams for a payload that is not an object, lacks
-        a key or holds a value that is not a JSON number, naming the keys."""
+        a key or holds a value that is not a JSON number or is an integer too
+        large for a float, naming the keys."""
         if not isinstance(payload, Mapping):
             raise MalformedParams(f"expected an object with keys {', '.join(_PARAM_KEYS)}, got {payload!r}")
         missing = [key for key in _PARAM_KEYS if key not in payload]
         if missing:
             raise MalformedParams("missing key " + ", ".join(repr(key) for key in missing))
+        values = {}
         for key in _PARAM_KEYS:
             value = payload[key]
             # A bool is an int to isinstance, and float() would take a string.
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise MalformedParams(f"key {key!r}: expected a number, got {value!r}")
-        return cls(**{key: float(payload[key]) for key in _PARAM_KEYS})
+            try:
+                values[key] = float(value)
+            except OverflowError:
+                raise MalformedParams(f"key {key!r}: {len(str(value))}-digit integer overflows a float") from None
+        return cls(**values)
 
 
 class MalformedParams(ValueError):
@@ -141,18 +147,19 @@ def detect(
     violations = tuple(check_range(record, boundaries)) if boundaries else ()
 
     warnings = list(profile.warnings)
-    r_group = closest_m_rx_distance(profile, db, m)
-    f_group = None
-    if r_group.value <= t_rx:
-        f_group = closest_n_feature_distance(profile, db, n)
-        if f_group.warning:
+    r = closest_m_rx_distance(profile, db, m)
+    f = None
+    if r <= t_rx:
+        f = closest_n_feature_distance(profile, db, n)
+        if profile.same_rx_count < n:
+            # The feature group was filled beyond the same-prescription records.
             warnings.append(WARN_INSUFFICIENT_SAME_RX)
 
     if violations:
         status = STATUS_RANGE
-    elif r_group.value > t_rx:
+    elif r > t_rx:
         status = STATUS_TYPE1
-    elif f_group.value > t_f:
+    elif f > t_f:
         status = STATUS_TYPE2
     else:
         status = STATUS_PASS
@@ -160,9 +167,9 @@ def detect(
     return Verdict(
         record_id=record.record_id,
         status=status,
-        r=r_group.value,
+        r=r,
         t_rx=t_rx,
-        f=None if f_group is None else f_group.value,
+        f=f,
         t_f=t_f,
         same_rx_count=profile.same_rx_count,
         warnings=tuple(warnings),
@@ -226,9 +233,9 @@ def load_params_json(source) -> dict[str, ModelParams]:
     technique. A flat object is returned under the wildcard key '*'.
 
     A file that is not an object raises ValueError naming the file; an entry
-    that is not an object, lacks a key, holds a value that is not a number
-    or is out of range (NaN included) raises MalformedParams naming the
-    file, the technique and the keys.
+    that is not an object, lacks a key, holds a value that is not a number,
+    is too large for a float or is out of range (NaN included) raises
+    MalformedParams naming the file, the technique and the keys.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)

@@ -20,13 +20,13 @@ rho, so the profile computes rho per row, U rows against S records, and
 ranks the rows; rows at exactly equal rho form a level. The prescription
 group sums the m smallest rho values from the rows' counts. The feature
 group walks the levels in rho order, computes Gower only for the records of
-the levels it reaches, orders each level's records by feature distance (NaN
-last) and input order, and stops once it holds n comparable records. The
-walked prefix, with each walked record's rho and g, is cached on the
-profile and extended on demand: training profiles each record once and
-scores every parameter point from it. The walk is the only source of a
-group's members and their distances. A group mean depends only on its
-members' multiset, as math.fsum is correctly rounded.
+the levels it reaches, drops the incomparable ones, orders each level's
+records by feature distance and input order, and stops once it holds n
+comparable records. The walked comparable records, with their g, are cached
+on the profile and extended on demand: training profiles each record once
+and scores every parameter point from it. The walk is the only source of the
+feature group's members and their distances. A group mean depends only on
+its members' multiset, as math.fsum is correctly rounded.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -378,13 +378,13 @@ class QueryProfile:
     The profile does not sort the S reference records. It holds rho to each
     distinct scaled prescription of the reference (row), the rows in rho
     order and their record counts; rows at exactly equal rho form a
-    level. The selection order ranks records by rho, then g (NaN last), then
-    input order: it is the levels in rho order, each level's records by (g,
-    input order). The profile walks whole levels into that order on demand,
-    computing Gower only for the records of the levels it reaches, and keeps
-    the walked prefix, each walked record's g and each comparable record's
-    rho for the next caller. sorted_rho is every record's rho, ascending,
-    from the rows' counts; it is the rho of the selection order.
+    level. The feature group's order ranks comparable records by rho, then
+    g, then input order: it is the levels in rho order, each level's
+    comparable records by (g, input order). The profile walks whole levels
+    into that order on demand, computing Gower only for the records of the
+    levels it reaches, and keeps the walked comparable records and their g
+    for the next caller. sorted_rho is every record's rho, ascending, from
+    the rows' counts.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -405,10 +405,7 @@ class QueryProfile:
         self._counts = db.rx_rows.counts[self._rows]
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
-        self._order = np.empty(0, dtype=np.intp)
-        self._g = np.empty(0, dtype=np.float64)
         self._comparable = np.empty(0, dtype=np.intp)
-        self._comparable_rho = np.empty(0, dtype=np.float64)
         self._comparable_g = np.empty(0, dtype=np.float64)
 
     @functools.cached_property
@@ -417,26 +414,20 @@ class QueryProfile:
         row's rho once per record, rows in rho order."""
         return np.repeat(self._level_rho, self._counts)
 
-    def nearest(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first k reference records in selection order, their rho and
-        their g (NaN where incomparable)."""
-        if len(self._order) < k:
-            self._walk(k)
-        return self._order[:k], self.sorted_rho[:k], self._g[:k]
-
-    def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first k comparable reference records in selection order, their
-        rho and their g; all of them when the reference set has fewer."""
+    def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The first k comparable reference records in the feature group's
+        order and their g; all of them when the reference set has fewer."""
         while len(self._comparable) < k and self._walked < len(self._rows):
-            self._walk(len(self._order) + k - len(self._comparable))
-        return self._comparable[:k], self._comparable_rho[:k], self._comparable_g[:k]
+            self._walk(k - len(self._comparable))
+        return self._comparable[:k], self._comparable_g[:k]
 
-    def _walk(self, target: int) -> None:
-        """Append whole levels to the walked order until it holds at least
-        target records, and at least twice as many as before, so a profile
-        reused over growing group sizes extends it a few times only."""
+    def _walk(self, wanted: int) -> None:
+        """Append whole levels until at least wanted more records are walked,
+        and at least twice as many as before, so a profile reused over
+        growing group sizes extends its walk a few times only."""
         start, count = self._walked, len(self._rows)
-        stop = min(int(np.searchsorted(self._cumulative, max(target, 2 * len(self._order)))) + 1, count)
+        walked = int(self._cumulative[start - 1]) if start else 0
+        stop = min(int(np.searchsorted(self._cumulative, max(walked + wanted, 2 * walked))) + 1, count)
         while stop < count and self._level_rho[stop] == self._level_rho[stop - 1]:
             stop += 1
         rows = self.db.rx_rows
@@ -446,16 +437,13 @@ class QueryProfile:
         index = rows.members[first + np.arange(len(first))]
         g = _gower(_against(self._features, index), len(index))
         rho = np.repeat(self._level_rho[start:stop], counts)
-        # lexsort's last key is the primary one: levels in rho order, then g
-        # with NaN last, then input order.
-        ranked = np.lexsort((index, g, rho))
-        index, rho, g = index[ranked], rho[ranked], g[ranked]
         defined = ~np.isnan(g)
-        self._order = np.concatenate((self._order, index))
-        self._g = np.concatenate((self._g, g))
-        self._comparable = np.concatenate((self._comparable, index[defined]))
-        self._comparable_rho = np.concatenate((self._comparable_rho, rho[defined]))
-        self._comparable_g = np.concatenate((self._comparable_g, g[defined]))
+        index, g, rho = index[defined], g[defined], rho[defined]
+        # lexsort's last key is the primary one: levels in rho order, then g,
+        # then input order.
+        ranked = np.lexsort((index, g, rho))
+        self._comparable = np.concatenate((self._comparable, index[ranked]))
+        self._comparable_g = np.concatenate((self._comparable_g, g[ranked]))
         self._walked = stop
 
 
@@ -470,72 +458,31 @@ def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> 
     return QueryProfile(query, db)
 
 
-@dataclass(frozen=True)
-class GroupDistanceResult:
-    """Mean distance over the selected neighbor group.
-
-    size is the group size; a feature group (comparable_only) skips
-    incomparable records. warning flags a feature group padded beyond the
-    same-prescription records.
-    """
-
-    value: float
-    warning: bool
-    profile: QueryProfile = field(repr=False, compare=False)
-    size: int = field(repr=False, compare=False)
-    comparable_only: bool = field(repr=False, compare=False)
-
-    @property
-    def members(self) -> tuple[tuple[str, float, float | None], ...]:
-        """(record_id, rx_distance, feature_distance) of each averaged record,
-        in selection order; the feature distance is None for an incomparable
-        pair."""
-        profile = self.profile
-        nearest = profile.nearest_comparable if self.comparable_only else profile.nearest
-        indices, rho, g = nearest(self.size)
-        records = profile.db.records
-        return tuple(
-            (records[k].record_id, r, None if math.isnan(x) else x)
-            for k, r, x in zip(indices.tolist(), rho.tolist(), g.tolist())
-        )
-
-    @property
-    def same_rx_count(self) -> int:
-        return self.profile.same_rx_count
-
-
-def closest_m_rx_distance(
-    query: TreatmentRecord | QueryProfile, db: "HistoricalDB", m: int
-) -> GroupDistanceResult:
+def closest_m_rx_distance(query: TreatmentRecord | QueryProfile, db: "HistoricalDB", m: int) -> float:
     """Mean prescription distance over the m nearest reference records."""
     size = db.size
     if not 1 <= m <= size:
         raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
-    profile = query_profile(query, db)
-    return GroupDistanceResult(math.fsum(profile.sorted_rho[:m].tolist()) / m, False, profile, m, False)
+    return math.fsum(query_profile(query, db).sorted_rho[:m].tolist()) / m
 
 
-def closest_n_feature_distance(
-    query: TreatmentRecord | QueryProfile, db: "HistoricalDB", n: int
-) -> GroupDistanceResult:
+def closest_n_feature_distance(query: TreatmentRecord | QueryProfile, db: "HistoricalDB", n: int) -> float:
     """Mean feature distance over the n closest-prescription reference records.
 
     Candidates sort by prescription distance, then feature distance, then
-    stable input order; incomparable candidates are skipped. The warning flag
-    is set when fewer than n reference records share the query's exact
-    prescription, in which case the group is filled from the next-closest
-    prescriptions.
+    stable input order; incomparable candidates are skipped. When fewer than
+    n reference records share the query's exact prescription, the group is
+    filled from the next-closest prescriptions.
     """
     size = db.size
     if not 1 <= n <= size:
         raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
-    profile = query_profile(query, db)
-    take, _, g = profile.nearest_comparable(n)
+    take, g = query_profile(query, db).nearest_comparable(n)
     if len(take) < n:
         raise InsufficientNeighbors(
             f"only {len(take)} comparable reference records for n={n}"
         )
-    return GroupDistanceResult(math.fsum(g.tolist()) / n, profile.same_rx_count < n, profile, n, True)
+    return math.fsum(g.tolist()) / n
 
 
 # ---------------------------------------------------------------------------

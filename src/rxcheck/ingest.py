@@ -24,6 +24,7 @@ from .records import (
     TreatmentRecord,
     default_schema,
     rx_exact_in_float,
+    source_name,
     text_stream,
     validate_record,
     write_csv,
@@ -127,24 +128,38 @@ class CohortConfig:
 
     @classmethod
     def from_json(cls, source: str | Path | IO[str]) -> "CohortConfig":
+        """Read a config as to_json writes it; an absent key keeps its
+        default. A payload that is not an object, an unknown key, or a value
+        that is not a list of strings where to_json writes a list, or not an
+        object where it writes one, raises ValueError naming the file and
+        the key."""
         with text_stream(source) as handle:
             payload = json.load(handle)
+        name = source_name(source)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
         kwargs = {}
-        if "excluded_techniques" in payload:
-            kwargs["excluded_techniques"] = frozenset(payload["excluded_techniques"])
-        if "energy_whitelist" in payload:
-            kwargs["energy_whitelist"] = {
-                tech: frozenset(values) for tech, values in payload["energy_whitelist"].items()
-            }
-        if "icd10_whitelist" in payload:
-            kwargs["icd10_whitelist"] = frozenset(payload["icd10_whitelist"])
-        if "label_mappings" in payload:
-            kwargs["label_mappings"] = {
-                fld: dict(table) for fld, table in payload["label_mappings"].items()
-            }
-        if "subject_delimiter" in payload:
-            kwargs["subject_delimiter"] = payload["subject_delimiter"]
-        return cls(**kwargs)
+        for key, value in payload.items():
+            where = f"{name}: key {key!r}"
+            if key in ("excluded_techniques", "icd10_whitelist"):
+                value = _string_set(where, value)
+            elif key == "energy_whitelist":
+                value = {
+                    tech: _string_set(f"{where}: technique {tech!r}", values)
+                    for tech, values in _object(where, value).items()
+                }
+            elif key == "label_mappings":
+                value = {
+                    fld: _object(f"{where}: field {fld!r}", table, strings=True)
+                    for fld, table in _object(where, value).items()
+                }
+            elif key != "subject_delimiter":
+                raise ValueError(f"{name}: unknown key {key!r}")
+            kwargs[key] = value
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
 
     def to_json(self, destination: str | Path | IO[str]) -> None:
         payload = {
@@ -160,6 +175,20 @@ class CohortConfig:
             "subject_delimiter": self.subject_delimiter,
         }
         write_json(destination, payload)
+
+
+def _string_set(where: str, value) -> frozenset[str]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise ValueError(f"{where}: expected a list of strings, got {value!r}")
+    return frozenset(value)
+
+
+def _object(where: str, value, strings: bool = False) -> dict:
+    """value, when it is a JSON object (whose values are all strings, if
+    strings is set)."""
+    if not isinstance(value, dict) or (strings and not all(isinstance(item, str) for item in value.values())):
+        raise ValueError(f"{where}: expected an object{' of strings' if strings else ''}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,8 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     A payload that is not an object with a "techniques" object, or a
     technique entry that is not an object, lacks a key, holds a bound that
     is not a number (NaN included) or a lower bound above its upper bound,
-    raises ValueError naming the file, the technique and the keys.
+    raises ValueError naming the file, the technique and the keys. A
+    "check_bed" that is present must be a JSON boolean; it defaults to true.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)
@@ -241,4 +242,7 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
         by_technique[technique] = TechniqueBounds(
             **{quantity: QuantityBounds(row[f"min_{quantity}"], row[f"max_{quantity}"]) for quantity in _QUANTITIES}
         )
-    return Boundaries(by_technique=by_technique, check_bed=bool(payload.get("check_bed", True)))
+    check_bed = payload.get("check_bed", True)
+    if not isinstance(check_bed, bool):
+        raise ValueError(f"{name}: key 'check_bed': expected a boolean, got {check_bed!r}")
+    return Boundaries(by_technique=by_technique, check_bed=check_bed)

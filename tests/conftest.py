@@ -2,12 +2,20 @@ from __future__ import annotations
 
 import io
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Hypothesis reports a failing example through a module that imports libcst,
+# whose mypy_extensions dependency warns on import. Under the "error" warning
+# filter that warning would abort the whole session, so import it once here.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 from rxcheck.ingest import build_historical_db
 from rxcheck.records import TreatmentRecord, default_schema, write_records_csv

@@ -23,6 +23,7 @@ from rxcheck.distance import (
     closest_m_rx_distance,
     closest_n_feature_distance,
     gower_distance,
+    query_profile,
     rx_distance,
 )
 from rxcheck.evaluate import (
@@ -108,7 +109,7 @@ def test_criterion_01_metric_oracle_equivalence():
 
         m = int(rng.integers(1, size + 1))
         expected_r, _ = oracle_closest_m(query, records, schema, m)
-        assert close(closest_m_rx_distance(query, db, m).value, expected_r)
+        assert close(closest_m_rx_distance(query, db, m), expected_r)
 
         n = int(rng.integers(1, size + 1))
         expected_f, _ = oracle_closest_n(query, records, schema, n)
@@ -116,7 +117,7 @@ def test_criterion_01_metric_oracle_equivalence():
             with pytest.raises(InsufficientNeighbors):
                 closest_n_feature_distance(query, db, n)
         else:
-            assert close(closest_n_feature_distance(query, db, n).value, expected_f)
+            assert close(closest_n_feature_distance(query, db, n), expected_f)
         checked += 1
     elapsed = time.monotonic() - started
     _report(1, checked == 200 and elapsed < 60.0,
@@ -191,14 +192,14 @@ def test_criterion_03_monotonicity():
     for _ in range(100):  # R(i, m) non-decreasing in m
         db = random_db(rng, int(rng.integers(4, 26)))
         query = random_record(rng, 20_000)
-        values = [closest_m_rx_distance(query, db, m).value for m in range(1, db.size + 1)]
+        values = [closest_m_rx_distance(query, db, m) for m in range(1, db.size + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
     for _ in range(100):  # F(i, n) non-decreasing while n <= same_rx_count
         db = random_db(rng, int(rng.integers(6, 26)), missing_rate=0.0)
         query = db.records[int(rng.integers(0, db.size))]
         same = db.rx_index[query.rx]
-        values = [closest_n_feature_distance(query, db, n).value for n in range(1, same + 1)]
+        values = [closest_n_feature_distance(query, db, n) for n in range(1, same + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
     shrank = 0
@@ -314,24 +315,30 @@ def test_criterion_05_fill_rule_fixture():
     assert db.rx_index[query.rx] == 12
 
     # n = 10: the ten smallest feature distances within the same-Rx dozen.
-    got10 = closest_n_feature_distance(query, db, 10)
+    profile = query_profile(query, db)
+    assert profile.same_rx_count == 12  # at least 10: no fill needed
     expected10 = ["s00", "s01", "s02", "s03", "s11", "s04", "s05", "s10", "s06", "s07"]
-    assert [m[0] for m in got10.members] == expected10
-    assert got10.value == pytest.approx((0 + 0.2 * 4 + 0.4 * 3 + 0.6 * 2) / 10, rel=1e-12)
-    assert not got10.warning
+    assert _group_ids(profile, 10) == expected10
+    got10 = closest_n_feature_distance(query, db, 10)
+    assert got10 == pytest.approx((0 + 0.2 * 4 + 0.4 * 3 + 0.6 * 2) / 10, rel=1e-12)
 
     # n = 20: all 12 same-Rx terms first, then 8 drawn from the next-closest
     # prescription ordered by feature distance then input order.
-    got20 = closest_n_feature_distance(query, db, 20)
+    # Fewer same-Rx records (12) than n = 20, so the group is filled.
     expected20 = expected10 + ["s08", "s09"] + [
         "t00", "t01", "t02", "t03", "t04", "t05", "t06", "t07"]
-    assert [m[0] for m in got20.members] == expected20
+    assert _group_ids(profile, 20) == expected20
+    got20 = closest_n_feature_distance(query, db, 20)
     same_sum = 0 + 0.2 * 4 + 0.4 * 3 + 0.6 * 2 + 0.8 * 2
     fill_sum = 0 + 0 + 0.2 * 3 + 0.4 * 3
-    assert got20.value == pytest.approx((same_sum + fill_sum) / 20, rel=1e-12)
-    assert got20.warning  # fewer same-Rx records than n
+    assert got20 == pytest.approx((same_sum + fill_sum) / 20, rel=1e-12)
 
     _report(5, True, "n=10 and n=20 selections equal the hand-enumerated neighbor lists")
+
+
+def _group_ids(profile, n):
+    """Record ids of the profile's feature group of size n, in order."""
+    return [profile.db.records[k].record_id for k in profile.nearest_comparable(n)[0].tolist()]
 
 
 # ---------------------------------------------------------------------------

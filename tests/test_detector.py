@@ -319,6 +319,7 @@ class TestParamsIo:
         ('"x"', "key 'a': expected a number, got 'x'"),
         ("null", "key 'a': expected a number, got None"),
         ("NaN", "a and b must be finite and positive, got a=nan, b=1.0"),
+        pytest.param("1" + "0" * 400, "key 'a': 401-digit integer overflows a float", id="huge-integer"),
     ])
     def test_bad_value_named_with_file_and_technique(self, tmp_path, value, problem):
         # A pathlib.Path source is named by its full path, not its file name.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
-from rxcheck.detector import ModelParams, detect, verdict_to_dict
+from rxcheck.detector import WARN_INSUFFICIENT_SAME_RX, ModelParams, detect, verdict_to_dict
 from rxcheck.distance import (
     IncomparablePair,
     InsufficientNeighbors,
@@ -187,9 +187,9 @@ class TestGowerDistance:
 class TestClosestGroups:
     def test_r_zero_when_rx_occurs_m_times(self, small_db):
         query = small_db.records[0]
-        result = closest_m_rx_distance(query, small_db, 4)
-        assert result.value == 0.0
-        assert result.same_rx_count == 8  # two profiles share (10, 200)
+        assert closest_m_rx_distance(query, small_db, 4) == 0.0
+        # two profiles share (10, 200)
+        assert query_profile(query, small_db).same_rx_count == 8
 
     def test_r_full_set_mean(self, small_db):
         query = small_db.records[0]
@@ -199,12 +199,12 @@ class TestClosestGroups:
 
         for rho, _, _, _ in _ranked(query, list(small_db.records), small_db.feature_schema):
             rhos.append(rho)
-        assert close(result.value, sum(rhos) / len(rhos))
+        assert close(result, sum(rhos) / len(rhos))
 
     def test_r_nondecreasing_in_m(self, small_db):
         query = rec("q", 12, 250, energy="x06", intent="curative",
                     icd10="C34.10", morphology="80463", age_at_tx=61)
-        values = [closest_m_rx_distance(query, small_db, m).value
+        values = [closest_m_rx_distance(query, small_db, m)
                   for m in range(1, small_db.size + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
@@ -218,20 +218,25 @@ class TestClosestGroups:
         db = build_historical_db(twins + others)
         query = rec("q", 10, 200, energy="x06", intent="curative",
                     icd10="C34.10", morphology="80463", age_at_tx=60)
-        assert closest_n_feature_distance(query, db, 3).value == 0.0
+        assert closest_n_feature_distance(query, db, 3) == 0.0
+
+    # nu = 0.1 of 12 records rounds to n = 1; a = 100 lets R pass, so F runs.
+    FEATURE_STEP = ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1)
 
     def test_f_warning_when_same_rx_insufficient(self, small_db):
         query = rec("q", 13, 275, energy="x06", intent="curative",
                     icd10="C34.10", morphology="80463", age_at_tx=61)
-        result = closest_n_feature_distance(query, small_db, 3)
-        assert result.same_rx_count == 0
-        assert result.warning
+        verdict = detect(query, small_db, self.FEATURE_STEP)
+        assert verdict.f is not None
+        assert verdict.same_rx_count == 0
+        assert WARN_INSUFFICIENT_SAME_RX in verdict.warnings
 
     def test_f_no_warning_within_same_rx(self, small_db):
         query = small_db.records[0]
-        result = closest_n_feature_distance(query, small_db, 5)
-        assert result.same_rx_count == 8
-        assert not result.warning
+        verdict = detect(query, small_db, self.FEATURE_STEP)
+        assert verdict.f is not None
+        assert verdict.same_rx_count == 8
+        assert WARN_INSUFFICIENT_SAME_RX not in verdict.warnings
 
     def test_group_bounds_validated(self, small_db):
         query = small_db.records[0]
@@ -245,10 +250,12 @@ class TestClosestGroups:
     def test_members_match_value(self, small_db):
         query = rec("q", 11, 210, energy="x15", intent="palliative",
                     icd10="C34.90", morphology="81406", age_at_tx=71)
+        profile = query_profile(query, small_db)
         r = closest_m_rx_distance(query, small_db, 5)
-        assert close(r.value, sum(m[1] for m in r.members) / len(r.members))
-        f = closest_n_feature_distance(query, small_db, 5)
-        assert close(f.value, sum(m[2] for m in f.members) / len(f.members))
+        assert close(r, sum(profile.sorted_rho[:5].tolist()) / 5)
+        take, g = profile.nearest_comparable(5)
+        assert len(take) == 5
+        assert close(closest_n_feature_distance(query, small_db, 5), sum(g.tolist()) / 5)
 
     def test_matches_oracle_on_random_dbs(self):
         rng = np.random.default_rng(8)
@@ -286,7 +293,7 @@ class TestClosestGroups:
             db = build_historical_db(records)
         query = records[0]
         same = db.rx_index[query.rx]
-        values = [closest_n_feature_distance(query, db, n).value for n in range(1, same + 1)]
+        values = [closest_n_feature_distance(query, db, n) for n in range(1, same + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
 
@@ -298,20 +305,15 @@ def _assert_groups_match_oracle(rng, db, query, candidate=None):
     _assert_sizes_match_oracle(query, db, m, n, candidate)
 
 
-def _assert_members_match_oracle(query, db, got, ids):
-    """got averages the records at ids, each with the oracle's rho and g."""
+def _assert_members_match_oracle(query, db, profile, n, ids):
+    """The profile's first n comparable records are the records at ids, in
+    order, each with the oracle's g."""
     records, schema = list(db.records), db.feature_schema
-    fs = [r.prescription.fractions for r in records]
-    ds = [r.prescription.dose_per_fraction for r in records]
-    bounds = (min(fs), max(fs), min(ds), max(ds))
-    assert [t[0] for t in got.members] == [records[i].record_id for i in ids]
-    for (_, rho, g), i in zip(got.members, ids):
-        assert close(rho, oracle_rho(query.prescription, records[i].prescription, *bounds))
+    take, g = profile.nearest_comparable(n)
+    assert take.tolist() == list(ids)
+    for value, i in zip(g.tolist(), ids):
         expected = oracle_gower(query, records[i], schema)
-        if expected is None:
-            assert g is None
-        else:
-            assert g is not None and close(g, expected)
+        assert expected is not None and close(value, expected)
 
 
 class TestQueryProfile:
@@ -346,11 +348,8 @@ class TestQueryProfile:
         profile = query_profile(query, db)
         assert len(profile.nearest_comparable(db.size)[0]) == 0
         for candidate in (query, profile):
-            expected, ids = oracle_closest_m(query, list(db.records), db.feature_schema, 5)
-            got = closest_m_rx_distance(candidate, db, 5)
-            assert close(got.value, expected)
-            assert [t[0] for t in got.members] == [db.records[i].record_id for i in ids]
-            assert all(t[2] is None for t in got.members)
+            expected, _ = oracle_closest_m(query, list(db.records), db.feature_schema, 5)
+            assert close(closest_m_rx_distance(candidate, db, 5), expected)
             with pytest.raises(InsufficientNeighbors):
                 closest_n_feature_distance(candidate, db, 1)
             with pytest.raises(InsufficientNeighbors):
@@ -595,18 +594,15 @@ def test_groups_over_equal_rho_levels_match_oracle(drawn, data):
 
 def _assert_sizes_match_oracle(query, db, m, n, candidate):
     records, schema = list(db.records), db.feature_schema
-    expected, ids = oracle_closest_m(query, records, schema, m)
-    got = closest_m_rx_distance(candidate, db, m)
-    assert close(got.value, expected)
-    _assert_members_match_oracle(query, db, got, ids)
+    expected, _ = oracle_closest_m(query, records, schema, m)
+    assert close(closest_m_rx_distance(candidate, db, m), expected)
     expected_f, ids_f = oracle_closest_n(query, records, schema, n)
     if expected_f is None:
         with pytest.raises(InsufficientNeighbors):
             closest_n_feature_distance(candidate, db, n)
     else:
-        got_f = closest_n_feature_distance(candidate, db, n)
-        assert close(got_f.value, expected_f)
-        _assert_members_match_oracle(query, db, got_f, ids_f)
+        assert close(closest_n_feature_distance(candidate, db, n), expected_f)
+        _assert_members_match_oracle(query, db, query_profile(candidate, db), n, ids_f)
 
 
 def _r_f_status(query, db, params):

@@ -364,6 +364,30 @@ class TestCohortConfig:
         }
         assert loaded.icd10_whitelist == DEFAULT_ICD10_WHITELIST
         assert loaded.subject_delimiter == config.subject_delimiter
+        assert loaded == config
+
+    @pytest.mark.parametrize("text, problem", [
+        ("[]", "expected a JSON object, got []"),
+        ('{"icd10_whitelist": [], "excluded_technique": ["SRS"]}', "unknown key 'excluded_technique'"),
+        ('{"icd10_whitelist": "C34.10"}', "key 'icd10_whitelist': expected a list of strings, got 'C34.10'"),
+        ('{"excluded_techniques": ["SRS", 1]}',
+         "key 'excluded_techniques': expected a list of strings, got ['SRS', 1]"),
+        ('{"energy_whitelist": ["x06"]}', "key 'energy_whitelist': expected an object, got ['x06']"),
+        ('{"energy_whitelist": {"3D": "x06"}}',
+         "key 'energy_whitelist': technique '3D': expected a list of strings, got 'x06'"),
+        ('{"label_mappings": {"energy": ["x06"]}}',
+         "key 'label_mappings': field 'energy': expected an object of strings, got ['x06']"),
+        ('{"label_mappings": {"energy": {"6X": null}}}',
+         "key 'label_mappings': field 'energy': expected an object of strings, got {'6X': None}"),
+        ('{"subject_delimiter": 5}', "subject_delimiter must be a non-empty string, got 5"),
+    ], ids=["array", "unknown-key", "string-whitelist", "non-string-item", "whitelist-array",
+            "technique-string", "mapping-array", "mapping-null", "delimiter-number"])
+    def test_malformed_config_named(self, tmp_path, text, problem):
+        path = tmp_path / "cohort.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            CohortConfig.from_json(path)
+        assert str(raised.value) == f"{path}: {problem}"
 
 
 class TestBuildHistoricalDb:

@@ -72,6 +72,12 @@ class TestTablePreset:
     _SBRT = {"min_bed": 0, "max_bed": 9, "min_fractions": 1, "max_fractions": 5,
              "min_dose_per_fraction": 400, "max_dose_per_fraction": 3000}
 
+    @pytest.mark.parametrize("entry, expected", [({}, True), ({"check_bed": False}, False)])
+    def test_check_bed_is_a_boolean_defaulting_to_true(self, tmp_path, entry, expected):
+        path = tmp_path / "bounds.json"
+        path.write_text(json.dumps({**entry, "techniques": {"SBRT": self._SBRT}}))
+        assert load_boundaries(path).check_bed is expected
+
     @pytest.mark.parametrize("text, problem", [
         ("[]", 'expected a JSON object with a "techniques" object, got []'),
         ('{"check_bed": true}', 'expected a JSON object with a "techniques" object, got {\'check_bed\': True}'),
@@ -89,8 +95,15 @@ class TestTablePreset:
          "technique 'SBRT': key 'max_dose_per_fraction': expected a number, got nan"),
         (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_fractions": 5, "max_fractions": 1}}}),
          "technique 'SBRT': key 'min_fractions' 5 exceeds key 'max_fractions' 1"),
+        (json.dumps({"check_bed": "no", "techniques": {"SBRT": _SBRT}}),
+         "key 'check_bed': expected a boolean, got 'no'"),
+        (json.dumps({"check_bed": 0, "techniques": {"SBRT": _SBRT}}),
+         "key 'check_bed': expected a boolean, got 0"),
+        (json.dumps({"check_bed": None, "techniques": {"SBRT": _SBRT}}),
+         "key 'check_bed': expected a boolean, got None"),
     ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys",
-            "string-bound", "null-bound", "bool-bound", "nan-bound", "inverted-bounds"])
+            "string-bound", "null-bound", "bool-bound", "nan-bound", "inverted-bounds",
+            "string-check-bed", "int-check-bed", "null-check-bed"])
     def test_malformed_preset_named(self, tmp_path, text, problem):
         path = tmp_path / "bounds.json"
         path.write_text(text)
