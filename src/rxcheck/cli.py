@@ -99,12 +99,23 @@ class RunConfig:
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
+        """Read a config object; a key that is absent or null stays unset. A
+        payload that is not an object, an unknown key, a path that is not a
+        string or a seed that is not an integer raises ValueError naming the
+        file and the key."""
         if path is None:
             return cls()
         with text_stream(path) as handle:
             payload = json.load(handle)
-        known = {k: payload.get(k) for k in cls.__dataclass_fields__ if k in payload}
-        return cls(**known)
+        if not isinstance(payload, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {payload!r}")
+        for key, value in payload.items():
+            if key not in cls.__dataclass_fields__:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            kind, wanted = (int, "an integer") if key == "seed" else (str, "a string")
+            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ValueError(f"{path}: key {key!r}: expected {wanted}, got {value!r}")
+        return cls(**payload)
 
 
 def _checked(convert, ok, requirement: str):

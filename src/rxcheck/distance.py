@@ -22,11 +22,15 @@ group sums the m smallest rho values from the rows' counts. The feature
 group walks the levels in rho order, computes Gower only for the records of
 the levels it reaches, drops the incomparable ones, orders each level's
 records by feature distance and input order, and stops once it holds n
-comparable records. The walked comparable records, with their g, are cached
-on the profile and extended on demand: training profiles each record once
-and scores every parameter point from it. The walk is the only source of the
-feature group's members and their distances. A group mean depends only on
-its members' multiset, as math.fsum is correctly rounded.
+comparable records. A reference set encodes its features grouped by row:
+position p of its columns holds record rx_rows.members[p], so each row's
+records are one contiguous run. A walk step over one row reads every column
+as a slice, with no gather; a step over several rows gathers their runs.
+The walked comparable records, with their g, are cached on the profile and
+extended on demand: training profiles each record once and scores every
+parameter point from it. The walk is the only source of the feature group's
+members and their distances. A group mean depends only on its members'
+multiset, as math.fsum is correctly rounded.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -43,6 +47,11 @@ histogram, which needs each pair's value, still visits pairs of records:
 each unordered pair once, in blocks. theta and the prescription histogram
 share one pass over the pairs of distinct prescriptions, each weighted by
 the product of their counts.
+
+The walk and the pair blocks share one array Gower kernel, which
+accumulates in place: each feature's weighted contribution times the pair's
+validity mask is added to the numerator, and the weight times the mask to
+the denominator.
 """
 
 from __future__ import annotations
@@ -213,7 +222,10 @@ class _Column:
 
 @dataclass(frozen=True)
 class EncodedFeatures:
-    """Columnar view of a record list under a bound schema."""
+    """Columnar view of a record list under a bound schema: position p of
+    every column is the list's record p. A HistoricalDB encodes its records
+    in rx_rows.members order, so each distinct prescription's records are
+    one contiguous run of positions."""
 
     columns: tuple[_Column, ...]
     size: int
@@ -298,20 +310,31 @@ def _gower(pairs, shape) -> np.ndarray:
     has: left and right are values in the column's code space that broadcast
     to shape, and valid marks the pairs where neither side misses the
     feature. Entries are NaN where the pair is incomparable. Accumulates
-    features in schema order so results match the scalar gower_distance bit
-    for bit.
+    features in schema order, in place, so results match the scalar
+    gower_distance bit for bit.
     """
     num = np.zeros(shape, dtype=np.float64)
     den = np.zeros(shape, dtype=np.float64)
     for col, left, right, valid in pairs:
         if col.kind == NUMERIC and col.width > 0:
-            contribution = np.minimum(np.abs(left - right) / col.width, 1.0)
+            contribution = np.subtract(left, right)
+            np.abs(contribution, out=contribution)
+            contribution /= col.width
+            np.minimum(contribution, 1.0, out=contribution)
         else:
             # Categories, or a degenerate numeric range: any difference is maximal.
             contribution = (left != right).astype(np.float64)
-        num = np.where(valid, num + col.weight * contribution, num)
-        den = np.where(valid, den + col.weight, den)
-    return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), np.nan)
+        if col.weight != 1.0:
+            contribution *= col.weight
+        # Every term is finite and non-negative, so masking by multiplication
+        # adds exactly 0.0 where a side misses the feature, and x + 0.0 == x.
+        contribution *= valid
+        num += contribution
+        den += valid if col.weight == 1.0 else col.weight * valid
+    # num is 0.0 wherever den is, and 0.0 / nan is nan.
+    den[den == 0.0] = np.nan
+    num /= den
+    return num
 
 
 def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
@@ -325,11 +348,11 @@ def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
         yield col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2)
 
 
-def _against(features, index):
+def _against(features, positions):
     """_gower pairs of a query's (column, value) features against the
-    reference records at index, an index array."""
+    encoded rows at positions, a slice or an index array."""
     for col, value in features:
-        yield col, value, col.values[index], col.present[index]
+        yield col, value, col.values[positions], col.present[positions]
 
 
 def _pair_blocks(encoded: EncodedFeatures):
@@ -383,8 +406,10 @@ class QueryProfile:
     comparable records by (g, input order). The profile walks whole levels
     into that order on demand, computing Gower only for the records of the
     levels it reaches, and keeps the walked comparable records and their g
-    for the next caller. sorted_rho is every record's rho, ascending, from
-    the rows' counts.
+    for the next caller. A step over a single row reads the reference's
+    row-grouped columns as slices; record indices into db.records come from
+    rx_rows.members. sorted_rho is every record's rho, ascending, from the
+    rows' counts.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -432,10 +457,16 @@ class QueryProfile:
             stop += 1
         rows = self.db.rx_rows
         counts = self._counts[start:stop]
-        # The records of rows[start:stop], each row's in input order.
-        first = np.repeat(rows.starts[self._rows[start:stop]] - (np.cumsum(counts) - counts), counts)
-        index = rows.members[first + np.arange(len(first))]
-        g = _gower(_against(self._features, index), len(index))
+        # The positions of rows[start:stop] in db.encoded: one row is a run,
+        # read as slices; several rows are gathered run by run.
+        if stop - start == 1:
+            first = rows.starts[self._rows[start]]
+            positions = slice(first, first + counts[0])
+        else:
+            first = np.repeat(rows.starts[self._rows[start:stop]] - (np.cumsum(counts) - counts), counts)
+            positions = first + np.arange(len(first))
+        index = rows.members[positions]
+        g = _gower(_against(self._features, positions), len(index))
         rho = np.repeat(self._level_rho[start:stop], counts)
         defined = ~np.isnan(g)
         index, g, rho = index[defined], g[defined], rho[defined]
@@ -493,7 +524,9 @@ def pairwise_means(
     rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures
 ) -> tuple[float, float, int]:
     """Mean prescription and feature distance over ordered pairs j != k of
-    the records behind scaled_rx_arrays and encode_features.
+    the records behind scaled_rx_arrays and encode_features; neither result
+    depends on the order of the records, so the two may list them in
+    different orders.
 
     Returns (theta, tau, incomparable_pairs). Incomparable pairs are skipped
     from tau's average and counted; theta always averages over S*(S-1) pairs.

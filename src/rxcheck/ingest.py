@@ -428,8 +428,9 @@ class HistoricalDB:
     Carries the prescription scaler, the bound feature schema, the exact
     prescription occurrence index, and the characteristic pairwise distances
     theta (prescriptions) and tau (features); for the distance kernels, the
-    encoded features and the records grouped by distinct scaled
-    prescription. Safe to share across workers.
+    records grouped by distinct scaled prescription (rx_rows) and their
+    encoded features in that grouped order: position p of encoded is
+    records[rx_rows.members[p]]. Safe to share across workers.
     """
 
     technique: str
@@ -469,8 +470,9 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
 
     schema = default_schema().bind(records)
     scaler = RxScaler.fit([r.prescription for r in records])
-    encoded = distance.encode_features(records, schema)
     rx_f, rx_d = distance.scaled_rx_arrays(records, scaler)
+    rx_rows = distance.distinct_rx(rx_f, rx_d)
+    encoded = distance.encode_features([records[i] for i in rx_rows.members], schema)
     theta, tau, skipped = distance.pairwise_means(rx_f, rx_d, encoded)
     return HistoricalDB(
         technique=techniques.pop(),
@@ -482,5 +484,5 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
         tau=tau,
         incomparable_pairs=skipped,
         encoded=encoded,
-        rx_rows=distance.distinct_rx(rx_f, rx_d),
+        rx_rows=rx_rows,
     )

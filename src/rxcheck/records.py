@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -211,8 +212,10 @@ class FeatureSpec:
     def __post_init__(self) -> None:
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown feature kind: {self.kind!r}")
-        if self.weight <= 0:
-            raise ValueError(f"feature weight must be positive: {self.name}")
+        # The array Gower kernel masks missing pairs by multiplying with 0,
+        # which leaves a sum unchanged only for finite terms.
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"feature weight must be positive and finite: {self.name}")
 
 
 @dataclass(frozen=True)

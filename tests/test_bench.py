@@ -1,8 +1,10 @@
 """Reference-set build time, and one-shot detect time per batch of 200
 fresh records, against reference size S, on the random 15%-missing cohorts
-of conftest.py (the cohorts behind perfbench/sweep.py); and the cohort front
-end (parse, normalize, filter) on raw exports from perfbench/gen.py. Timed
-with pytest-benchmark.
+of conftest.py (the cohorts behind perfbench/sweep.py); one-shot detect over
+the check batch of perfbench/gen.py, whose Zipf regimens put about a
+thousand reference records at a query's own prescription; and the cohort
+front end (parse, normalize, filter) on raw exports from perfbench/gen.py.
+Timed with pytest-benchmark.
 
 Not part of the default run (pyproject.toml deselects the bench marker).
 Run it with
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from rxcheck.detector import ModelParams, detect
+from rxcheck.distance import InsufficientNeighbors
 from rxcheck.ingest import (
     CohortConfig,
     build_historical_db,
@@ -57,12 +60,42 @@ def test_detect_one_shot(benchmark, size):
     assert len(verdicts) == len(queries)
 
 
+def _gen(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("gen")
+
+
+def test_check_batch(benchmark, monkeypatch, tmp_path):
+    # The benchmark's check inputs (seed 5): 1,500 new records against the
+    # reference sets of an 11k-row history, as `check` scores them.
+    gen = _gen(monkeypatch)
+    written = gen.write_inputs("check", 5, tmp_path)
+    config = CohortConfig()
+    records, _ = parse_dataset(tmp_path / "history.csv")
+    kept, _ = filter_cohort(normalize_dataset(records, config.label_mappings)[0], config)
+    dbs = {tech: build_historical_db(rows) for tech, rows in kept.items()}
+    batch, _ = normalize_dataset(parse_dataset(tmp_path / "batch.csv")[0], config.label_mappings)
+    params = ModelParams(a=1.0, b=0.6, mu=0.02, nu=0.02)
+
+    def check_batch():
+        scored = 0
+        for record in batch:
+            try:
+                detect(record, dbs[record.technique], params)
+            except InsufficientNeighbors:
+                continue
+            scored += 1
+        return scored
+
+    scored = benchmark.pedantic(check_batch, rounds=5, iterations=1)
+    assert scored == written["batch.csv"] - gen.CHECK_ALL_MISSING
+
+
 @pytest.mark.parametrize("rows", [10_000, 100_000])
 def test_front_end(benchmark, monkeypatch, tmp_path, rows):
     # The benchmark's ingest-hist export (seed 5) at 100k rows, and the same
     # mix of admitted, excluded and malformed rows at 10k.
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    gen = importlib.import_module("gen")
+    gen = _gen(monkeypatch)
     scale = rows / 100_000
     export = gen.Generator(5, "ingest-hist").export(
         {tech: round(count * scale) for tech, count in gen.INGEST_ADMITTED.items()},

@@ -245,10 +245,10 @@ class TestCheck:
         assert code == EX_OK
         assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
 
-        # A byte that is not UTF-8, here in a key the config ignores, is
-        # replaced as in the other readers.
-        text = json.dumps({"historical": str(cohort_csv), "params": str(params_json),
-                           "note": "caf?"})
+        # A byte that is not UTF-8, here in the historical path, is replaced
+        # as in the other readers.
+        (tmp_path / "caf\ufffd.csv").write_bytes(cohort_csv.read_bytes())
+        text = json.dumps({"historical": str(tmp_path / "caf?.csv"), "params": str(params_json)})
         config.write_bytes(text.encode().replace(b"caf?", b"caf\xe9"))
         code = run(["check", "--input", str(query), "--config", str(config)])
         assert code == EX_OK
@@ -449,6 +449,21 @@ class TestSimulateEvaluateHist:
         assert code == EX_OK
         payload = json.loads((out / "sa_3D.json").read_text())
         assert len(payload) == 20  # 10 swaps + 10 feature mutations
+
+    @pytest.mark.parametrize("text, problem", [
+        ('["x"]', "expected a JSON object, got ['x']"),
+        ('{"historicl": "history.csv"}', "unknown key 'historicl'"),
+        ('{"seed": "abc"}', "key 'seed': expected an integer, got 'abc'"),
+        ('{"seed": true}', "key 'seed': expected an integer, got True"),
+        ('{"out": 5}', "key 'out': expected a string, got 5"),
+    ], ids=["array", "misspelled-key", "string-seed", "boolean-seed", "number-path"])
+    def test_malformed_run_config_named(self, cohort_csv, tmp_path, capsys, text, problem):
+        config = tmp_path / "run.json"
+        config.write_text(text)
+        code = run(["simulate", "--input", str(cohort_csv), "--out", str(tmp_path / "sa"),
+                    "--config", str(config)])
+        assert code == EX_ERROR
+        assert capsys.readouterr().err == f"rxcheck: error: {config}: {problem}\n"
 
     def test_simulate_deterministic(self, cohort_csv, tmp_path):
         out1, out2 = tmp_path / "sa1", tmp_path / "sa2"

@@ -14,6 +14,7 @@ from rxcheck.distance import (
     InsufficientNeighbors,
     RxScaler,
     ScaledRx,
+    _pair_blocks,
     closest_m_rx_distance,
     closest_n_feature_distance,
     encode_features,
@@ -634,6 +635,103 @@ def test_detect_ignores_reference_order(records, queries, fractions, multipliers
     params = ModelParams(*multipliers, *fractions)
     for query in queries:
         assert _r_f_status(query, shuffled, params) == _r_f_status(query, db, params)
+
+
+def _gower_or_nan(a, b, schema):
+    try:
+        return gower_distance(a, b, schema)
+    except IncomparablePair:
+        return math.nan
+
+
+@st.composite
+def _kernel_queries(draw, records):
+    """A query at one of the reference's prescriptions or anywhere, with
+    categories the reference never saw (x18, adjuvant, C99.9, 99999) and ages
+    that may lie outside the reference's range."""
+    fractions, dose = draw(
+        st.sampled_from([r.rx for r in records]) | st.tuples(st.integers(1, 40), st.integers(1, 40))
+    )
+    return rec(
+        "q", fractions, dose,
+        energy=draw(st.none() | _ENERGY | st.just("x18")),
+        intent=draw(st.none() | _INTENT | st.just("adjuvant")),
+        icd10=draw(st.none() | _ICD10 | st.just("C99.9")),
+        morphology=draw(st.none() | _MORPHOLOGY | st.just("99999")),
+        age_at_tx=draw(st.none() | st.integers(-500, 500)),
+    )
+
+
+@seed(20215)
+@settings(deadline=None, max_examples=120, database=None)
+@given(
+    records=_reference_sets(),
+    weights=st.lists(
+        st.floats(0.05, 20.0).filter(lambda w: w != 1.0) | st.just(1.0), min_size=5, max_size=5
+    ),
+    data=st.data(),
+)
+def test_array_gower_equals_scalar_gower_exactly(records, weights, data):
+    # The array kernel promises gower_distance's bits, not the oracles'
+    # tolerance: over the pairs of a reference set and along a profile's
+    # walk, with weights other than 1, a constant (degenerate) or extreme
+    # age column, out-of-range query ages and unseen query categories.
+    schema = FeatureSchema(tuple(
+        replace(spec, weight=w) for spec, w in zip(default_schema().features, weights)
+    )).bind(records)
+    expected = [
+        _gower_or_nan(records[j], records[k], schema)
+        for j in range(len(records)) for k in range(j + 1, len(records))
+    ]
+    got = np.concatenate(list(_pair_blocks(encode_features(records, schema))))
+    assert np.array_equal(got, expected, equal_nan=True)
+
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            return
+    # The reweighted schema, encoded in the reference set's row order.
+    db = replace(db, feature_schema=schema, encoded=encode_features(
+        [db.records[i] for i in db.rx_rows.members], schema
+    ))
+    for query in data.draw(st.lists(_kernel_queries(records), min_size=1, max_size=4)):
+        index, g = query_profile(query, db).nearest_comparable(db.size)
+        scalar = [_gower_or_nan(query, r, schema) for r in db.records]
+        assert sorted(index.tolist()) == [i for i, value in enumerate(scalar) if not math.isnan(value)]
+        assert g.tolist() == [scalar[i] for i in index.tolist()]
+
+
+def test_row_grouped_layout_keeps_build_outputs_and_record_indices():
+    # Five regimens drawn at random interleave in input order, so the
+    # encoded features, grouped by prescription row, are a true permutation
+    # of db.records, and a query at a regimen walks a single-row level first.
+    rng = np.random.default_rng(19)
+    regimens = [(5, 400), (10, 300), (20, 200), (25, 180), (30, 200)]
+
+    def at_regimen(record):
+        fractions, dose = regimens[int(rng.integers(len(regimens)))]
+        return replace(record, prescription=Prescription(fractions, dose, fractions * dose, fractions * dose))
+
+    records = [at_regimen(random_record(rng, i, missing_rate=0.3)) for i in range(300)]
+    db = build_historical_db(records)
+    assert not np.array_equal(db.rx_rows.members, np.arange(db.size))
+    shuffled = build_historical_db([records[k] for k in rng.permutation(len(records))])
+    assert (shuffled.theta, shuffled.tau, shuffled.incomparable_pairs) == (
+        db.theta, db.tau, db.incomparable_pairs
+    )
+    for ours, theirs in zip(pairwise_histograms(db, 0.02), pairwise_histograms(shuffled, 0.02)):
+        assert np.array_equal(ours.mass, theirs.mass)
+    queries = [at_regimen(random_record(rng, 900 + k)) for k in range(10)]
+    queries += [random_record(rng, 950 + k) for k in range(10)]
+    for query in queries:
+        profile = query_profile(query, db)
+        for k in (1, 60, db.size):
+            index, g = profile.nearest_comparable(k)
+            assert g.tolist() == [
+                gower_distance(query, db.records[i], db.feature_schema) for i in index.tolist()
+            ]
 
 
 class TestPairwiseHistograms:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 
@@ -85,6 +86,11 @@ class TestSchema:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError):
             FeatureSpec("age_at_tx", "numeric", weight=0.0)
+
+    @pytest.mark.parametrize("weight", [math.inf, math.nan])
+    def test_weights_must_be_finite(self, weight):
+        with pytest.raises(ValueError, match="positive and finite"):
+            FeatureSpec("age_at_tx", "numeric", weight=weight)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
