@@ -324,13 +324,12 @@ def _gower(pairs, shape) -> np.ndarray:
         else:
             # Categories, or a degenerate numeric range: any difference is maximal.
             contribution = (left != right).astype(np.float64)
-        if col.weight != 1.0:
-            contribution *= col.weight
+        contribution *= col.weight
         # Every term is finite and non-negative, so masking by multiplication
         # adds exactly 0.0 where a side misses the feature, and x + 0.0 == x.
         contribution *= valid
         num += contribution
-        den += valid if col.weight == 1.0 else col.weight * valid
+        den += col.weight * valid
     # num is 0.0 wherever den is, and 0.0 / nan is nan.
     den[den == 0.0] = np.nan
     num /= den
