@@ -4,15 +4,16 @@ Exit codes: 0 success (check: all pass), 2 at least one flagged verdict,
 1 operational error, 64 usage error, 66 missing input file.
 
 check writes one verdict per record. A record with too few comparable
-reference records, or of a technique with no reference set, no trained
-parameters or no boundaries in the --boundaries preset, gets a
-"rxcheck: record <id>: <reason>" line on stderr instead, the batch goes on,
-and the exit code is 1.
+reference records or an integer too large for a float, or of a technique
+with no reference set, no trained parameters or no boundaries in the
+--boundaries preset, gets a "rxcheck: record <id>: <reason>" line on stderr
+instead, the batch goes on, and the exit code is 1.
 
 train skips a technique with at least 2 kept records that cannot be split
-into reference and holdout or built, with a "rxcheck: train[<T>]: skipped:
-<reason>" line on stderr; params.json still holds the other techniques and
-the exit code is 1. With no technique trained it is a usage error.
+into reference and holdout, built or given its simulated anomalies, with a
+"rxcheck: train[<T>]: skipped: <reason>" line on stderr; params.json still
+holds the other techniques and the exit code is 1. With no technique
+trained it is a usage error. simulate skips a technique the same way.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, text_stream, write_json, write_records_csv
+from .records import MODELED_TECHNIQUES, TreatmentRecord, text_stream, write_json, write_records_csv
 from .seeding import substream
-from .simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set, write_sa_set
+from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
 
 EX_OK = 0
@@ -139,14 +140,15 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each subcommand takes only the options its handler reads.
-    def common(p, out_required=False):
+    def common(p, technique=True):
         p.add_argument("--config", help="run-config JSON with default paths")
-        p.add_argument("--out", required=out_required, help="output directory")
-        p.add_argument("--technique", choices=MODELED_TECHNIQUES, default=None)
+        p.add_argument("--out", help="output directory (or set in --config)")
+        if technique:
+            p.add_argument("--technique", choices=MODELED_TECHNIQUES, default=None)
 
     p = sub.add_parser("ingest", help="filter a raw export and build reference databases")
     p.add_argument("--input", required=True, help="raw records CSV")
-    common(p, out_required=True)
+    common(p)
 
     p = sub.add_parser("train", help="optimize detector parameters per technique")
     p.add_argument("--input", required=True, help="historical records CSV")
@@ -156,7 +158,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sn", type=at_least_0, default=20, help="holdout pool size")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common(p, out_required=True)
+    common(p)
 
     p = sub.add_parser("check", help="emit a verdict for each input record")
     p.add_argument("--input", required=True, help="records CSV to check")
@@ -175,17 +177,16 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="historical records CSV")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)
     p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
-    common(p, out_required=True)
+    common(p)
 
     p = sub.add_parser("evaluate", help="score labeled predictions and write a report bundle")
     p.add_argument("--input", required=True, help="predictions CSV (record_id,truth,prediction,source)")
-    p.add_argument("--config", help="run-config JSON with default paths")
-    p.add_argument("--out", required=True, help="output directory")
+    common(p, technique=False)
 
     p = sub.add_parser("hist", help="export pairwise-distance histograms")
     p.add_argument("--input", required=True, help="historical records CSV")
     p.add_argument("--bin-width", type=finite_positive, default=0.05)
-    common(p, out_required=True)
+    common(p)
 
     return parser
 
@@ -227,6 +228,16 @@ def _resolve(flag_value, config_value, default=None):
     return default
 
 
+def _out_dir(args, config: RunConfig) -> Path:
+    """The output directory from --out or the config's out, created."""
+    out = _resolve(args.out, config.out)
+    if out is None:
+        raise UsageError(f"{args.command} needs --out (or a config with one)")
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _load_cohort(config: RunConfig) -> CohortConfig:
     if config.cohort_config:
         return CohortConfig.from_json(config.cohort_config)
@@ -258,6 +269,13 @@ def _build_dbs(kept, technique: str | None) -> dict:
     return {tech: build_historical_db(rows) for tech, rows in _eligible(kept, technique).items()}
 
 
+def _forge(db, args, seed: int) -> list:
+    """The simulated anomalies train and simulate forge from db."""
+    return generate_sa_set(
+        db, DEFAULT_SA_COUNTS, threshold=args.rarity_threshold, rng=substream(seed, f"forge:{db.technique}")
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -265,8 +283,7 @@ def _build_dbs(kept, technique: str | None) -> dict:
 def _cmd_ingest(args) -> int:
     config = RunConfig.load(args.config)
     cohort = _load_cohort(config)
-    out = Path(_resolve(args.out, config.out))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, config)
     kept, log, diagnostics, unmapped = _read_cohort(args.input, cohort)
     dbs = _build_dbs(kept, args.technique)
 
@@ -298,8 +315,7 @@ def _cmd_train(args) -> int:
     config = RunConfig.load(args.config)
     cohort = _load_cohort(config)
     seed = _resolve(args.seed, config.seed, 0)
-    out = Path(_resolve(args.out, config.out))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, config)
     kept, _, _, _ = _read_cohort(args.input, cohort)
 
     space = SearchSpace(budget=args.budget, runs_per_point=args.runs, strategy=args.strategy)
@@ -309,16 +325,11 @@ def _cmd_train(args) -> int:
         try:
             reference, pool = split_holdout(rows, args.sn, substream(seed, f"split:{tech}"))
             reference_db = build_historical_db(reference)
-        except (InsufficientData, IncomparablePair) as exc:
+            sa_set = _forge(reference_db, args, seed)
+        except (InsufficientData, IncomparablePair, GenerationExhausted) as exc:
             print(f"rxcheck: train[{tech}]: skipped: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        sa_set = generate_sa_set(
-            reference_db,
-            DEFAULT_SA_COUNTS,
-            threshold=args.rarity_threshold,
-            rng=substream(seed, f"forge:{tech}"),
-        )
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=seed)
         params_by_technique[tech] = outcome.best_params
         write_trace_csv(out / f"trace_{tech}.csv", outcome)
@@ -374,22 +385,31 @@ def _cmd_check(args) -> int:
                 )
             params = params_for_technique(params_by_technique, record.technique)
             verdicts.append(detect(record, db, params, boundaries))
-        except (UnsupportedTechnique, InsufficientNeighbors) as exc:
+        except (UnsupportedTechnique, InsufficientNeighbors, OverflowError) as exc:
             # args[0], not str(exc): UnsupportedTechnique is a KeyError,
             # whose str() quotes the message.
-            print(f"rxcheck: record {record.record_id}: {exc.args[0]}", file=sys.stderr)
+            reason = _too_large(record) if isinstance(exc, OverflowError) else exc.args[0]
+            print(f"rxcheck: record {record.record_id}: {reason}", file=sys.stderr)
             errored = True
 
-    out = _resolve(args.out, config.out)
-    if out is None:
+    if _resolve(args.out, config.out) is None:
         write_verdicts_jsonl(sys.stdout, verdicts)
     else:
-        out_dir = Path(out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_verdicts_jsonl(out_dir / "verdicts.jsonl", verdicts)
+        write_verdicts_jsonl(_out_dir(args, config) / "verdicts.jsonl", verdicts)
     if errored:
         return EX_ERROR
     return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
+
+
+def _too_large(record: TreatmentRecord) -> str:
+    """Name the integer of record that overflows a float: a cell the parser
+    kept, or else the fractions x dose_per_fraction product BED starts from."""
+    p = record.prescription
+    for name, value in (("fractions", p.fractions), ("dose_per_fraction", p.dose_per_fraction),
+                        ("age_at_tx", record.age_at_tx)):
+        if value is not None and abs(value) > sys.float_info.max:
+            return f"{name}: {len(str(abs(value)))}-digit integer overflows a float"
+    return "fractions x dose_per_fraction: product overflows a float"
 
 
 def _parse_quantile(text: str) -> Quantile:
@@ -407,26 +427,26 @@ def _cmd_simulate(args) -> int:
     config = RunConfig.load(args.config)
     cohort = _load_cohort(config)
     seed = _resolve(args.seed, config.seed, 0)
-    out = Path(_resolve(args.out, config.out))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, config)
     dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records to simulate from")
+    skipped = 0
     for tech, db in sorted(dbs.items()):
-        sa_set = generate_sa_set(
-            db,
-            DEFAULT_SA_COUNTS,
-            threshold=args.rarity_threshold,
-            rng=substream(seed, f"forge:{tech}"),
-        )
+        try:
+            sa_set = _forge(db, args, seed)
+        except GenerationExhausted as exc:
+            print(f"rxcheck: simulate[{tech}]: skipped: {exc}", file=sys.stderr)
+            skipped += 1
+            continue
         write_sa_set(out / f"sa_{tech}.csv", out / f"sa_{tech}.json", sa_set)
         print(f"simulate[{tech}]: wrote {len(sa_set)} anomalies")
-    return EX_OK
+    return EX_ERROR if skipped else EX_OK
 
 
 def _cmd_evaluate(args) -> int:
     config = RunConfig.load(args.config)
-    out = Path(_resolve(args.out, config.out))
+    out = _out_dir(args, config)
     raters = read_predictions_csv(args.input)
     cms = {source: confusion(preds) for source, preds in raters.items()}
     metrics = {source: macro_metrics(cm) for source, cm in cms.items()}
@@ -446,8 +466,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_hist(args) -> int:
     config = RunConfig.load(args.config)
     cohort = _load_cohort(config)
-    out = Path(_resolve(args.out, config.out))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args, config)
     dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records for histograms")

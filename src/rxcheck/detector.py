@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping, TYPE_CHECKING
 
 from .distance import (
@@ -215,7 +215,7 @@ def verdict_to_dict(verdict: Verdict) -> dict:
         "t_f": verdict.t_f,
         "same_rx_count": verdict.same_rx_count,
         "warnings": list(verdict.warnings),
-        "range_violations": [v.as_dict() for v in verdict.range_violations],
+        "range_violations": [asdict(v) for v in verdict.range_violations],
         "explanation": explain(verdict),
     }
 

@@ -3,13 +3,15 @@
 Fractions, dose per fraction, and biologically effective dose (BED) are
 compared against per-technique boundaries, either supplied explicitly or
 derived as empirical quantiles of a historical database. Bounds are
-inclusive on both ends.
+inclusive on both ends. The table _QUANTITIES is the one place that names
+these quantities; the check, the derivation, the preset and the JSON files
+loop over it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import IO, Mapping, TYPE_CHECKING
 
@@ -82,26 +84,36 @@ class Quantile:
             raise ValueError(f"need 0 <= low_q <= high_q <= 1, got {self.low_q}, {self.high_q}")
 
 
-# Published per-technique boundary table. Its BED column's units and formula
-# convention are not reconstructible from the configured linear-quadratic
-# default, so the preset ships with the BED comparison disabled.
+# The checked quantities in report order, each with its value from (fractions,
+# dose per fraction): plain arithmetic on integers and float64 arrays alike.
+_QUANTITIES = (
+    ("fractions", lambda fractions, dose_per_fraction: fractions),
+    ("dose_per_fraction", lambda fractions, dose_per_fraction: dose_per_fraction),
+    ("bed", compute_bed),
+)
+
+
+def _technique_bounds(pairs) -> TechniqueBounds:
+    """TechniqueBounds from one (lo, hi) pair per quantity, in _QUANTITIES order."""
+    return TechniqueBounds(
+        **{quantity: QuantityBounds(lo, hi) for (quantity, _), (lo, hi) in zip(_QUANTITIES, pairs)}
+    )
+
+
+# Published per-technique boundary table, (lo, hi) in _QUANTITIES order. Its
+# BED column's units and formula convention are not reconstructible from the
+# configured linear-quadratic default, so the preset ships with the BED
+# comparison disabled.
 _TABLE_PRESET = {
-    TECH_3D: ((16400, 292800), (1, 35), (150, 850)),
-    TECH_IMRT: ((24000, 497000), (7, 47), (150, 700)),
-    TECH_SBRT: ((82000, 903000), (1, 5), (400, 3000)),
+    TECH_3D: ((1, 35), (150, 850), (16400, 292800)),
+    TECH_IMRT: ((7, 47), (150, 700), (24000, 497000)),
+    TECH_SBRT: ((1, 5), (400, 3000), (82000, 903000)),
 }
 
 
 def table_preset() -> Boundaries:
     return Boundaries(
-        by_technique={
-            technique: TechniqueBounds(
-                bed=QuantityBounds(*bed),
-                fractions=QuantityBounds(*fx),
-                dose_per_fraction=QuantityBounds(*dpf),
-            )
-            for technique, (bed, fx, dpf) in _TABLE_PRESET.items()
-        },
+        by_technique={technique: _technique_bounds(row) for technique, row in _TABLE_PRESET.items()},
         check_bed=False,
     )
 
@@ -111,30 +123,9 @@ def derive_boundaries(db: "HistoricalDB", quantile: Quantile) -> Boundaries:
     database, as boundaries for its technique."""
     fractions = np.array([r.prescription.fractions for r in db.records], dtype=np.float64)
     doses = np.array([r.prescription.dose_per_fraction for r in db.records], dtype=np.float64)
-    beds = np.array(
-        [
-            compute_bed(r.prescription.fractions, r.prescription.dose_per_fraction)
-            for r in db.records
-        ],
-        dtype=np.float64,
-    )
-
-    def bounds(values: np.ndarray) -> QuantityBounds:
-        return QuantityBounds(
-            float(np.quantile(values, quantile.low_q)),
-            float(np.quantile(values, quantile.high_q)),
-        )
-
-    return Boundaries(
-        by_technique={
-            db.technique: TechniqueBounds(
-                bed=bounds(beds),
-                fractions=bounds(fractions),
-                dose_per_fraction=bounds(doses),
-            )
-        },
-        check_bed=True,
-    )
+    levels = (quantile.low_q, quantile.high_q)
+    pairs = (np.quantile(value_of(fractions, doses), levels).tolist() for _, value_of in _QUANTITIES)
+    return Boundaries(by_technique={db.technique: _technique_bounds(pairs)}, check_bed=True)
 
 
 @dataclass(frozen=True)
@@ -143,14 +134,6 @@ class RangeViolation:
     value: float
     low: float
     high: float
-
-    def as_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "value": self.value,
-            "low": self.low,
-            "high": self.high,
-        }
 
 
 def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeViolation]:
@@ -161,23 +144,13 @@ def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeVi
         raise UnsupportedTechnique(f"no boundaries for technique {record.technique!r}")
     p = record.prescription
     violations: list[RangeViolation] = []
-    if not bounds.fractions.contains(p.fractions):
-        violations.append(
-            RangeViolation("fractions", float(p.fractions), bounds.fractions.lo, bounds.fractions.hi)
-        )
-    if not bounds.dose_per_fraction.contains(p.dose_per_fraction):
-        violations.append(
-            RangeViolation(
-                "dose_per_fraction",
-                float(p.dose_per_fraction),
-                bounds.dose_per_fraction.lo,
-                bounds.dose_per_fraction.hi,
-            )
-        )
-    if boundaries.check_bed:
-        bed = compute_bed(p.fractions, p.dose_per_fraction)
-        if not bounds.bed.contains(bed):
-            violations.append(RangeViolation("bed", bed, bounds.bed.lo, bounds.bed.hi))
+    # BED is last. The integer prescription goes in, so fractions * dose is
+    # exact before BED rounds it.
+    for quantity, value_of in _QUANTITIES if boundaries.check_bed else _QUANTITIES[:-1]:
+        value = value_of(p.fractions, p.dose_per_fraction)
+        limits = getattr(bounds, quantity)
+        if not limits.contains(value):
+            violations.append(RangeViolation(quantity, float(value), limits.lo, limits.hi))
     return violations
 
 
@@ -185,26 +158,25 @@ def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeVi
 # JSON preset files (one object per technique, mirroring the boundary table)
 # ---------------------------------------------------------------------------
 
+# A file names each bound "<side>_<quantity>", side min for lo and max for hi.
+# Messages list the keys in TechniqueBounds' field order: bed first.
+_FIELD_QUANTITIES = tuple(field.name for field in fields(TechniqueBounds))
+_BOUND_KEYS = tuple(f"{side}_{quantity}" for quantity in _FIELD_QUANTITIES for side in ("min", "max"))
+
+
 def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) -> None:
     payload = {
         "check_bed": boundaries.check_bed,
         "techniques": {
             technique: {
-                "min_bed": bounds.bed.lo,
-                "max_bed": bounds.bed.hi,
-                "min_fractions": bounds.fractions.lo,
-                "max_fractions": bounds.fractions.hi,
-                "min_dose_per_fraction": bounds.dose_per_fraction.lo,
-                "max_dose_per_fraction": bounds.dose_per_fraction.hi,
+                f"{side}_{quantity}": value
+                for quantity in _FIELD_QUANTITIES
+                for side, value in zip(("min", "max"), astuple(getattr(bounds, quantity)))
             }
             for technique, bounds in sorted(boundaries.by_technique.items())
         },
     }
     write_json(destination, payload)
-
-
-_QUANTITIES = ("bed", "fractions", "dose_per_fraction")
-_BOUND_KEYS = tuple(f"{side}_{quantity}" for quantity in _QUANTITIES for side in ("min", "max"))
 
 
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
@@ -235,13 +207,13 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
             # A bool is an int to isinstance; NaN is the one float unequal to itself.
             if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
                 raise ValueError(f"{where}: key {key!r}: expected a number, got {value!r}")
-        for quantity in _QUANTITIES:
+        bounds = {}
+        for quantity in _FIELD_QUANTITIES:
             lo, hi = row[f"min_{quantity}"], row[f"max_{quantity}"]
             if lo > hi:
                 raise ValueError(f"{where}: key 'min_{quantity}' {lo!r} exceeds key 'max_{quantity}' {hi!r}")
-        by_technique[technique] = TechniqueBounds(
-            **{quantity: QuantityBounds(row[f"min_{quantity}"], row[f"max_{quantity}"]) for quantity in _QUANTITIES}
-        )
+            bounds[quantity] = QuantityBounds(lo, hi)
+        by_technique[technique] = TechniqueBounds(**bounds)
     check_bed = payload.get("check_bed", True)
     if not isinstance(check_bed, bool):
         raise ValueError(f"{name}: key 'check_bed': expected a boolean, got {check_bed!r}")

@@ -18,6 +18,29 @@ from synth import make_cohort
 PARAMS = ModelParams(a=0.5, b=0.25, mu=0.05, nu=0.05)
 
 
+def unforgeable_imrt():
+    """40 IMRT records from which no anomaly can be forged: every digit swap
+    of 3x300, 2x200 and 5x500 is itself and every categorical has one value."""
+    return [
+        rec(f"imrt{i}", *((3, 300), (2, 200), (5, 500))[i % 3], technique="IMRT", energy="x06",
+            intent="curative", icd10="C34.10", morphology="80703", age_at_tx=(0, 120)[i % 2])
+        for i in range(40)
+    ]
+
+
+def predictions_csv(path):
+    """Three raters over 20 records, about 80% right each."""
+    rng = np.random.default_rng(40)
+    rows = ["record_id,truth,prediction,source"]
+    for source in ("md1", "md2", "model"):
+        for i in range(20):
+            truth = 1 if i < 8 else 0
+            prediction = truth if rng.random() < 0.8 else 1 - truth
+            rows.append(f"r{i},{truth},{prediction},{source}")
+    path.write_text("\n".join(rows) + "\n")
+    return path
+
+
 @pytest.fixture(scope="module")
 def cohort_csv(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "historical.csv"
@@ -234,6 +257,41 @@ class TestCheck:
             "no trained parameters for technique 'IMRT'\n"
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--quantile-boundaries", "0.005,0.995"]],
+                             ids=["no-range-check", "quantile-boundaries"])
+    def test_integer_too_large_for_a_float_does_not_abort_batch(
+        self, cohort_csv, params_json, tmp_path, capsys, flags
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        huge = 10 ** 400  # a 401-digit cell, which the parser keeps
+        queries = [records[0], rec("huge-fx", huge, 1250), rec("huge-age", 4, 1250, age_at_tx=huge), records[1]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
+                    "--params", str(params_json), *flags]) == EX_ERROR
+        captured = capsys.readouterr()
+        assert [json.loads(line)["record_id"] for line in captured.out.splitlines()] == [
+            records[0].record_id, records[1].record_id]
+        assert captured.err == (
+            "rxcheck: record huge-fx: fractions: 401-digit integer overflows a float\n"
+            "rxcheck: record huge-age: age_at_tx: 401-digit integer overflows a float\n"
+        )
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_bed_too_large_for_a_float_does_not_abort_batch(self, cohort_csv, params_json, tmp_path, capsys):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        # Each part fits a float; their product, which BED starts from, does not.
+        queries = [rec("huge-bed", 10 ** 200, 10 ** 200), records[0]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--quantile-boundaries", "0.005,0.995"]) == EX_ERROR
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert captured.err == (
+            "rxcheck: record huge-bed: fractions x dose_per_fraction: product overflows a float\n"
+        )
+
     def test_run_config_supplies_paths(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query = tmp_path / "query.csv"
@@ -410,6 +468,22 @@ class TestTrain:
         assert err.count("rxcheck: train[SBRT]: skipped: ") == 1
         assert not (out / "trace_SBRT.csv").exists()
 
+    def test_technique_that_cannot_be_forged_is_skipped(self, tmp_path, capsys):
+        three_d, _ = make_cohort("3D", per_cluster=15, seed=20)
+        path = tmp_path / "mixed.csv"
+        write_records_csv(path, three_d + unforgeable_imrt())
+        out = tmp_path / "trained"
+        code = run([
+            "train", "--input", str(path), "--out", str(out),
+            "--budget", "1", "--runs", "2", "--sn", "6", "--seed", "0",
+            "--strategy", "random",
+        ])
+        assert code == EX_ERROR
+        assert set(json.loads((out / "params.json").read_text())) == {"3D"}
+        err = capsys.readouterr().err
+        assert err.count("rxcheck: train[IMRT]: skipped: gave up after ") == 1
+        assert not (out / "trace_IMRT.csv").exists()
+
     def test_no_technique_trainable_is_usage_error(self, tmp_path, capsys):
         sbrt, _ = make_cohort("SBRT", per_cluster=3, seed=22)
         path = tmp_path / "small.csv"
@@ -465,6 +539,29 @@ class TestSimulateEvaluateHist:
         assert code == EX_ERROR
         assert capsys.readouterr().err == f"rxcheck: error: {config}: {problem}\n"
 
+    def test_simulate_skips_technique_that_cannot_be_forged(self, tmp_path, capsys):
+        three_d, _ = make_cohort("3D", per_cluster=15, seed=20)
+        path = tmp_path / "mixed.csv"
+        write_records_csv(path, unforgeable_imrt() + three_d)
+        out = tmp_path / "sa"
+        assert run(["simulate", "--input", str(path), "--out", str(out), "--seed", "3"]) == EX_ERROR
+        assert len(json.loads((out / "sa_3D.json").read_text())) == 20
+        assert not (out / "sa_IMRT.json").exists()
+        assert capsys.readouterr().err.count("rxcheck: simulate[IMRT]: skipped: gave up after ") == 1
+
+    @pytest.mark.parametrize("command", ["hist", "evaluate"])
+    def test_run_config_supplies_out(self, cohort_csv, tmp_path, capsys, command):
+        source = predictions_csv(tmp_path / "preds.csv") if command == "evaluate" else cohort_csv
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "out")}))
+        assert run([command, "--input", str(source), "--config", str(config)]) == EX_OK
+        written = "summary.json" if command == "evaluate" else "hist_rx_3D.csv"
+        assert (tmp_path / "out" / written).exists()
+
+        # Without --out or a config out there is nowhere to write.
+        assert run([command, "--input", str(source)]) == EX_USAGE
+        assert capsys.readouterr().err.endswith(f"rxcheck: {command} needs --out (or a config with one)\n")
+
     def test_simulate_deterministic(self, cohort_csv, tmp_path):
         out1, out2 = tmp_path / "sa1", tmp_path / "sa2"
         for out in (out1, out2):
@@ -473,15 +570,7 @@ class TestSimulateEvaluateHist:
         assert (out1 / "sa_3D.csv").read_bytes() == (out2 / "sa_3D.csv").read_bytes()
 
     def test_evaluate_bundle(self, tmp_path):
-        rng = np.random.default_rng(40)
-        rows = ["record_id,truth,prediction,source"]
-        for source in ("md1", "md2", "model"):
-            for i in range(20):
-                truth = 1 if i < 8 else 0
-                prediction = truth if rng.random() < 0.8 else 1 - truth
-                rows.append(f"r{i},{truth},{prediction},{source}")
-        path = tmp_path / "preds.csv"
-        path.write_text("\n".join(rows) + "\n")
+        path = predictions_csv(tmp_path / "preds.csv")
         out = tmp_path / "report"
         assert run(["evaluate", "--input", str(path), "--out", str(out)]) == EX_OK
         summary = json.loads((out / "summary.json").read_text())

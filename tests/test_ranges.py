@@ -10,6 +10,7 @@ from rxcheck.ranges import (
     InvalidParameter,
     Quantile,
     QuantityBounds,
+    RangeViolation,
     TechniqueBounds,
     UnsupportedTechnique,
     check_range,
@@ -48,6 +49,14 @@ class TestComputeBed:
             base = compute_bed(fx, d, ab)
             assert compute_bed(fx + 1, d, ab) > base
             assert compute_bed(fx, d + 1, ab) > base
+
+    @pytest.mark.parametrize("alpha_beta", [1000.0, 313.7])
+    def test_arrays_equal_scalars_bit_for_bit(self, alpha_beta):
+        rng = np.random.default_rng(6)
+        fx = rng.integers(1, 41, size=200)
+        d = rng.integers(100, 3001, size=200)
+        beds = compute_bed(fx.astype(np.float64), d.astype(np.float64), alpha_beta)
+        assert beds.tolist() == [compute_bed(int(f), int(x), alpha_beta) for f, x in zip(fx, d)]
 
 
 class TestTablePreset:
@@ -132,6 +141,17 @@ class TestDeriveBoundaries:
         fx = np.median([r.prescription.fractions for r in small_db.records])
         assert bounds.fractions.lo == bounds.fractions.hi == fx
 
+    def test_float_bounds_survive_write_and_load(self, tmp_path):
+        db = random_db(np.random.default_rng(12), 40)
+        derived = derive_boundaries(db, Quantile(0.1, 0.9))
+        bounds = derived.by_technique["3D"]
+        assert not bounds.fractions.lo.is_integer() and not bounds.bed.hi.is_integer()
+        beds = [compute_bed(r.prescription.fractions, r.prescription.dose_per_fraction) for r in db.records]
+        assert bounds.bed == QuantityBounds(float(np.quantile(beds, 0.1)), float(np.quantile(beds, 0.9)))
+        path = tmp_path / "derived.json"
+        write_boundaries(path, derived)
+        assert load_boundaries(path) == derived
+
     def test_invalid_quantiles(self):
         with pytest.raises(ValueError):
             Quantile(0.9, 0.1)
@@ -166,6 +186,21 @@ class TestCheckRange:
         record = rec("a", 5, 1000, technique="SBRT")  # BED = 10000
         violations = check_range(record, bounds)
         assert [v.quantity for v in violations] == ["bed"]
+
+    def test_every_quantity_out_of_range_reported_in_order(self):
+        limits = TechniqueBounds(
+            bed=QuantityBounds(0, 9000),
+            fractions=QuantityBounds(1, 5),
+            dose_per_fraction=QuantityBounds(400, 3000),
+        )
+        record = rec("a", 6, 3100, technique="SBRT")  # BED = 6 * 3100 * 4.1
+        expected = [
+            RangeViolation("fractions", 6.0, 1, 5),
+            RangeViolation("dose_per_fraction", 3100.0, 400, 3000),
+            RangeViolation("bed", 76260.0, 0, 9000),
+        ]
+        assert check_range(record, Boundaries({"SBRT": limits}, check_bed=True)) == expected
+        assert check_range(record, Boundaries({"SBRT": limits}, check_bed=False)) == expected[:2]
 
     def test_unknown_technique(self):
         with pytest.raises(UnsupportedTechnique) as raised:
