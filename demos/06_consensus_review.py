@@ -50,7 +50,7 @@ for name in ("md1", "md2", "md3", "model", "consensus-best", "consensus-worst"):
           f"{cm.fn + cm.fp:>7}")
 
 print("\noverlap regions (rater flag sets vs the ground-truth anomaly set):")
-for region, count in overlap.region_counts.items():
+for region, count in overlap.items():
     print(f"  {region:<24} {count}")
 
 out = Path(__file__).parent / "out" / "review"

@@ -4,7 +4,7 @@ Exit codes: 0 success (check: all pass), 2 at least one flagged verdict,
 1 operational error, 64 usage error, 66 missing input file.
 
 check writes one verdict per record. A record with too few comparable
-reference records or an integer too large for a float, or of a technique
+reference records or a number too large for a float, or of a technique
 with no reference set, no trained parameters or no boundaries in the
 --boundaries preset, gets a "rxcheck: record <id>: <reason>" line on stderr
 instead, the batch goes on, and the exit code is 1.
@@ -402,14 +402,17 @@ def _cmd_check(args) -> int:
 
 
 def _too_large(record: TreatmentRecord) -> str:
-    """Name the integer of record that overflows a float: a cell the parser
-    kept, or else the fractions x dose_per_fraction product BED starts from."""
+    """Name the number of record that overflows a float: a cell the parser
+    kept, the fractions x dose_per_fraction product BED starts from, or else
+    the prescription distance, whose scaled squares overflow."""
     p = record.prescription
     for name, value in (("fractions", p.fractions), ("dose_per_fraction", p.dose_per_fraction),
                         ("age_at_tx", record.age_at_tx)):
         if value is not None and abs(value) > sys.float_info.max:
             return f"{name}: {len(str(abs(value)))}-digit integer overflows a float"
-    return "fractions x dose_per_fraction: product overflows a float"
+    if abs(p.fractions * p.dose_per_fraction) > sys.float_info.max:
+        return "fractions x dose_per_fraction: product overflows a float"
+    return "fractions, dose_per_fraction: prescription distance overflows a float"
 
 
 def _parse_quantile(text: str) -> Quantile:

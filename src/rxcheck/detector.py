@@ -68,13 +68,16 @@ class ModelParams:
     @classmethod
     def from_dict(cls, payload: Mapping[str, float]) -> "ModelParams":
         """Raises MalformedParams for a payload that is not an object, lacks
-        a key or holds a value that is not a JSON number or is an integer too
-        large for a float, naming the keys."""
+        a key, has an unknown key or holds a value that is not a JSON number
+        or is an integer too large for a float, naming the keys."""
         if not isinstance(payload, Mapping):
             raise MalformedParams(f"expected an object with keys {', '.join(_PARAM_KEYS)}, got {payload!r}")
         missing = [key for key in _PARAM_KEYS if key not in payload]
         if missing:
             raise MalformedParams("missing key " + ", ".join(repr(key) for key in missing))
+        unknown = [key for key in payload if key not in _PARAM_KEYS]
+        if unknown:
+            raise MalformedParams(f"unknown key {unknown[0]!r}")
         values = {}
         for key in _PARAM_KEYS:
             value = payload[key]
@@ -233,9 +236,10 @@ def load_params_json(source) -> dict[str, ModelParams]:
     technique. A flat object is returned under the wildcard key '*'.
 
     A file that is not an object raises ValueError naming the file; an entry
-    that is not an object, lacks a key, holds a value that is not a number,
-    is too large for a float or is out of range (NaN included) raises
-    MalformedParams naming the file, the technique and the keys.
+    that is not an object, lacks a key, has an unknown key, holds a value
+    that is not a number, is too large for a float or is out of range (NaN
+    included) raises MalformedParams naming the file, the technique and the
+    keys.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)

@@ -49,9 +49,8 @@ share one pass over the pairs of distinct prescriptions, each weighted by
 the product of their counts.
 
 The walk and the pair blocks share one array Gower kernel, which
-accumulates in place: each feature's weighted contribution times the pair's
-validity mask is added to the numerator, and the weight times the mask to
-the denominator.
+accumulates in place: each feature's contribution times the pair's validity
+mask is added to the numerator, and the mask to the denominator.
 """
 
 from __future__ import annotations
@@ -165,13 +164,14 @@ def rx_distance(i: ScaledRx, j: ScaledRx) -> float:
 # ---------------------------------------------------------------------------
 
 def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema) -> float:
-    """Weighted Gower dissimilarity over the schema's comparable features.
+    """Gower dissimilarity: the mean contribution of the schema's
+    comparable features.
 
     Raises IncomparablePair when every feature is missing on one side or the
     other. Requires a schema with bound numeric ranges.
     """
     num = 0.0
-    den = 0.0
+    den = 0
     for spec in schema.features:
         a = getattr(i, spec.name)
         b = getattr(j, spec.name)
@@ -181,9 +181,9 @@ def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema
             contribution = _numeric_contribution(float(a), float(b), spec)
         else:
             contribution = 0.0 if a == b else 1.0
-        num += spec.weight * contribution
-        den += spec.weight
-    if den == 0.0:
+        num += contribution
+        den += 1
+    if den == 0:
         raise IncomparablePair(
             f"records {i.record_id!r} and {j.record_id!r} share no non-missing feature"
         )
@@ -213,7 +213,6 @@ def _numeric_contribution(a: float, b: float, spec) -> float:
 class _Column:
     name: str
     kind: str
-    weight: float
     values: np.ndarray          # float64 values or int64 category codes
     present: np.ndarray         # bool mask, False where the value is missing
     width: float = 0.0
@@ -241,7 +240,7 @@ def encode_features(records: Sequence[TreatmentRecord], schema: FeatureSchema) -
                 raise ValueError(f"numeric feature {spec.name!r} has no bound range")
             lo, hi = spec.value_range
             values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
-            columns.append(_Column(spec.name, NUMERIC, spec.weight, values, present, width=hi - lo))
+            columns.append(_Column(spec.name, NUMERIC, values, present, width=hi - lo))
         else:
             codes: dict[str, int] = {}
             encoded = np.empty(len(raw), dtype=np.int64)
@@ -250,7 +249,7 @@ def encode_features(records: Sequence[TreatmentRecord], schema: FeatureSchema) -
                     encoded[k] = -1
                 else:
                     encoded[k] = codes.setdefault(str(v), len(codes))
-            columns.append(_Column(spec.name, CATEGORICAL, spec.weight, encoded, present, codes=codes))
+            columns.append(_Column(spec.name, CATEGORICAL, encoded, present, codes=codes))
     return EncodedFeatures(tuple(columns), len(records))
 
 
@@ -324,12 +323,11 @@ def _gower(pairs, shape) -> np.ndarray:
         else:
             # Categories, or a degenerate numeric range: any difference is maximal.
             contribution = (left != right).astype(np.float64)
-        contribution *= col.weight
         # Every term is finite and non-negative, so masking by multiplication
         # adds exactly 0.0 where a side misses the feature, and x + 0.0 == x.
         contribution *= valid
         num += contribution
-        den += col.weight * valid
+        den += valid
     # num is 0.0 wherever den is, and 0.0 / nan is nan.
     den[den == 0.0] = np.nan
     num /= den
@@ -395,7 +393,8 @@ class QueryProfile:
     RxScaledOutOfRange when its prescription scales outside [0, 1].
     same_rx_count is the number of reference records with its exact
     prescription. Build it with query_profile and reuse it for every group
-    size and threshold.
+    size and threshold. A record at a prescription distance too large for a
+    float raises OverflowError.
 
     The profile does not sort the S reference records. It holds rho to each
     distinct scaled prescription of the reference (row), the rows in rho
@@ -413,7 +412,7 @@ class QueryProfile:
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
         scaled = db.rx_scaler.scale(record.prescription)
-        warnings = [v.kind for v in validate_record(record).violations]
+        warnings = [v.kind for v in validate_record(record)]
         if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
             warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
         self.record = record
@@ -421,11 +420,16 @@ class QueryProfile:
         self.warnings = tuple(warnings)
         self.same_rx_count = db.rx_index.get(record.rx, 0)
         self._features = tuple(_query_features(record, db.encoded))
-        row_rho = _rho(scaled.f, scaled.d, db.rx_rows.f, db.rx_rows.d)
+        # A prescription that scales far outside [0, 1] can square past the
+        # float range; its R would be infinite, so it gets no profile.
+        with np.errstate(over="ignore"):
+            row_rho = _rho(scaled.f, scaled.d, db.rx_rows.f, db.rx_rows.d)
         # Rows of one level may come in any order: the walk orders a level's
         # records by (g, input order).
         self._rows = np.argsort(row_rho)
         self._level_rho = row_rho[self._rows]
+        if self._level_rho[-1] == math.inf:
+            raise OverflowError(f"record {record.record_id!r}: prescription distance overflows a float")
         self._counts = db.rx_rows.counts[self._rows]
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
@@ -567,19 +571,18 @@ def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
     )
     pattern_of = pattern_of.ravel()
     count = len(patterns)
-    den = np.zeros((count, count))
+    # The denominator of a pattern pair is the number of features both have.
+    den = patterns.astype(np.int64) @ patterns.T
     num = np.zeros((count, count))
-    for f, col in enumerate(encoded.columns):
-        both = np.outer(patterns[:, f], patterns[:, f])
-        # Schema order, as in _gower, so each denominator rounds the same.
-        den += np.where(both, col.weight, 0.0)
+    # Schema order, as in _gower, so each numerator rounds the same. A
+    # pattern without a feature has no record with it, so it adds 0 there.
+    for col in encoded.columns:
         if col.kind == NUMERIC:
-            diffs = _numeric_abs_diff_sums(col, pattern_of, count)
+            num += _numeric_abs_diff_sums(col, pattern_of, count)
         else:
-            diffs = _mismatch_counts(col, pattern_of, count)
-        num += np.where(both, col.weight * diffs, 0.0)
+            num += _mismatch_counts(col, pattern_of, count)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)
-    comparable = den > 0.0
+    comparable = den > 0
     total = math.fsum((num[comparable] / den[comparable]).tolist())
     return total, int(pairs[comparable].sum())
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .records import text_stream, write_csv, write_json
+from .records import source_name, text_stream, write_csv, write_json
 
 BEST_CASE = "BestCase"
 WORST_CASE = "WorstCase"
@@ -104,23 +104,18 @@ def macro_metrics(cm: ConfusionMatrix) -> MacroMetrics:
 # Consensus analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OverlapSummary:
-    """Venn-style region counts. Sets are each rater's flagged records plus
-    the ground-truth anomaly set; region keys join member names with '&',
-    records in no set count under 'none'."""
-
-    region_counts: Mapping[str, int]
-
-
 def consensus_analysis(
     raters: Mapping[str, Sequence[LabeledPrediction]],
     mode: str,
-) -> tuple[list[LabeledPrediction], OverlapSummary]:
-    """Consolidate >= 2 raters into a best- or worst-case consensus.
+) -> tuple[list[LabeledPrediction], dict[str, int]]:
+    """Consolidate >= 2 raters into a best- or worst-case consensus, with
+    the record count of each Venn-style region, keys sorted.
 
     BestCase: the consensus is correct on a record iff any rater was correct.
     WorstCase: the consensus is incorrect iff any rater was wrong.
+    A region's sets are raters' flagged records and the ground-truth anomaly
+    set; its key joins their names with '&' (raters sorted, then 'truth'),
+    and records in no set count under 'none'.
     """
     if mode not in (BEST_CASE, WORST_CASE):
         raise ValueError(f"mode must be {BEST_CASE!r} or {WORST_CASE!r}")
@@ -155,10 +150,10 @@ def consensus_analysis(
             prediction = 1 - truth if any_wrong else truth
         consensus.append(LabeledPrediction(record_id, truth, prediction, label))
 
-    return consensus, _overlap_summary(raters, by_record)
+    return consensus, _region_counts(raters, by_record)
 
 
-def _overlap_summary(raters, by_record) -> OverlapSummary:
+def _region_counts(raters, by_record) -> dict[str, int]:
     counts: dict[str, int] = {}
     sources = sorted(raters)
     for record_id, per_source in by_record.items():
@@ -168,7 +163,7 @@ def _overlap_summary(raters, by_record) -> OverlapSummary:
             members.append("truth")
         key = "&".join(members) if members else "none"
         counts[key] = counts.get(key, 0) + 1
-    return OverlapSummary(dict(sorted(counts.items())))
+    return dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +174,11 @@ def emit_report(
     cms: Mapping[str, ConfusionMatrix],
     metrics: Mapping[str, MacroMetrics],
     destination: str | Path,
-    venn: OverlapSummary | None = None,
+    venn: Mapping[str, int] | None = None,
 ) -> list[Path]:
     """Write summary.json, confusion.csv, metrics.csv and venn.csv under
-    destination. Byte-stable for identical inputs."""
+    destination; venn is consensus_analysis's region counts. Byte-stable for
+    identical inputs."""
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
 
@@ -203,7 +199,7 @@ def emit_report(
         },
     }
     if venn is not None:
-        summary["venn"] = dict(venn.region_counts)
+        summary["venn"] = dict(venn)
     written = [destination / name for name in ("summary.json", "confusion.csv", "metrics.csv", "venn.csv")]
     summary_path, confusion_path, metrics_path, venn_path = written
     write_json(summary_path, summary)
@@ -223,26 +219,41 @@ def emit_report(
     write_csv(
         venn_path,
         ("region", "count"),
-        sorted(venn.region_counts.items()) if venn is not None else (),
+        sorted(venn.items()) if venn is not None else (),
     )
     return written
 
 
 def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction]]:
     """Read rater predictions (columns record_id, truth, prediction, source),
-    grouped by source."""
+    grouped by source. A truth or prediction cell that is not the integer 0
+    or 1 raises ValueError naming the file, the data row (1-based, header
+    excluded) and the column."""
     grouped: dict[str, list[LabeledPrediction]] = {}
+    name = source_name(source)
     with text_stream(source) as handle:
         reader = csv.DictReader(handle)
         required = {"record_id", "truth", "prediction", "source"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValueError(f"prediction file must have columns {sorted(required)}")
-        for row in reader:
+        for number, row in enumerate(reader, start=1):
+            where = f"{name}: row {number}"
             prediction = LabeledPrediction(
                 record_id=row["record_id"],
-                truth=int(row["truth"]),
-                prediction=int(row["prediction"]),
+                truth=_binary_cell(row, "truth", where),
+                prediction=_binary_cell(row, "prediction", where),
                 source=row["source"],
             )
             grouped.setdefault(prediction.source, []).append(prediction)
     return grouped
+
+
+def _binary_cell(row: Mapping[str, str | None], column: str, where: str) -> int:
+    cell = row[column]
+    try:
+        value = int(cell)
+    except (TypeError, ValueError):  # TypeError: a short row's cell is None
+        value = None
+    if value not in (0, 1):
+        raise ValueError(f"{where}: column {column!r}: expected 0 or 1, got {cell!r}")
+    return value

@@ -385,7 +385,7 @@ def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] 
     # can still reject is a non-positive prescription (RULE_NON_POSITIVE_RX),
     # an implausible age (RULE_AGE) or a prescription float64 cannot hold
     # exactly (RULE_RX_TOO_LARGE).
-    violations = validate_record(record).violations
+    violations = validate_record(record)
     if violations:
         return violations[0].kind, violations[0].detail
     return None

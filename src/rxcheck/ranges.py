@@ -182,11 +182,12 @@ def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) 
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     """Read a boundaries preset as write_boundaries writes it.
 
-    A payload that is not an object with a "techniques" object, or a
-    technique entry that is not an object, lacks a key, holds a bound that
-    is not a number (NaN included) or a lower bound above its upper bound,
-    raises ValueError naming the file, the technique and the keys. A
-    "check_bed" that is present must be a JSON boolean; it defaults to true.
+    A payload that is not an object with a "techniques" object or has an
+    unknown key, or a technique entry that is not an object, lacks a key,
+    has an unknown key, holds a bound that is not a number (NaN included)
+    or a lower bound above its upper bound, raises ValueError naming the
+    file, the technique and the keys. A "check_bed" that is present must be
+    a JSON boolean; it defaults to true.
     """
     with text_stream(source) as handle:
         payload = json.load(handle)
@@ -194,6 +195,9 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     techniques = payload.get("techniques") if isinstance(payload, dict) else None
     if not isinstance(techniques, dict):
         raise ValueError(f"{name}: expected a JSON object with a \"techniques\" object, got {payload!r}")
+    unknown = [key for key in payload if key not in ("techniques", "check_bed")]
+    if unknown:
+        raise ValueError(f"{name}: unknown key {unknown[0]!r}")
     by_technique = {}
     for technique, row in techniques.items():
         where = f"{name}: technique {technique!r}"
@@ -202,6 +206,9 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
         missing = [key for key in _BOUND_KEYS if key not in row]
         if missing:
             raise ValueError(f"{where}: missing key " + ", ".join(repr(key) for key in missing))
+        unknown = [key for key in row if key not in _BOUND_KEYS]
+        if unknown:
+            raise ValueError(f"{where}: unknown key {unknown[0]!r}")
         for key in _BOUND_KEYS:
             value = row[key]
             # A bool is an int to isinstance; NaN is the one float unequal to itself.

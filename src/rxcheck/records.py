@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -123,9 +122,6 @@ class TreatmentRecord:
     def rx(self) -> tuple[int, int]:
         return self.prescription.rx
 
-    def with_prescription(self, prescription: Prescription) -> "TreatmentRecord":
-        return replace(self, prescription=prescription)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -133,17 +129,8 @@ class Violation:
     detail: str
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_record(record: TreatmentRecord) -> ValidationResult:
-    """Record-level consistency checks; pure and deterministic.
+def validate_record(record: TreatmentRecord) -> tuple[Violation, ...]:
+    """Record-level consistency checks: the violations found, none if consistent.
 
     Checks: total equals fractions times dose per fraction, accumulated equals
     total (anything else marks a re-plan / cone-down candidate), age within
@@ -186,7 +173,7 @@ def validate_record(record: TreatmentRecord) -> ValidationResult:
                 f" above 2**53 in magnitude",
             )
         )
-    return ValidationResult(tuple(violations))
+    return tuple(violations)
 
 
 def rx_exact_in_float(rx: tuple[int, int]) -> bool:
@@ -197,7 +184,7 @@ def rx_exact_in_float(rx: tuple[int, int]) -> bool:
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One non-prescription feature: name, kind, weight, and its domain.
+    """One non-prescription feature, of unit Gower weight: name, kind, domain.
 
     value_range (numeric) and vocabulary (categorical) are fixed from a
     reference set via FeatureSchema.bind.
@@ -205,17 +192,12 @@ class FeatureSpec:
 
     name: str
     kind: str
-    weight: float = 1.0
     vocabulary: tuple[str, ...] | None = None
     value_range: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown feature kind: {self.kind!r}")
-        # The array Gower kernel masks missing pairs by multiplying with 0,
-        # which leaves a sum unchanged only for finite terms.
-        if not 0 < self.weight < math.inf:
-            raise ValueError(f"feature weight must be positive and finite: {self.name}")
 
 
 @dataclass(frozen=True)
@@ -226,13 +208,6 @@ class FeatureSchema:
     """
 
     features: tuple[FeatureSpec, ...]
-
-    def __iter__(self):
-        return iter(self.features)
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(spec.name for spec in self.features)
 
     def spec(self, name: str) -> FeatureSpec:
         for spec in self.features:

@@ -68,10 +68,6 @@ class MutationDescriptor:
     kind: str
     changes: tuple[FieldChange, ...]
 
-    @property
-    def fields(self) -> tuple[str, ...]:
-        return tuple(change.field for change in self.changes)
-
 
 @dataclass(frozen=True)
 class RarityEvidence:
@@ -113,7 +109,7 @@ def swap_leading_digits(record: TreatmentRecord) -> tuple[TreatmentRecord, Mutat
     new_fractions = int(d_digits[0] + f_digits[1:])
     new_dose = int(f_digits[0] + d_digits[1:])
     total = new_fractions * new_dose
-    mutated = record.with_prescription(Prescription(new_fractions, new_dose, total, total))
+    mutated = replace(record, prescription=Prescription(new_fractions, new_dose, total, total))
     changes = tuple(
         FieldChange(name, getattr(p, name), getattr(mutated.prescription, name))
         for name in _RX_FIELDS

@@ -61,8 +61,8 @@ def oracle_gower(r1, r2, schema):
                 c = min(abs(float(a) - float(b)) / width, 1.0)
         else:
             c = 0.0 if a == b else 1.0
-        num += spec.weight * c
-        den += spec.weight
+        num += c
+        den += 1.0
     if den == 0.0:
         return None
     return num / den
@@ -257,7 +257,7 @@ def _oracle_exclusion_rule(record, config, replan_ids, initial_ids):
         )
     if record.record_id in initial_ids:
         return RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
-    violations = validate_record(record).violations
+    violations = validate_record(record)
     if violations:
         return violations[0].kind, violations[0].detail
     return None

@@ -152,7 +152,7 @@ def test_criterion_02_metric_axioms():
         assert g == gower_distance(records[j], records[i], schema)
         pairs_checked += 1
     for record in records[:50]:
-        if any(getattr(record, n) is not None for n in schema.names):
+        if any(getattr(record, spec.name) is not None for spec in schema.features):
             assert gower_distance(record, record, schema) == 0.0
 
     # Affine invariance: positive rescalings of the numeric feature leave

@@ -277,7 +277,6 @@ class TestCheck:
             "rxcheck: record huge-age: age_at_tx: 401-digit integer overflows a float\n"
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bed_too_large_for_a_float_does_not_abort_batch(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         # Each part fits a float; their product, which BED starts from, does not.
@@ -290,6 +289,26 @@ class TestCheck:
         assert json.loads(captured.out)["record_id"] == records[0].record_id
         assert captured.err == (
             "rxcheck: record huge-bed: fractions x dose_per_fraction: product overflows a float\n"
+        )
+
+    @pytest.mark.parametrize("flags", [[], ["--quantile-boundaries", "0.005,0.995"]],
+                             ids=["no-range-check", "quantile-boundaries"])
+    def test_distance_too_large_for_a_float_does_not_abort_batch(
+        self, cohort_csv, params_json, tmp_path, capsys, flags
+    ):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        # Every part fits a float, and so does 10**200 x 1, but the scaled
+        # squares of R do not: no verdict may carry an infinite R.
+        queries = [rec("huge-rho", 10 ** 200, 1), rec("huge-both", 10 ** 200, 10 ** 200), records[0]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
+                    "--params", str(params_json), *flags]) == EX_ERROR
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert captured.err == (
+            "rxcheck: record huge-rho: fractions, dose_per_fraction: prescription distance overflows a float\n"
+            "rxcheck: record huge-both: fractions x dose_per_fraction: product overflows a float\n"
         )
 
     def test_run_config_supplies_paths(self, cohort_csv, params_json, tmp_path, capsys):
@@ -357,6 +376,7 @@ class TestCheck:
         ("5", "expected an object with keys a, b, mu, nu, got 5"),
         ('{"a": "x", "b": 1, "mu": 0.05, "nu": 0.05}', "key 'a': expected a number, got 'x'"),
         ('{"a": NaN, "b": 1, "mu": 0.05, "nu": 0.05}', "a and b must be finite and positive, got a=nan, b=1.0"),
+        ('{"a": 1, "b": 1, "mu": 0.05, "nu": 0.05, "nux": 0.05}', "unknown key 'nux'"),
     ])
     def test_malformed_params_entry_named_before_any_verdict(
         self, cohort_csv, tmp_path, capsys, entry, problem
@@ -415,6 +435,7 @@ class TestCheck:
         ({"max_bed": None}, "key 'max_bed': expected a number, got None"),
         ({"min_fractions": True}, "key 'min_fractions': expected a number, got True"),
         ({"min_bed": 5, "max_bed": 1}, "key 'min_bed' 5 exceeds key 'max_bed' 1"),
+        ({"max_bedd": 10 ** 6}, "unknown key 'max_bedd'"),
     ])
     def test_bad_boundary_values_named_before_any_verdict(
         self, cohort_csv, params_json, tmp_path, capsys, bad, problem

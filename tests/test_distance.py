@@ -27,7 +27,7 @@ from rxcheck.distance import (
     scaled_rx_arrays,
 )
 from rxcheck.ingest import build_historical_db
-from rxcheck.records import FeatureSchema, Prescription, default_schema
+from rxcheck.records import Prescription, default_schema
 
 from conftest import random_db, random_record, rec
 from oracles import (
@@ -468,17 +468,9 @@ def _brute_force_incomparable(records, schema):
 
 @seed(20211)
 @settings(deadline=None, max_examples=120, database=None)
-@given(
-    records=_reference_sets(),
-    weights=st.lists(
-        st.floats(0.05, 20.0).filter(lambda w: w != 1.0), min_size=5, max_size=5
-    ),
-    data=st.data(),
-)
-def test_pairwise_means_matches_oracle_and_ignores_order(records, weights, data):
-    schema = FeatureSchema(tuple(
-        replace(spec, weight=w) for spec, w in zip(default_schema().features, weights)
-    )).bind(records)
+@given(records=_reference_sets(), data=st.data())
+def test_pairwise_means_matches_oracle_and_ignores_order(records, data):
+    schema = default_schema().bind(records)
     order = data.draw(st.permutations(range(len(records))))
     shuffled = [records[k] for k in order]
     theta, tau = oracle_theta_tau(records, schema)
@@ -664,21 +656,13 @@ def _kernel_queries(draw, records):
 
 @seed(20215)
 @settings(deadline=None, max_examples=120, database=None)
-@given(
-    records=_reference_sets(),
-    weights=st.lists(
-        st.floats(0.05, 20.0).filter(lambda w: w != 1.0) | st.just(1.0), min_size=5, max_size=5
-    ),
-    data=st.data(),
-)
-def test_array_gower_equals_scalar_gower_exactly(records, weights, data):
+@given(records=_reference_sets(), data=st.data())
+def test_array_gower_equals_scalar_gower_exactly(records, data):
     # The array kernel promises gower_distance's bits, not the oracles'
     # tolerance: over the pairs of a reference set and along a profile's
-    # walk, with weights other than 1, a constant (degenerate) or extreme
-    # age column, out-of-range query ages and unseen query categories.
-    schema = FeatureSchema(tuple(
-        replace(spec, weight=w) for spec, w in zip(default_schema().features, weights)
-    )).bind(records)
+    # walk, with a constant (degenerate) or extreme age column, out-of-range
+    # query ages and unseen query categories.
+    schema = default_schema().bind(records)
     expected = [
         _gower_or_nan(records[j], records[k], schema)
         for j in range(len(records)) for k in range(j + 1, len(records))
@@ -692,10 +676,7 @@ def test_array_gower_equals_scalar_gower_exactly(records, weights, data):
             db = build_historical_db(records)
         except IncomparablePair:
             return
-    # The reweighted schema, encoded in the reference set's row order.
-    db = replace(db, feature_schema=schema, encoded=encode_features(
-        [db.records[i] for i in db.rx_rows.members], schema
-    ))
+    assert db.feature_schema == schema
     for query in data.draw(st.lists(_kernel_queries(records), min_size=1, max_size=4)):
         index, g = query_profile(query, db).nearest_comparable(db.size)
         scalar = [_gower_or_nan(query, r, schema) for r in db.records]

@@ -172,8 +172,8 @@ class TestConsensus:
         rng = np.random.default_rng(34)
         truths = [int(rng.integers(0, 2)) for _ in range(25)]
         raters = {f"md{k}": random_rater(rng, truths, f"md{k}") for k in range(3)}
-        _, summary = consensus_analysis(raters, BEST_CASE)
-        assert sum(summary.region_counts.values()) == 25
+        _, regions = consensus_analysis(raters, BEST_CASE)
+        assert sum(regions.values()) == 25
 
 
 class TestEmitReport:
@@ -221,6 +221,19 @@ class TestPredictionsCsv:
         path.write_text("record_id,truth\nr0,1\n")
         with pytest.raises(ValueError):
             read_predictions_csv(path)
+
+    @pytest.mark.parametrize("row, problem", [
+        ("r1,x,0,md1", "column 'truth': expected 0 or 1, got 'x'"),
+        ("r1,2,0,md1", "column 'truth': expected 0 or 1, got '2'"),
+        ("r1,0,,md1", "column 'prediction': expected 0 or 1, got ''"),
+        ("r1,0", "column 'prediction': expected 0 or 1, got None"),
+    ], ids=["not-a-number", "not-binary", "empty", "short-row"])
+    def test_bad_label_named_with_file_row_and_column(self, tmp_path, row, problem):
+        path = tmp_path / "preds.csv"
+        path.write_text(f"record_id,truth,prediction,source\nr0,1,1,md1\n{row}\n")
+        with pytest.raises(ValueError) as raised:
+            read_predictions_csv(path)
+        assert str(raised.value) == f"{path}: row 2: {problem}"
 
     def test_invalid_utf8_byte_is_replaced(self, tmp_path):
         # As in the other readers: the bad byte spoils its cell, not the read.

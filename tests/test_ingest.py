@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,9 +200,7 @@ class TestFilterCohort:
 
     def test_dose_inconsistency_excluded(self):
         record = good("a")
-        record = record.with_prescription(
-            record.prescription.__class__(5, 1000, 4999, 4999)
-        )
+        record = replace(record, prescription=Prescription(5, 1000, 4999, 4999))
         kept, log = filter_cohort([record])
         assert log.exclusions[0].rule == RULE_DOSE
 
@@ -265,8 +264,7 @@ class TestFilterCohort:
 
     def test_validation_rules_come_after_the_others(self):
         # Each of these also fails validate_record, but an earlier rule names it.
-        mismatch = good("a", age_at_tx=500).with_prescription(
-            good("a").prescription.__class__(5, 1000, 4999, 4999))
+        mismatch = replace(good("a", age_at_tx=500), prescription=Prescription(5, 1000, 4999, 4999))
         replan = rec("P1/2", 0, 1000, technique="SBRT", energy="x06FFF",
                      icd10="C34.10", accumulated_dose=7000)
         diagnosis = good("c", icd10="C61", age_at_tx=500)

@@ -110,9 +110,13 @@ class TestTablePreset:
          "key 'check_bed': expected a boolean, got 0"),
         (json.dumps({"check_bed": None, "techniques": {"SBRT": _SBRT}}),
          "key 'check_bed': expected a boolean, got None"),
+        # A misspelt check_bed would otherwise turn on the BED check a preset turns off.
+        (json.dumps({"checkbed": False, "techniques": {"SBRT": _SBRT}}), "unknown key 'checkbed'"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "max_bedd": 9}}}),
+         "technique 'SBRT': unknown key 'max_bedd'"),
     ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys",
             "string-bound", "null-bound", "bool-bound", "nan-bound", "inverted-bounds",
-            "string-check-bed", "int-check-bed", "null-check-bed"])
+            "string-check-bed", "int-check-bed", "null-check-bed", "unknown-key", "unknown-entry-key"])
     def test_malformed_preset_named(self, tmp_path, text, problem):
         path = tmp_path / "bounds.json"
         path.write_text(text)

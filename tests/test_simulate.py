@@ -67,7 +67,7 @@ class TestSwapLeadingDigits:
             for f in dataclasses.fields(record.prescription)
             if getattr(record.prescription, f.name) != getattr(mutated.prescription, f.name)
         }
-        assert set(descriptor.fields) == changed
+        assert {c.field for c in descriptor.changes} == changed
 
 
 class TestMutateFeatures:
@@ -78,7 +78,7 @@ class TestMutateFeatures:
             record, {"intent": "palliative", "age_at_tx": 10})
         assert mutated.intent == "palliative" and mutated.age_at_tx == 10
         assert mutated.rx == record.rx and mutated.energy == record.energy
-        assert set(descriptor.fields) == {"intent", "age_at_tx"}
+        assert {c.field for c in descriptor.changes} == {"intent", "age_at_tx"}
 
     def test_two_categorical_fields(self):
         record = rec("a", 4, 1200, technique="SBRT", energy="x06",
@@ -87,7 +87,7 @@ class TestMutateFeatures:
         mutated, descriptor = mutate_features(
             record, {"icd10": "C15.9", "energy": "x10"})
         assert mutated.icd10 == "C15.9" and mutated.energy == "x10"
-        assert set(descriptor.fields) == {"icd10", "energy"}
+        assert {c.field for c in descriptor.changes} == {"icd10", "energy"}
 
     def test_empty_spec_is_identity(self):
         record = rec("a", 5, 400)
@@ -207,14 +207,14 @@ class TestGenerateSaSet:
             base = by_id[sa.base_record_id]
             if sa.mutation.kind == KIND_RX_SWAP:
                 assert sa.mutated.rx != base.rx
-                stripped = sa.mutated.with_prescription(base.prescription)
+                stripped = dataclasses.replace(sa.mutated, prescription=base.prescription)
                 assert dataclasses.replace(stripped, record_id=base.record_id) == base
             else:
                 diff = {
                     name for name in ("energy", "intent", "icd10", "morphology", "age_at_tx")
                     if getattr(base, name) != getattr(sa.mutated, name)
                 }
-                assert diff == set(sa.mutation.fields)
+                assert diff == {c.field for c in sa.mutation.changes}
 
     @pytest.mark.parametrize("counts", [
         {"Technique" "Relabel": 2},  # the name of a kind that is no longer forged
