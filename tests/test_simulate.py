@@ -22,7 +22,7 @@ from rxcheck.simulate import (
     write_sa_set,
 )
 
-from conftest import rec
+from conftest import ENERGIES, ICD10S, random_db, rec
 from synth import make_cohort
 
 
@@ -254,3 +254,101 @@ class TestGenerateSaSet:
         payload = json.loads(json_path.read_text())
         assert [entry["record_id"] for entry in payload] == [sa.mutated.record_id for sa in sas]
         assert all("rarity_evidence" in entry for entry in payload)
+
+
+def _edge_db():
+    """Ages spanning the whole [0, 120] domain (no out-of-range age left), a
+    one-value intent vocabulary and an empty morphology vocabulary."""
+    rng = np.random.default_rng(21)
+    records = []
+    for i in range(40):
+        fractions, dose = [(5, 400), (10, 300), (3, 800), (25, 200)][i % 4]
+        energy, icd10 = str(rng.choice(ENERGIES)), str(rng.choice(ICD10S))
+        age = (0, 120)[i % 2] if i < 4 else int(rng.integers(1, 120))
+        records.append(rec(
+            f"e{i:02d}", fractions, dose,
+            energy=energy, intent="curative", icd10=icd10, morphology=None, age_at_tx=age,
+        ))
+    return build_historical_db(records)
+
+
+def _summary(sas):
+    return [
+        (
+            sa.base_record_id,
+            tuple((c.field, c.old, c.new) for c in sa.mutation.changes),
+            tuple((e.condition, e.count) for e in sa.rarity_evidence),
+        )
+        for sa in sas
+    ]
+
+
+class TestGoldenOutput:
+    """generate_sa_set's output for fixed generators, pinned: a change to how
+    or in what order replacement values are drawn shows here."""
+
+    def test_planted_clusters(self, db):
+        sas = generate_sa_set(db, {KIND_RX_SWAP: 2, KIND_FEATURE: 5}, rng=np.random.default_rng(12))
+        assert _summary(sas) == [
+            ("3D-c3-008",
+             (("fractions", 7, 1), ("dose_per_fraction", 1750, 7750),
+              ("total_dose", 12250, 7750), ("accumulated_dose", 12250, 7750)),
+             (("rx=1x7750", 0),)),
+            ("3D-c1-006",
+             (("fractions", 5, 1), ("dose_per_fraction", 1000, 5000)),
+             (("rx=1x5000", 0),)),
+            ("3D-c5-010",
+             (("morphology", None, "80463"), ("age_at_tx", 61, 90)),
+             (("rx=9x1900 & morphology=80463", 0), ("rx=9x1900 & age_at_tx=90", 0))),
+            ("3D-c2-001",
+             (("energy", "x15", "x10"),),
+             (("rx=6x1500 & energy=x10", 0),)),
+            ("3D-c4-000",
+             (("age_at_tx", 71, 22), ("morphology", "81403", "87203")),
+             (("rx=8x1100 & age_at_tx=22", 0), ("rx=8x1100 & morphology=87203", 0))),
+            ("3D-c4-008",
+             (("intent", "curative", "palliative"),),
+             (("rx=8x1100 & intent=palliative", 0),)),
+            ("3D-c3-002",
+             (("age_at_tx", 68, 100),),
+             (("rx=7x1750 & age_at_tx=100", 0),)),
+        ]
+
+    def test_mostly_missing_reference(self):
+        db = random_db(np.random.default_rng(4), 80, missing_rate=0.95)
+        sas = generate_sa_set(db, {KIND_RX_SWAP: 1, KIND_FEATURE: 5}, rng=np.random.default_rng(13))
+        assert _summary(sas) == [
+            ("r0071",
+             (("fractions", 8, 5), ("dose_per_fraction", 500, 800)),
+             (("rx=5x800", 0),)),
+            ("r0069",
+             (("icd10", None, "R91.1"), ("age_at_tx", None, 14)),
+             (("rx=7x2900 & icd10=R91.1", 0), ("rx=7x2900 & age_at_tx=14", 0))),
+            ("r0013",
+             (("icd10", None, "R91.1"),),
+             (("rx=12x700 & icd10=R91.1", 0),)),
+            ("r0048",
+             (("icd10", None, "R91.1"), ("age_at_tx", None, 7)),
+             (("rx=23x1100 & icd10=R91.1", 0), ("rx=23x1100 & age_at_tx=7", 0))),
+            ("r0078",
+             (("energy", None, "x10"), ("intent", None, "curative")),
+             (("rx=32x2200 & energy=x10", 0), ("rx=32x2200 & intent=curative", 0))),
+            ("r0052",
+             (("energy", None, "x10"),),
+             (("rx=30x2500 & energy=x10", 0),)),
+        ]
+
+    def test_empty_vocabulary_and_replacement_pools(self):
+        # Every candidate drawing age, intent or morphology is dropped; the
+        # generator stream still shows where each was dropped.
+        sas = generate_sa_set(_edge_db(), {KIND_FEATURE: 6}, rng=np.random.default_rng(14))
+        assert _summary(sas) == [
+            ("e13",
+             (("icd10", "C15.9", "C34.90"), ("energy", "x06", "mixed photon")),
+             (("rx=10x300 & icd10=C34.90", 1), ("rx=10x300 & energy=mixed photon", 1))),
+            ("e30", (("icd10", "C34.30", "C78.1"),), (("rx=3x800 & icd10=C78.1", 0),)),
+            ("e10", (("icd10", "C34.90", "C78.1"),), (("rx=3x800 & icd10=C78.1", 0),)),
+            ("e32", (("icd10", "C34.30", "C34.10"),), (("rx=5x400 & icd10=C34.10", 1),)),
+            ("e11", (("icd10", "C15.9", "C78.1"),), (("rx=25x200 & icd10=C78.1", 1),)),
+            ("e38", (("icd10", "C34.90", "R91.1"),), (("rx=3x800 & icd10=R91.1", 0),)),
+        ]
