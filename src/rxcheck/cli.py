@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,6 +61,7 @@ from .ranges import (
     Boundaries,
     Quantile,
     UnsupportedTechnique,
+    compute_bed,
     derive_boundaries,
     load_boundaries,
 )
@@ -403,8 +405,8 @@ def _cmd_check(args) -> int:
 
 def _too_large(record: TreatmentRecord) -> str:
     """Name the number of record that overflows a float: a cell the parser
-    kept, the fractions x dose_per_fraction product BED starts from, or else
-    the prescription distance, whose scaled squares overflow."""
+    kept, the fractions x dose_per_fraction product BED starts from, BED, or
+    else the prescription distance, whose scaled squares overflow."""
     p = record.prescription
     for name, value in (("fractions", p.fractions), ("dose_per_fraction", p.dose_per_fraction),
                         ("age_at_tx", record.age_at_tx)):
@@ -412,6 +414,8 @@ def _too_large(record: TreatmentRecord) -> str:
             return f"{name}: {len(str(abs(value)))}-digit integer overflows a float"
     if abs(p.fractions * p.dose_per_fraction) > sys.float_info.max:
         return "fractions x dose_per_fraction: product overflows a float"
+    if not math.isfinite(compute_bed(p.fractions, p.dose_per_fraction)):
+        return "fractions, dose_per_fraction: BED overflows a float"
     return "fractions, dose_per_fraction: prescription distance overflows a float"
 
 

@@ -280,6 +280,10 @@ class DistinctRx:
     starts: np.ndarray
     members: np.ndarray
 
+    def __len__(self) -> int:
+        """The number of records."""
+        return len(self.members)
+
 
 def distinct_rx(rx_f: np.ndarray, rx_d: np.ndarray) -> DistinctRx:
     """Group records by their scaled float coordinates, so every record of a
@@ -523,11 +527,9 @@ def closest_n_feature_distance(query: TreatmentRecord | QueryProfile, db: "Histo
 # Pairwise characteristics and histograms
 # ---------------------------------------------------------------------------
 
-def pairwise_means(
-    rx_f: np.ndarray, rx_d: np.ndarray, encoded: EncodedFeatures
-) -> tuple[float, float, int]:
+def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, float, int]:
     """Mean prescription and feature distance over ordered pairs j != k of
-    the records behind scaled_rx_arrays and encode_features; neither result
+    the records behind distinct_rx and encode_features; neither result
     depends on the order of the records, so the two may list them in
     different orders.
 
@@ -544,10 +546,10 @@ def pairwise_means(
     column raises ValueError. Raises IncomparablePair when no pair shares a
     feature.
     """
-    size = len(rx_f)
+    size = len(rows)
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
-    theta = 2.0 * _distinct_rx_sum(distinct_rx(rx_f, rx_d)) / (size * (size - 1))
+    theta = 2.0 * _distinct_rx_sum(rows) / (size * (size - 1))
     tau_sum, comparable = _pattern_gower_sum(encoded)
     if comparable == 0:
         raise IncomparablePair("no comparable pair in the reference set")

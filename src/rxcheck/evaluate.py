@@ -226,16 +226,16 @@ def emit_report(
 
 def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction]]:
     """Read rater predictions (columns record_id, truth, prediction, source),
-    grouped by source. A truth or prediction cell that is not the integer 0
-    or 1 raises ValueError naming the file, the data row (1-based, header
-    excluded) and the column."""
+    grouped by source. A missing column raises ValueError naming the file; a
+    truth or prediction cell that is not the integer 0 or 1 raises ValueError
+    naming the file, the data row (1-based, header excluded) and the column."""
     grouped: dict[str, list[LabeledPrediction]] = {}
     name = source_name(source)
     with text_stream(source) as handle:
         reader = csv.DictReader(handle)
         required = {"record_id", "truth", "prediction", "source"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"prediction file must have columns {sorted(required)}")
+            raise ValueError(f"{name}: prediction file must have columns {sorted(required)}")
         for number, row in enumerate(reader, start=1):
             where = f"{name}: row {number}"
             prediction = LabeledPrediction(

@@ -470,10 +470,9 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
 
     schema = default_schema().bind(records)
     scaler = RxScaler.fit([r.prescription for r in records])
-    rx_f, rx_d = distance.scaled_rx_arrays(records, scaler)
-    rx_rows = distance.distinct_rx(rx_f, rx_d)
+    rx_rows = distance.distinct_rx(*distance.scaled_rx_arrays(records, scaler))
     encoded = distance.encode_features([records[i] for i in rx_rows.members], schema)
-    theta, tau, skipped = distance.pairwise_means(rx_f, rx_d, encoded)
+    theta, tau, skipped = distance.pairwise_means(rx_rows, encoded)
     return HistoricalDB(
         technique=techniques.pop(),
         records=records,

@@ -11,6 +11,7 @@ loop over it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import IO, Mapping, TYPE_CHECKING
@@ -26,20 +27,14 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_ALPHA_BETA = 1000.0
 
 
-class InvalidParameter(ValueError):
-    pass
-
-
 class UnsupportedTechnique(KeyError):
     pass
 
 
-def compute_bed(fractions: int, dose_per_fraction: float, alpha_beta: float = DEFAULT_ALPHA_BETA) -> float:
+def compute_bed(fractions: int, dose_per_fraction: float) -> float:
     """Biologically effective dose, linear-quadratic form:
     fractions * d * (1 + d / (alpha/beta)), in cGy."""
-    if alpha_beta <= 0:
-        raise InvalidParameter(f"alpha_beta must be positive, got {alpha_beta}")
-    return fractions * dose_per_fraction * (1.0 + dose_per_fraction / alpha_beta)
+    return fractions * dose_per_fraction * (1.0 + dose_per_fraction / DEFAULT_ALPHA_BETA)
 
 
 @dataclass(frozen=True)
@@ -138,7 +133,9 @@ class RangeViolation:
 
 def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeViolation]:
     """Empty list iff fractions, dose per fraction, and (when enabled) BED all
-    lie inside their inclusive bounds for the record's technique."""
+    lie inside their inclusive bounds for the record's technique. A quantity
+    that overflows a float, as BED can for finite inputs, raises
+    OverflowError."""
     bounds = boundaries.by_technique.get(record.technique)
     if bounds is None:
         raise UnsupportedTechnique(f"no boundaries for technique {record.technique!r}")
@@ -148,6 +145,8 @@ def check_range(record: TreatmentRecord, boundaries: Boundaries) -> list[RangeVi
     # exact before BED rounds it.
     for quantity, value_of in _QUANTITIES if boundaries.check_bed else _QUANTITIES[:-1]:
         value = value_of(p.fractions, p.dose_per_fraction)
+        if not math.isfinite(value):
+            raise OverflowError(f"{quantity} overflows a float")
         limits = getattr(bounds, quantity)
         if not limits.contains(value):
             violations.append(RangeViolation(quantity, float(value), limits.lo, limits.hi))

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence, TYPE_CHECKING
+from typing import IO, Mapping, Sequence, TYPE_CHECKING
 
 import numpy as np
 
 from .records import (
     AGE_MAX,
     AGE_MIN,
-    FeatureSchema,
+    FeatureSpec,
     Prescription,
     TreatmentRecord,
     write_json,
@@ -44,8 +44,9 @@ class DegenerateSwap(ValueError):
 
 
 class InvalidMutation(ValueError):
-    """A mutation spec named a prescription field or an unknown feature, or a
-    generation request named an unknown kind or a negative count."""
+    """A feature update named a prescription field or an unknown feature, a
+    drawn feature had no replacement value, or a generation request named an
+    unknown kind or a negative count."""
 
 
 class GenerationExhausted(RuntimeError):
@@ -119,71 +120,24 @@ def swap_leading_digits(record: TreatmentRecord) -> tuple[TreatmentRecord, Mutat
 
 
 def mutate_features(
-    record: TreatmentRecord,
-    spec: Mapping[str, object],
-    rng: np.random.Generator | None = None,
+    record: TreatmentRecord, updates: Mapping[str, object]
 ) -> tuple[TreatmentRecord, MutationDescriptor]:
-    """Replace the listed non-prescription features.
+    """Replace the listed non-prescription features with the given values.
 
-    spec maps a feature name to either a new value or a sampler called as
-    sampler(rng, current_value). Prescription fields are rejected with
-    InvalidMutation; everything not listed stays identical.
+    Prescription fields are rejected with InvalidMutation; everything not
+    listed stays identical, and a value equal to the current one is no change.
     """
-    updates: dict[str, object] = {}
     changes: list[FieldChange] = []
-    for field_name, new_value in spec.items():
+    for field_name, new_value in updates.items():
         if field_name in _RX_FIELDS or field_name == "technique":
             raise InvalidMutation(f"{field_name!r} is not a mutable non-prescription feature")
         if not hasattr(record, field_name) or field_name in ("record_id", "prescription"):
             raise InvalidMutation(f"unknown feature: {field_name!r}")
         current = getattr(record, field_name)
-        if callable(new_value):
-            if rng is None:
-                raise InvalidMutation("a sampler spec requires a seeded generator")
-            new_value = new_value(rng, current)
         if new_value != current:
-            updates[field_name] = new_value
             changes.append(FieldChange(field_name, current, new_value))
-    mutated = replace(record, **updates) if updates else record
+    mutated = replace(record, **{c.field: c.new for c in changes}) if changes else record
     return mutated, MutationDescriptor(KIND_FEATURE, tuple(changes))
-
-
-# Samplers for mutate_features -----------------------------------------------
-
-def vocabulary_sampler(schema: FeatureSchema, field_name: str) -> Callable:
-    """Draw uniformly from the field's bound vocabulary, excluding the current
-    value."""
-    vocab = schema.spec(field_name).vocabulary
-    if not vocab:
-        raise InvalidMutation(f"feature {field_name!r} has no bound vocabulary")
-
-    def sample(rng: np.random.Generator, current):
-        choices = [v for v in vocab if v != current]
-        if not choices:
-            raise InvalidMutation(f"no alternative value for {field_name!r}")
-        return choices[int(rng.integers(len(choices)))]
-
-    return sample
-
-
-def extreme_value_sampler(schema: FeatureSchema, field_name: str) -> Callable:
-    """Draw an integer outside the field's observed range (but inside the
-    plausible [AGE_MIN, AGE_MAX] domain), creating values never seen in the
-    reference set."""
-    value_range = schema.spec(field_name).value_range
-    if value_range is None:
-        raise InvalidMutation(f"feature {field_name!r} has no bound range")
-    lo, hi = int(value_range[0]), int(value_range[1])
-
-    def sample(rng: np.random.Generator, current):
-        below = list(range(AGE_MIN, lo))
-        above = list(range(hi + 1, AGE_MAX + 1))
-        pool = below + above
-        if not pool:
-            raise InvalidMutation(f"observed range of {field_name!r} covers the whole domain")
-        return pool[int(rng.integers(len(pool)))]
-
-    return sample
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +164,7 @@ def verify_rarity(
         evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]}", count))
     elif mutation.kind == KIND_FEATURE:
         for change in mutation.changes:
-            count = _count_matching(db, rx, change.field, change.new)
+            count = sum(1 for r in db.records if r.rx == rx and getattr(r, change.field) == change.new)
             evidence.append(
                 RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
             )
@@ -218,12 +172,6 @@ def verify_rarity(
         raise InvalidMutation(f"unknown mutation kind {mutation.kind!r}")
     accepted = all(item.count <= threshold for item in evidence)
     return RarityCheck(accepted, tuple(evidence))
-
-
-def _count_matching(db: "HistoricalDB", rx: tuple[int, int], field_name: str, value) -> int:
-    return sum(
-        1 for record in db.records if record.rx == rx and getattr(record, field_name) == value
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +185,8 @@ def generate_sa_set(
     db: "HistoricalDB",
     counts: Mapping[str, int],
     threshold: int = DEFAULT_RARITY_THRESHOLD,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[SimulatedAnomaly]:
     """Produce exactly counts[kind] accepted anomalies per mutation kind, for
     the two kinds KIND_RX_SWAP and KIND_FEATURE.
@@ -254,7 +203,6 @@ def generate_sa_set(
         raise InvalidMutation(
             f"counts must map some of {list(_KINDS)} to non-negative numbers, got {invalid}"
         )
-    rng = rng if rng is not None else np.random.default_rng(0)
     out: list[SimulatedAnomaly] = []
     for kind in _KINDS:
         wanted = int(counts.get(kind, 0))
@@ -283,14 +231,7 @@ def generate_sa_set(
                 continue
             produced += 1
             mutated = replace(mutated, record_id=f"{base.record_id}~sa{len(out) + 1}")
-            out.append(
-                SimulatedAnomaly(
-                    base_record_id=base.record_id,
-                    mutated=mutated,
-                    mutation=descriptor,
-                    rarity_evidence=check.evidence,
-                )
-            )
+            out.append(SimulatedAnomaly(base.record_id, mutated, descriptor, check.evidence))
     return out
 
 
@@ -298,15 +239,31 @@ def _mutate(kind, base, db, rng):
     if kind == KIND_RX_SWAP:
         return swap_leading_digits(base)
     n_fields = int(rng.integers(1, 3))
-    fields = list(rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False))
-    spec = {}
-    for field_name in fields:
-        feature = db.feature_schema.spec(field_name)
-        if feature.kind == "numeric":
-            spec[field_name] = extreme_value_sampler(db.feature_schema, field_name)
-        else:
-            spec[field_name] = vocabulary_sampler(db.feature_schema, field_name)
-    return mutate_features(base, spec, rng)
+    features = [
+        db.feature_schema.spec(str(name))
+        for name in rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False)
+    ]
+    # A field with no bound values drops the candidate before any value is drawn.
+    for feature in features:
+        if not (feature.value_range if feature.kind == "numeric" else feature.vocabulary):
+            raise InvalidMutation(f"feature {feature.name!r} has no bound values")
+    return mutate_features(
+        base, {feature.name: _draw(feature, getattr(base, feature.name), rng) for feature in features}
+    )
+
+
+def _draw(feature: FeatureSpec, current, rng: np.random.Generator):
+    """A replacement value drawn uniformly: an integer outside the observed
+    range but inside the plausible [AGE_MIN, AGE_MAX] domain, creating a value
+    never seen in the reference set, or another label of the vocabulary."""
+    if feature.kind == "numeric":
+        lo, hi = int(feature.value_range[0]), int(feature.value_range[1])
+        pool = [*range(AGE_MIN, lo), *range(hi + 1, AGE_MAX + 1)]
+    else:
+        pool = [value for value in feature.vocabulary if value != current]
+    if not pool:
+        raise InvalidMutation(f"no replacement value for {feature.name!r}")
+    return pool[int(rng.integers(len(pool)))]
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from rxcheck.simulate import (
     mutate_features,
     swap_leading_digits,
     verify_rarity,
-    vocabulary_sampler,
     write_sa_set,
 )
 from rxcheck.train import (
@@ -361,8 +360,11 @@ def _forge_out_of_sample(bases, reference_db, seed):
     schema = reference_db.feature_schema
     for base in bases[5:10]:
         fields = [str(f) for f in rng.choice(("energy", "intent", "icd10"), 2, replace=False)]
-        spec = {name: vocabulary_sampler(schema, name) for name in fields}
-        mutated, descriptor = mutate_features(base, spec, rng)
+        updates = {}
+        for name in fields:
+            choices = [v for v in schema.spec(name).vocabulary if v != getattr(base, name)]
+            updates[name] = choices[int(rng.integers(len(choices)))]
+        mutated, descriptor = mutate_features(base, updates)
         check = verify_rarity(mutated, reference_db, 1, descriptor)
         assert check.accepted
         anomalies.append(mutated)

@@ -291,6 +291,20 @@ class TestCheck:
             "rxcheck: record huge-bed: fractions x dose_per_fraction: product overflows a float\n"
         )
 
+    def test_infinite_bed_does_not_abort_batch(self, cohort_csv, params_json, tmp_path, capsys):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        # The product 10**300 and R fit a float; BED does not, so no verdict
+        # may carry a range violation of value Infinity.
+        queries = [records[0], rec("huge-bed", 10 ** 150, 10 ** 150), records[1]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--quantile-boundaries", "0.005,0.995"]) == EX_ERROR
+        captured = capsys.readouterr()
+        assert [json.loads(line)["record_id"] for line in captured.out.splitlines()] == [
+            records[0].record_id, records[1].record_id]
+        assert captured.err == "rxcheck: record huge-bed: fractions, dose_per_fraction: BED overflows a float\n"
+
     @pytest.mark.parametrize("flags", [[], ["--quantile-boundaries", "0.005,0.995"]],
                              ids=["no-range-check", "quantile-boundaries"])
     def test_distance_too_large_for_a_float_does_not_abort_batch(

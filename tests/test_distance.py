@@ -17,6 +17,7 @@ from rxcheck.distance import (
     _pair_blocks,
     closest_m_rx_distance,
     closest_n_feature_distance,
+    distinct_rx,
     encode_features,
     gower_distance,
     pairwise_histograms,
@@ -406,7 +407,7 @@ def _means_inputs(records, schema):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "degenerate prescription dimension")
         rx_scaler = RxScaler.fit([r.prescription for r in records])
-    return (*scaled_rx_arrays(records, rx_scaler), encode_features(records, schema))
+    return distinct_rx(*scaled_rx_arrays(records, rx_scaler)), encode_features(records, schema)
 
 
 class TestPairwiseMeans:

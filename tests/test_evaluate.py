@@ -222,6 +222,17 @@ class TestPredictionsCsv:
         with pytest.raises(ValueError):
             read_predictions_csv(path)
 
+    @pytest.mark.parametrize("text", ["record_id,truth,prediction\nr0,1,1\n", ""],
+                             ids=["no-source-column", "empty-file"])
+    def test_missing_column_names_the_file(self, tmp_path, text):
+        path = tmp_path / "preds.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            read_predictions_csv(path)
+        assert str(raised.value) == (
+            f"{path}: prediction file must have columns ['prediction', 'record_id', 'source', 'truth']"
+        )
+
     @pytest.mark.parametrize("row, problem", [
         ("r1,x,0,md1", "column 'truth': expected 0 or 1, got 'x'"),
         ("r1,2,0,md1", "column 'truth': expected 0 or 1, got '2'"),

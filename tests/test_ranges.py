@@ -7,7 +7,6 @@ import pytest
 
 from rxcheck.ranges import (
     Boundaries,
-    InvalidParameter,
     Quantile,
     QuantityBounds,
     RangeViolation,
@@ -27,36 +26,30 @@ from conftest import rec, random_db
 class TestComputeBed:
     def test_dose_equal_to_alpha_beta_doubles(self):
         # One fraction at d = alpha/beta gives 2d.
-        assert compute_bed(1, 1000, alpha_beta=1000) == 2000
+        assert compute_bed(1, 1000) == 2000
 
     def test_hand_value_4x1200(self):
         # 4 * 1200 * (1 + 1200/1000) = 4800 * 2.2
-        assert compute_bed(4, 1200, alpha_beta=1000) == pytest.approx(10560)
+        assert compute_bed(4, 1200) == pytest.approx(10560)
 
     def test_hand_value_5x1000(self):
-        assert compute_bed(5, 1000, alpha_beta=1000) == pytest.approx(10000)
-
-    def test_invalid_alpha_beta(self):
-        with pytest.raises(InvalidParameter):
-            compute_bed(5, 1000, alpha_beta=0)
+        assert compute_bed(5, 1000) == pytest.approx(10000)
 
     def test_strictly_increasing_in_each_argument(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             fx = int(rng.integers(1, 40))
             d = int(rng.integers(100, 2000))
-            ab = float(rng.uniform(100, 2000))
-            base = compute_bed(fx, d, ab)
-            assert compute_bed(fx + 1, d, ab) > base
-            assert compute_bed(fx, d + 1, ab) > base
+            base = compute_bed(fx, d)
+            assert compute_bed(fx + 1, d) > base
+            assert compute_bed(fx, d + 1) > base
 
-    @pytest.mark.parametrize("alpha_beta", [1000.0, 313.7])
-    def test_arrays_equal_scalars_bit_for_bit(self, alpha_beta):
+    def test_arrays_equal_scalars_bit_for_bit(self):
         rng = np.random.default_rng(6)
         fx = rng.integers(1, 41, size=200)
         d = rng.integers(100, 3001, size=200)
-        beds = compute_bed(fx.astype(np.float64), d.astype(np.float64), alpha_beta)
-        assert beds.tolist() == [compute_bed(int(f), int(x), alpha_beta) for f, x in zip(fx, d)]
+        beds = compute_bed(fx.astype(np.float64), d.astype(np.float64))
+        assert beds.tolist() == [compute_bed(int(f), int(x)) for f, x in zip(fx, d)]
 
 
 class TestTablePreset:
@@ -205,6 +198,19 @@ class TestCheckRange:
         ]
         assert check_range(record, Boundaries({"SBRT": limits}, check_bed=True)) == expected
         assert check_range(record, Boundaries({"SBRT": limits}, check_bed=False)) == expected[:2]
+
+    def test_bed_overflowing_a_float_raises(self):
+        # 10**300 fits a float; BED multiplies it by about 10**147.
+        record = rec("a", 10 ** 150, 10 ** 150, technique="SBRT")
+        limits = TechniqueBounds(
+            bed=QuantityBounds(0, 9000),
+            fractions=QuantityBounds(1, 5),
+            dose_per_fraction=QuantityBounds(400, 3000),
+        )
+        with pytest.raises(OverflowError, match="^bed overflows a float$"):
+            check_range(record, Boundaries({"SBRT": limits}, check_bed=True))
+        violations = check_range(record, Boundaries({"SBRT": limits}, check_bed=False))
+        assert [v.quantity for v in violations] == ["fractions", "dose_per_fraction"]
 
     def test_unknown_technique(self):
         with pytest.raises(UnsupportedTechnique) as raised:

@@ -13,12 +13,10 @@ from rxcheck.simulate import (
     DegenerateSwap,
     GenerationExhausted,
     InvalidMutation,
-    extreme_value_sampler,
     generate_sa_set,
     mutate_features,
     swap_leading_digits,
     verify_rarity,
-    vocabulary_sampler,
     write_sa_set,
 )
 
@@ -100,19 +98,20 @@ class TestMutateFeatures:
         with pytest.raises(InvalidMutation):
             mutate_features(rec("a", 5, 400), {"technique": "IMRT"})
 
-    def test_samplers_exclude_current_value(self, db):
-        sampler = vocabulary_sampler(db.feature_schema, "intent")
-        rng = np.random.default_rng(2)
-        record = db.records[0]
-        for _ in range(20):
-            assert sampler(rng, record.intent) != record.intent
+    def test_forged_values_differ_from_the_base(self, db):
+        sas = generate_sa_set(db, {KIND_FEATURE: 20}, rng=np.random.default_rng(2))
+        by_id = {r.record_id: r for r in db.records}
+        for sa in sas:
+            base = by_id[sa.base_record_id]
+            for change in sa.mutation.changes:
+                assert change.old == getattr(base, change.field) != change.new
 
-    def test_extreme_sampler_leaves_observed_range(self, db):
-        sampler = extreme_value_sampler(db.feature_schema, "age_at_tx")
+    def test_forged_ages_leave_observed_range(self, db):
         lo, hi = db.feature_schema.spec("age_at_tx").value_range
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            value = sampler(rng, 60)
+        sas = generate_sa_set(db, {KIND_FEATURE: 50}, rng=np.random.default_rng(3))
+        ages = [c.new for sa in sas for c in sa.mutation.changes if c.field == "age_at_tx"]
+        assert ages
+        for value in ages:
             assert value < lo or value > hi
             assert 0 <= value <= 120
 
