@@ -240,8 +240,7 @@ def _mutate(kind, base, db, rng):
         return swap_leading_digits(base)
     n_fields = int(rng.integers(1, 3))
     features = [
-        db.feature_schema.spec(str(name))
-        for name in rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False)
+        db.feature_schema.spec(name) for name in rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False)
     ]
     # A field with no bound values drops the candidate before any value is drawn.
     for feature in features:
