@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +37,7 @@ from .distance import (
     IncomparablePair,
     InsufficientData,
     InsufficientNeighbors,
+    RxDistanceOverflow,
     pairwise_histograms,
     write_histogram_csv,
 )
@@ -61,7 +61,6 @@ from .ranges import (
     Boundaries,
     Quantile,
     UnsupportedTechnique,
-    compute_bed,
     derive_boundaries,
     load_boundaries,
 )
@@ -390,7 +389,7 @@ def _cmd_check(args) -> int:
         except (UnsupportedTechnique, InsufficientNeighbors, OverflowError) as exc:
             # args[0], not str(exc): UnsupportedTechnique is a KeyError,
             # whose str() quotes the message.
-            reason = _too_large(record) if isinstance(exc, OverflowError) else exc.args[0]
+            reason = _too_large(record, exc) if isinstance(exc, OverflowError) else exc.args[0]
             print(f"rxcheck: record {record.record_id}: {reason}", file=sys.stderr)
             errored = True
 
@@ -403,10 +402,11 @@ def _cmd_check(args) -> int:
     return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
 
 
-def _too_large(record: TreatmentRecord) -> str:
-    """Name the number of record that overflows a float: a cell the parser
-    kept, the fractions x dose_per_fraction product BED starts from, BED, or
-    else the prescription distance, whose scaled squares overflow."""
+def _too_large(record: TreatmentRecord, exc: OverflowError) -> str:
+    """Name what overflows a float: a number of record itself (a cell the
+    parser kept, or the fractions x dose_per_fraction product, its total
+    dose), or else the step that raised exc: the prescription distance,
+    whose scaled squares overflow, or BED in the range check."""
     p = record.prescription
     for name, value in (("fractions", p.fractions), ("dose_per_fraction", p.dose_per_fraction),
                         ("age_at_tx", record.age_at_tx)):
@@ -414,9 +414,9 @@ def _too_large(record: TreatmentRecord) -> str:
             return f"{name}: {len(str(abs(value)))}-digit integer overflows a float"
     if abs(p.fractions * p.dose_per_fraction) > sys.float_info.max:
         return "fractions x dose_per_fraction: product overflows a float"
-    if not math.isfinite(compute_bed(p.fractions, p.dose_per_fraction)):
-        return "fractions, dose_per_fraction: BED overflows a float"
-    return "fractions, dose_per_fraction: prescription distance overflows a float"
+    if isinstance(exc, RxDistanceOverflow):
+        return "fractions, dose_per_fraction: prescription distance overflows a float"
+    return "fractions, dose_per_fraction: BED overflows a float"
 
 
 def _parse_quantile(text: str) -> Quantile:

@@ -191,20 +191,27 @@ def explain(verdict: Verdict) -> list[str]:
             f"Range violation: {violation.quantity} = {violation.value:g} "
             f"outside [{violation.low:g}, {violation.high:g}]"
         )
+    r, t_rx, t_f = _number(verdict.r), _number(verdict.t_rx), _number(verdict.t_f)
     if verdict.status == STATUS_TYPE1:
-        lines.append(f"Type 1 anomaly. R = {verdict.r:.3f}, t_Rx = {verdict.t_rx:.3f}")
+        lines.append(f"Type 1 anomaly. R = {r}, t_Rx = {t_rx}")
     elif verdict.status == STATUS_TYPE2:
-        lines.append(f"Type 2 anomaly. F = {verdict.f:.3f}, t_F = {verdict.t_f:.3f}")
+        lines.append(f"Type 2 anomaly. F = {_number(verdict.f)}, t_F = {t_f}")
     else:
         op = "<=" if verdict.r <= verdict.t_rx else ">"
-        lines.append(f"R = {verdict.r:.3f} {op} t_Rx = {verdict.t_rx:.3f}")
+        lines.append(f"R = {r} {op} t_Rx = {t_rx}")
         if verdict.f is not None:
             op = "<=" if verdict.f <= verdict.t_f else ">"
-            lines.append(f"F = {verdict.f:.3f} {op} t_F = {verdict.t_f:.3f}")
+            lines.append(f"F = {_number(verdict.f)} {op} t_F = {t_f}")
     lines.append(f"Same-prescription records in history: {verdict.same_rx_count}")
     for warning in verdict.warnings:
         lines.append(f"Warning: {warning}")
     return lines
+
+
+def _number(value: float) -> str:
+    """Three decimals, in exponent form from 1e6 up, where fixed point would
+    print every digit of a record far outside the reference range."""
+    return f"{value:.3f}" if abs(value) < 1e6 else f"{value:.3e}"
 
 
 def verdict_to_dict(verdict: Verdict) -> dict:

@@ -42,13 +42,20 @@ come from per-pattern value counts, and numeric |difference| sums from one
 sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's bound range, as they do when the schema was bound
-to the same records; pairwise_means checks that. Only the feature
-histogram, which needs each pair's value, still visits pairs of records:
-each unordered pair once, in blocks. theta and the prescription histogram
-share one pass over the pairs of distinct prescriptions, each weighted by
-the product of their counts.
+to the same records; pairwise_means checks that. theta and the
+prescription histogram share one pass over the pairs of distinct
+prescriptions, each weighted by the product of their counts.
 
-The walk and the pair blocks share one array Gower kernel, which
+The feature histogram needs each pair's value, but visits no pair either.
+Under the default schema, age and four categories, a pair's Gower distance
+depends only on its class (how many categories both records have, and how
+many of those differ) and its two ages. The records group by categorical
+tuple, the tuple pairs by class once, and integer counts per (class, age
+pair) follow from the per-tuple age counts; each (class, age pair) gets its
+distance once and weighs in with its count. The cost grows with the tuples
+and distinct ages present, not with S^2.
+
+The walk and the pair classes share one array Gower kernel, which
 accumulates in place: each feature's contribution times the pair's validity
 mask is added to the numerator, and the mask to the denominator.
 """
@@ -81,6 +88,7 @@ RX_DISTANCE_MAX = math.sqrt(2.0)
 WARN_RX_SCALED_OUT_OF_RANGE = "RxScaledOutOfRange"
 
 _PAIR_BLOCK = 256
+_CELL_BLOCK = 1 << 20
 
 
 class IncomparablePair(ValueError):
@@ -93,6 +101,11 @@ class InsufficientNeighbors(ValueError):
 
 class InsufficientData(ValueError):
     """Fewer than two records; pairwise characteristics are undefined."""
+
+
+class RxDistanceOverflow(OverflowError):
+    """A record's prescription distance to a reference set is too large for
+    a float."""
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +369,6 @@ def _against(features, positions):
         yield col, value, col.values[positions], col.present[positions]
 
 
-def _pair_blocks(encoded: EncodedFeatures):
-    """Yields the Gower distances of the pairs of records j < k, with j in
-    one block of at most _PAIR_BLOCK records at a time; NaN where a pair is
-    incomparable."""
-    size = encoded.size
-    for lo in range(0, size, _PAIR_BLOCK):
-        hi = min(lo + _PAIR_BLOCK, size)
-        pairs = (
-            (col, col.values[lo:hi, None], col.values[lo:], col.present[lo:hi, None] & col.present[lo:])
-            for col in encoded.columns
-        )
-        upper = np.arange(size - lo)[None, :] > np.arange(hi - lo)[:, None]
-        yield _gower(pairs, upper.shape)[upper]
-
-
 def _row_pairs(rows: DistinctRx):
     """Yields (rho, pairs) for the pairs of distinct rows u < v, with u in
     one block of at most _PAIR_BLOCK rows at a time: their prescription
@@ -383,6 +381,94 @@ def _row_pairs(rows: DistinctRx):
         pairs = rows.counts[lo:hi, None] * rows.counts[lo:]
         upper = np.arange(count - lo)[None, :] > np.arange(hi - lo)[:, None]
         yield rho[upper], pairs[upper]
+
+
+def _class_pairs(encoded: EncodedFeatures):
+    """Yields (g, pairs) for the comparable unordered pairs of records, one
+    block of ages at a time: each distinct Gower distance of a (class, age
+    pair) and the number of record pairs at it. No pair of records is
+    visited.
+
+    Needs one numeric feature (age) first and categorical ones after it, the
+    layout of default_schema. A pair's class is (s, k): the categories both
+    records have, and how many of those differ. _gower adds the age term,
+    then 0.0 or an exact 1.0 per category, and divides by s, plus 1 if both
+    records have an age, so g depends on the class and the two ages only.
+
+    Records group by categorical tuple, a missing value counting as a value,
+    and cells[a, t] counts tuple t's records at age index a, the last index
+    standing for a missing age. near[t, b, c] sums cells[b, u] over the
+    tuples u of class c against t, and the ordered pairs of class c at ages
+    (a, b) sum cells[a, t] * near[t, b, c] over t. Both sums run over the
+    non-empty cells only, so a small reference stays cheap, and count in
+    int64, which calls no BLAS.
+    """
+    age, *categories = encoded.columns
+    if age.kind != NUMERIC or any(col.kind != CATEGORICAL for col in categories):
+        raise ValueError("pair classes need one numeric feature first and categorical ones after it")
+    tuple_of, first = np.zeros(encoded.size, dtype=np.int64), np.zeros(1, dtype=np.intp)
+    for col in categories:
+        _, first, tuple_of = np.unique(
+            tuple_of * (len(col.codes) + 1) + col.values + 1, return_index=True, return_inverse=True
+        )
+    # The tuple pairs' classes, in the smallest integer type that holds them.
+    count, kinds = len(first), len(categories) + 1
+    small = np.min_scalar_type(kinds * kinds)
+    shared = np.zeros((count, count), dtype=small)
+    mismatched = np.zeros((count, count), dtype=small)
+    for col in categories:
+        values, present = col.values[first], col.present[first]
+        both = present[:, None] & present
+        shared += both
+        mismatched += both & (values[:, None] != values)
+    key = shared * kinds + mismatched
+    classes = np.flatnonzero(np.bincount(key.ravel(), minlength=kinds * kinds))
+    class_of = np.zeros(kinds * kinds, dtype=small)
+    class_of[classes] = np.arange(len(classes))
+    class_of = class_of[key]
+    class_shared, class_mismatched = np.divmod(classes, kinds)
+
+    ages, rank = np.unique(age.values[age.present], return_inverse=True)
+    width = len(ages) + 1
+    age_of = np.full(encoded.size, len(ages))
+    age_of[age.present] = rank
+    cells = np.bincount(age_of * count + tuple_of, minlength=width * count).reshape(width, count)
+    cell_age, cell_tuple = np.nonzero(cells)         # by age, then tuple
+    cell_records = cells[cell_age, cell_tuple]
+    age_start = np.searchsorted(cell_age, np.arange(width + 1))
+    # A tuple's class against itself holds its records' pairs with themselves.
+    own = np.zeros((width, len(classes)), dtype=np.int64)
+    np.add.at(own, (cell_age, class_of.diagonal()[cell_tuple]), cell_records)
+    age_values = np.append(ages, 0.0)                # a missing age's value is masked out
+
+    span = max(1, _CELL_BLOCK // (len(classes) * max(count, width)))
+    for lo in range(0, width, span):
+        hi = min(lo + span, width)
+        block = slice(age_start[lo], age_start[hi])
+        at, tuples = (cell_age[block] - lo) * len(classes), cell_tuple[block]
+        # Sums of counts stay integers far below 2**53, exact in float64.
+        records = cell_records[block].astype(np.float64)
+        near = np.empty((count, (hi - lo) * len(classes)), dtype=np.int64)
+        for t in range(count):
+            near[t] = np.bincount(at + class_of[t, tuples], weights=records, minlength=near.shape[1])
+        # pairs[a, b - lo, c] counts the ordered pairs of class c at age
+        # indices a <= b; on the diagonal, drop the self pairs and count each
+        # pair once.
+        pairs = np.empty((hi, near.shape[1]), dtype=np.int64)
+        for a in range(hi):
+            run = slice(age_start[a], age_start[a + 1])
+            pairs[a] = cell_records[run] @ near[cell_tuple[run]]
+        pairs = pairs.reshape(hi, hi - lo, len(classes))
+        diagonal = np.arange(lo, hi)
+        pairs[diagonal, diagonal - lo] = (pairs[diagonal, diagonal - lo] - own[lo:hi]) // 2
+        a, b, c = np.nonzero(pairs)
+        upper = a <= b + lo
+        a, b, c = a[upper], b[upper], c[upper]
+        columns = [(age, age_values[a], age_values[b + lo], (a < len(ages)) & (b + lo < len(ages)))]
+        columns += [(col, False, class_mismatched[c] > i, class_shared[c] > i) for i, col in enumerate(categories)]
+        g = _gower(columns, len(a))
+        defined = ~np.isnan(g)
+        yield g[defined], pairs[a, b, c][defined]
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +484,7 @@ class QueryProfile:
     same_rx_count is the number of reference records with its exact
     prescription. Build it with query_profile and reuse it for every group
     size and threshold. A record at a prescription distance too large for a
-    float raises OverflowError.
+    float raises RxDistanceOverflow.
 
     The profile does not sort the S reference records. It holds rho to each
     distinct scaled prescription of the reference (row), the rows in rho
@@ -433,7 +519,7 @@ class QueryProfile:
         self._rows = np.argsort(row_rho)
         self._level_rho = row_rho[self._rows]
         if self._level_rho[-1] == math.inf:
-            raise OverflowError(f"record {record.record_id!r}: prescription distance overflows a float")
+            raise RxDistanceOverflow(f"record {record.record_id!r}: prescription distance overflows a float")
         self._counts = db.rx_rows.counts[self._rows]
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
@@ -645,7 +731,9 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     """Normalized histograms of pairwise prescription and feature distances.
 
     Bins cover [0, sqrt(2)] and [0, 1]; each histogram's masses sum to 1 over
-    the unordered reference pairs (comparable pairs only, for features).
+    the unordered reference pairs (comparable pairs only, for features). The
+    feature counts come from pair classes and need default_schema's layout,
+    one numeric feature first; another layout raises ValueError.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
@@ -659,8 +747,8 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     for rho, pairs in _row_pairs(rows):
         rho_counts += np.histogram(rho, bins=rho_edges, weights=pairs)[0]
     g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
-    for g in _pair_blocks(db.encoded):
-        g_counts += np.histogram(g[~np.isnan(g)], bins=g_edges)[0]
+    for g, pairs in _class_pairs(db.encoded):
+        g_counts += np.histogram(g, bins=g_edges, weights=pairs)[0]
     return (
         Histogram(rho_edges, _normalize(rho_counts)),
         Histogram(g_edges, _normalize(g_counts)),

@@ -1,6 +1,7 @@
-"""Reference-set build time, and one-shot detect time per batch of 200
-fresh records, against reference size S, on the random 15%-missing cohorts
-of conftest.py (the cohorts behind perfbench/sweep.py); one-shot detect over
+"""Reference-set build time, one-shot detect time per batch of 200 fresh
+records, and pairwise-histogram time, against reference size S, on the
+random 15%-missing cohorts of conftest.py (the cohorts behind
+perfbench/sweep.py); one-shot detect over
 the check batch of perfbench/gen.py, whose Zipf regimens put about a
 thousand reference records at a query's own prescription; and the cohort
 front end (parse, normalize, filter) on raw exports from perfbench/gen.py.
@@ -21,7 +22,7 @@ import numpy as np
 import pytest
 
 from rxcheck.detector import ModelParams, detect
-from rxcheck.distance import InsufficientNeighbors
+from rxcheck.distance import InsufficientNeighbors, pairwise_histograms
 from rxcheck.ingest import (
     CohortConfig,
     build_historical_db,
@@ -58,6 +59,15 @@ def test_detect_one_shot(benchmark, size):
         lambda: [detect(query, db, params) for query in queries], rounds=5, iterations=1
     )
     assert len(verdicts) == len(queries)
+
+
+@pytest.mark.parametrize("size", [1_000, 20_000, 100_000])
+def test_pairwise_histograms(benchmark, size):
+    # What `hist` does per reference set; the feature half counts record
+    # pairs from pair classes, and should stay under 1 s at S = 100k.
+    db = random_db(np.random.default_rng(0), size)
+    _, feature_hist = benchmark.pedantic(pairwise_histograms, args=(db, 0.05), rounds=5, iterations=1)
+    assert abs(feature_hist.mass.sum() - 1.0) < 1e-9
 
 
 def _gen(monkeypatch):

@@ -325,6 +325,24 @@ class TestCheck:
             "rxcheck: record huge-both: fractions x dose_per_fraction: product overflows a float\n"
         )
 
+    @pytest.mark.parametrize("flags", [[], ["--quantile-boundaries", "0.005,0.995"]],
+                             ids=["no-range-check", "quantile-boundaries"])
+    def test_overflow_names_the_step_that_raised(self, cohort_csv, params_json, tmp_path, capsys, flags):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        # The product 10**200 fits a float and BED does not, but the
+        # prescription distance, computed before the range check, overflows
+        # first; without a range check no BED is computed at all.
+        queries = [rec("huge-dose", 1, 10 ** 200), records[0]]
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, queries)
+        assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
+                    "--params", str(params_json), *flags]) == EX_ERROR
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert captured.err == (
+            "rxcheck: record huge-dose: fractions, dose_per_fraction: prescription distance overflows a float\n"
+        )
+
     def test_run_config_supplies_paths(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query = tmp_path / "query.csv"

@@ -283,6 +283,19 @@ class TestExplainAndWire:
             same_rx_count=185, warnings=(), range_violations=())
         assert explain(verdict)[0] == "Type 2 anomaly. F = 0.269, t_F = 0.234"
 
+    def test_numbers_from_a_million_up_in_exponent_form(self, db):
+        # Fixed point would print R of a record at 10**150 fractions x
+        # 10**150 cGy with about 150 digits before the point.
+        verdict = detect(rec("q", 10 ** 150, 10 ** 150, energy="x06", intent="curative",
+                             icd10="C34.10", morphology="80463", age_at_tx=62),
+                         db, PARAMS)
+        assert verdict.status == STATUS_TYPE1 and verdict.r > 1e140
+        assert explain(verdict)[0] == f"Type 1 anomaly. R = {verdict.r:.3e}, t_Rx = {verdict.t_rx:.3f}"
+        verdict = SimpleNamespace(
+            status=STATUS_PASS, r=999999.9994, t_rx=1e6, f=0.25, t_f=2.5e300,
+            same_rx_count=0, warnings=(), range_violations=())
+        assert explain(verdict)[:2] == ["R = 999999.999 <= t_Rx = 1.000e+06", "F = 0.250 <= t_F = 2.500e+300"]
+
     def test_pass_states_both_comparisons(self, db):
         verdict = detect(rec("q", 10, 200, energy="x06", intent="curative",
                              icd10="C34.10", morphology="80463", age_at_tx=62),

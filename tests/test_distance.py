@@ -3,18 +3,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from rxcheck import distance
 from rxcheck.detector import WARN_INSUFFICIENT_SAME_RX, ModelParams, detect, verdict_to_dict
 from rxcheck.distance import (
     IncomparablePair,
     InsufficientNeighbors,
     RxScaler,
     ScaledRx,
-    _pair_blocks,
+    _edges,
+    _gower,
     closest_m_rx_distance,
     closest_n_feature_distance,
     distinct_rx,
@@ -28,7 +31,7 @@ from rxcheck.distance import (
     scaled_rx_arrays,
 )
 from rxcheck.ingest import build_historical_db
-from rxcheck.records import Prescription, default_schema
+from rxcheck.records import CATEGORICAL, FeatureSchema, FeatureSpec, Prescription, default_schema
 
 from conftest import random_db, random_record, rec
 from oracles import (
@@ -668,7 +671,9 @@ def test_array_gower_equals_scalar_gower_exactly(records, data):
         _gower_or_nan(records[j], records[k], schema)
         for j in range(len(records)) for k in range(j + 1, len(records))
     ]
-    got = np.concatenate(list(_pair_blocks(encode_features(records, schema))))
+    columns = encode_features(records, schema).columns
+    pairs = [(col, col.values[:, None], col.values, col.present[:, None] & col.present) for col in columns]
+    got = _gower(pairs, (len(records), len(records)))[np.triu_indices(len(records), 1)]
     assert np.array_equal(got, expected, equal_nan=True)
 
     with warnings.catch_warnings():
@@ -748,10 +753,8 @@ class TestPairwiseHistograms:
         assert rx_hist.mass[0] == rx_hist.mass.max()
 
     def test_counts_match_oracle_pair_distances(self):
-        # 300 records span two pair blocks, 256 fill exactly one and 257 leave
-        # one record for a second block; in the 257-record reference every
-        # seventh record has no feature at all. The last reference has a
-        # constant age column.
+        # In the 257-record reference every seventh record has no feature at
+        # all. The last reference has a constant age column.
         rng = np.random.default_rng(15)
         records = [random_record(rng, i) for i in range(300)]
         featureless = [
@@ -779,3 +782,66 @@ class TestPairwiseHistograms:
     def test_bad_bin_width(self, small_db):
         with pytest.raises(ValueError):
             pairwise_histograms(small_db, 0.0)
+
+    def test_layout_other_than_numeric_first_rejected(self, small_db):
+        categorical = FeatureSchema(tuple(FeatureSpec(name, CATEGORICAL) for name in ("energy", "intent")))
+        db = replace(small_db, encoded=encode_features(small_db.records, categorical))
+        with pytest.raises(ValueError, match="one numeric feature first"):
+            pairwise_histograms(db, 0.1)
+
+
+@st.composite
+def _histogram_references(draw):
+    """Records drawn from a small pool of feature rows, so rows repeat and a
+    categorical tuple holds one record or many. A row may miss every
+    feature; ages may be missing, constant (a zero-width range), clinical or
+    extreme."""
+    ages = _AGE_MODES[draw(st.sampled_from(sorted(_AGE_MODES)))]
+
+    def features():
+        if draw(st.integers(0, 5)) == 0:
+            return {}
+        return dict(
+            energy=draw(st.none() | _ENERGY),
+            intent=draw(st.none() | _INTENT),
+            icd10=draw(st.none() | _ICD10),
+            morphology=draw(st.none() | _MORPHOLOGY),
+            age_at_tx=draw(st.none() | ages),
+        )
+
+    pool = [features() for _ in range(draw(st.integers(1, 6)))]
+    size = draw(st.integers(2, 30))
+    return [
+        rec(f"r{k}", draw(st.integers(1, 5)), 200,
+            **(draw(st.sampled_from(pool)) if draw(st.booleans()) else features()))
+        for k in range(size)
+    ]
+
+
+@seed(20216)
+@settings(deadline=None, max_examples=100, database=None)
+@given(
+    records=_histogram_references(),
+    bin_width=st.sampled_from((0.05, 0.1, 0.25, 1.0)),
+    cell_block=st.sampled_from((1, 64, distance._CELL_BLOCK)),
+)
+def test_feature_histogram_counts_match_oracle_pairs(records, bin_width, cell_block):
+    # The counts from pair classes against every pair's oracle distance,
+    # binned by the histogram's own edges; small cell blocks split the ages
+    # into several blocks.
+    schema = default_schema().bind(records)
+    gowers = [
+        g for j, a in enumerate(records) for b in records[j + 1:]
+        if (g := oracle_gower(a, b, schema)) is not None
+    ]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            assert gowers == []
+            return
+    with mock.patch.object(distance, "_CELL_BLOCK", cell_block):
+        _, hist = pairwise_histograms(db, bin_width)
+    counts = np.histogram(gowers, bins=_edges(1.0, bin_width))[0]
+    assert np.array_equal(np.rint(hist.mass * len(gowers)), counts)
