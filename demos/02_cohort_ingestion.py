@@ -10,9 +10,10 @@ Usage:
 """
 
 import io
+from collections import Counter
 
 from rxcheck import CohortConfig, build_historical_db, filter_cohort
-from rxcheck.ingest import normalize_dataset, parse_dataset
+from rxcheck.ingest import RULE_REPLAN, RULE_REPLAN_INITIAL, normalize_dataset, parse_dataset
 
 RAW = """\
 record_id,fractions,dose_per_fraction,total_dose,accumulated_dose,technique,energy,intent,icd10,morphology,age_at_tx
@@ -45,11 +46,13 @@ print(f"\nnormalized labels; unmapped occurrences: {dict(unmapped) or 'none'}")
 print("  e.g.", records[0].energy, "->", normalized[0].energy,
       "and", records[0].technique, "->", normalized[0].technique)
 
-kept, log = filter_cohort(normalized, config)
-print(f"\ncohort filter kept {sum(map(len, kept.values()))}, excluded {len(log)}:")
-for exclusion in log.exclusions:
-    print(f"  {exclusion.record_id:>6}  {exclusion.rule:<24} {exclusion.detail}")
-print(f"re-plan share of input: {log.replan_fraction(len(normalized)):.1%}")
+kept, exclusions = filter_cohort(normalized, config)
+print(f"\ncohort filter kept {sum(map(len, kept.values()))}, excluded {len(exclusions)}:")
+for record_id, rule, detail in exclusions:
+    print(f"  {record_id:>6}  {rule:<24} {detail}")
+rules = Counter(rule for _, rule, _ in exclusions)
+replans = rules[RULE_REPLAN] + rules[RULE_REPLAN_INITIAL]
+print(f"re-plan share of input: {replans / len(normalized):.1%}")
 
 db = build_historical_db(kept["SBRT"])
 print(f"\nSBRT reference set: S={db.size}, theta={db.theta:.3f}, tau={db.tau:.3f}")

@@ -43,7 +43,6 @@ from .evaluate import (
 )
 from .ingest import (
     CohortConfig,
-    ExclusionLog,
     HistoricalDB,
     build_historical_db,
     filter_cohort,
@@ -88,7 +87,6 @@ __all__ = [
     "Boundaries",
     "CohortConfig",
     "ConfusionMatrix",
-    "ExclusionLog",
     "FeatureSchema",
     "FeatureSpec",
     "Histogram",
@@ -134,7 +132,6 @@ __all__ = [
     "rx_distance",
     "scale_rx",
     "search_parameters",
-    "simulate",
     "split_holdout",
     "swap_leading_digits",
     "table_preset",

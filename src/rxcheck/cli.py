@@ -19,7 +19,6 @@ trained it is a usage error. simulate skips a technique the same way.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,6 +50,7 @@ from .evaluate import (
     read_predictions_csv,
 )
 from .ingest import (
+    EXCLUSION_COLUMNS,
     CohortConfig,
     build_historical_db,
     filter_cohort,
@@ -64,7 +64,7 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, TreatmentRecord, text_stream, write_json, write_records_csv
+from .records import MODELED_TECHNIQUES, TreatmentRecord, read_json, write_csv, write_json, write_records_csv
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
@@ -107,8 +107,7 @@ class RunConfig:
         file and the key."""
         if path is None:
             return cls()
-        with text_stream(path) as handle:
-            payload = json.load(handle)
+        payload = read_json(path)
         if not isinstance(payload, dict):
             raise ValueError(f"{path}: expected a JSON object, got {payload!r}")
         for key, value in payload.items():
@@ -253,8 +252,8 @@ def _load_new_records(input_path: str, cohort: CohortConfig):
 
 def _read_cohort(input_path: str, cohort: CohortConfig):
     normalized, diagnostics, unmapped = _load_new_records(input_path, cohort)
-    kept, log = filter_cohort(normalized, cohort)
-    return kept, log, diagnostics, unmapped
+    kept, exclusions = filter_cohort(normalized, cohort)
+    return kept, exclusions, diagnostics, unmapped
 
 
 def _eligible(kept, technique: str | None) -> dict:
@@ -285,10 +284,10 @@ def _cmd_ingest(args) -> int:
     config = RunConfig.load(args.config)
     cohort = _load_cohort(config)
     out = _out_dir(args, config)
-    kept, log, diagnostics, unmapped = _read_cohort(args.input, cohort)
+    kept, exclusions, diagnostics, unmapped = _read_cohort(args.input, cohort)
     dbs = _build_dbs(kept, args.technique)
 
-    log.write_csv(out / "exclusions.csv")
+    write_csv(out / "exclusions.csv", EXCLUSION_COLUMNS, exclusions)
     meta = {}
     for tech, db in sorted(dbs.items()):
         write_records_csv(out / f"db_{tech}.csv", db.records)
@@ -306,7 +305,7 @@ def _cmd_ingest(args) -> int:
     write_json(out / "db_meta.json", meta)
     print(
         f"ingest: kept {sum(len(v) for v in kept.values())} records, "
-        f"excluded {len(log)}, parse diagnostics {len(diagnostics)}, "
+        f"excluded {len(exclusions)}, parse diagnostics {len(diagnostics)}, "
         f"unmapped labels {sum(unmapped.values())}"
     )
     return EX_OK

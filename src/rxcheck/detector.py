@@ -22,7 +22,7 @@ from .distance import (
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, source_name, text_stream, write_json
+from .records import TreatmentRecord, read_json, source_name, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -134,9 +134,13 @@ def detect(
     """Classify one record, given as is or as its QueryProfile against db,
     against its technique's reference set.
 
-    The range check runs first and short-circuits classification but not
-    diagnostics: distances are still computed so the verdict stays
-    explainable. Pure and deterministic for identical inputs.
+    The query profile is built first, then the range check. A range
+    violation decides the status but not the diagnostics: distances are
+    still computed so the verdict stays explainable. A record whose
+    prescription distance overflows a float therefore raises
+    RxDistanceOverflow even when the range check would flag it: a RangeFlag
+    verdict would carry an R that is not finite, which strict JSON cannot
+    hold. Pure and deterministic for identical inputs.
     """
     profile = query_profile(query, db)
     record = profile.record
@@ -248,8 +252,7 @@ def load_params_json(source) -> dict[str, ModelParams]:
     included) raises MalformedParams naming the file, the technique and the
     keys.
     """
-    with text_stream(source) as handle:
-        payload = json.load(handle)
+    payload = read_json(source)
     name = source_name(source)
     if not isinstance(payload, dict):
         raise ValueError(f"{name}: expected a JSON object, got {payload!r}")

@@ -4,7 +4,6 @@ construction of the immutable per-technique historical databases."""
 from __future__ import annotations
 
 import csv
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import getitem
@@ -23,11 +22,11 @@ from .records import (
     RowParser,
     TreatmentRecord,
     default_schema,
+    read_json,
     rx_exact_in_float,
     source_name,
     text_stream,
     validate_record,
-    write_csv,
     write_json,
 )
 
@@ -133,8 +132,7 @@ class CohortConfig:
         that is not a list of strings where to_json writes a list, or not an
         object where it writes one, raises ValueError naming the file and
         the key."""
-        with text_stream(source) as handle:
-            payload = json.load(handle)
+        payload = read_json(source)
         name = source_name(source)
         if not isinstance(payload, dict):
             raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
@@ -303,63 +301,36 @@ def normalize_dataset(
 # Cohort filtering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Exclusion:
-    record_id: str
-    rule: str
-    detail: str
-
-
-@dataclass
-class ExclusionLog:
-    exclusions: list[Exclusion] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.exclusions)
-
-    def counts_by_rule(self) -> Counter:
-        return Counter(e.rule for e in self.exclusions)
-
-    def replan_fraction(self, total_records: int) -> float:
-        """Share of the input removed by re-plan rules (a reportable statistic,
-        not a filter parameter)."""
-        if total_records == 0:
-            return 0.0
-        counts = self.counts_by_rule()
-        return (counts[RULE_REPLAN] + counts[RULE_REPLAN_INITIAL]) / total_records
-
-    def write_csv(self, destination: str | Path | IO[str]) -> None:
-        write_csv(
-            destination,
-            ("record_id", "rule", "detail"),
-            ((exclusion.record_id, exclusion.rule, exclusion.detail) for exclusion in self.exclusions),
-        )
+EXCLUSION_COLUMNS = ("record_id", "rule", "detail")
 
 
 def filter_cohort(
     records: Sequence[TreatmentRecord],
     config: CohortConfig | None = None,
-) -> tuple[dict[str, list[TreatmentRecord]], ExclusionLog]:
+) -> tuple[dict[str, list[TreatmentRecord]], list[tuple[str, str, str]]]:
     """Apply the cohort rules and split survivors by technique.
 
-    Decisions depend only on the record multiset, so permuting the input
-    permutes nothing but log order: the per-technique sets are identical.
-    Output plus the exclusion log always account for every input record, and
-    every kept record passes validate_record.
+    Returns the kept records by technique and, in input order, one
+    (record_id, rule, detail) row per excluded record: the rows of
+    exclusions.csv, under EXCLUSION_COLUMNS. Decisions depend only on the
+    record multiset, so permuting the input permutes nothing but the
+    exclusion order: the per-technique sets are identical. Kept and excluded
+    records always account for every input record, and every kept record
+    passes validate_record.
     """
     config = config or CohortConfig()
 
     replan_ids, initial_ids = _replan_and_initial_ids(records, config)
 
     kept: dict[str, list[TreatmentRecord]] = {t: [] for t in MODELED_TECHNIQUES}
-    log = ExclusionLog()
+    exclusions: list[tuple[str, str, str]] = []
     for record in records:
         rule = _exclusion_rule(record, config, replan_ids, initial_ids)
         if rule is None:
             kept[record.technique].append(record)
         else:
-            log.exclusions.append(Exclusion(record.record_id, rule[0], rule[1]))
-    return kept, log
+            exclusions.append((record.record_id, *rule))
+    return kept, exclusions
 
 
 def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] | None:

@@ -10,7 +10,6 @@ loop over it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
@@ -18,7 +17,7 @@ from typing import IO, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, source_name, text_stream, write_json
+from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, read_json, source_name, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -188,8 +187,7 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     file, the technique and the keys. A "check_bed" that is present must be
     a JSON boolean; it defaults to true.
     """
-    with text_stream(source) as handle:
-        payload = json.load(handle)
+    payload = read_json(source)
     name = source_name(source)
     techniques = payload.get("techniques") if isinstance(payload, dict) else None
     if not isinstance(techniques, dict):

@@ -378,6 +378,16 @@ def source_name(source: str | os.PathLike | IO[str]):
     return getattr(source, "name", source)
 
 
+def read_json(source: str | os.PathLike | IO[str]):
+    """The JSON value in source. Text that is not JSON raises ValueError
+    naming the source."""
+    with text_stream(source) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{source_name(source)}: {exc}") from None
+
+
 def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write the header and then each row as CSV, every line ending in a
     bare newline."""

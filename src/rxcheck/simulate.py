@@ -18,6 +18,7 @@ import numpy as np
 from .records import (
     AGE_MAX,
     AGE_MIN,
+    NUMERIC,
     FeatureSpec,
     Prescription,
     TreatmentRecord,
@@ -51,10 +52,6 @@ class InvalidMutation(ValueError):
 
 class GenerationExhausted(RuntimeError):
     """The attempt budget ran out before the requested counts were met."""
-
-    def __init__(self, message: str, partial: list["SimulatedAnomaly"]):
-        super().__init__(message)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -178,9 +175,6 @@ def verify_rarity(
 # Batch generation
 # ---------------------------------------------------------------------------
 
-_MUTABLE_FIELDS = ("age_at_tx", "energy", "intent", "icd10", "morphology")
-
-
 def generate_sa_set(
     db: "HistoricalDB",
     counts: Mapping[str, int],
@@ -215,8 +209,7 @@ def generate_sa_set(
             if attempts >= budget:
                 raise GenerationExhausted(
                     f"gave up after {attempts} attempts with {produced}/{wanted} "
-                    f"accepted {kind} anomalies",
-                    partial=out,
+                    f"accepted {kind} anomalies"
                 )
             attempts += 1
             base = db.records[int(rng.integers(db.size))]
@@ -239,12 +232,11 @@ def _mutate(kind, base, db, rng):
     if kind == KIND_RX_SWAP:
         return swap_leading_digits(base)
     n_fields = int(rng.integers(1, 3))
-    features = [
-        db.feature_schema.spec(name) for name in rng.choice(_MUTABLE_FIELDS, size=n_fields, replace=False)
-    ]
+    schema = db.feature_schema.features
+    features = [schema[i] for i in rng.choice(len(schema), size=n_fields, replace=False)]
     # A field with no bound values drops the candidate before any value is drawn.
     for feature in features:
-        if not (feature.value_range if feature.kind == "numeric" else feature.vocabulary):
+        if not (feature.value_range if feature.kind == NUMERIC else feature.vocabulary):
             raise InvalidMutation(f"feature {feature.name!r} has no bound values")
     return mutate_features(
         base, {feature.name: _draw(feature, getattr(base, feature.name), rng) for feature in features}
@@ -255,7 +247,7 @@ def _draw(feature: FeatureSpec, current, rng: np.random.Generator):
     """A replacement value drawn uniformly: an integer outside the observed
     range but inside the plausible [AGE_MIN, AGE_MAX] domain, creating a value
     never seen in the reference set, or another label of the vocabulary."""
-    if feature.kind == "numeric":
+    if feature.kind == NUMERIC:
         lo, hi = int(feature.value_range[0]), int(feature.value_range[1])
         pool = [*range(AGE_MIN, lo), *range(hi + 1, AGE_MAX + 1)]
     else:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -7,7 +8,14 @@ import pytest
 
 from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
-from rxcheck.ingest import CohortConfig, build_historical_db, filter_cohort
+from rxcheck.ingest import (
+    EXCLUSION_COLUMNS,
+    CohortConfig,
+    build_historical_db,
+    filter_cohort,
+    normalize_dataset,
+    parse_dataset,
+)
 from rxcheck.ranges import Boundaries, table_preset, write_boundaries
 from rxcheck.records import write_records_csv
 from rxcheck.simulate import swap_leading_digits
@@ -111,6 +119,21 @@ class TestIngest:
         meta = json.loads((out / "db_meta.json").read_text())
         assert meta["3D"]["size"] == 90
         assert 0 < meta["3D"]["theta"] < 2**0.5
+
+    def test_exclusions_csv_holds_the_filter_rows(self, tmp_path):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        excluded = [rec("brachy", 1, 800, technique="Brachy", energy="x06", icd10="C34.10"),
+                    rec("prostate", 10, 300, energy="x06", icd10="C61"),
+                    rec("old", 10, 300, energy="x06", icd10="C34.10", age_at_tx=500)]
+        path = tmp_path / "export.csv"
+        write_records_csv(path, excluded[:2] + records + excluded[2:])
+        out = tmp_path / "ingested"
+        assert run(["ingest", "--input", str(path), "--out", str(out)]) == EX_OK
+        normalized, _ = normalize_dataset(parse_dataset(path)[0], CohortConfig().label_mappings)
+        _, exclusions = filter_cohort(normalized)
+        assert [row[0] for row in exclusions] == ["brachy", "prostate", "old"]
+        with open(out / "exclusions.csv", newline="") as handle:
+            assert list(csv.reader(handle)) == [list(EXCLUSION_COLUMNS), *map(list, exclusions)]
 
 
 class TestCheck:
@@ -385,6 +408,27 @@ class TestCheck:
         capsys.readouterr()
         assert run(["check", "--input", query, "--config", config]) == EX_OK
         assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+
+    @pytest.mark.parametrize("broken", ["params", "boundaries", "run-config", "cohort-config"])
+    def test_json_syntax_error_names_the_file(self, cohort_csv, params_json, tmp_path, capsys, broken):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:1])
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"3D": {"a": 1,')
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"cohort_config": str(bad)}))
+        flags = {
+            "params": ["--params", str(bad)],
+            "boundaries": ["--params", str(params_json), "--boundaries", str(bad)],
+            "run-config": ["--params", str(params_json), "--config", str(bad)],
+            "cohort-config": ["--params", str(params_json), "--config", str(config)],
+        }[broken]
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv), *flags])
+        assert code == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"rxcheck: error: {bad}: ")
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_params_rejected_before_any_verdict(

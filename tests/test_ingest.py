@@ -177,32 +177,36 @@ def good(record_id, technique="SBRT", **kwargs):
 
 class TestFilterCohort:
     def test_excluded_technique(self):
-        kept, log = filter_cohort([good("a", technique="Brachy")])
+        kept, exclusions = filter_cohort([good("a", technique="Brachy")])
         assert not any(kept.values())
-        assert log.exclusions[0].rule == RULE_TECHNIQUE
+        [(_, rule, _)] = exclusions
+        assert rule == RULE_TECHNIQUE
 
     def test_rare_energy_for_technique(self):
         # x06FFF is whitelisted for SBRT but has zero historical use in 3D.
         record = good("a", technique="3D", energy="x06FFF")
-        kept, log = filter_cohort([record])
+        kept, exclusions = filter_cohort([record])
         assert not any(kept.values())
-        assert log.exclusions[0].rule == RULE_ENERGY
+        [(_, rule, _)] = exclusions
+        assert rule == RULE_ENERGY
 
     def test_whitelisted_sbrt_record_kept(self):
         record = good("a", technique="SBRT", energy="x06FFF", icd10="C34.10")
-        kept, log = filter_cohort([record])
-        assert kept["SBRT"] == [record] and len(log) == 0
+        kept, exclusions = filter_cohort([record])
+        assert kept["SBRT"] == [record] and exclusions == []
 
     def test_diagnosis_whitelist(self):
-        kept, log = filter_cohort([good("a", icd10="C61")])
+        kept, exclusions = filter_cohort([good("a", icd10="C61")])
         assert not any(kept.values())
-        assert log.exclusions[0].rule == RULE_DIAGNOSIS
+        [(_, rule, _)] = exclusions
+        assert rule == RULE_DIAGNOSIS
 
     def test_dose_inconsistency_excluded(self):
         record = good("a")
         record = replace(record, prescription=Prescription(5, 1000, 4999, 4999))
-        kept, log = filter_cohort([record])
-        assert log.exclusions[0].rule == RULE_DOSE
+        _, exclusions = filter_cohort([record])
+        [(_, rule, _)] = exclusions
+        assert rule == RULE_DOSE
 
     def test_replan_and_initial_both_dropped(self):
         initial = good("P1/1")  # 5 x 1000, accumulated 5000
@@ -210,8 +214,8 @@ class TestFilterCohort:
                      icd10="C34.10", total_dose=2000, accumulated_dose=7000,
                      age_at_tx=60)
         other = good("P2/1")
-        kept, log = filter_cohort([initial, replan, other])
-        rules = {e.record_id: e.rule for e in log.exclusions}
+        kept, exclusions = filter_cohort([initial, replan, other])
+        rules = {record_id: rule for record_id, rule, _ in exclusions}
         assert rules["P1/2"] == RULE_REPLAN
         assert rules["P1/1"] == RULE_REPLAN_INITIAL
         assert kept["SBRT"] == [other]
@@ -221,9 +225,9 @@ class TestFilterCohort:
             good("a"), good("b", technique="Brachy"), good("c", icd10="C61"),
             good("d", technique="3D", energy="x06"),
         ]
-        kept, log = filter_cohort(records)
+        kept, exclusions = filter_cohort(records)
         kept_ids = {r.record_id for rows in kept.values() for r in rows}
-        logged_ids = {e.record_id for e in log.exclusions}
+        logged_ids = {record_id for record_id, _, _ in exclusions}
         assert kept_ids | logged_ids == {r.record_id for r in records}
         assert kept_ids & logged_ids == set()
 
@@ -241,24 +245,24 @@ class TestFilterCohort:
     def test_non_positive_rx_excluded(self):
         zero = rec("a", 0, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10")
         negative = rec("b", 5, -200, technique="SBRT", energy="x06FFF", icd10="C34.10")
-        kept, log = filter_cohort([zero, negative, good("c")])
-        assert [(e.record_id, e.rule) for e in log.exclusions] == [
+        kept, exclusions = filter_cohort([zero, negative, good("c")])
+        assert [(record_id, rule) for record_id, rule, _ in exclusions] == [
             ("a", RULE_NON_POSITIVE_RX), ("b", RULE_NON_POSITIVE_RX)]
         assert kept["SBRT"] == [good("c")]
 
     def test_age_out_of_range_excluded(self):
         records = [good("a", age_at_tx=500), good("b", age_at_tx=-1),
                    good("c", age_at_tx=120), good("d", age_at_tx=None)]
-        kept, log = filter_cohort(records)
-        assert [(e.record_id, e.rule) for e in log.exclusions] == [("a", RULE_AGE), ("b", RULE_AGE)]
+        kept, exclusions = filter_cohort(records)
+        assert [(record_id, rule) for record_id, rule, _ in exclusions] == [("a", RULE_AGE), ("b", RULE_AGE)]
         assert [r.record_id for r in kept["SBRT"]] == ["c", "d"]
 
     def test_rx_above_2_53_excluded_last(self):
         huge = rec("a", 2 ** 62, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10")
         huge_and_old = rec("b", 2 ** 62, 1000, technique="SBRT", energy="x06FFF",
                            icd10="C34.10", age_at_tx=500)
-        kept, log = filter_cohort([huge, huge_and_old, good("c")])
-        assert [(e.record_id, e.rule) for e in log.exclusions] == [
+        kept, exclusions = filter_cohort([huge, huge_and_old, good("c")])
+        assert [(record_id, rule) for record_id, rule, _ in exclusions] == [
             ("a", RULE_RX_TOO_LARGE), ("b", RULE_AGE)]
         assert kept["SBRT"] == [good("c")]
 
@@ -268,15 +272,8 @@ class TestFilterCohort:
         replan = rec("P1/2", 0, 1000, technique="SBRT", energy="x06FFF",
                      icd10="C34.10", accumulated_dose=7000)
         diagnosis = good("c", icd10="C61", age_at_tx=500)
-        _, log = filter_cohort([mismatch, replan, diagnosis])
-        assert [e.rule for e in log.exclusions] == [RULE_DOSE, RULE_REPLAN, RULE_DIAGNOSIS]
-
-    def test_replan_fraction_statistic(self):
-        initial = good("P1/1")
-        replan = rec("P1/2", 2, 1000, technique="SBRT", energy="x06FFF",
-                     icd10="C34.10", total_dose=2000, accumulated_dose=7000)
-        _, log = filter_cohort([initial, replan, good("P2/1"), good("P3/1")])
-        assert log.replan_fraction(4) == pytest.approx(0.5)
+        _, exclusions = filter_cohort([mismatch, replan, diagnosis])
+        assert [rule for _, rule, _ in exclusions] == [RULE_DOSE, RULE_REPLAN, RULE_DIAGNOSIS]
 
 
 # Records for normalize and filter: canonical, mapped, excluded and unmapped
@@ -328,9 +325,7 @@ def test_normalize_and_filter_match_oracles(records, mappings, delimiter):
     assert list(unmapped.items()) == list(expected_unmapped.items())
     assert [normalize_dataset([r], mappings)[0][0] for r in records] == expected
     config = CohortConfig(subject_delimiter=delimiter)
-    kept, log = filter_cohort(normalized, config)
-    exclusions = [(e.record_id, e.rule, e.detail) for e in log.exclusions]
-    assert (kept, exclusions) == oracle_filter(normalized, config)
+    assert filter_cohort(normalized, config) == oracle_filter(normalized, config)
 
 
 class TestCohortConfig:
