@@ -1,5 +1,10 @@
 """Raw data ingestion: parsing, label normalization, cohort filtering, and
-construction of the immutable per-technique historical databases."""
+construction of the immutable per-technique historical databases.
+
+The three front-end stages pass rows on as a records.RecordTable: parse
+fills its columns, normalize maps each distinct set of labels once, and
+filter decides each label rule once per distinct set of labels, so the
+TreatmentRecords it returns are built for the kept rows alone."""
 
 from __future__ import annotations
 
@@ -14,11 +19,14 @@ from . import distance
 from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
 from .records import (
     AGE_OUT_OF_RANGE,
+    LABEL_FIELDS,
     MODELED_TECHNIQUES,
     NON_POSITIVE_RX,
     REQUIRED_COLUMNS,
     RX_TOO_LARGE,
     FeatureSchema,
+    Prescription,
+    RecordTable,
     RowParser,
     TreatmentRecord,
     default_schema,
@@ -65,8 +73,6 @@ DEFAULT_ICD10_WHITELIST = frozenset(
     }
 )
 
-DEFAULT_EXCLUDED_TECHNIQUES = frozenset({"IMPT", "2D", "Brachy"})
-
 # Static label-normalization tables (per field, raw -> canonical). Unmapped
 # labels pass through unchanged and normalize_dataset tallies them.
 DEFAULT_LABEL_MAPPINGS: Mapping[str, Mapping[str, str]] = {
@@ -95,15 +101,15 @@ DEFAULT_LABEL_MAPPINGS: Mapping[str, Mapping[str, str]] = {
 
 @dataclass(frozen=True)
 class CohortConfig:
-    """Cohort-building policy: exclusions, whitelists, label mappings.
+    """Cohort-building policy: whitelists, label mappings, subject keys.
 
-    Re-plans and cone-downs are recognized by accumulated dose differing from
-    total dose; the matching initial plan shares the subject key (the
-    record_id prefix before subject_delimiter) and its accumulated total
-    accounts for the re-plan's accumulated minus current course dose.
+    Every technique outside MODELED_TECHNIQUES is excluded. Re-plans and
+    cone-downs are recognized by accumulated dose differing from total dose;
+    the matching initial plan shares the subject key (the record_id prefix
+    before subject_delimiter) and its accumulated total accounts for the
+    re-plan's accumulated minus current course dose.
     """
 
-    excluded_techniques: frozenset[str] = DEFAULT_EXCLUDED_TECHNIQUES
     energy_whitelist: Mapping[str, frozenset[str]] = field(
         default_factory=lambda: dict(DEFAULT_ENERGY_WHITELIST)
     )
@@ -128,10 +134,12 @@ class CohortConfig:
     @classmethod
     def from_json(cls, source: str | Path | IO[str]) -> "CohortConfig":
         """Read a config as to_json writes it; an absent key keeps its
-        default. A payload that is not an object, an unknown key, or a value
-        that is not a list of strings where to_json writes a list, or not an
-        object where it writes one, raises ValueError naming the file and
-        the key."""
+        default. A payload that is not an object, an unknown key (at the top
+        level, a technique outside MODELED_TECHNIQUES in energy_whitelist or
+        a field outside LABEL_FIELDS in label_mappings), or a value that is
+        not a list of strings where to_json writes a list, or not an object
+        where it writes one, raises ValueError naming the file and the
+        key."""
         payload = read_json(source)
         name = source_name(source)
         if not isinstance(payload, dict):
@@ -139,17 +147,17 @@ class CohortConfig:
         kwargs = {}
         for key, value in payload.items():
             where = f"{name}: key {key!r}"
-            if key in ("excluded_techniques", "icd10_whitelist"):
+            if key == "icd10_whitelist":
                 value = _string_set(where, value)
             elif key == "energy_whitelist":
                 value = {
                     tech: _string_set(f"{where}: technique {tech!r}", values)
-                    for tech, values in _object(where, value).items()
+                    for tech, values in _known(where, "technique", value, MODELED_TECHNIQUES).items()
                 }
             elif key == "label_mappings":
                 value = {
                     fld: _object(f"{where}: field {fld!r}", table, strings=True)
-                    for fld, table in _object(where, value).items()
+                    for fld, table in _known(where, "field", value, LABEL_FIELDS).items()
                 }
             elif key != "subject_delimiter":
                 raise ValueError(f"{name}: unknown key {key!r}")
@@ -161,7 +169,6 @@ class CohortConfig:
 
     def to_json(self, destination: str | Path | IO[str]) -> None:
         payload = {
-            "excluded_techniques": sorted(self.excluded_techniques),
             "energy_whitelist": {
                 tech: sorted(values) for tech, values in sorted(self.energy_whitelist.items())
             },
@@ -179,6 +186,14 @@ def _string_set(where: str, value) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
         raise ValueError(f"{where}: expected a list of strings, got {value!r}")
     return frozenset(value)
+
+
+def _known(where: str, kind: str, value, names: Sequence[str]) -> dict:
+    """value, when it is a JSON object whose keys are all among names."""
+    for name in _object(where, value):
+        if name not in names:
+            raise ValueError(f"{where}: unknown {kind} {name!r}")
+    return value
 
 
 def _object(where: str, value, strings: bool = False) -> dict:
@@ -205,14 +220,14 @@ class SchemaError(ValueError):
 
 def parse_dataset(
     source: str | Path | IO[str],
-) -> tuple[list[TreatmentRecord], list[ParseDiagnostic]]:
+) -> tuple[RecordTable, list[ParseDiagnostic]]:
     """Parse a CSV export, keeping row order.
 
-    Every input row yields either a record or a diagnostic carrying the row
-    number and reason; a blank line is no row. A file's leading byte order
-    mark is dropped and its bytes that are not UTF-8 are replaced with
-    U+FFFD. An unreadable source raises OSError; a header missing required
-    columns raises SchemaError.
+    Every input row yields either a record of the returned table or a
+    diagnostic carrying the row number and reason; a blank line is no row. A
+    file's leading byte order mark is dropped and its bytes that are not
+    UTF-8 are replaced with U+FFFD. An unreadable source raises OSError; a
+    header missing required columns raises SchemaError.
     """
     with text_stream(source) as handle:
         reader = csv.reader(handle)
@@ -222,27 +237,13 @@ def parse_dataset(
         missing = [column for column in REQUIRED_COLUMNS if column not in header]
         if missing:
             raise SchemaError(f"header missing required columns: {', '.join(missing)}")
-        parser = RowParser(header)
-        records: list[TreatmentRecord] = []
-        diagnostics: list[ParseDiagnostic] = []
-        number = 0
-        for row in reader:
-            if not row:
-                continue    # a blank line is no row, as in csv.DictReader
-            number += 1
-            try:
-                records.append(parser.record(parser.cells(row)))
-            except (ValueError, TypeError) as exc:
-                diagnostics.append(ParseDiagnostic(number, str(exc)))
-        return records, diagnostics
+        table, failures = RowParser(header).parse(reader)
+    return table, [ParseDiagnostic(number, reason) for number, reason in failures]
 
 
 # ---------------------------------------------------------------------------
 # Label normalization
 # ---------------------------------------------------------------------------
-
-_MAPPABLE_FIELDS = ("technique", "energy", "intent", "icd10", "morphology")
-
 
 class _Resolved(dict):
     """One field's raw label -> label after mapping, each distinct label
@@ -271,30 +272,34 @@ class _Resolved(dict):
 
 
 def normalize_dataset(
-    records: Iterable[TreatmentRecord],
+    records: Sequence[TreatmentRecord],
     mappings: Mapping[str, Mapping[str, str]],
-) -> tuple[list[TreatmentRecord], Counter]:
+) -> tuple[RecordTable, Counter]:
     """Map each categorical field through its table; unmapped labels pass through.
 
     A field without a table is left untouched. Returns the records in input
-    order and a Counter of the (field, label) occurrences whose field has a
-    table that neither maps the label nor has it as a canonical target.
+    order, as a table whose rows share one label tuple per distinct set of
+    mapped labels, and a Counter of the (field, label) occurrences whose
+    field has a table that neither maps the label nor has it as a canonical
+    target, in order of first occurrence. Each distinct set of labels is
+    mapped once.
     """
+    table = RecordTable.of(records)
     unmapped_labels: set[tuple[str, str]] = set()
-    fields = tuple(_Resolved(name, mappings.get(name), unmapped_labels) for name in _MAPPABLE_FIELDS)
+    fields = tuple(_Resolved(name, mappings.get(name), unmapped_labels) for name in LABEL_FIELDS)
     unmapped: Counter = Counter()
-    normalized: list[TreatmentRecord] = []
-    for record in records:
-        labels = (record.technique, record.energy, record.intent, record.icd10, record.morphology)
-        mapped = tuple(map(getitem, fields, labels))
-        if unmapped_labels:
-            for field_label in zip(_MAPPABLE_FIELDS, labels):
-                if field_label in unmapped_labels:
-                    unmapped[field_label] += 1
-        if mapped != labels:
-            record = TreatmentRecord(record.record_id, record.prescription, *mapped, record.age_at_tx)
-        normalized.append(record)
-    return normalized, unmapped
+    shared: dict[tuple, tuple] = {}
+    mapped: dict[tuple, tuple] = {}
+    # A Counter keeps first-occurrence order, so the unmapped labels are
+    # counted in the order a row-by-row pass meets them.
+    for labels, count in Counter(table.labels).items():
+        new = tuple(map(getitem, fields, labels))
+        mapped[labels] = shared.setdefault(new, new)
+        for field_label in zip(LABEL_FIELDS, labels):
+            if field_label in unmapped_labels:
+                unmapped[field_label] += count
+    relabelled = RecordTable(table.ids, table.prescriptions, list(map(mapped.__getitem__, table.labels)), table.ages)
+    return relabelled, unmapped
 
 
 # ---------------------------------------------------------------------------
@@ -317,54 +322,70 @@ def filter_cohort(
     exclusion order: the per-technique sets are identical. Kept and excluded
     records always account for every input record, and every kept record
     passes validate_record.
+
+    The technique, energy and diagnosis rules are decided once per distinct
+    set of labels and the dose rule once per distinct prescription object;
+    a TreatmentRecord is built only for a row that passes every rule before
+    validate_record.
     """
     config = config or CohortConfig()
+    table = RecordTable.of(records)
+    replan_ids, initial_ids = _replan_and_initial_ids(table, config)
 
-    replan_ids, initial_ids = _replan_and_initial_ids(records, config)
-
+    label_rules: dict[tuple, tuple[str, str] | None] = {}
+    dose_rules: dict[int, tuple[str, str] | None] = {}    # by id(prescription)
     kept: dict[str, list[TreatmentRecord]] = {t: [] for t in MODELED_TECHNIQUES}
     exclusions: list[tuple[str, str, str]] = []
-    for record in records:
-        rule = _exclusion_rule(record, config, replan_ids, initial_ids)
+    for record_id, p, labels, age in zip(table.ids, table.prescriptions, table.labels, table.ages):
+        rule = label_rules.get(labels, False)
+        if rule is False:
+            rule = label_rules[labels] = _label_rule(labels, config)
         if rule is None:
-            kept[record.technique].append(record)
-        else:
-            exclusions.append((record.record_id, *rule))
+            rule = dose_rules.get(id(p), False)
+            if rule is False:
+                rule = dose_rules[id(p)] = _dose_rule(p)
+        if rule is None:
+            if record_id in replan_ids:
+                rule = RULE_REPLAN, (
+                    f"accumulated_dose={p.accumulated_dose} != total_dose={p.total_dose}"
+                    if p.accumulated_dose != p.total_dose
+                    else "record_id shared with a re-plan / cone-down"
+                )
+            elif record_id in initial_ids:
+                rule = RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
+            else:
+                # What validate_record can still reject is a non-positive
+                # prescription (RULE_NON_POSITIVE_RX), an implausible age
+                # (RULE_AGE) or a prescription float64 cannot hold exactly
+                # (RULE_RX_TOO_LARGE).
+                record = TreatmentRecord(record_id, p, *labels, age)
+                violations = validate_record(record)
+                if not violations:
+                    kept[record.technique].append(record)
+                    continue
+                rule = violations[0].kind, violations[0].detail
+        exclusions.append((record_id, *rule))
     return kept, exclusions
 
 
-def _exclusion_rule(record, config, replan_ids, initial_ids) -> tuple[str, str] | None:
-    p = record.prescription
-    if record.technique not in MODELED_TECHNIQUES:
-        return RULE_TECHNIQUE, f"technique={record.technique}"
-    whitelist = config.energy_whitelist.get(record.technique, frozenset())
-    if record.energy is None or record.energy not in whitelist:
-        return RULE_ENERGY, f"energy={record.energy} for {record.technique}"
-    if record.icd10 is None or record.icd10 not in config.icd10_whitelist:
-        return RULE_DIAGNOSIS, f"icd10={record.icd10}"
-    if p.total_dose != p.fractions * p.dose_per_fraction:
-        return RULE_DOSE, (
-            f"total_dose={p.total_dose} != {p.fractions} x {p.dose_per_fraction}"
-        )
-    if record.record_id in replan_ids:
-        return RULE_REPLAN, (
-            f"accumulated_dose={p.accumulated_dose} != total_dose={p.total_dose}"
-        )
-    if record.record_id in initial_ids:
-        return RULE_REPLAN_INITIAL, "initial plan of a re-plan / cone-down"
-    # Dose mismatches and re-plans were caught above; what validate_record
-    # can still reject is a non-positive prescription (RULE_NON_POSITIVE_RX),
-    # an implausible age (RULE_AGE) or a prescription float64 cannot hold
-    # exactly (RULE_RX_TOO_LARGE).
-    violations = validate_record(record)
-    if violations:
-        return violations[0].kind, violations[0].detail
+def _label_rule(labels: tuple, config: CohortConfig) -> tuple[str, str] | None:
+    technique, energy, _, icd10, _ = labels
+    if technique not in MODELED_TECHNIQUES:
+        return RULE_TECHNIQUE, f"technique={technique}"
+    if energy is None or energy not in config.energy_whitelist.get(technique, frozenset()):
+        return RULE_ENERGY, f"energy={energy} for {technique}"
+    if icd10 is None or icd10 not in config.icd10_whitelist:
+        return RULE_DIAGNOSIS, f"icd10={icd10}"
     return None
 
 
-def _replan_and_initial_ids(
-    records: Sequence[TreatmentRecord], config: CohortConfig
-) -> tuple[set[str], set[str]]:
+def _dose_rule(p: Prescription) -> tuple[str, str] | None:
+    if p.total_dose != p.fractions * p.dose_per_fraction:
+        return RULE_DOSE, f"total_dose={p.total_dose} != {p.fractions} x {p.dose_per_fraction}"
+    return None
+
+
+def _replan_and_initial_ids(table: RecordTable, config: CohortConfig) -> tuple[set[str], set[str]]:
     """The ids of the re-plans, and of the initial plans matched to them: a
     record of the same subject whose accumulated and total doses both equal
     the re-plan's accumulated minus total dose. A re-plan never matches
@@ -372,19 +393,17 @@ def _replan_and_initial_ids(
     named by RULE_REPLAN before RULE_REPLAN_INITIAL."""
     replan_ids: set[str] = set()
     priors_by_subject: dict[str, set[int]] = {}
-    for record in records:
-        p = record.prescription
+    for record_id, p in zip(table.ids, table.prescriptions):
         if p.accumulated_dose != p.total_dose:
-            replan_ids.add(record.record_id)
-            priors_by_subject.setdefault(config.subject_key(record.record_id), set()).add(
+            replan_ids.add(record_id)
+            priors_by_subject.setdefault(config.subject_key(record_id), set()).add(
                 p.accumulated_dose - p.total_dose
             )
     initial_ids: set[str] = set()
-    for candidate in records:
-        p = candidate.prescription
+    for record_id, p in zip(table.ids, table.prescriptions):
         if (p.accumulated_dose == p.total_dose
-                and p.total_dose in priors_by_subject.get(config.subject_key(candidate.record_id), ())):
-            initial_ids.add(candidate.record_id)
+                and p.total_dose in priors_by_subject.get(config.subject_key(record_id), ())):
+            initial_ids.add(record_id)
     return replan_ids, initial_ids
 
 

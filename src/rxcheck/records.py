@@ -1,4 +1,8 @@
-"""Treatment record data model: prescriptions, feature schema, validation, CSV I/O."""
+"""Treatment record data model: prescriptions, feature schema, validation, CSV I/O.
+
+RowParser holds the cell rules of the CSV schema and reads rows into a
+RecordTable, a read-only sequence of records kept as columns that builds a
+TreatmentRecord only when one is read."""
 
 from __future__ import annotations
 
@@ -7,7 +11,7 @@ import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Iterator, Sequence
 
 TECH_3D = "3D"
@@ -294,10 +298,12 @@ class RowParser:
     header.
 
     Every required cell is checked for a missing value (empty, or a bare
-    "-", after stripping) in CSV_COLUMNS order before any cell is converted;
-    a malformed row raises ValueError naming the first failing cell. Each
-    distinct label cell is stripped once, and rows with the same raw
-    prescription cells share one Prescription, which is frozen.
+    "-", after stripping) in CSV_COLUMNS order before any cell is converted:
+    record_id, the four prescription cells and technique, then the integer
+    conversions, then the age. A malformed row fails with a reason naming
+    its first failing cell. Rows with the same raw prescription cells share
+    one Prescription, and rows with the same raw label cells one tuple of
+    stripped labels.
     """
 
     def __init__(self, header: Sequence[str]):
@@ -306,50 +312,123 @@ class RowParser:
         self._width = len(header)
         position = {name: index for index, name in enumerate(header)}
         self._take = itemgetter(*(position.get(column, self._width) for column in CSV_COLUMNS))
-        self._labels = _Cells(str.strip)
+        self._strip = _Cells(str.strip)
         self._ages = _Cells(int)
         self._prescriptions: dict[tuple, Prescription] = {}
+        self._labels: dict[tuple, tuple] = {}
 
-    def cells(self, row: list[str]) -> tuple[str | None, ...]:
-        """A csv.reader row's cells in CSV_COLUMNS order. As in
-        csv.DictReader, a short row reads None for its absent cells and extra
-        cells are ignored."""
-        if len(row) != self._width:
-            row = (row + [None] * self._width)[: self._width]
-        row.append(None)
-        return self._take(row)
+    def parse(self, rows: Iterable[list[str]]) -> tuple["RecordTable", list[tuple[int, str]]]:
+        """The table of the records of csv.reader rows, in row order, and a
+        (row number, reason) per malformed row, numbered from 1. A blank line
+        is no row; as in csv.DictReader, a short row reads None for its
+        absent cells and extra cells are ignored."""
+        width, take, strip, to_age = self._width, self._take, self._strip, self._ages
+        prescriptions, labels_of = self._prescriptions, self._labels
+        table = RecordTable([], [], [], [])
+        add_id, add_prescription = table.ids.append, table.prescriptions.append
+        add_labels, add_age = table.labels.append, table.ages.append
+        diagnostics: list[tuple[int, str]] = []
+        number = 0
+        for row in rows:
+            if not row:
+                continue
+            number += 1
+            if len(row) != width:
+                row = (row + [None] * width)[:width]
+            row.append(None)
+            cells = take(row)
+            try:
+                if _missing(cells[0]):
+                    raise ValueError("missing required value: record_id")
+                rx_cells = cells[1:5]
+                prescription = prescriptions.get(rx_cells)
+                if prescription is None:
+                    for column, cell in zip(REQUIRED_COLUMNS[1:5], rx_cells):
+                        if _missing(cell):
+                            raise ValueError(f"missing required value: {column}")
+                label_cells = cells[5:10]
+                labels = labels_of.get(label_cells)
+                if labels is None:
+                    labels = tuple(map(strip.__getitem__, label_cells))
+                    if labels[0] is None:
+                        raise ValueError("missing required value: technique")
+                    labels_of[label_cells] = labels
+                if prescription is None:
+                    prescription = prescriptions[rx_cells] = Prescription(*map(int, rx_cells))
+                age = to_age[cells[10]]
+            except (ValueError, TypeError) as exc:
+                diagnostics.append((number, str(exc)))
+                continue
+            add_id(cells[0].strip())
+            add_prescription(prescription)
+            add_labels(labels)
+            add_age(age)
+        return table, diagnostics
 
-    def record(self, cells: Sequence[str | None]) -> TreatmentRecord:
-        """The record of one row's cells, given in CSV_COLUMNS order."""
-        (record_id, fractions, dose_per_fraction, total_dose, accumulated_dose,
-         technique, energy, intent, icd10, morphology, age_at_tx) = cells
-        labels = self._labels
-        if _missing(record_id):
-            raise ValueError("missing required value: record_id")
-        rx_cells = (fractions, dose_per_fraction, total_dose, accumulated_dose)
-        prescription = self._prescriptions.get(rx_cells)
-        if prescription is None:
-            for column, cell in zip(REQUIRED_COLUMNS[1:5], rx_cells):
-                if _missing(cell):
-                    raise ValueError(f"missing required value: {column}")
-        technique = labels[technique]
-        if technique is None:
-            raise ValueError("missing required value: technique")
-        if prescription is None:
-            prescription = Prescription(
-                int(fractions), int(dose_per_fraction), int(total_dose), int(accumulated_dose)
-            )
-            self._prescriptions[rx_cells] = prescription
-        return TreatmentRecord(
-            record_id.strip(),
-            prescription,
-            technique,
-            labels[energy],
-            labels[intent],
-            labels[icd10],
-            labels[morphology],
-            self._ages[age_at_tx],
+
+LABEL_FIELDS = ("technique", "energy", "intent", "icd10", "morphology")
+_labels_of = attrgetter(*LABEL_FIELDS)
+
+
+class RecordTable(Sequence[TreatmentRecord]):
+    """A read-only sequence of TreatmentRecords held as four columns.
+
+    ids holds the record ids, prescriptions the Prescriptions, labels one
+    (technique, energy, intent, icd10, morphology) tuple per row (LABEL_FIELDS
+    order) and ages the ages. Rows with equal prescriptions or labels may
+    share one object, so a stage can decide a rule once per distinct value.
+    A record is built each time one is read, and the table compares equal
+    to a list of the same records.
+    """
+
+    __slots__ = ("ids", "prescriptions", "labels", "ages")
+
+    def __init__(self, ids: list[str], prescriptions: list[Prescription],
+                 labels: list[tuple], ages: list[int | None]):
+        self.ids = ids
+        self.prescriptions = prescriptions
+        self.labels = labels
+        self.ages = ages
+
+    @classmethod
+    def of(cls, records: Iterable[TreatmentRecord]) -> "RecordTable":
+        """records as a table, whose rows share one tuple per distinct set of
+        labels; a table is returned as it is."""
+        if isinstance(records, RecordTable):
+            return records
+        records = list(records)
+        shared: dict[tuple, tuple] = {}
+        return cls(
+            [record.record_id for record in records],
+            [record.prescription for record in records],
+            [shared.setdefault(labels, labels) for labels in map(_labels_of, records)],
+            [record.age_at_tx for record in records],
         )
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordTable(self.ids[index], self.prescriptions[index], self.labels[index], self.ages[index])
+        return TreatmentRecord(self.ids[index], self.prescriptions[index], *self.labels[index], self.ages[index])
+
+    def __iter__(self) -> Iterator[TreatmentRecord]:
+        for record_id, prescription, labels, age in zip(self.ids, self.prescriptions, self.labels, self.ages):
+            yield TreatmentRecord(record_id, prescription, *labels, age)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordTable):
+            return (self.ids, self.prescriptions, self.labels, self.ages) == (
+                other.ids, other.prescriptions, other.labels, other.ages)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"RecordTable({list(self)!r})"
 
 
 @contextmanager

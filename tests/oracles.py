@@ -252,6 +252,8 @@ def _oracle_exclusion_rule(record, config, replan_ids, initial_ids):
             f"total_dose={p.total_dose} != {p.fractions} x {p.dose_per_fraction}"
         )
     if record.record_id in replan_ids:
+        if p.accumulated_dose == p.total_dose:
+            return RULE_REPLAN, "record_id shared with a re-plan / cone-down"
         return RULE_REPLAN, (
             f"accumulated_dose={p.accumulated_dose} != total_dose={p.total_dose}"
         )

@@ -3,9 +3,10 @@ records, and pairwise-histogram time, against reference size S, on the
 random 15%-missing cohorts of conftest.py (the cohorts behind
 perfbench/sweep.py); one-shot detect over
 the check batch of perfbench/gen.py, whose Zipf regimens put about a
-thousand reference records at a query's own prescription; and the cohort
-front end (parse, normalize, filter) on raw exports from perfbench/gen.py.
-Timed with pytest-benchmark.
+thousand reference records at a query's own prescription; the cohort
+front end (parse, normalize, filter) on raw exports from perfbench/gen.py;
+and the `ingest` and `hist` commands, in process, on the 100k-row export of
+the benchmark's ingest-hist workload. Timed with pytest-benchmark.
 
 Not part of the default run (pyproject.toml deselects the bench marker).
 Run it with
@@ -15,12 +16,16 @@ Run it with
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import importlib
+import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rxcheck import cli
 from rxcheck.detector import ModelParams, detect
 from rxcheck.distance import InsufficientNeighbors, pairwise_histograms
 from rxcheck.ingest import (
@@ -119,7 +124,24 @@ def test_front_end(benchmark, monkeypatch, tmp_path, rows):
     def front_end():
         records, diagnostics = parse_dataset(path)
         normalized, _ = normalize_dataset(records, config.label_mappings)
-        kept, log = filter_cohort(normalized, config)
-        return sum(map(len, kept.values())) + len(log) + len(diagnostics)
+        kept, exclusions = filter_cohort(normalized, config)
+        return sum(map(len, kept.values())) + len(exclusions) + len(diagnostics)
 
     assert benchmark.pedantic(front_end, rounds=5, iterations=1) == written
+
+
+@pytest.mark.parametrize("command", ["ingest", "hist"])
+def test_command_on_export(benchmark, monkeypatch, tmp_path, command):
+    # The ingest-hist workload's two commands on its export (seed 5, 100k
+    # rows), with garbage collected before each round as the workload does.
+    _gen(monkeypatch).write_inputs("ingest-hist", 5, tmp_path)
+    argv = [command, "--input", str(tmp_path / "export.csv"), "--out", str(tmp_path / "out")]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.run(argv)
+
+    def collect():
+        gc.collect()
+
+    assert benchmark.pedantic(run, setup=collect, rounds=5, iterations=1) == cli.EX_OK

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import contextlib
+import csv
 import io
 import math
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
+from rxcheck import cli
 from rxcheck.distance import InsufficientData
 from rxcheck.ingest import (
     DEFAULT_ENERGY_WHITELIST,
     DEFAULT_ICD10_WHITELIST,
     DEFAULT_LABEL_MAPPINGS,
+    EXCLUSION_COLUMNS,
     RULE_AGE,
     RULE_DIAGNOSIS,
     RULE_DOSE,
@@ -87,11 +93,12 @@ class TestParseDataset:
 
 
 # An export whose header holds every required column and any of the optional
-# ones, in any order and with duplicates. Each row is one CSV record or a
-# blank line: a cell is the column's valid value, that value with whitespace
+# ones, in any order and with duplicates. Each of up to `rows` lines is one
+# CSV record or a blank line: a cell is the column's valid value, that value with whitespace
 # around it, a missing-value cell, a quoted cell holding a delimiter or a
 # line break, or random bytes (a lone byte of 0x80 or above is not UTF-8);
-# rows may be cut short or carry extra cells.
+# rows may be cut short or carry extra cells. A positive clean adds that
+# weight to a cell's valid value and to a row's keeping all its cells.
 _VALID_CELLS = dict(zip(CSV_COLUMNS, (b"P1/1", b"5", b"400", b"2000", b"2000", b"3D", b"x06",
                                       b"curative", b"C34.10", b"80463", b"60")))
 _RANDOM_CELL = st.binary(max_size=6).map(lambda raw: bytes(b for b in raw if b not in b',"\r\n'))
@@ -100,19 +107,19 @@ _ODD_CELL = st.sampled_from([b"", b"-", b" - ", b"  ", b'"a,b"', b'"line\nbreak"
 
 
 @st.composite
-def _export(draw):
+def _export(draw, rows=6, clean=0):
     required, optional = list(CSV_COLUMNS[:6]), list(CSV_COLUMNS[6:])
     columns = required + draw(st.lists(st.sampled_from(optional), unique=True))
     columns += draw(st.lists(st.sampled_from(CSV_COLUMNS), max_size=2))
     columns = draw(st.permutations(columns))
     lines = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(draw(st.integers(1, rows))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(b"")
             continue
         cells = []
         for column in columns:
-            kind = draw(st.integers(0, 5))
+            kind = draw(st.integers(0, 5 + clean))
             if kind == 0:
                 cells.append(draw(_RANDOM_CELL))
             elif kind == 1:
@@ -122,7 +129,7 @@ def _export(draw):
             else:
                 cells.append(_VALID_CELLS[column])
         cells += [draw(_RANDOM_CELL) for _ in range(draw(st.integers(0, 2)))]
-        lines.append(b",".join(cells[: draw(st.integers(1, len(cells)))]))
+        lines.append(b",".join(cells[: draw(st.integers(1, len(cells) + clean))]))
     return b"\n".join([",".join(columns).encode(), *lines]) + b"\n", lines
 
 
@@ -140,6 +147,39 @@ def test_parse_yields_one_record_or_diagnostic_per_row(tmp_path_factory, export)
     assert (records, [(d.row, d.reason) for d in diagnostics]) == oracle_parse(path)
 
 
+_INGEST_SUMMARY = re.compile(r"ingest: kept (\d+) records, excluded (\d+), parse diagnostics (\d+),")
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as handle:
+        return list(csv.reader(handle))
+
+
+@seed(20212)
+@settings(deadline=None, max_examples=100, database=None)
+@given(export=_export(rows=16, clean=20))
+def test_ingest_command_accounts_for_every_row(tmp_path_factory, export):
+    # The `ingest` command, in process: its summary, exclusions.csv and the
+    # reference CSVs against the row-at-a-time oracles.
+    data, lines = export
+    work = tmp_path_factory.mktemp("ingest")
+    path, out = work / "rows.csv", work / "out"
+    path.write_bytes(data)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
+        # Every admitted row of these exports has the same prescription.
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        assert cli.run(["ingest", "--input", str(path), "--out", str(out)]) == cli.EX_OK
+    kept, excluded, diagnostics = map(int, _INGEST_SUMMARY.match(stdout.getvalue()).groups())
+    assert kept + excluded + diagnostics == sum(line != b"" for line in lines)
+    config = CohortConfig()
+    normalized, _ = oracle_normalize(oracle_parse(path)[0], config.label_mappings)
+    expected_kept, expected_exclusions = oracle_filter(normalized, config)
+    assert _csv_rows(out / "exclusions.csv") == [list(EXCLUSION_COLUMNS), *map(list, expected_exclusions)]
+    assert sum(len(_csv_rows(db)) - 1 for db in out.glob("db_*.csv")) == sum(
+        len(rows) for rows in expected_kept.values() if len(rows) >= 2)
+
+
 class TestNormalizeLabels:
     def test_mapping_applies(self):
         record = rec("a", 5, 400, energy="6X")
@@ -150,7 +190,7 @@ class TestNormalizeLabels:
     def test_pass_through_without_mapping(self):
         record = rec("a", 5, 400, energy="x06")
         (out,), unmapped = normalize_dataset([record], {})
-        assert out is record
+        assert out == record
         assert not unmapped
 
     def test_empty_cell_parses_to_missing(self):
@@ -219,6 +259,16 @@ class TestFilterCohort:
         assert rules["P1/2"] == RULE_REPLAN
         assert rules["P1/1"] == RULE_REPLAN_INITIAL
         assert kept["SBRT"] == [other]
+
+    def test_record_sharing_a_replan_id_named_as_such(self):
+        replan = rec("P1/1", 2, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10",
+                     accumulated_dose=4000)
+        consistent = rec("P1/1", 2, 1000, technique="SBRT", energy="x06FFF", icd10="C34.10")
+        _, exclusions = filter_cohort([replan, consistent])
+        assert exclusions == [
+            ("P1/1", RULE_REPLAN, "accumulated_dose=4000 != total_dose=2000"),
+            ("P1/1", RULE_REPLAN, "record_id shared with a re-plan / cone-down"),
+        ]
 
     def test_nothing_silently_dropped(self):
         records = [
@@ -363,18 +413,22 @@ class TestCohortConfig:
         ("[]", "expected a JSON object, got []"),
         ('{"icd10_whitelist": [], "excluded_technique": ["SRS"]}', "unknown key 'excluded_technique'"),
         ('{"icd10_whitelist": "C34.10"}', "key 'icd10_whitelist': expected a list of strings, got 'C34.10'"),
-        ('{"excluded_techniques": ["SRS", 1]}',
-         "key 'excluded_techniques': expected a list of strings, got ['SRS', 1]"),
+        ('{"icd10_whitelist": ["C34.10", 1]}',
+         "key 'icd10_whitelist': expected a list of strings, got ['C34.10', 1]"),
+        ('{"excluded_techniques": ["IMPT"]}', "unknown key 'excluded_techniques'"),
         ('{"energy_whitelist": ["x06"]}', "key 'energy_whitelist': expected an object, got ['x06']"),
         ('{"energy_whitelist": {"3D": "x06"}}',
          "key 'energy_whitelist': technique '3D': expected a list of strings, got 'x06'"),
+        ('{"energy_whitelist": {"3d": ["x06"]}}', "key 'energy_whitelist': unknown technique '3d'"),
         ('{"label_mappings": {"energy": ["x06"]}}',
          "key 'label_mappings': field 'energy': expected an object of strings, got ['x06']"),
         ('{"label_mappings": {"energy": {"6X": null}}}',
          "key 'label_mappings': field 'energy': expected an object of strings, got {'6X': None}"),
+        ('{"label_mappings": {"energi": {"6X": "x06"}}}', "key 'label_mappings': unknown field 'energi'"),
         ('{"subject_delimiter": 5}', "subject_delimiter must be a non-empty string, got 5"),
-    ], ids=["array", "unknown-key", "string-whitelist", "non-string-item", "whitelist-array",
-            "technique-string", "mapping-array", "mapping-null", "delimiter-number"])
+    ], ids=["array", "unknown-key", "string-whitelist", "non-string-item", "removed-key",
+            "whitelist-array", "technique-string", "unknown-technique", "mapping-array",
+            "mapping-null", "unknown-field", "delimiter-number"])
     def test_malformed_config_named(self, tmp_path, text, problem):
         path = tmp_path / "cohort.json"
         path.write_text(text)
