@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import getitem
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
 
 from . import distance
 from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
@@ -245,32 +244,6 @@ def parse_dataset(
 # Label normalization
 # ---------------------------------------------------------------------------
 
-class _Resolved(dict):
-    """One field's raw label -> label after mapping, each distinct label
-    resolved once. A label that the field's table neither maps nor produces
-    goes into `unmapped` as (field, label); without a table every label
-    passes through as mapped."""
-
-    def __init__(self, field_name: str, table: Mapping[str, str] | None, unmapped: set):
-        super().__init__({None: None})
-        self._field_name = field_name
-        self._table = table
-        self._unmapped = unmapped
-
-    def __missing__(self, label: str) -> str:
-        table = self._table
-        if table is None:
-            mapped = label
-        elif label in table:
-            mapped = table[label]
-        else:
-            mapped = label
-            if label not in table.values():
-                self._unmapped.add((self._field_name, label))
-        self[label] = mapped
-        return mapped
-
-
 def normalize_dataset(
     records: Sequence[TreatmentRecord],
     mappings: Mapping[str, Mapping[str, str]],
@@ -285,19 +258,23 @@ def normalize_dataset(
     mapped once.
     """
     table = RecordTable.of(records)
-    unmapped_labels: set[tuple[str, str]] = set()
-    fields = tuple(_Resolved(name, mappings.get(name), unmapped_labels) for name in LABEL_FIELDS)
     unmapped: Counter = Counter()
     shared: dict[tuple, tuple] = {}
     mapped: dict[tuple, tuple] = {}
     # A Counter keeps first-occurrence order, so the unmapped labels are
     # counted in the order a row-by-row pass meets them.
     for labels, count in Counter(table.labels).items():
-        new = tuple(map(getitem, fields, labels))
+        new = []
+        for name, label in zip(LABEL_FIELDS, labels):
+            field_table = mappings.get(name)
+            if label is not None and field_table is not None:
+                if label in field_table:
+                    label = field_table[label]
+                elif label not in field_table.values():
+                    unmapped[(name, label)] += count
+            new.append(label)
+        new = tuple(new)
         mapped[labels] = shared.setdefault(new, new)
-        for field_label in zip(LABEL_FIELDS, labels):
-            if field_label in unmapped_labels:
-                unmapped[field_label] += count
     relabelled = RecordTable(table.ids, table.prescriptions, list(map(mapped.__getitem__, table.labels)), table.ages)
     return relabelled, unmapped
 

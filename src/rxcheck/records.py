@@ -408,9 +408,7 @@ class RecordTable(Sequence[TreatmentRecord]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return RecordTable(self.ids[index], self.prescriptions[index], self.labels[index], self.ages[index])
+    def __getitem__(self, index: int) -> TreatmentRecord:
         return TreatmentRecord(self.ids[index], self.prescriptions[index], *self.labels[index], self.ages[index])
 
     def __iter__(self) -> Iterator[TreatmentRecord]:
@@ -418,11 +416,8 @@ class RecordTable(Sequence[TreatmentRecord]):
             yield TreatmentRecord(record_id, prescription, *labels, age)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, RecordTable):
-            return (self.ids, self.prescriptions, self.labels, self.ages) == (
-                other.ids, other.prescriptions, other.labels, other.ages)
-        if isinstance(other, list):
-            return list(self) == other
+        if isinstance(other, (list, RecordTable)):
+            return list(self) == list(other)
         return NotImplemented
 
     __hash__ = None

@@ -13,6 +13,7 @@ from rxcheck.records import (
     RX_TOO_LARGE,
     FeatureSpec,
     Prescription,
+    RecordTable,
     TreatmentRecord,
     default_schema,
     record_to_row,
@@ -127,6 +128,18 @@ class TestCsvRoundTrip:
         records, diagnostics = parse_rows(row)
         assert records == []
         assert [(d.row, d.reason) for d in diagnostics] == [(1, "missing required value: fractions")]
+
+
+class TestRecordTable:
+    def test_reads_as_the_records_it_holds(self):
+        records = [rec("a", 5, 400, energy="x06"), rec("b", 10, 300, age_at_tx=60),
+                   rec("c", 5, 400, energy="x06")]
+        table = RecordTable.of(records)
+        assert len(table) == 3 and table[1] == records[1] and table[-1] == records[2]
+        assert list(table) == records and table == records and records == table
+        assert table != records[:2] and table != tuple(records)
+        assert table.labels[0] is table.labels[2]
+        assert RecordTable.of(table) is table
 
 
 class TestPrescription:
