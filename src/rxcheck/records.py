@@ -53,6 +53,9 @@ CSV_COLUMNS = (
 )
 
 REQUIRED_COLUMNS = CSV_COLUMNS[:6]
+# The categorical fields, which normalization maps and a RecordTable keeps
+# as one tuple per row.
+LABEL_FIELDS = CSV_COLUMNS[5:10]
 
 
 @dataclass(frozen=True)
@@ -366,7 +369,6 @@ class RowParser:
         return table, diagnostics
 
 
-LABEL_FIELDS = ("technique", "energy", "intent", "icd10", "morphology")
 _labels_of = attrgetter(*LABEL_FIELDS)
 
 

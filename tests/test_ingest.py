@@ -94,11 +94,12 @@ class TestParseDataset:
 
 # An export whose header holds every required column and any of the optional
 # ones, in any order and with duplicates. Each of up to `rows` lines is one
-# CSV record or a blank line: a cell is the column's valid value, that value with whitespace
-# around it, a missing-value cell, a quoted cell holding a delimiter or a
-# line break, or random bytes (a lone byte of 0x80 or above is not UTF-8);
-# rows may be cut short or carry extra cells. A positive clean adds that
-# weight to a cell's valid value and to a row's keeping all its cells.
+# CSV record or a blank line: a cell is the column's valid value, that value
+# with whitespace around it, a missing-value cell, a quoted cell holding a
+# delimiter or a line break, or random bytes (a lone byte of 0x80 or above is
+# not UTF-8); rows may be cut short or carry extra cells. A positive clean
+# adds that weight to a cell's valid value and to a row's keeping all its
+# cells.
 _VALID_CELLS = dict(zip(CSV_COLUMNS, (b"P1/1", b"5", b"400", b"2000", b"2000", b"3D", b"x06",
                                       b"curative", b"C34.10", b"80463", b"60")))
 _RANDOM_CELL = st.binary(max_size=6).map(lambda raw: bytes(b for b in raw if b not in b',"\r\n'))
