@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -64,7 +63,7 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, TreatmentRecord, read_json, write_csv, write_json, write_records_csv
+from .records import MODELED_TECHNIQUES, TreatmentRecord, json_object, read_json, write_csv, write_json, write_records_csv
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
@@ -87,36 +86,30 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Optional JSON config carrying default paths and settings; explicit
-    flags always win."""
+# The keys of a run config (--config) and the type of each value. A value
+# that is set there fills the setting of the same name when its flag is not
+# given; cohort_config has no flag.
+RUN_CONFIG_KEYS = {"historical": str, "cohort_config": str, "boundaries": str, "params": str, "out": str, "seed": int}
 
-    historical: str | None = None
-    cohort_config: str | None = None
-    boundaries: str | None = None
-    params: str | None = None
-    out: str | None = None
-    seed: int | None = None
 
-    @classmethod
-    def load(cls, path: str | None) -> "RunConfig":
-        """Read a config object; a key that is absent or null stays unset. A
-        payload that is not an object, an unknown key, a path that is not a
-        string or a seed that is not an integer raises ValueError naming the
-        file and the key."""
-        if path is None:
-            return cls()
-        payload = read_json(path)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{path}: expected a JSON object, got {payload!r}")
-        for key, value in payload.items():
-            if key not in cls.__dataclass_fields__:
-                raise ValueError(f"{path}: unknown key {key!r}")
-            kind, wanted = (int, "an integer") if key == "seed" else (str, "a string")
-            if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ValueError(f"{path}: key {key!r}: expected {wanted}, got {value!r}")
-        return cls(**payload)
+def _merge_run_config(args) -> None:
+    """Give each run-config key that its flag left unset (None) on args the
+    value --config sets; a key that is absent or null there stays None,
+    except the seed, which is then 0. A payload that is not an object, an
+    unknown key, a path that is not a string or a seed that is not an
+    integer raises ValueError naming the file and the key."""
+    config = {}
+    if args.config is not None:
+        config = json_object(args.config, read_json(args.config), RUN_CONFIG_KEYS, expected="a JSON object")
+    for key, kind in RUN_CONFIG_KEYS.items():
+        value = config.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            wanted = "an integer" if kind is int else "a string"
+            raise ValueError(f"{args.config}: key {key!r}: expected {wanted}, got {value!r}")
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+    if args.seed is None:
+        args.seed = 0
 
 
 def _checked(convert, ok, requirement: str):
@@ -164,8 +157,9 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="records CSV to check")
     p.add_argument("--historical", help="historical records CSV (or set in --config)")
     p.add_argument("--params", help="trained parameters JSON (or set in --config)")
-    p.add_argument("--boundaries", help="explicit boundaries preset JSON; omitted = no range check")
-    p.add_argument(
+    boundaries = p.add_mutually_exclusive_group()
+    boundaries.add_argument("--boundaries", help="explicit boundaries preset JSON; omitted = no range check")
+    boundaries.add_argument(
         "--quantile-boundaries",
         metavar="LOW,HIGH",
         help="derive boundaries as empirical quantiles of the reference set "
@@ -199,8 +193,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         print(f"rxcheck: {exc}", file=sys.stderr)
         return EX_USAGE
     try:
-        handler = _HANDLERS[args.command]
-        return handler(args)
+        _merge_run_config(args)
+        return _HANDLERS[args.command](args)
     except FileNotFoundError as exc:
         print(f"rxcheck: missing file: {exc.filename or exc}", file=sys.stderr)
         return EX_NOINPUT
@@ -220,27 +214,18 @@ def main() -> None:
 # Shared pipeline pieces
 # ---------------------------------------------------------------------------
 
-def _resolve(flag_value, config_value, default=None):
-    if flag_value is not None:
-        return flag_value
-    if config_value is not None:
-        return config_value
-    return default
-
-
-def _out_dir(args, config: RunConfig) -> Path:
+def _out_dir(args) -> Path:
     """The output directory from --out or the config's out, created."""
-    out = _resolve(args.out, config.out)
-    if out is None:
+    if args.out is None:
         raise UsageError(f"{args.command} needs --out (or a config with one)")
-    out = Path(out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _load_cohort(config: RunConfig) -> CohortConfig:
-    if config.cohort_config:
-        return CohortConfig.from_json(config.cohort_config)
+def _load_cohort(args) -> CohortConfig:
+    if args.cohort_config:
+        return CohortConfig.from_json(args.cohort_config)
     return CohortConfig()
 
 
@@ -269,10 +254,10 @@ def _build_dbs(kept, technique: str | None) -> dict:
     return {tech: build_historical_db(rows) for tech, rows in _eligible(kept, technique).items()}
 
 
-def _forge(db, args, seed: int) -> list:
+def _forge(db, args) -> list:
     """The simulated anomalies train and simulate forge from db."""
     return generate_sa_set(
-        db, DEFAULT_SA_COUNTS, threshold=args.rarity_threshold, rng=substream(seed, f"forge:{db.technique}")
+        db, DEFAULT_SA_COUNTS, threshold=args.rarity_threshold, rng=substream(args.seed, f"forge:{db.technique}")
     )
 
 
@@ -281,9 +266,8 @@ def _forge(db, args, seed: int) -> list:
 # ---------------------------------------------------------------------------
 
 def _cmd_ingest(args) -> int:
-    config = RunConfig.load(args.config)
-    cohort = _load_cohort(config)
-    out = _out_dir(args, config)
+    cohort = _load_cohort(args)
+    out = _out_dir(args)
     kept, exclusions, diagnostics, unmapped = _read_cohort(args.input, cohort)
     dbs = _build_dbs(kept, args.technique)
 
@@ -312,10 +296,8 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = RunConfig.load(args.config)
-    cohort = _load_cohort(config)
-    seed = _resolve(args.seed, config.seed, 0)
-    out = _out_dir(args, config)
+    cohort = _load_cohort(args)
+    out = _out_dir(args)
     kept, _, _, _ = _read_cohort(args.input, cohort)
 
     space = SearchSpace(budget=args.budget, runs_per_point=args.runs, strategy=args.strategy)
@@ -323,14 +305,14 @@ def _cmd_train(args) -> int:
     skipped = 0
     for tech, rows in sorted(_eligible(kept, args.technique).items()):
         try:
-            reference, pool = split_holdout(rows, args.sn, substream(seed, f"split:{tech}"))
+            reference, pool = split_holdout(rows, args.sn, substream(args.seed, f"split:{tech}"))
             reference_db = build_historical_db(reference)
-            sa_set = _forge(reference_db, args, seed)
+            sa_set = _forge(reference_db, args)
         except (InsufficientData, IncomparablePair, GenerationExhausted) as exc:
             print(f"rxcheck: train[{tech}]: skipped: {exc}", file=sys.stderr)
             skipped += 1
             continue
-        outcome = search_parameters(space, reference_db, pool, sa_set, seed=seed)
+        outcome = search_parameters(space, reference_db, pool, sa_set, seed=args.seed)
         params_by_technique[tech] = outcome.best_params
         write_trace_csv(out / f"trace_{tech}.csv", outcome)
         write_sa_set(out / f"sa_{tech}.csv", out / f"sa_{tech}.json", sa_set)
@@ -347,21 +329,16 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    config = RunConfig.load(args.config)
-    cohort = _load_cohort(config)
-    historical = _resolve(args.historical, config.historical)
-    params_path = _resolve(args.params, config.params)
-    if historical is None:
+    cohort = _load_cohort(args)
+    if args.historical is None:
         raise UsageError("check needs --historical (or a config with one)")
-    if params_path is None:
+    if args.params is None:
         raise UsageError("check needs --params (or a config with one)")
-    if args.boundaries and args.quantile_boundaries:
-        raise UsageError("--boundaries and --quantile-boundaries are mutually exclusive")
     quantile = _parse_quantile(args.quantile_boundaries) if args.quantile_boundaries else None
-    boundaries_path = _resolve(args.boundaries, config.boundaries)
-    boundaries = load_boundaries(boundaries_path) if boundaries_path else None
-    params_by_technique = load_params_json(params_path)
-    dbs = _build_dbs(_read_cohort(historical, cohort)[0], args.technique)
+    # A config's boundaries are read even when --quantile-boundaries replaces them.
+    boundaries = load_boundaries(args.boundaries) if args.boundaries else None
+    params_by_technique = load_params_json(args.params)
+    dbs = _build_dbs(_read_cohort(args.historical, cohort)[0], args.technique)
     if quantile is not None:
         merged = {}
         for db in dbs.values():
@@ -392,10 +369,10 @@ def _cmd_check(args) -> int:
             print(f"rxcheck: record {record.record_id}: {reason}", file=sys.stderr)
             errored = True
 
-    if _resolve(args.out, config.out) is None:
+    if args.out is None:
         write_verdicts_jsonl(sys.stdout, verdicts)
     else:
-        write_verdicts_jsonl(_out_dir(args, config) / "verdicts.jsonl", verdicts)
+        write_verdicts_jsonl(_out_dir(args) / "verdicts.jsonl", verdicts)
     if errored:
         return EX_ERROR
     return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
@@ -430,17 +407,15 @@ def _parse_quantile(text: str) -> Quantile:
 
 
 def _cmd_simulate(args) -> int:
-    config = RunConfig.load(args.config)
-    cohort = _load_cohort(config)
-    seed = _resolve(args.seed, config.seed, 0)
-    out = _out_dir(args, config)
+    cohort = _load_cohort(args)
+    out = _out_dir(args)
     dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records to simulate from")
     skipped = 0
     for tech, db in sorted(dbs.items()):
         try:
-            sa_set = _forge(db, args, seed)
+            sa_set = _forge(db, args)
         except GenerationExhausted as exc:
             print(f"rxcheck: simulate[{tech}]: skipped: {exc}", file=sys.stderr)
             skipped += 1
@@ -451,8 +426,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    config = RunConfig.load(args.config)
-    out = _out_dir(args, config)
+    out = _out_dir(args)
     raters = read_predictions_csv(args.input)
     cms = {source: confusion(preds) for source, preds in raters.items()}
     metrics = {source: macro_metrics(cm) for source, cm in cms.items()}
@@ -470,9 +444,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_hist(args) -> int:
-    config = RunConfig.load(args.config)
-    cohort = _load_cohort(config)
-    out = _out_dir(args, config)
+    cohort = _load_cohort(args)
+    out = _out_dir(args)
     dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
     if not dbs:
         raise UsageError("no technique had enough records for histograms")

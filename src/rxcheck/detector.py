@@ -22,7 +22,7 @@ from .distance import (
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, read_json, source_name, text_stream, write_json
+from .records import TreatmentRecord, json_object, read_json, source_name, text_stream, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -70,14 +70,8 @@ class ModelParams:
         """Raises MalformedParams for a payload that is not an object, lacks
         a key, has an unknown key or holds a value that is not a JSON number
         or is an integer too large for a float, naming the keys."""
-        if not isinstance(payload, Mapping):
-            raise MalformedParams(f"expected an object with keys {', '.join(_PARAM_KEYS)}, got {payload!r}")
-        missing = [key for key in _PARAM_KEYS if key not in payload]
-        if missing:
-            raise MalformedParams("missing key " + ", ".join(repr(key) for key in missing))
-        unknown = [key for key in payload if key not in _PARAM_KEYS]
-        if unknown:
-            raise MalformedParams(f"unknown key {unknown[0]!r}")
+        json_object("", payload, _PARAM_KEYS, required=True,
+                    expected=f"an object with keys {', '.join(_PARAM_KEYS)}", error=MalformedParams)
         values = {}
         for key in _PARAM_KEYS:
             value = payload[key]
@@ -248,14 +242,11 @@ def load_params_json(source) -> dict[str, ModelParams]:
 
     A file that is not an object raises ValueError naming the file; an entry
     that is not an object, lacks a key, has an unknown key, holds a value
-    that is not a number, is too large for a float or is out of range (NaN
-    included) raises MalformedParams naming the file, the technique and the
-    keys.
+    that is not a number, is too large for a float or is out of range raises
+    MalformedParams naming the file, the technique and the keys.
     """
-    payload = read_json(source)
     name = source_name(source)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
+    payload = json_object(name, read_json(source), expected="a JSON object")
     if set(payload) >= set(_PARAM_KEYS):
         payload = {"*": payload}
     loaded = {}

@@ -29,6 +29,7 @@ from .records import (
     RowParser,
     TreatmentRecord,
     default_schema,
+    json_object,
     read_json,
     rx_exact_in_float,
     source_name,
@@ -139,27 +140,23 @@ class CohortConfig:
         not a list of strings where to_json writes a list, or not an object
         where it writes one, raises ValueError naming the file and the
         key."""
-        payload = read_json(source)
         name = source_name(source)
-        if not isinstance(payload, dict):
-            raise ValueError(f"{name}: expected a JSON object, got {payload!r}")
+        payload = json_object(name, read_json(source), cls.__dataclass_fields__, expected="a JSON object")
         kwargs = {}
         for key, value in payload.items():
             where = f"{name}: key {key!r}"
             if key == "icd10_whitelist":
-                value = _string_set(where, value)
+                value = frozenset(_strings(where, value, list))
             elif key == "energy_whitelist":
                 value = {
-                    tech: _string_set(f"{where}: technique {tech!r}", values)
-                    for tech, values in _known(where, "technique", value, MODELED_TECHNIQUES).items()
+                    tech: frozenset(_strings(f"{where}: technique {tech!r}", values, list))
+                    for tech, values in json_object(where, value, MODELED_TECHNIQUES, what="technique").items()
                 }
             elif key == "label_mappings":
                 value = {
-                    fld: _object(f"{where}: field {fld!r}", table, strings=True)
-                    for fld, table in _known(where, "field", value, LABEL_FIELDS).items()
+                    fld: _strings(f"{where}: field {fld!r}", table, dict)
+                    for fld, table in json_object(where, value, LABEL_FIELDS, what="field").items()
                 }
-            elif key != "subject_delimiter":
-                raise ValueError(f"{name}: unknown key {key!r}")
             kwargs[key] = value
         try:
             return cls(**kwargs)
@@ -181,25 +178,12 @@ class CohortConfig:
         write_json(destination, payload)
 
 
-def _string_set(where: str, value) -> frozenset[str]:
-    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
-        raise ValueError(f"{where}: expected a list of strings, got {value!r}")
-    return frozenset(value)
-
-
-def _known(where: str, kind: str, value, names: Sequence[str]) -> dict:
-    """value, when it is a JSON object whose keys are all among names."""
-    for name in _object(where, value):
-        if name not in names:
-            raise ValueError(f"{where}: unknown {kind} {name!r}")
-    return value
-
-
-def _object(where: str, value, strings: bool = False) -> dict:
-    """value, when it is a JSON object (whose values are all strings, if
-    strings is set)."""
-    if not isinstance(value, dict) or (strings and not all(isinstance(item, str) for item in value.values())):
-        raise ValueError(f"{where}: expected an object{' of strings' if strings else ''}, got {value!r}")
+def _strings(where: str, value, kind: type):
+    """value, when it is a kind (list or dict) whose items (values, for a
+    dict) are all strings."""
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or not all(isinstance(item, str) for item in items):
+        raise ValueError(f"{where}: expected {'a list' if kind is list else 'an object'} of strings, got {value!r}")
     return value
 
 

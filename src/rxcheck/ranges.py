@@ -11,13 +11,14 @@ loop over it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 from typing import IO, Mapping, TYPE_CHECKING
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, read_json, source_name, write_json
+from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, json_object, read_json, source_name, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -182,35 +183,28 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
 
     A payload that is not an object with a "techniques" object or has an
     unknown key, or a technique entry that is not an object, lacks a key,
-    has an unknown key, holds a bound that is not a number (NaN included)
-    or a lower bound above its upper bound, raises ValueError naming the
-    file, the technique and the keys. A "check_bed" that is present must be
-    a JSON boolean; it defaults to true.
+    has an unknown key, holds a bound that is not a number or is too large
+    for a float, or a lower bound above its upper bound, raises ValueError
+    naming the file, the technique and the keys. A "check_bed" that is
+    present must be a JSON boolean; it defaults to true.
     """
-    payload = read_json(source)
     name = source_name(source)
-    techniques = payload.get("techniques") if isinstance(payload, dict) else None
-    if not isinstance(techniques, dict):
-        raise ValueError(f"{name}: expected a JSON object with a \"techniques\" object, got {payload!r}")
-    unknown = [key for key in payload if key not in ("techniques", "check_bed")]
-    if unknown:
-        raise ValueError(f"{name}: unknown key {unknown[0]!r}")
+    expected = 'a JSON object with a "techniques" object'
+    payload = json_object(name, read_json(source), ("techniques", "check_bed"), expected=expected)
+    if not isinstance(payload.get("techniques"), dict):
+        raise ValueError(f"{name}: expected {expected}, got {payload!r}")
     by_technique = {}
-    for technique, row in techniques.items():
+    for technique, row in payload["techniques"].items():
         where = f"{name}: technique {technique!r}"
-        if not isinstance(row, dict):
-            raise ValueError(f"{where}: expected an object, got {row!r}")
-        missing = [key for key in _BOUND_KEYS if key not in row]
-        if missing:
-            raise ValueError(f"{where}: missing key " + ", ".join(repr(key) for key in missing))
-        unknown = [key for key in row if key not in _BOUND_KEYS]
-        if unknown:
-            raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+        json_object(where, row, _BOUND_KEYS, required=True)
         for key in _BOUND_KEYS:
             value = row[key]
-            # A bool is an int to isinstance; NaN is the one float unequal to itself.
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+            # A bool is an int to isinstance.
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{where}: key {key!r}: expected a number, got {value!r}")
+            # read_json gives no infinite float, so only an integer can exceed this.
+            if abs(value) > sys.float_info.max:
+                raise ValueError(f"{where}: key {key!r}: {len(str(abs(value)))}-digit integer overflows a float")
         bounds = {}
         for quantity in _FIELD_QUANTITIES:
             lo, hi = row[f"min_{quantity}"], row[f"max_{quantity}"]

@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
 TECH_3D = "3D"
 TECH_IMRT = "IMRT"
@@ -456,12 +457,48 @@ def source_name(source: str | os.PathLike | IO[str]):
 
 def read_json(source: str | os.PathLike | IO[str]):
     """The JSON value in source. Text that is not JSON raises ValueError
-    naming the source."""
+    naming the source, and so do the constants NaN, Infinity and -Infinity,
+    which are not JSON though Python's json reads them, and a number too
+    large for a float: no value read is a non-finite float."""
+    name = source_name(source)
+
+    def reject(constant):
+        raise ValueError(f"{name}: {constant} is not valid JSON")
+
+    def finite(text):
+        value = float(text)
+        if math.isinf(value):
+            raise ValueError(f"{name}: {text} overflows a float")
+        return value
+
     with text_stream(source) as handle:
         try:
-            return json.load(handle)
+            return json.load(handle, parse_constant=reject, parse_float=finite)
         except json.JSONDecodeError as exc:
-            raise ValueError(f"{source_name(source)}: {exc}") from None
+            raise ValueError(f"{name}: {exc}") from None
+
+
+def json_object(where: str, value, names: Collection[str] | None = None, *, required: bool = False,
+                what: str = "key", expected: str = "an object", error: type[ValueError] = ValueError) -> Mapping:
+    """value, when it is a JSON object whose keys are all among names (any
+    keys, without names) and, if required is set, include all of them.
+    Otherwise raises error "<where>: <problem>", the problem being "expected
+    <expected>, got <value>", "missing <what> " and every missing name, or
+    "unknown <what> " and the first unknown key, checked in that order. An
+    empty where drops the "<where>: " prefix."""
+    def fail(problem: str) -> ValueError:
+        return error(f"{where}: {problem}" if where else problem)
+
+    if not isinstance(value, Mapping):
+        raise fail(f"expected {expected}, got {value!r}")
+    if names is not None:
+        missing = [name for name in names if name not in value] if required else []
+        if missing:
+            raise fail(f"missing {what} " + ", ".join(repr(name) for name in missing))
+        unknown = [key for key in value if key not in names]
+        if unknown:
+            raise fail(f"unknown {what} {unknown[0]!r}")
+    return value
 
 
 def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:

@@ -36,6 +36,16 @@ def unforgeable_imrt():
     ]
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not valid JSON")
+
+
+def verdict_lines(text):
+    """check's JSONL output, one dict per line, each parsed as strict JSON:
+    a NaN or an Infinity in any verdict fails the test."""
+    return [json.loads(line, parse_constant=_not_json) for line in text.splitlines()]
+
+
 def predictions_csv(path):
     """Three raters over 20 records, about 80% right each."""
     rng = np.random.default_rng(40)
@@ -146,7 +156,7 @@ class TestCheck:
             "check", "--input", str(query_path),
             "--historical", str(cohort_csv), "--params", str(params_json),
         ])
-        payload = json.loads(capsys.readouterr().out.strip())
+        [payload] = verdict_lines(capsys.readouterr().out)
         assert payload["status"] == "Pass"
         assert code == EX_OK
 
@@ -156,7 +166,7 @@ class TestCheck:
             "check", "--input", str(query_path),
             "--historical", str(cohort_csv), "--params", str(params_json),
         ])
-        payload = json.loads(capsys.readouterr().out.strip())
+        [payload] = verdict_lines(capsys.readouterr().out)
         assert payload["status"] == "Type1Flag"
         assert code == EX_FLAGGED
 
@@ -171,8 +181,7 @@ class TestCheck:
             "--out", str(out),
         ])
         assert code == EX_OK
-        lines = (out / "verdicts.jsonl").read_text().strip().split("\n")
-        assert len(lines) == 3
+        assert len(verdict_lines((out / "verdicts.jsonl").read_text())) == 3
 
     def test_cli_matches_library_composition(self, cohort_csv, params_json, tmp_path, capsys):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
@@ -183,7 +192,7 @@ class TestCheck:
             "check", "--input", str(query_path),
             "--historical", str(cohort_csv), "--params", str(params_json),
         ])
-        cli_lines = [json.loads(line) for line in capsys.readouterr().out.strip().split("\n")]
+        cli_lines = verdict_lines(capsys.readouterr().out)
 
         kept, _ = filter_cohort(records)
         db = build_historical_db(kept["3D"])
@@ -209,7 +218,7 @@ class TestCheck:
             "check", "--input", str(query), "--historical", str(cohort_csv),
             "--params", str(params_json), "--quantile-boundaries", "0,1",
         ])
-        payload = json.loads(capsys.readouterr().out.strip())
+        [payload] = verdict_lines(capsys.readouterr().out)
         assert payload["status"] == "RangeFlag"
         assert code == EX_FLAGGED
         for bad in ("nonsense", "0.9,0.1", "nan,1"):
@@ -238,7 +247,7 @@ class TestCheck:
         kept, _ = filter_cohort(records)
         db = build_historical_db(kept["3D"])
         expected = [verdict_to_dict(detect(q, db, PARAMS)) for q in (records[0], records[1])]
-        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert verdict_lines(captured.out) == expected
         assert captured.err.count("rxcheck: record blank: ") == 1
 
         out = tmp_path / "verdicts"
@@ -263,7 +272,7 @@ class TestCheck:
         # No IMRT reference set in a 3D-only history.
         assert check(cohort_csv) == EX_ERROR
         captured = capsys.readouterr()
-        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert verdict_lines(captured.out) == expected
         assert captured.err == (
             f"rxcheck: record {imrt[0].record_id}: "
             "no reference database for technique 'IMRT'\n"
@@ -274,7 +283,7 @@ class TestCheck:
         write_records_csv(both_path, records + imrt)
         assert check(both_path) == EX_ERROR
         captured = capsys.readouterr()
-        assert [json.loads(line) for line in captured.out.strip().split("\n")] == expected
+        assert verdict_lines(captured.out) == expected
         assert captured.err == (
             f"rxcheck: record {imrt[0].record_id}: "
             "no trained parameters for technique 'IMRT'\n"
@@ -293,7 +302,7 @@ class TestCheck:
         assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
                     "--params", str(params_json), *flags]) == EX_ERROR
         captured = capsys.readouterr()
-        assert [json.loads(line)["record_id"] for line in captured.out.splitlines()] == [
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [
             records[0].record_id, records[1].record_id]
         assert captured.err == (
             "rxcheck: record huge-fx: fractions: 401-digit integer overflows a float\n"
@@ -309,7 +318,7 @@ class TestCheck:
         assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
                     "--params", str(params_json), "--quantile-boundaries", "0.005,0.995"]) == EX_ERROR
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [records[0].record_id]
         assert captured.err == (
             "rxcheck: record huge-bed: fractions x dose_per_fraction: product overflows a float\n"
         )
@@ -324,7 +333,7 @@ class TestCheck:
         assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
                     "--params", str(params_json), "--quantile-boundaries", "0.005,0.995"]) == EX_ERROR
         captured = capsys.readouterr()
-        assert [json.loads(line)["record_id"] for line in captured.out.splitlines()] == [
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [
             records[0].record_id, records[1].record_id]
         assert captured.err == "rxcheck: record huge-bed: fractions, dose_per_fraction: BED overflows a float\n"
 
@@ -342,7 +351,7 @@ class TestCheck:
         assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
                     "--params", str(params_json), *flags]) == EX_ERROR
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [records[0].record_id]
         assert captured.err == (
             "rxcheck: record huge-rho: fractions, dose_per_fraction: prescription distance overflows a float\n"
             "rxcheck: record huge-both: fractions x dose_per_fraction: product overflows a float\n"
@@ -361,7 +370,7 @@ class TestCheck:
         assert run(["check", "--input", str(query_path), "--historical", str(cohort_csv),
                     "--params", str(params_json), *flags]) == EX_ERROR
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["record_id"] == records[0].record_id
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [records[0].record_id]
         assert captured.err == (
             "rxcheck: record huge-dose: fractions, dose_per_fraction: prescription distance overflows a float\n"
         )
@@ -375,7 +384,7 @@ class TestCheck:
             "historical": str(cohort_csv), "params": str(params_json)}))
         code = run(["check", "--input", str(query), "--config", str(config)])
         assert code == EX_OK
-        assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+        assert [v["status"] for v in verdict_lines(capsys.readouterr().out)] == ["Pass"]
 
         # A byte that is not UTF-8, here in the historical path, is replaced
         # as in the other readers.
@@ -384,7 +393,7 @@ class TestCheck:
         config.write_bytes(text.encode().replace(b"caf?", b"caf\xe9"))
         code = run(["check", "--input", str(query), "--config", str(config)])
         assert code == EX_OK
-        assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+        assert [v["status"] for v in verdict_lines(capsys.readouterr().out)] == ["Pass"]
 
     def test_byte_order_mark_is_dropped(self, cohort_csv, tmp_path, capsys):
         # Spreadsheet tools often save UTF-8 with a leading byte order mark.
@@ -407,7 +416,7 @@ class TestCheck:
         assert json.loads((out / "db_meta.json").read_text())["3D"]["size"] == 90
         capsys.readouterr()
         assert run(["check", "--input", query, "--config", config]) == EX_OK
-        assert json.loads(capsys.readouterr().out.strip())["status"] == "Pass"
+        assert [v["status"] for v in verdict_lines(capsys.readouterr().out)] == ["Pass"]
 
     @pytest.mark.parametrize("broken", ["params", "boundaries", "run-config", "cohort-config"])
     def test_json_syntax_error_names_the_file(self, cohort_csv, params_json, tmp_path, capsys, broken):
@@ -434,24 +443,50 @@ class TestCheck:
     def test_non_finite_params_rejected_before_any_verdict(
         self, cohort_csv, tmp_path, capsys, value
     ):
+        # Python's json reads these constants, but they are not JSON. A flat
+        # file and a per-technique one are both refused as they are read.
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query = tmp_path / "query.csv"
         write_records_csv(query, records[:3])
         params = tmp_path / "params.json"
-        params.write_text(f'{{"a": {value}, "b": 0.25, "mu": 0.05, "nu": 0.05}}')
+        entry = f'{{"a": {value}, "b": 0.25, "mu": 0.05, "nu": 0.05}}'
+        for text in (entry, f'{{"3D": {entry}}}'):
+            params.write_text(text)
+            code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                        "--params", str(params)])
+            assert code == EX_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"rxcheck: error: {params}: {value} is not valid JSON\n"
+
+    @pytest.mark.parametrize("value, problem", [
+        ("-Infinity", "-Infinity is not valid JSON"),
+        ("-1e999", "-1e999 overflows a float"),
+    ])
+    def test_non_finite_boundary_rejected_before_any_verdict(
+        self, cohort_csv, params_json, tmp_path, capsys, value, problem
+    ):
+        # Read as -inf, the bound would pass the preset's checks and be
+        # written into a range violation as -Infinity, which is not JSON.
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query = tmp_path / "query.csv"
+        write_records_csv(query, records[:2])
+        boundaries = tmp_path / "bounds.json"
+        boundaries.write_text(json.dumps({"techniques": {"3D": {
+            "min_bed": 0, "max_bed": 10 ** 6, "min_fractions": "LOW", "max_fractions": 40,
+            "min_dose_per_fraction": 100, "max_dose_per_fraction": 900}}}).replace('"LOW"', value))
         code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
-                    "--params", str(params)])
+                    "--params", str(params_json), "--boundaries", str(boundaries)])
         assert code == EX_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"rxcheck: error: {params}: technique '*': "
-                                f"a and b must be finite and positive, got a={float(value)}, b=0.25\n")
+        assert captured.err == f"rxcheck: error: {boundaries}: {problem}\n"
 
     @pytest.mark.parametrize("entry, problem", [
         ('{"a": 1}', "missing key 'b', 'mu', 'nu'"),
         ("5", "expected an object with keys a, b, mu, nu, got 5"),
         ('{"a": "x", "b": 1, "mu": 0.05, "nu": 0.05}', "key 'a': expected a number, got 'x'"),
-        ('{"a": NaN, "b": 1, "mu": 0.05, "nu": 0.05}', "a and b must be finite and positive, got a=nan, b=1.0"),
+        ('{"a": 0, "b": 1, "mu": 0.05, "nu": 0.05}', "a and b must be finite and positive, got a=0.0, b=1.0"),
         ('{"a": 1, "b": 1, "mu": 0.05, "nu": 0.05, "nux": 0.05}', "unknown key 'nux'"),
     ])
     def test_malformed_params_entry_named_before_any_verdict(
@@ -608,7 +643,7 @@ class TestTrain:
             "--params", str(out / "params.json"),
         ])
         assert code == EX_FLAGGED
-        assert json.loads(capsys.readouterr().out.strip())["status"] == "Type1Flag"
+        assert [v["status"] for v in verdict_lines(capsys.readouterr().out)] == ["Type1Flag"]
 
 
 class TestSimulateEvaluateHist:
@@ -685,3 +720,83 @@ class TestSimulateEvaluateHist:
         masses = [float(line.split(",")[2]) for line in text.strip().split("\n")[1:]]
         assert abs(sum(masses) - 1.0) < 1e-9
         assert (out / "hist_feature_3D.csv").exists()
+
+
+class TestRunConfig:
+    """A run config (--config) fills each setting whose flag is not given."""
+
+    @pytest.fixture
+    def query(self, tmp_path):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        path = tmp_path / "query.csv"
+        write_records_csv(path, [records[0], swap_leading_digits(records[1])[0], records[2]])
+        return path
+
+    def test_boundary_flags_exclude_each_other(self, query, cohort_csv, params_json, tmp_path, capsys):
+        bounds = tmp_path / "bounds.json"
+        write_boundaries(bounds, table_preset())
+        assert run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), "--boundaries", str(bounds),
+                    "--quantile-boundaries", "0,1"]) == EX_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not allowed with argument --boundaries" in captured.err
+
+    @pytest.mark.parametrize("key", ["historical", "params", "boundaries", "out"])
+    def test_flag_beats_config(self, query, cohort_csv, params_json, tmp_path, key):
+        bounds = tmp_path / "bounds.json"
+        write_boundaries(bounds, table_preset())
+        out = tmp_path / "out"
+        flags = {"historical": cohort_csv, "params": params_json, "boundaries": bounds, "out": out}
+        argv = ["check", "--input", str(query)]
+        for name, value in flags.items():
+            argv += [f"--{name}", str(value)]
+        code = run(argv)
+        expected = (out / "verdicts.jsonl").read_text()
+        (out / "verdicts.jsonl").unlink()
+        # The config's value names nothing: read, it would stop the run (exit
+        # 66); as the out directory, it would be made.
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: str(tmp_path / "absent")}))
+        assert run([*argv, "--config", str(config)]) == code
+        assert (out / "verdicts.jsonl").read_text() == expected
+        assert not (tmp_path / "absent").exists()
+
+    def test_seed_flag_beats_config(self, cohort_csv, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": 1}))
+        forged = {}
+        for name, flags in {"flag": ["--seed", "9"], "both": ["--seed", "9", "--config", str(config)],
+                            "config": ["--config", str(config)]}.items():
+            out = tmp_path / name
+            assert run(["simulate", "--input", str(cohort_csv), "--out", str(out), *flags]) == EX_OK
+            forged[name] = (out / "sa_3D.csv").read_bytes()
+        assert forged["both"] == forged["flag"] != forged["config"]
+
+    def test_quantile_boundaries_replace_config_boundaries(
+        self, query, cohort_csv, params_json, tmp_path, capsys
+    ):
+        # A preset whose bounds no record meets: alone, it flags every record.
+        narrow = tmp_path / "narrow.json"
+        narrow.write_text(json.dumps({"techniques": {"3D": {
+            "min_bed": 0, "max_bed": 1, "min_fractions": 1, "max_fractions": 1,
+            "min_dose_per_fraction": 1, "max_dose_per_fraction": 1}}}))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"historical": str(cohort_csv), "params": str(params_json),
+                                      "boundaries": str(narrow)}))
+        check = ["check", "--input", str(query), "--config", str(config)]
+        assert run(check) == EX_FLAGGED
+        assert {v["status"] for v in verdict_lines(capsys.readouterr().out)} == {"RangeFlag"}
+
+        quantile = ["--quantile-boundaries", "0.005,0.995"]
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), *quantile])
+        expected = capsys.readouterr().out
+        assert {v["status"] for v in verdict_lines(expected)} != {"RangeFlag"}
+        assert run([*check, *quantile]) == code
+        assert capsys.readouterr().out == expected
+
+        # The config's preset is still read before the quantiles replace it.
+        config.write_text(json.dumps({"historical": str(cohort_csv), "params": str(params_json),
+                                      "boundaries": str(tmp_path / "absent.json")}))
+        assert run([*check, *quantile]) == EX_NOINPUT

@@ -331,7 +331,7 @@ class TestParamsIo:
     @pytest.mark.parametrize("value, problem", [
         ('"x"', "key 'a': expected a number, got 'x'"),
         ("null", "key 'a': expected a number, got None"),
-        ("NaN", "a and b must be finite and positive, got a=nan, b=1.0"),
+        ("0", "a and b must be finite and positive, got a=0.0, b=1.0"),
         pytest.param("1" + "0" * 400, "key 'a': 401-digit integer overflows a float", id="huge-integer"),
     ])
     def test_bad_value_named_with_file_and_technique(self, tmp_path, value, problem):
@@ -341,6 +341,19 @@ class TestParamsIo:
         with pytest.raises(MalformedParams) as raised:
             load_params_json(path)
         assert str(raised.value) == f"{path}: technique '3D': {problem}"
+
+    @pytest.mark.parametrize("value, problem", [
+        ("NaN", "NaN is not valid JSON"),
+        ("Infinity", "Infinity is not valid JSON"),
+        ("1e999", "1e999 overflows a float"),
+    ])
+    def test_non_finite_value_named_with_file(self, tmp_path, value, problem):
+        # Refused as the file is read, before any technique's entry.
+        path = tmp_path / "params.json"
+        path.write_text(f'{{"3D": {{"a": {value}, "b": 1, "mu": 0.05, "nu": 0.05}}}}')
+        with pytest.raises(ValueError) as raised:
+            load_params_json(path)
+        assert str(raised.value) == f"{path}: {problem}"
 
     def test_per_technique_and_flat(self, tmp_path):
         path = tmp_path / "params.json"

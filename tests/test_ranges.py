@@ -94,7 +94,9 @@ class TestTablePreset:
         (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_bed": True}}}),
          "technique 'SBRT': key 'min_bed': expected a number, got True"),
         (json.dumps({"techniques": {"SBRT": {**_SBRT, "max_dose_per_fraction": float("nan")}}}),
-         "technique 'SBRT': key 'max_dose_per_fraction': expected a number, got nan"),
+         "NaN is not valid JSON"),
+        (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_bed": -10 ** 400}}}),
+         "technique 'SBRT': key 'min_bed': 401-digit integer overflows a float"),
         (json.dumps({"techniques": {"SBRT": {**_SBRT, "min_fractions": 5, "max_fractions": 1}}}),
          "technique 'SBRT': key 'min_fractions' 5 exceeds key 'max_fractions' 1"),
         (json.dumps({"check_bed": "no", "techniques": {"SBRT": _SBRT}}),
@@ -108,7 +110,7 @@ class TestTablePreset:
         (json.dumps({"techniques": {"SBRT": {**_SBRT, "max_bedd": 9}}}),
          "technique 'SBRT': unknown key 'max_bedd'"),
     ], ids=["not-an-object", "no-techniques", "techniques-not-an-object", "entry-not-an-object", "missing-keys",
-            "string-bound", "null-bound", "bool-bound", "nan-bound", "inverted-bounds",
+            "string-bound", "null-bound", "bool-bound", "nan-bound", "huge-integer-bound", "inverted-bounds",
             "string-check-bed", "int-check-bed", "null-check-bed", "unknown-key", "unknown-entry-key"])
     def test_malformed_preset_named(self, tmp_path, text, problem):
         path = tmp_path / "bounds.json"

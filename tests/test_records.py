@@ -16,6 +16,8 @@ from rxcheck.records import (
     RecordTable,
     TreatmentRecord,
     default_schema,
+    json_object,
+    read_json,
     record_to_row,
     validate_record,
     write_csv,
@@ -140,6 +142,49 @@ class TestRecordTable:
         assert table != records[:2] and table != tuple(records)
         assert table.labels[0] is table.labels[2]
         assert RecordTable.of(table) is table
+
+
+class TestJson:
+    @pytest.mark.parametrize("text, problem", [
+        ('{"a": NaN}', "NaN is not valid JSON"),
+        ('[1, Infinity]', "Infinity is not valid JSON"),
+        ('{"a": {"b": -Infinity}}', "-Infinity is not valid JSON"),
+        ('[1e999]', "1e999 overflows a float"),
+        ('{"a": -1.5e400}', "-1.5e400 overflows a float"),
+    ])
+    def test_non_finite_number_named_with_the_file(self, tmp_path, text, problem):
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as raised:
+            read_json(path)
+        assert str(raised.value) == f"{path}: {problem}"
+
+    def test_finite_numbers_read_as_python_does(self):
+        assert read_json(io.StringIO('{"a": [1.5, -0.0, 1e308, 10]}')) == {"a": [1.5, -0.0, 1e308, 10]}
+
+    @pytest.mark.parametrize("value, kwargs, problem", [
+        ([1], {}, "f: expected an object, got [1]"),
+        ("x", {"expected": "a JSON object"}, "f: expected a JSON object, got 'x'"),
+        ({"c": 1, "d": 2}, {"names": "ab"}, "f: unknown key 'c'"),
+        ({"c": 1}, {"names": "ab", "what": "field"}, "f: unknown field 'c'"),
+        ({"c": 1}, {"names": "ab", "required": True}, "f: missing key 'a', 'b'"),
+        ({"b": 1, "c": 1}, {"names": "ab", "required": True}, "f: missing key 'a'"),
+    ])
+    def test_object_checks_name_the_first_fault(self, value, kwargs, problem):
+        with pytest.raises(ValueError) as raised:
+            json_object("f", value, **kwargs)
+        assert str(raised.value) == problem
+
+    def test_object_passes_through(self):
+        value = {"a": 1}
+        assert json_object("f", value, "ab") is value
+
+        class Malformed(ValueError):
+            pass
+
+        with pytest.raises(Malformed) as raised:
+            json_object("", value, "b", error=Malformed)
+        assert str(raised.value) == "unknown key 'a'"
 
 
 class TestPrescription:
