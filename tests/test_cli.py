@@ -486,6 +486,7 @@ class TestCheck:
         ('{"a": 1}', "missing key 'b', 'mu', 'nu'"),
         ("5", "expected an object with keys a, b, mu, nu, got 5"),
         ('{"a": "x", "b": 1, "mu": 0.05, "nu": 0.05}', "key 'a': expected a number, got 'x'"),
+        ('{"a": NaN, "b": 1, "mu": 0.05, "nu": 0.05}', "NaN is not valid JSON"),
         ('{"a": 0, "b": 1, "mu": 0.05, "nu": 0.05}', "a and b must be finite and positive, got a=0.0, b=1.0"),
         ('{"a": 1, "b": 1, "mu": 0.05, "nu": 0.05, "nux": 0.05}', "unknown key 'nux'"),
     ])
@@ -503,7 +504,10 @@ class TestCheck:
         assert code == EX_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"rxcheck: error: {params}: technique '3D': {problem}\n"
+        # NaN is not JSON: the file is refused as it is read, before any
+        # entry is looked at, so the message names the file alone.
+        where = "" if "NaN" in entry else "technique '3D': "
+        assert captured.err == f"rxcheck: error: {params}: {where}{problem}\n"
         assert not (out / "verdicts.jsonl").exists()
 
     def test_record_without_boundaries_does_not_abort_batch(
