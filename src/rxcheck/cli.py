@@ -25,11 +25,12 @@ from typing import Sequence
 
 from . import __version__
 from .detector import (
+    NonFiniteVerdict,
     detect,
     load_params_json,
     params_for_technique,
+    verdict_json,
     write_params_json,
-    write_verdicts_jsonl,
 )
 from .distance import (
     IncomparablePair,
@@ -63,7 +64,16 @@ from .ranges import (
     derive_boundaries,
     load_boundaries,
 )
-from .records import MODELED_TECHNIQUES, TreatmentRecord, json_object, read_json, write_csv, write_json, write_records_csv
+from .records import (
+    MODELED_TECHNIQUES,
+    TreatmentRecord,
+    json_object,
+    read_json,
+    text_stream,
+    write_csv,
+    write_json,
+    write_records_csv,
+)
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
 from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
@@ -351,8 +361,8 @@ def _cmd_check(args) -> int:
     for diagnostic in diagnostics:
         print(f"rxcheck: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
 
-    verdicts = []
-    errored = False
+    lines = []
+    errored = flagged = False
     for record in records:
         try:
             db = dbs.get(record.technique)
@@ -361,21 +371,22 @@ def _cmd_check(args) -> int:
                     f"no reference database for technique {record.technique!r}"
                 )
             params = params_for_technique(params_by_technique, record.technique)
-            verdicts.append(detect(record, db, params, boundaries))
-        except (UnsupportedTechnique, InsufficientNeighbors, OverflowError) as exc:
+            verdict = detect(record, db, params, boundaries)
+            lines.append(verdict_json(verdict))
+        except (UnsupportedTechnique, InsufficientNeighbors, NonFiniteVerdict, OverflowError) as exc:
             # args[0], not str(exc): UnsupportedTechnique is a KeyError,
             # whose str() quotes the message.
             reason = _too_large(record, exc) if isinstance(exc, OverflowError) else exc.args[0]
             print(f"rxcheck: record {record.record_id}: {reason}", file=sys.stderr)
             errored = True
+        else:
+            flagged = flagged or verdict.flagged
 
-    if args.out is None:
-        write_verdicts_jsonl(sys.stdout, verdicts)
-    else:
-        write_verdicts_jsonl(_out_dir(args) / "verdicts.jsonl", verdicts)
+    with text_stream(sys.stdout if args.out is None else _out_dir(args) / "verdicts.jsonl", "w") as handle:
+        handle.writelines(lines)
     if errored:
         return EX_ERROR
-    return EX_FLAGGED if any(v.flagged for v in verdicts) else EX_OK
+    return EX_FLAGGED if flagged else EX_OK
 
 
 def _too_large(record: TreatmentRecord, exc: OverflowError) -> str:

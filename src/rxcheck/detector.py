@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping, TYPE_CHECKING
+from typing import Mapping, TYPE_CHECKING
 
 from .distance import (
     WARN_RX_SCALED_OUT_OF_RANGE,  # noqa: F401 - one of the verdict warnings
@@ -22,7 +22,7 @@ from .distance import (
     query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, json_object, read_json, source_name, text_stream, write_json
+from .records import TreatmentRecord, json_object, read_json, source_name, write_json
 
 if TYPE_CHECKING:  # pragma: no cover
     from .ingest import HistoricalDB
@@ -83,6 +83,10 @@ class ModelParams:
             except OverflowError:
                 raise MalformedParams(f"key {key!r}: {len(str(value))}-digit integer overflows a float") from None
         return cls(**values)
+
+
+class NonFiniteVerdict(ValueError):
+    """A verdict holds a number that is not finite."""
 
 
 class MalformedParams(ValueError):
@@ -228,12 +232,17 @@ def verdict_to_dict(verdict: Verdict) -> dict:
     }
 
 
-def write_verdicts_jsonl(destination, verdicts: Iterable[Verdict]) -> None:
-    """One verdict_to_dict JSON object per line, to a path or an open handle."""
-    with text_stream(destination, "w") as handle:
-        for verdict in verdicts:
-            handle.write(json.dumps(verdict_to_dict(verdict), sort_keys=True))
-            handle.write("\n")
+def verdict_json(verdict: Verdict) -> str:
+    """verdict_to_dict as one line of strict JSON, with sorted keys and a
+    final newline. A number that is not finite, which strict JSON cannot
+    carry, raises NonFiniteVerdict naming it."""
+    payload = verdict_to_dict(verdict)
+    try:
+        return json.dumps(payload, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        named = [f"{key} = {payload[key]!r}" for key in ("R", "t_rx", "F", "t_f")
+                 if payload[key] is not None and not math.isfinite(payload[key])]
+        raise NonFiniteVerdict(f"{', '.join(named) or 'range_violations'}: not a finite number") from None
 
 
 def load_params_json(source) -> dict[str, ModelParams]:

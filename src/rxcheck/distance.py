@@ -20,17 +20,23 @@ rho, so the profile computes rho per row, U rows against S records, and
 ranks the rows; rows at exactly equal rho form a level. The prescription
 group sums the m smallest rho values from the rows' counts. The feature
 group walks the levels in rho order, computes Gower only for the records of
-the levels it reaches, drops the incomparable ones, orders each level's
-records by feature distance and input order, and stops once it holds n
-comparable records. A reference set encodes its features grouped by row:
-position p of its columns holds record rx_rows.members[p], so each row's
-records are one contiguous run. A walk step over one row reads every column
-as a slice, with no gather; a step over several rows gathers their runs.
-The walked comparable records, with their g, are cached on the profile and
-extended on demand: training profiles each record once and scores every
-parameter point from it. The walk is the only source of the feature group's
-members and their distances. A group mean depends only on its members'
-multiset, as math.fsum is correctly rounded.
+the levels it reaches, drops the incomparable ones and stops once it holds
+n comparable records; the walk does not sort. A reference set encodes its
+features grouped by row: position p of its columns holds record
+rx_rows.members[p], so each row's records are one contiguous run. A walk
+step over one row reads every column as a slice, with no gather; a step
+over several rows gathers their runs. Ranking is a second step, which
+selects before it sorts: the level of the n-th walked record is cut, the
+records below it all belong to the group, and of the cut level only those
+whose g is at most the value np.partition (introselect) finds at the
+remaining count do, ties at that value included. Only these are sorted by
+rho, g and input order, so a level of a thousand records costs one
+selection and a sort of the few dozen it gives up. The walked records and
+the ranked prefix are cached on the profile and extended on demand:
+training profiles each record once and scores every parameter point from
+it. The walk is the only source of the feature group's members and their
+distances. A group mean depends only on its members' multiset, as
+math.fsum is correctly rounded.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -492,12 +498,15 @@ class QueryProfile:
     level. The feature group's order ranks comparable records by rho, then
     g, then input order: it is the levels in rho order, each level's
     comparable records by (g, input order). The profile walks whole levels
-    into that order on demand, computing Gower only for the records of the
-    levels it reaches, and keeps the walked comparable records and their g
-    for the next caller. A step over a single row reads the reference's
-    row-grouped columns as slices; record indices into db.records come from
-    rx_rows.members. sorted_rho is every record's rho, ascending, from the
-    rows' counts.
+    on demand, computing Gower only for the records of the levels it
+    reaches, and keeps the walked comparable records with their g and rho,
+    in level order but unsorted within a level. nearest_comparable ranks a
+    prefix of them, at least twice as long as the last one: the records
+    below the level it cuts, and the cut level's records with g up to the
+    value np.partition selects, ties included; only these are sorted. A
+    step over a single row reads the reference's row-grouped columns as
+    slices; record indices into db.records come from rx_rows.members.
+    sorted_rho is every record's rho, ascending, from the rows' counts.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -523,8 +532,13 @@ class QueryProfile:
         self._counts = db.rx_rows.counts[self._rows]
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
-        self._comparable = np.empty(0, dtype=np.intp)
-        self._comparable_g = np.empty(0, dtype=np.float64)
+        # The walked comparable records in level order, and a prefix of the
+        # feature group's order ranked from them.
+        self._index = np.empty(0, dtype=np.intp)
+        self._g = np.empty(0, dtype=np.float64)
+        self._rho = np.empty(0, dtype=np.float64)
+        self._ranked_index = self._index
+        self._ranked_g = self._g
 
     @functools.cached_property
     def sorted_rho(self) -> np.ndarray:
@@ -535,9 +549,35 @@ class QueryProfile:
     def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The first k comparable reference records in the feature group's
         order and their g; all of them when the reference set has fewer."""
-        while len(self._comparable) < k and self._walked < len(self._rows):
-            self._walk(k - len(self._comparable))
-        return self._comparable[:k], self._comparable_g[:k]
+        # Training asks a profile for one group size after another: most
+        # calls find the ranked prefix long enough and only slice it.
+        if len(self._ranked_index) < k:
+            while len(self._index) < k and self._walked < len(self._rows):
+                self._walk(k - len(self._index))
+            ranked, walked = len(self._ranked_index), len(self._index)
+            if ranked < walked:
+                # At least twice the ranked prefix, so a profile reused over
+                # growing group sizes ranks a few times only.
+                self._rank(min(max(k, 2 * ranked), walked))
+        return self._ranked_index[:k], self._ranked_g[:k]
+
+    def _rank(self, t: int) -> None:
+        """Rank a prefix of at least t records of the feature group's order.
+
+        The prefix holds every walked record below the level of the t-th
+        one and, of that cut level, the records whose g is at most the value
+        np.partition puts at the remaining count; ties at that value come
+        in and are ordered by input order. Only these records are sorted."""
+        rho, g, index = self._rho, self._g, self._index
+        cut = rho[t - 1]
+        lo, hi = rho.searchsorted(cut), rho.searchsorted(cut, "right")
+        take = g[:hi] <= np.partition(g[lo:hi], t - lo - 1)[t - lo - 1]
+        take[:lo] = True
+        take = take.nonzero()[0]
+        # lexsort's last key is the primary one: levels in rho order, then g,
+        # then input order.
+        take = take[np.lexsort((index[take], g[take], rho[take]))]
+        self._ranked_index, self._ranked_g = index[take], g[take]
 
     def _walk(self, wanted: int) -> None:
         """Append whole levels until at least wanted more records are walked,
@@ -562,12 +602,9 @@ class QueryProfile:
         g = _gower(_against(self._features, positions), len(index))
         rho = np.repeat(self._level_rho[start:stop], counts)
         defined = ~np.isnan(g)
-        index, g, rho = index[defined], g[defined], rho[defined]
-        # lexsort's last key is the primary one: levels in rho order, then g,
-        # then input order.
-        ranked = np.lexsort((index, g, rho))
-        self._comparable = np.concatenate((self._comparable, index[ranked]))
-        self._comparable_g = np.concatenate((self._comparable_g, g[ranked]))
+        self._index = np.concatenate((self._index, index[defined]))
+        self._g = np.concatenate((self._g, g[defined]))
+        self._rho = np.concatenate((self._rho, rho[defined]))
         self._walked = stop
 
 

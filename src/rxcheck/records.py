@@ -511,10 +511,12 @@ def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], r
 
 
 def write_json(destination: str | os.PathLike | IO[str], payload) -> None:
-    """Write payload as JSON, indented by 2 with sorted keys, and a final
-    newline."""
+    """Write payload as strict JSON, indented by 2 with sorted keys, and a
+    final newline. A number that is not finite raises ValueError before
+    anything is written."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with text_stream(destination, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write(text)
         handle.write("\n")
 
 

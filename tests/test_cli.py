@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import math
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
+from rxcheck import cli
 from rxcheck.cli import EX_ERROR, EX_FLAGGED, EX_NOINPUT, EX_OK, EX_USAGE, run
 from rxcheck.detector import ModelParams, detect, verdict_to_dict, write_params_json
 from rxcheck.ingest import (
@@ -17,10 +25,20 @@ from rxcheck.ingest import (
     parse_dataset,
 )
 from rxcheck.ranges import Boundaries, table_preset, write_boundaries
-from rxcheck.records import write_records_csv
+from rxcheck.records import Prescription, TreatmentRecord, default_schema, validate_record, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
 from conftest import rec, records_csv_text
+from oracles import (
+    close,
+    oracle_closest_m,
+    oracle_closest_n,
+    oracle_filter,
+    oracle_normalize,
+    oracle_parse,
+    oracle_scale,
+    oracle_theta_tau,
+)
 from synth import make_cohort
 
 PARAMS = ModelParams(a=0.5, b=0.25, mu=0.05, nu=0.05)
@@ -253,6 +271,29 @@ class TestCheck:
         out = tmp_path / "verdicts"
         assert run(argv + ["--out", str(out)]) == EX_ERROR
         assert (out / "verdicts.jsonl").read_text() == captured.out
+
+    def test_non_finite_verdict_is_that_records_diagnostic(
+        self, cohort_csv, params_json, tmp_path, capsys, monkeypatch
+    ):
+        # No input is known to give a verdict a non-finite number, so detect
+        # is made to return one for the middle record.
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, records[:3])
+        argv = ["check", "--input", str(query_path),
+                "--historical", str(cohort_csv), "--params", str(params_json)]
+        assert run(argv) == EX_OK
+        finite = capsys.readouterr().out.splitlines(keepends=True)
+
+        def detect_inf(record, *args):
+            verdict = detect(record, *args)
+            return replace(verdict, r=math.inf) if record.record_id == records[1].record_id else verdict
+
+        monkeypatch.setattr(cli, "detect", detect_inf)
+        assert run(argv) == EX_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == finite[0] + finite[2]
+        assert captured.err == f"rxcheck: record {records[1].record_id}: R = inf: not a finite number\n"
 
     def test_record_without_model_does_not_abort_batch(
         self, cohort_csv, params_json, tmp_path, capsys
@@ -804,3 +845,174 @@ class TestRunConfig:
         config.write_text(json.dumps({"historical": str(cohort_csv), "params": str(params_json),
                                       "boundaries": str(tmp_path / "absent.json")}))
         assert run([*check, *quantile]) == EX_NOINPUT
+
+
+# ---------------------------------------------------------------------------
+# check against the oracles, end to end
+# ---------------------------------------------------------------------------
+
+_TECHNIQUE_LABELS = {"3D": ("3D", "3d", "3D-CRT"), "IMRT": ("IMRT", "vmat"), "SBRT": ("SBRT", "sbrt")}
+_RX_POOL = ((5, 400), (10, 300), (20, 200), (30, 180), (3, 1000), (25, 200))
+_ENERGY_LABELS = ("x06",) * 6 + ("6X", "x10", "X10", "x15", None, "x18")
+_INTENT_LABELS = (None, "curative", "Curative", "palliative")
+_ICD10_LABELS = ("C34.10",) * 6 + ("C34.1", "C15.9", "C61", None)
+_MORPHOLOGY_LABELS = (None, "80463", "81406")
+_AGES = (None, 45, 60, 60, 75, 60, 45, 130)
+_QUANTILES = ("0.05,0.95", "0,1", "0.2,0.8")
+
+
+@st.composite
+def _check_inputs(draw):
+    """(history CSV, batch CSV, params) for a check run. The history spans
+    two or three techniques, with label variants, missing cells, and rows the
+    cohort filter excludes: an energy or diagnosis off its whitelist, an
+    unmodeled technique, a dose mismatch, a re-plan, an age out of range.
+    Batch records may be of a technique without a reference set, miss every
+    feature, or hold a prescription the history lacks; a batch row may be
+    malformed."""
+    techniques = draw(st.lists(st.sampled_from(sorted(_TECHNIQUE_LABELS)), min_size=2, max_size=3, unique=True))
+    pool = draw(st.lists(st.sampled_from(_RX_POOL), min_size=1, max_size=4, unique=True))
+
+    def record(record_id, technique, rx, features=True):
+        fractions, dose = rx
+        total = fractions * dose + draw(st.sampled_from((0,) * 11 + (1,)))
+        accumulated = total + draw(st.sampled_from((0,) * 11 + (2000,)))
+        labels = [draw(st.sampled_from(choices)) if features else None
+                  for choices in (_ENERGY_LABELS, _INTENT_LABELS, _ICD10_LABELS, _MORPHOLOGY_LABELS)]
+        age = draw(st.sampled_from(_AGES)) if features else None
+        return TreatmentRecord(record_id, Prescription(fractions, dose, total, accumulated), technique, *labels, age)
+
+    def technique_label(extra=()):
+        return draw(st.sampled_from([label for t in techniques for label in _TECHNIQUE_LABELS[t]] + list(extra)))
+
+    history = [
+        record(f"P{draw(st.integers(0, 4))}/{k}", technique_label(("Brachy",)), draw(st.sampled_from(pool)))
+        for k in range(draw(st.integers(8, 40)))
+    ]
+    batch = [
+        record(f"Q{k}", technique_label(("SBRT", "Gamma")),
+               draw(st.sampled_from(pool + [(1, 5000), (40, 150), (0, 200)])), draw(st.integers(0, 5)) > 0)
+        for k in range(draw(st.integers(1, 6)))
+    ]
+    batch_csv = records_csv_text(batch)
+    if draw(st.booleans()):
+        batch_csv += "Q9,five,200,1000,1000,3D,x06,,C34.10,,\n"
+    params = ModelParams(
+        a=draw(st.floats(0.2, 3.0)), b=draw(st.floats(0.2, 3.0)),
+        mu=draw(st.floats(0.01, 0.1)), nu=draw(st.floats(0.01, 0.1)),
+    )
+    return records_csv_text(history), batch_csv, params, draw(st.sampled_from(_QUANTILES))
+
+
+def _oracle_quantile(values, q):
+    """numpy's default quantile (linear interpolation between the order
+    statistics around (len - 1) * q), in pure Python."""
+    ordered = sorted(values)
+    position = (len(ordered) - 1) * q
+    low = math.floor(position)
+    a, b = ordered[low], ordered[min(low + 1, len(ordered) - 1)]
+    t = position - low
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
+
+
+def _oracle_bed(fractions, dose):
+    return fractions * dose * (1.0 + dose / 1000.0)
+
+
+def _oracle_verdict(record, reference, params, quantile):
+    """What check prints for a record against its technique's kept history
+    records, by the oracles alone: the verdict's fields, or None where no
+    verdict exists (no reference set, or too few comparable records)."""
+    if reference is None:
+        return None
+    schema = default_schema().bind(reference)
+    theta, tau = oracle_theta_tau(reference, schema)
+    size = len(reference)
+    m, n = (max(1, math.floor(fraction * size + 0.5)) for fraction in (params.mu, params.nu))
+    t_rx, t_f = params.a * theta, params.b * tau
+    fs = [r.prescription.fractions for r in reference]
+    ds = [r.prescription.dose_per_fraction for r in reference]
+    p = record.prescription
+    warnings = [v.kind for v in validate_record(record)]
+    scaled = (oracle_scale(p.fractions, min(fs), max(fs)), oracle_scale(p.dose_per_fraction, min(ds), max(ds)))
+    if not all(0.0 <= value <= 1.0 for value in scaled):
+        warnings.append("RxScaledOutOfRange")
+    same = sum(r.rx == record.rx for r in reference)
+    r_value, _ = oracle_closest_m(record, reference, schema, m)
+    f_value = None
+    if r_value <= t_rx:
+        f_value, _ = oracle_closest_n(record, reference, schema, n)
+        if f_value is None:
+            return None
+        if same < n:
+            warnings.append("InsufficientSameRx")
+    violated = False
+    if quantile is not None:
+        low, high = (float(q) for q in quantile.split(","))
+        for value_of in (lambda f, d: f, lambda f, d: d, _oracle_bed):
+            values = [float(value_of(float(f), float(d))) for f, d in zip(fs, ds)]
+            value = value_of(p.fractions, p.dose_per_fraction)
+            violated |= not _oracle_quantile(values, low) <= value <= _oracle_quantile(values, high)
+    if violated:
+        status = "RangeFlag"
+    elif r_value > t_rx:
+        status = "Type1Flag"
+    else:
+        status = "Type2Flag" if f_value > t_f else "Pass"
+    # A sum that lands within the tolerance of its threshold, but not on it,
+    # may fall on either side of it in the program's summation order.
+    undecided = any(value is not None and value != limit and close(value, limit)
+                    for value, limit in ((r_value, t_rx), (f_value, t_f)))
+    return {"status": status, "R": r_value, "t_rx": t_rx, "F": f_value, "t_f": t_f,
+            "same_rx_count": same, "warnings": warnings, "undecided": undecided}
+
+
+_RECORD_LINE = re.compile(r"rxcheck: record (\S+): (.+)")
+
+
+@seed(20216)
+@settings(deadline=None, max_examples=60, database=None)
+@given(inputs=_check_inputs())
+def test_check_matches_the_oracle_chain(tmp_path_factory, inputs):
+    history_text, batch_text, params, quantile = inputs
+    work = tmp_path_factory.mktemp("check")
+    history, batch, params_path = work / "history.csv", work / "batch.csv", work / "params.json"
+    history.write_text(history_text)
+    batch.write_text(batch_text)
+    write_params_json(params_path, {"*": params})
+
+    config = CohortConfig()
+    kept, _ = oracle_filter(oracle_normalize(oracle_parse(history)[0], config.label_mappings)[0], config)
+    references = {technique: rows for technique, rows in kept.items() if len(rows) >= 2}
+    records, row_diagnostics = oracle_parse(batch)
+    records, _ = oracle_normalize(records, config.label_mappings)
+    for flags in ([], ["--quantile-boundaries", quantile]):
+        expected = {
+            r.record_id: _oracle_verdict(r, references.get(r.technique), params, quantile if flags else None)
+            for r in records
+        }
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            # Small histories often hold a single fraction count or dose.
+            warnings.filterwarnings("ignore", "degenerate prescription dimension")
+            code = run(["check", "--input", str(batch), "--historical", str(history),
+                        "--params", str(params_path), *flags])
+        verdicts = {v["record_id"]: v for v in verdict_lines(out.getvalue())}
+        lines = err.getvalue().splitlines()
+        assert sum(line.startswith("rxcheck: row ") for line in lines) == len(row_diagnostics)
+        unscored = [_RECORD_LINE.fullmatch(line).group(1) for line in lines if not line.startswith("rxcheck: row ")]
+        assert sorted(unscored + list(verdicts)) == sorted(expected)
+        assert all(expected[record_id] is None for record_id in unscored)
+        for record_id, got in verdicts.items():
+            want = expected[record_id]
+            assert want is not None
+            for key in ("R", "t_rx", "t_f"):
+                assert close(got[key], want[key])
+            assert got["same_rx_count"] == want["same_rx_count"]
+            if want["undecided"]:
+                continue
+            assert (got["status"], got["warnings"]) == (want["status"], want["warnings"])
+            assert (got["F"] is None) == (want["F"] is None)
+            assert got["F"] is None or close(got["F"], want["F"])
+        flagged = any(v["status"] != "Pass" for v in verdicts.values())
+        assert code == (EX_ERROR if unscored else EX_FLAGGED if flagged else EX_OK)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import io
 import json
 from types import SimpleNamespace
 
@@ -21,8 +20,8 @@ from rxcheck.detector import (
     load_params_json,
     params_for_technique,
     thresholds,
+    verdict_json,
     verdict_to_dict,
-    write_verdicts_jsonl,
 )
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import Boundaries, QuantityBounds, TechniqueBounds, UnsupportedTechnique
@@ -320,11 +319,11 @@ class TestExplainAndWire:
         verdict = detect(rec("q", 10, 200, energy="x06", intent="curative",
                              icd10="C34.10", morphology="80463", age_at_tx=62),
                          db, PARAMS)
-        buffer = io.StringIO()
-        write_verdicts_jsonl(buffer, [verdict, verdict])
-        lines = buffer.getvalue().strip().split("\n")
+        lines = (verdict_json(verdict) + verdict_json(verdict)).strip().split("\n")
         assert len(lines) == 2
         assert json.loads(lines[0])["record_id"] == "q"
+        # A finite verdict keeps the bytes of a plain json.dumps.
+        assert verdict_json(verdict) == json.dumps(verdict_to_dict(verdict), sort_keys=True) + "\n"
 
 
 class TestParamsIo:

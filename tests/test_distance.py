@@ -514,13 +514,13 @@ def test_build_over_int64_prescriptions_rejects_or_matches_oracle(records):
 
 
 @st.composite
-def _mirrored_references(draw):
+def _mirrored_references(draw, max_size=30, ages=st.integers(40, 90)):
     """A query at the centre of its reference set's scaled range, and
     records at prescriptions mirrored around it, so distinct prescriptions
     lie at exactly equal rho from the query. The half-widths are 0 (a
     degenerate dimension) or powers of two, so scaling and the differences
     to the centre are exact. Some records miss every feature, and so may the
-    query."""
+    query. Ages from a small pool make many records tie in g."""
     half_f, half_d = draw(st.tuples(*[st.sampled_from((0, 1, 2, 4, 8))] * 2))
     cf, cd = draw(st.tuples(st.integers(9, 40), st.integers(9, 40)))
     offsets = draw(st.lists(
@@ -531,7 +531,7 @@ def _mirrored_references(draw):
     })
     # The two corners pin the scaler's range with the query at its centre.
     prescriptions = [(cf - half_f, cd - half_d), (cf + half_f, cd + half_d)]
-    size = draw(st.integers(2, 30))
+    size = draw(st.integers(2, max_size))
     prescriptions += draw(st.lists(st.sampled_from(mirrored), min_size=size - 2, max_size=size - 2))
 
     def features():
@@ -542,7 +542,7 @@ def _mirrored_references(draw):
             intent=draw(st.none() | _INTENT),
             icd10=draw(st.none() | _ICD10),
             morphology=draw(st.none() | _MORPHOLOGY),
-            age_at_tx=draw(st.none() | st.integers(40, 90)),
+            age_at_tx=draw(st.none() | ages),
         )
 
     records = [rec(f"r{k}", f, d, **features()) for k, (f, d) in enumerate(prescriptions)]
@@ -587,6 +587,45 @@ def test_groups_over_equal_rho_levels_match_oracle(drawn, data):
     profile = query_profile(query, db)
     for m, n in sorted(pairs) + sorted(pairs, reverse=True):
         _assert_sizes_match_oracle(query, db, m, n, profile)
+
+
+def _oracle_feature_order(query, db):
+    """(rho, g, index) of every comparable reference record, sorted: the
+    feature group's order by brute force."""
+    records, schema = list(db.records), db.feature_schema
+    bounds = (db.rx_scaler.f_min, db.rx_scaler.f_max, db.rx_scaler.d_min, db.rx_scaler.d_max)
+    keyed = []
+    for index, record in enumerate(records):
+        g = oracle_gower(query, record, schema)
+        if g is not None:
+            keyed.append((oracle_rho(query.prescription, record.prescription, *bounds), g, index))
+    return sorted(keyed)
+
+
+@seed(20215)
+@settings(deadline=None, max_examples=100, database=None)
+@given(
+    drawn=st.sampled_from((st.just(60), st.sampled_from((50, 70)), st.integers(40, 90))).flatmap(
+        lambda ages: _mirrored_references(max_size=60, ages=ages)
+    ),
+    data=st.data(),
+)
+def test_nearest_comparable_is_a_prefix_of_the_brute_force_order(drawn, data):
+    # One profile answers group sizes in any order, below, at and beyond
+    # the comparable count, and ranks only part of the level it cuts.
+    query, records = drawn
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            return
+    expected = _oracle_feature_order(query, db)
+    profile = query_profile(query, db)
+    for k in data.draw(st.lists(st.integers(1, db.size + 2), min_size=1, max_size=8)):
+        take, g = profile.nearest_comparable(k)
+        assert take.tolist() == [index for _, _, index in expected[:k]]
+        assert all(close(got, want) for got, (_, want, _) in zip(g.tolist(), expected[:k]))
 
 
 def _assert_sizes_match_oracle(query, db, m, n, candidate):

@@ -21,6 +21,7 @@ from rxcheck.records import (
     record_to_row,
     validate_record,
     write_csv,
+    write_json,
 )
 
 from conftest import rec, records_csv_text
@@ -158,6 +159,13 @@ class TestJson:
         with pytest.raises(ValueError) as raised:
             read_json(path)
         assert str(raised.value) == f"{path}: {problem}"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_write_json_refuses_a_non_finite_number_and_writes_nothing(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, {"a": [1.0, value]})
+        assert not path.exists()
 
     def test_finite_numbers_read_as_python_does(self):
         assert read_json(io.StringIO('{"a": [1.5, -0.0, 1e308, 10]}')) == {"a": [1.5, -0.0, 1e308, 10]}
