@@ -14,8 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from rxcheck.evaluate import (
-    BEST_CASE,
-    WORST_CASE,
     LabeledPrediction,
     confusion,
     consensus_analysis,
@@ -35,8 +33,7 @@ for name, accuracy in (("md1", 0.85), ("md2", 0.70), ("md3", 0.78), ("model", 0.
     ]
 
 panel = {k: v for k, v in raters.items() if k != "model"}
-best, overlap = consensus_analysis(panel, BEST_CASE)
-worst, _ = consensus_analysis(panel, WORST_CASE)
+best, worst, overlap = consensus_analysis(panel)
 
 cms = {name: confusion(preds) for name, preds in raters.items()}
 cms["consensus-best"] = confusion(best)

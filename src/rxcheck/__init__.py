@@ -28,7 +28,6 @@ from .distance import (
     closest_n_feature_distance,
     gower_distance,
     pairwise_histograms,
-    query_profile,
     rx_distance,
     scale_rx,
 )
@@ -128,7 +127,6 @@ __all__ = [
     "normalize_dataset",
     "pairwise_histograms",
     "parse_dataset",
-    "query_profile",
     "rx_distance",
     "scale_rx",
     "search_parameters",

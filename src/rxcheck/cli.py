@@ -41,8 +41,6 @@ from .distance import (
     write_histogram_csv,
 )
 from .evaluate import (
-    BEST_CASE,
-    WORST_CASE,
     confusion,
     consensus_analysis,
     emit_report,
@@ -106,8 +104,8 @@ def _merge_run_config(args) -> None:
     """Give each run-config key that its flag left unset (None) on args the
     value --config sets; a key that is absent or null there stays None,
     except the seed, which is then 0. A payload that is not an object, an
-    unknown key, a path that is not a string or a seed that is not an
-    integer raises ValueError naming the file and the key."""
+    unknown key, a path that is not a string or a seed that is not a
+    non-negative integer raises ValueError naming the file and the key."""
     config = {}
     if args.config is not None:
         config = json_object(args.config, read_json(args.config), RUN_CONFIG_KEYS, expected="a JSON object")
@@ -116,6 +114,8 @@ def _merge_run_config(args) -> None:
         if value is not None and (isinstance(value, bool) or not isinstance(value, kind)):
             wanted = "an integer" if kind is int else "a string"
             raise ValueError(f"{args.config}: key {key!r}: expected {wanted}, got {value!r}")
+        if key == "seed" and value is not None and value < 0:
+            raise ValueError(f"{args.config}: key 'seed': must be at least 0, got {value}")
         if getattr(args, key, None) is None:
             setattr(args, key, value)
     if args.seed is None:
@@ -160,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--strategy", choices=("grid", "random", "adaptive"), default="adaptive")
     p.add_argument("--sn", type=at_least_0, default=20, help="holdout pool size")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--seed", type=at_least_0, default=None, help="master seed (default 0)")
     common(p)
 
     p = sub.add_parser("check", help="emit a verdict for each input record")
@@ -180,7 +180,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="forge simulated anomalies from a historical set")
     p.add_argument("--input", required=True, help="historical records CSV")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)
-    p.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
+    p.add_argument("--seed", type=at_least_0, default=None, help="master seed (default 0)")
     common(p)
 
     p = sub.add_parser("evaluate", help="score labeled predictions and write a report bundle")
@@ -443,8 +443,7 @@ def _cmd_evaluate(args) -> int:
     metrics = {source: macro_metrics(cm) for source, cm in cms.items()}
     venn = None
     if len(raters) >= 2:
-        best, venn = consensus_analysis(raters, BEST_CASE)
-        worst, _ = consensus_analysis(raters, WORST_CASE)
+        best, worst, venn = consensus_analysis(raters)
         for consolidated in (best, worst):
             source = consolidated[0].source
             cms[source] = confusion(consolidated)

@@ -19,7 +19,6 @@ from .distance import (
     QueryProfile,
     closest_m_rx_distance,
     closest_n_feature_distance,
-    query_profile,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
 from .records import TreatmentRecord, json_object, read_json, source_name, write_json
@@ -130,7 +129,8 @@ def detect(
     boundaries: Boundaries | None = None,
 ) -> Verdict:
     """Classify one record, given as is or as its QueryProfile against db,
-    against its technique's reference set.
+    against its technique's reference set. A profile built against another
+    reference set raises ValueError.
 
     The query profile is built first, then the range check. A range
     violation decides the status but not the diagnostics: distances are
@@ -140,8 +140,10 @@ def detect(
     verdict would carry an R that is not finite, which strict JSON cannot
     hold. Pure and deterministic for identical inputs.
     """
-    profile = query_profile(query, db)
+    profile = query if isinstance(query, QueryProfile) else QueryProfile(query, db)
     record = profile.record
+    if profile.db is not db:
+        raise ValueError(f"profile of record {record.record_id!r} was built against another reference set")
     if record.technique != db.technique:
         raise UnsupportedTechnique(
             f"record technique {record.technique!r} does not match reference {db.technique!r}"
@@ -152,10 +154,10 @@ def detect(
     violations = tuple(check_range(record, boundaries)) if boundaries else ()
 
     warnings = list(profile.warnings)
-    r = closest_m_rx_distance(profile, db, m)
+    r = closest_m_rx_distance(profile, m)
     f = None
     if r <= t_rx:
-        f = closest_n_feature_distance(profile, db, n)
+        f = closest_n_feature_distance(profile, n)
         if profile.same_rx_count < n:
             # The feature group was filled beyond the same-prescription records.
             warnings.append(WARN_INSUFFICIENT_SAME_RX)

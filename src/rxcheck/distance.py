@@ -15,6 +15,8 @@ exact prescription are consumed before more distant prescriptions.
 
 A QueryProfile holds what a query needs against one reference set that the
 detector's parameters do not change, without sorting the reference set.
+Both group distances take a profile, never a record, and read the reference
+set from it; the detector builds the profile of a record it is given.
 Every record of one distinct scaled prescription (row) lies at the same
 rho, so the profile computes rho per row, U rows against S records, and
 ranks the rows; rows at exactly equal rho form a level. The prescription
@@ -68,7 +70,6 @@ mask is added to the numerator, and the mask to the denominator.
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -488,8 +489,10 @@ class QueryProfile:
     warnings are the record's validate_record violation kinds, then
     RxScaledOutOfRange when its prescription scales outside [0, 1].
     same_rx_count is the number of reference records with its exact
-    prescription. Build it with query_profile and reuse it for every group
-    size and threshold. A record at a prescription distance too large for a
+    prescription. Build it once per record and reference set and reuse it
+    for every group size and threshold: closest_m_rx_distance and
+    closest_n_feature_distance take it and read the reference set from
+    its db. A record at a prescription distance too large for a
     float raises RxDistanceOverflow.
 
     The profile does not sort the S reference records. It holds rho to each
@@ -506,7 +509,8 @@ class QueryProfile:
     value np.partition selects, ties included; only these are sorted. A
     step over a single row reads the reference's row-grouped columns as
     slices; record indices into db.records come from rx_rows.members.
-    sorted_rho is every record's rho, ascending, from the rows' counts.
+    sorted_rho is every record's rho, ascending, from the rows' counts;
+    every verdict reads it, so the constructor builds it.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -530,6 +534,7 @@ class QueryProfile:
         if self._level_rho[-1] == math.inf:
             raise RxDistanceOverflow(f"record {record.record_id!r}: prescription distance overflows a float")
         self._counts = db.rx_rows.counts[self._rows]
+        self.sorted_rho = np.repeat(self._level_rho, self._counts)
         self._cumulative = np.cumsum(self._counts)
         self._walked = 0                                # rows walked, at a level end
         # The walked comparable records in level order, and a prefix of the
@@ -539,12 +544,6 @@ class QueryProfile:
         self._rho = np.empty(0, dtype=np.float64)
         self._ranked_index = self._index
         self._ranked_g = self._g
-
-    @functools.cached_property
-    def sorted_rho(self) -> np.ndarray:
-        """Every reference record's prescription distance, ascending: each
-        row's rho once per record, rows in rho order."""
-        return np.repeat(self._level_rho, self._counts)
 
     def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The first k comparable reference records in the feature group's
@@ -608,37 +607,27 @@ class QueryProfile:
         self._walked = stop
 
 
-def query_profile(query: TreatmentRecord | QueryProfile, db: "HistoricalDB") -> QueryProfile:
-    """The profile of a record against db; a profile of db is returned as is."""
-    if isinstance(query, QueryProfile):
-        if query.db is not db:
-            raise ValueError(
-                f"profile of record {query.record.record_id!r} was built against another reference set"
-            )
-        return query
-    return QueryProfile(query, db)
-
-
-def closest_m_rx_distance(query: TreatmentRecord | QueryProfile, db: "HistoricalDB", m: int) -> float:
-    """Mean prescription distance over the m nearest reference records."""
-    size = db.size
+def closest_m_rx_distance(profile: QueryProfile, m: int) -> float:
+    """Mean prescription distance over the m nearest records of profile.db."""
+    size = profile.db.size
     if not 1 <= m <= size:
         raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
-    return math.fsum(query_profile(query, db).sorted_rho[:m].tolist()) / m
+    return math.fsum(profile.sorted_rho[:m].tolist()) / m
 
 
-def closest_n_feature_distance(query: TreatmentRecord | QueryProfile, db: "HistoricalDB", n: int) -> float:
-    """Mean feature distance over the n closest-prescription reference records.
+def closest_n_feature_distance(profile: QueryProfile, n: int) -> float:
+    """Mean feature distance over the n closest-prescription records of
+    profile.db.
 
     Candidates sort by prescription distance, then feature distance, then
     stable input order; incomparable candidates are skipped. When fewer than
     n reference records share the query's exact prescription, the group is
     filled from the next-closest prescriptions.
     """
-    size = db.size
+    size = profile.db.size
     if not 1 <= n <= size:
         raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
-    take, g = query_profile(query, db).nearest_comparable(n)
+    take, g = profile.nearest_comparable(n)
     if len(take) < n:
         raise InsufficientNeighbors(
             f"only {len(take)} comparable reference records for n={n}"

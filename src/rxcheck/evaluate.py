@@ -10,9 +10,6 @@ from typing import Mapping, Sequence
 
 from .records import source_name, text_stream, write_csv, write_json
 
-BEST_CASE = "BestCase"
-WORST_CASE = "WorstCase"
-
 
 class MismatchedRecords(ValueError):
     """Raters do not cover the same record set with consistent truth labels."""
@@ -106,19 +103,17 @@ def macro_metrics(cm: ConfusionMatrix) -> MacroMetrics:
 
 def consensus_analysis(
     raters: Mapping[str, Sequence[LabeledPrediction]],
-    mode: str,
-) -> tuple[list[LabeledPrediction], dict[str, int]]:
-    """Consolidate >= 2 raters into a best- or worst-case consensus, with
-    the record count of each Venn-style region, keys sorted.
+) -> tuple[list[LabeledPrediction], list[LabeledPrediction], dict[str, int]]:
+    """Consolidate >= 2 raters into (best, worst, regions): the best- and
+    worst-case consensus, each sorted by record id, and the record count of
+    each Venn-style region, keys sorted.
 
-    BestCase: the consensus is correct on a record iff any rater was correct.
-    WorstCase: the consensus is incorrect iff any rater was wrong.
+    Best case (source consensus-best): correct on a record iff any rater was
+    correct. Worst case (consensus-worst): incorrect iff any rater was wrong.
     A region's sets are raters' flagged records and the ground-truth anomaly
     set; its key joins their names with '&' (raters sorted, then 'truth'),
     and records in no set count under 'none'.
     """
-    if mode not in (BEST_CASE, WORST_CASE):
-        raise ValueError(f"mode must be {BEST_CASE!r} or {WORST_CASE!r}")
     if len(raters) < 2:
         raise MismatchedRecords("consensus needs at least two raters")
 
@@ -137,20 +132,17 @@ def consensus_analysis(
         if len(truths) > 1:
             raise MismatchedRecords(f"inconsistent truth for record {record_id!r}")
 
-    label = "consensus-best" if mode == BEST_CASE else "consensus-worst"
-    consensus: list[LabeledPrediction] = []
+    best: list[LabeledPrediction] = []
+    worst: list[LabeledPrediction] = []
     for record_id in sorted(by_record):
         per_source = by_record[record_id]
         truth = next(iter(per_source.values())).truth
         any_correct = any(p.correct for p in per_source.values())
         any_wrong = any(not p.correct for p in per_source.values())
-        if mode == BEST_CASE:
-            prediction = truth if any_correct else 1 - truth
-        else:
-            prediction = 1 - truth if any_wrong else truth
-        consensus.append(LabeledPrediction(record_id, truth, prediction, label))
+        best.append(LabeledPrediction(record_id, truth, truth if any_correct else 1 - truth, "consensus-best"))
+        worst.append(LabeledPrediction(record_id, truth, 1 - truth if any_wrong else truth, "consensus-worst"))
 
-    return consensus, _region_counts(raters, by_record)
+    return best, worst, _region_counts(raters, by_record)
 
 
 def _region_counts(raters, by_record) -> dict[str, int]:
@@ -227,8 +219,9 @@ def emit_report(
 def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction]]:
     """Read rater predictions (columns record_id, truth, prediction, source),
     grouped by source. A missing column raises ValueError naming the file; a
-    truth or prediction cell that is not the integer 0 or 1 raises ValueError
-    naming the file, the data row (1-based, header excluded) and the column."""
+    record_id or source cell that a short row lacks, or a truth or
+    prediction cell that is not the integer 0 or 1, raises ValueError naming
+    the file, the data row (1-based, header excluded) and the column."""
     grouped: dict[str, list[LabeledPrediction]] = {}
     name = source_name(source)
     with text_stream(source) as handle:
@@ -239,13 +232,20 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
         for number, row in enumerate(reader, start=1):
             where = f"{name}: row {number}"
             prediction = LabeledPrediction(
-                record_id=row["record_id"],
+                record_id=_present_cell(row, "record_id", where),
                 truth=_binary_cell(row, "truth", where),
                 prediction=_binary_cell(row, "prediction", where),
-                source=row["source"],
+                source=_present_cell(row, "source", where),
             )
             grouped.setdefault(prediction.source, []).append(prediction)
     return grouped
+
+
+def _present_cell(row: Mapping[str, str | None], column: str, where: str) -> str:
+    cell = row[column]
+    if cell is None:  # a short row
+        raise ValueError(f"{where}: column {column!r}: missing cell")
+    return cell
 
 
 def _binary_cell(row: Mapping[str, str | None], column: str, where: str) -> int:

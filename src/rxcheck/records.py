@@ -411,7 +411,10 @@ class RecordTable(Sequence[TreatmentRecord]):
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __getitem__(self, index: int) -> TreatmentRecord:
+    def __getitem__(self, index: int | slice) -> "TreatmentRecord | RecordTable":
+        """The record at an int index, or a table of the rows a slice takes."""
+        if isinstance(index, slice):
+            return RecordTable(self.ids[index], self.prescriptions[index], self.labels[index], self.ages[index])
         return TreatmentRecord(self.ids[index], self.prescriptions[index], *self.labels[index], self.ages[index])
 
     def __iter__(self) -> Iterator[TreatmentRecord]:

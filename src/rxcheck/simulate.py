@@ -46,8 +46,9 @@ class DegenerateSwap(ValueError):
 
 class InvalidMutation(ValueError):
     """A feature update named a prescription field or an unknown feature, a
-    drawn feature had no replacement value, or a generation request named an
-    unknown kind or a negative count."""
+    drawn feature is missing on every reference record or had no replacement
+    value, or a generation request named an unknown kind or a negative
+    count."""
 
 
 class GenerationExhausted(RuntimeError):
@@ -233,11 +234,13 @@ def _mutate(kind, base, db, rng):
         return swap_leading_digits(base)
     n_fields = int(rng.integers(1, 3))
     schema = db.feature_schema.features
-    features = [schema[i] for i in rng.choice(len(schema), size=n_fields, replace=False)]
-    # A field with no bound values drops the candidate before any value is drawn.
-    for feature in features:
-        if not (feature.value_range if feature.kind == NUMERIC else feature.vocabulary):
-            raise InvalidMutation(f"feature {feature.name!r} has no bound values")
+    picked = rng.choice(len(schema), size=n_fields, replace=False)
+    # A feature that no reference record has drops the candidate before any
+    # value is drawn: no reference record could be compared on its new value.
+    for i in picked:
+        if not db.encoded.columns[i].present.any():
+            raise InvalidMutation(f"feature {schema[i].name!r} is missing on every reference record")
+    features = [schema[i] for i in picked]
     return mutate_features(
         base, {feature.name: _draw(feature, getattr(base, feature.name), rng) for feature in features}
     )

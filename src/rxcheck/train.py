@@ -20,7 +20,7 @@ from typing import IO, Sequence, TYPE_CHECKING
 import numpy as np
 
 from .detector import ModelParams, detect
-from .distance import InsufficientData, QueryProfile, query_profile
+from .distance import InsufficientData, QueryProfile
 from .records import TreatmentRecord, write_csv
 from .seeding import substream
 from .simulate import SimulatedAnomaly
@@ -159,8 +159,8 @@ def search_parameters(
     """
     # The distances and neighbour order of a record do not depend on the
     # parameters: compute them once for the whole search.
-    pool_profiles = [query_profile(record, reference_db) for record in holdout_pool]
-    sa_profiles = [query_profile(sa.mutated, reference_db) for sa in sa_set]
+    pool_profiles = [QueryProfile(record, reference_db) for record in holdout_pool]
+    sa_profiles = [QueryProfile(sa.mutated, reference_db) for sa in sa_set]
 
     def evaluate(params: ModelParams) -> TraceEntry:
         mean, std = f1_objective(

@@ -118,6 +118,8 @@ class TestExitCodes:
         ["hist", "--bin-width", "-0.1"],
         ["hist", "--bin-width", "nan"],
         ["hist", "--bin-width", "inf"],
+        ["train", "--seed", "-1"],
+        ["simulate", "--seed", "-1"],
     ])
     def test_out_of_range_numbers_are_usage_errors(self, argv, tmp_path, capsys):
         # Rejected before any input is read: the input file does not exist,
@@ -706,8 +708,9 @@ class TestSimulateEvaluateHist:
         ('{"historicl": "history.csv"}', "unknown key 'historicl'"),
         ('{"seed": "abc"}', "key 'seed': expected an integer, got 'abc'"),
         ('{"seed": true}', "key 'seed': expected an integer, got True"),
+        ('{"seed": -1}', "key 'seed': must be at least 0, got -1"),
         ('{"out": 5}', "key 'out': expected a string, got 5"),
-    ], ids=["array", "misspelled-key", "string-seed", "boolean-seed", "number-path"])
+    ], ids=["array", "misspelled-key", "string-seed", "boolean-seed", "negative-seed", "number-path"])
     def test_malformed_run_config_named(self, cohort_csv, tmp_path, capsys, text, problem):
         config = tmp_path / "run.json"
         config.write_text(text)

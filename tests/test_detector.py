@@ -25,7 +25,7 @@ from rxcheck.detector import (
 )
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import Boundaries, QuantityBounds, TechniqueBounds, UnsupportedTechnique
-from rxcheck.distance import query_profile
+from rxcheck.distance import QueryProfile
 from rxcheck.records import DOSE_MISMATCH, REPLAN_SUSPECT, RX_TOO_LARGE
 
 from conftest import rec, random_db, random_record
@@ -220,7 +220,7 @@ class TestDecisionLogic:
                      energy="x06", intent="curative", icd10="C34.10",
                      morphology="80463", age_at_tx=62)
         expected = (DOSE_MISMATCH, REPLAN_SUSPECT, WARN_RX_SCALED_OUT_OF_RANGE)
-        profile = query_profile(record, db)
+        profile = QueryProfile(record, db)
         assert profile.warnings == expected
         params = ModelParams(a=50.0, b=0.5, mu=0.1, nu=0.1)
         for query in (record, profile):

@@ -14,6 +14,7 @@ from rxcheck.detector import WARN_INSUFFICIENT_SAME_RX, ModelParams, detect, ver
 from rxcheck.distance import (
     IncomparablePair,
     InsufficientNeighbors,
+    QueryProfile,
     RxScaler,
     ScaledRx,
     _edges,
@@ -25,7 +26,6 @@ from rxcheck.distance import (
     gower_distance,
     pairwise_histograms,
     pairwise_means,
-    query_profile,
     rx_distance,
     scale_rx,
     scaled_rx_arrays,
@@ -191,14 +191,14 @@ class TestGowerDistance:
 
 class TestClosestGroups:
     def test_r_zero_when_rx_occurs_m_times(self, small_db):
-        query = small_db.records[0]
-        assert closest_m_rx_distance(query, small_db, 4) == 0.0
+        profile = QueryProfile(small_db.records[0], small_db)
+        assert closest_m_rx_distance(profile, 4) == 0.0
         # two profiles share (10, 200)
-        assert query_profile(query, small_db).same_rx_count == 8
+        assert profile.same_rx_count == 8
 
     def test_r_full_set_mean(self, small_db):
         query = small_db.records[0]
-        result = closest_m_rx_distance(query, small_db, small_db.size)
+        result = closest_m_rx_distance(QueryProfile(query, small_db), small_db.size)
         rhos = []
         from oracles import _ranked
 
@@ -209,8 +209,8 @@ class TestClosestGroups:
     def test_r_nondecreasing_in_m(self, small_db):
         query = rec("q", 12, 250, energy="x06", intent="curative",
                     icd10="C34.10", morphology="80463", age_at_tx=61)
-        values = [closest_m_rx_distance(query, small_db, m)
-                  for m in range(1, small_db.size + 1)]
+        profile = QueryProfile(query, small_db)
+        values = [closest_m_rx_distance(profile, m) for m in range(1, small_db.size + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
     def test_f_zero_when_identical_to_n_records(self):
@@ -223,7 +223,7 @@ class TestClosestGroups:
         db = build_historical_db(twins + others)
         query = rec("q", 10, 200, energy="x06", intent="curative",
                     icd10="C34.10", morphology="80463", age_at_tx=60)
-        assert closest_n_feature_distance(query, db, 3) == 0.0
+        assert closest_n_feature_distance(QueryProfile(query, db), 3) == 0.0
 
     # nu = 0.1 of 12 records rounds to n = 1; a = 100 lets R pass, so F runs.
     FEATURE_STEP = ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1)
@@ -244,23 +244,23 @@ class TestClosestGroups:
         assert WARN_INSUFFICIENT_SAME_RX not in verdict.warnings
 
     def test_group_bounds_validated(self, small_db):
-        query = small_db.records[0]
+        profile = QueryProfile(small_db.records[0], small_db)
         with pytest.raises(InsufficientNeighbors):
-            closest_m_rx_distance(query, small_db, 0)
+            closest_m_rx_distance(profile, 0)
         with pytest.raises(InsufficientNeighbors):
-            closest_m_rx_distance(query, small_db, small_db.size + 1)
+            closest_m_rx_distance(profile, small_db.size + 1)
         with pytest.raises(InsufficientNeighbors):
-            closest_n_feature_distance(query, small_db, small_db.size + 1)
+            closest_n_feature_distance(profile, small_db.size + 1)
 
     def test_members_match_value(self, small_db):
         query = rec("q", 11, 210, energy="x15", intent="palliative",
                     icd10="C34.90", morphology="81406", age_at_tx=71)
-        profile = query_profile(query, small_db)
-        r = closest_m_rx_distance(query, small_db, 5)
+        profile = QueryProfile(query, small_db)
+        r = closest_m_rx_distance(QueryProfile(query, small_db), 5)
         assert close(r, sum(profile.sorted_rho[:5].tolist()) / 5)
         take, g = profile.nearest_comparable(5)
         assert len(take) == 5
-        assert close(closest_n_feature_distance(query, small_db, 5), sum(g.tolist()) / 5)
+        assert close(closest_n_feature_distance(QueryProfile(query, small_db), 5), sum(g.tolist()) / 5)
 
     def test_matches_oracle_on_random_dbs(self):
         rng = np.random.default_rng(8)
@@ -298,16 +298,17 @@ class TestClosestGroups:
             db = build_historical_db(records)
         query = records[0]
         same = db.rx_index[query.rx]
-        values = [closest_n_feature_distance(query, db, n) for n in range(1, same + 1)]
+        values = [closest_n_feature_distance(QueryProfile(query, db), n) for n in range(1, same + 1)]
         assert all(values[k] <= values[k + 1] + 1e-15 for k in range(len(values) - 1))
 
 
-def _assert_groups_match_oracle(rng, db, query, candidate=None):
-    # candidate is what the group functions get: the query or its profile.
-    candidate = query if candidate is None else candidate
+def _assert_groups_match_oracle(rng, db, query, profile=None):
+    # profile is what the group functions get: a fresh one by default, or
+    # one reused across calls.
+    profile = QueryProfile(query, db) if profile is None else profile
     m = int(rng.integers(1, db.size + 1))
     n = int(rng.integers(1, db.size + 1))
-    _assert_sizes_match_oracle(query, db, m, n, candidate)
+    _assert_sizes_match_oracle(query, db, m, n, profile)
 
 
 def _assert_members_match_oracle(query, db, profile, n, ids):
@@ -336,7 +337,7 @@ class TestQueryProfile:
         for db in dbs:
             for k in range(3):
                 query = random_record(rng, 900 + k)
-                profile = query_profile(query, db)
+                profile = QueryProfile(query, db)
                 for _ in range(4):
                     params = ModelParams(
                         a=float(rng.uniform(0.05, 3.0)), b=float(rng.uniform(0.05, 3.0)),
@@ -350,23 +351,27 @@ class TestQueryProfile:
         rng = np.random.default_rng(17)
         db = random_db(rng, 40)
         query = rec("blank", 12, 300)
-        profile = query_profile(query, db)
+        profile = QueryProfile(query, db)
         assert len(profile.nearest_comparable(db.size)[0]) == 0
         for candidate in (query, profile):
+            # detect takes either; the group functions take a profile, a
+            # fresh one for the record.
+            given = profile if candidate is profile else QueryProfile(query, db)
             expected, _ = oracle_closest_m(query, list(db.records), db.feature_schema, 5)
-            assert close(closest_m_rx_distance(candidate, db, 5), expected)
+            assert close(closest_m_rx_distance(given, 5), expected)
             with pytest.raises(InsufficientNeighbors):
-                closest_n_feature_distance(candidate, db, 1)
+                closest_n_feature_distance(given, 1)
             with pytest.raises(InsufficientNeighbors):
                 detect(candidate, db, ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1))
 
     def test_profile_of_another_reference_rejected(self):
         rng = np.random.default_rng(18)
         db, other = random_db(rng, 10), random_db(rng, 10)
-        profile = query_profile(random_record(rng, 900), db)
-        assert query_profile(profile, db) is profile
-        with pytest.raises(ValueError):
-            closest_m_rx_distance(profile, other, 1)
+        profile = QueryProfile(random_record(rng, 900), db)
+        params = ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1)
+        assert _outcome(profile, db, params) == _outcome(profile.record, db, params)
+        with pytest.raises(ValueError, match="another reference set"):
+            detect(profile, other, params)
 
 
 def _outcome(query, db, params):
@@ -581,10 +586,10 @@ def test_groups_over_equal_rho_levels_match_oracle(drawn, data):
         st.tuples(st.sampled_from(sizes), st.sampled_from(sizes)), min_size=1, max_size=6
     ))
     for m, n in pairs:
-        _assert_sizes_match_oracle(query, db, m, n, query)
+        _assert_sizes_match_oracle(query, db, m, n, QueryProfile(query, db))
     # One profile reused over growing and then shrinking group sizes, as the
     # search reuses it, extends its walked prefix and reads it back.
-    profile = query_profile(query, db)
+    profile = QueryProfile(query, db)
     for m, n in sorted(pairs) + sorted(pairs, reverse=True):
         _assert_sizes_match_oracle(query, db, m, n, profile)
 
@@ -621,24 +626,24 @@ def test_nearest_comparable_is_a_prefix_of_the_brute_force_order(drawn, data):
         except IncomparablePair:
             return
     expected = _oracle_feature_order(query, db)
-    profile = query_profile(query, db)
+    profile = QueryProfile(query, db)
     for k in data.draw(st.lists(st.integers(1, db.size + 2), min_size=1, max_size=8)):
         take, g = profile.nearest_comparable(k)
         assert take.tolist() == [index for _, _, index in expected[:k]]
         assert all(close(got, want) for got, (_, want, _) in zip(g.tolist(), expected[:k]))
 
 
-def _assert_sizes_match_oracle(query, db, m, n, candidate):
+def _assert_sizes_match_oracle(query, db, m, n, profile):
     records, schema = list(db.records), db.feature_schema
     expected, _ = oracle_closest_m(query, records, schema, m)
-    assert close(closest_m_rx_distance(candidate, db, m), expected)
+    assert close(closest_m_rx_distance(profile, m), expected)
     expected_f, ids_f = oracle_closest_n(query, records, schema, n)
     if expected_f is None:
         with pytest.raises(InsufficientNeighbors):
-            closest_n_feature_distance(candidate, db, n)
+            closest_n_feature_distance(profile, n)
     else:
-        assert close(closest_n_feature_distance(candidate, db, n), expected_f)
-        _assert_members_match_oracle(query, db, query_profile(candidate, db), n, ids_f)
+        assert close(closest_n_feature_distance(profile, n), expected_f)
+        _assert_members_match_oracle(query, db, profile, n, ids_f)
 
 
 def _r_f_status(query, db, params):
@@ -723,7 +728,7 @@ def test_array_gower_equals_scalar_gower_exactly(records, data):
             return
     assert db.feature_schema == schema
     for query in data.draw(st.lists(_kernel_queries(records), min_size=1, max_size=4)):
-        index, g = query_profile(query, db).nearest_comparable(db.size)
+        index, g = QueryProfile(query, db).nearest_comparable(db.size)
         scalar = [_gower_or_nan(query, r, schema) for r in db.records]
         assert sorted(index.tolist()) == [i for i, value in enumerate(scalar) if not math.isnan(value)]
         assert g.tolist() == [scalar[i] for i in index.tolist()]
@@ -752,7 +757,7 @@ def test_row_grouped_layout_keeps_build_outputs_and_record_indices():
     queries = [at_regimen(random_record(rng, 900 + k)) for k in range(10)]
     queries += [random_record(rng, 950 + k) for k in range(10)]
     for query in queries:
-        profile = query_profile(query, db)
+        profile = QueryProfile(query, db)
         for k in (1, 60, db.size):
             index, g = profile.nearest_comparable(k)
             assert g.tolist() == [

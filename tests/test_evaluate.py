@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from rxcheck.evaluate import (
-    BEST_CASE,
-    WORST_CASE,
     ConfusionMatrix,
     LabeledPrediction,
     MismatchedRecords,
@@ -107,15 +105,14 @@ class TestConsensus:
             "md1": preds("md1", truths, truths),
             "md2": preds("md2", truths, [0, 1, 0, 1, 0]),
         }
-        best, _ = consensus_analysis(raters, BEST_CASE)
+        best, _, _ = consensus_analysis(raters)
         assert all(p.correct for p in best)
 
     def test_two_identical_raters(self):
         truths = [1, 0, 1, 0]
         votes = [1, 1, 0, 0]
         raters = {"a": preds("a", truths, votes), "b": preds("b", truths, votes)}
-        best, _ = consensus_analysis(raters, BEST_CASE)
-        worst, _ = consensus_analysis(raters, WORST_CASE)
+        best, worst, _ = consensus_analysis(raters)
         assert [p.prediction for p in best] == votes
         assert [p.prediction for p in worst] == votes
 
@@ -123,8 +120,7 @@ class TestConsensus:
         rng = np.random.default_rng(32)
         truths = [1] * 17 + [0] * 30
         raters = {f"md{k}": random_rater(rng, truths, f"md{k}") for k in range(3)}
-        best, _ = consensus_analysis(raters, BEST_CASE)
-        worst, _ = consensus_analysis(raters, WORST_CASE)
+        best, worst, _ = consensus_analysis(raters)
         accuracies = [
             sum(p.correct for p in r) / len(r) for r in raters.values()
         ]
@@ -137,8 +133,7 @@ class TestConsensus:
         rng = np.random.default_rng(33)
         truths = [int(rng.integers(0, 2)) for _ in range(30)]
         raters = {f"md{k}": random_rater(rng, truths, f"md{k}") for k in range(3)}
-        best, _ = consensus_analysis(raters, BEST_CASE)
-        worst, _ = consensus_analysis(raters, WORST_CASE)
+        best, worst, _ = consensus_analysis(raters)
         error_sets = [
             {p.record_id for p in r if not p.correct} for r in raters.values()
         ]
@@ -154,7 +149,7 @@ class TestConsensus:
                   LabeledPrediction("r1", 0, 0, "b")],
         }
         with pytest.raises(MismatchedRecords):
-            consensus_analysis(raters, BEST_CASE)
+            consensus_analysis(raters)
 
     def test_inconsistent_truth_rejected(self):
         raters = {
@@ -162,17 +157,17 @@ class TestConsensus:
             "b": [LabeledPrediction("r0", 0, 1, "b")],
         }
         with pytest.raises(MismatchedRecords):
-            consensus_analysis(raters, BEST_CASE)
+            consensus_analysis(raters)
 
     def test_single_rater_rejected(self):
         with pytest.raises(MismatchedRecords):
-            consensus_analysis({"a": preds("a", [1], [1])}, BEST_CASE)
+            consensus_analysis({"a": preds("a", [1], [1])})
 
     def test_overlap_regions_cover_all_records(self):
         rng = np.random.default_rng(34)
         truths = [int(rng.integers(0, 2)) for _ in range(25)]
         raters = {f"md{k}": random_rater(rng, truths, f"md{k}") for k in range(3)}
-        _, regions = consensus_analysis(raters, BEST_CASE)
+        _, _, regions = consensus_analysis(raters)
         assert sum(regions.values()) == 25
 
 
@@ -238,13 +233,22 @@ class TestPredictionsCsv:
         ("r1,2,0,md1", "column 'truth': expected 0 or 1, got '2'"),
         ("r1,0,,md1", "column 'prediction': expected 0 or 1, got ''"),
         ("r1,0", "column 'prediction': expected 0 or 1, got None"),
-    ], ids=["not-a-number", "not-binary", "empty", "short-row"])
+        ("r1,1,0", "column 'source': missing cell"),
+    ], ids=["not-a-number", "not-binary", "empty", "short-row", "short-row-without-source"])
     def test_bad_label_named_with_file_row_and_column(self, tmp_path, row, problem):
         path = tmp_path / "preds.csv"
         path.write_text(f"record_id,truth,prediction,source\nr0,1,1,md1\n{row}\n")
         with pytest.raises(ValueError) as raised:
             read_predictions_csv(path)
         assert str(raised.value) == f"{path}: row 2: {problem}"
+
+    def test_short_row_without_record_id_named(self, tmp_path):
+        # The columns may come in any order, so a short row can lack any cell.
+        path = tmp_path / "preds.csv"
+        path.write_text("truth,prediction,source,record_id\n1,1,md1,r0\n1,0,md1\n")
+        with pytest.raises(ValueError) as raised:
+            read_predictions_csv(path)
+        assert str(raised.value) == f"{path}: row 2: column 'record_id': missing cell"
 
     def test_invalid_utf8_byte_is_replaced(self, tmp_path):
         # As in the other readers: the bad byte spoils its cell, not the read.

@@ -144,6 +144,17 @@ class TestRecordTable:
         assert table.labels[0] is table.labels[2]
         assert RecordTable.of(table) is table
 
+    @pytest.mark.parametrize("window", [slice(0, 2), slice(1, None), slice(None, None, -1),
+                                        slice(-1, 0, -2), slice(5, 9), slice(None)])
+    def test_slice_is_a_table_of_the_sliced_records(self, window):
+        records = [rec("a", 5, 400, energy="x06"), rec("b", 10, 300, age_at_tx=60),
+                   rec("c", 5, 400, energy="x06"), rec("d", 20, 200, intent="curative", age_at_tx=71)]
+        table, _ = parse_dataset(io.StringIO(records_csv_text(records)))
+        sliced = table[window]
+        assert isinstance(sliced, RecordTable)
+        assert list(sliced) == list(table)[window] == records[window]
+        assert len(sliced) == len(records[window])
+
 
 class TestJson:
     @pytest.mark.parametrize("text, problem", [

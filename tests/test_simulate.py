@@ -20,7 +20,7 @@ from rxcheck.simulate import (
     write_sa_set,
 )
 
-from conftest import ENERGIES, ICD10S, random_db, rec
+from conftest import ENERGIES, ICD10S, random_db, random_record, rec
 from synth import make_cohort
 
 
@@ -335,6 +335,19 @@ class TestGoldenOutput:
              (("energy", None, "x10"),),
              (("rx=30x2500 & energy=x10", 0),)),
         ]
+
+    def test_reference_without_ages_forges_no_age(self):
+        # bind gives an age-less reference the range (0, 0); the presence
+        # test, not the range, keeps age out of the forged changes.
+        rng = np.random.default_rng(5)
+        db = build_historical_db(
+            [dataclasses.replace(random_record(rng, i), age_at_tx=None) for i in range(200)]
+        )
+        assert db.feature_schema.features[0].value_range == (0.0, 0.0)
+        sas = generate_sa_set(db, {KIND_FEATURE: 20}, rng=np.random.default_rng(15))
+        assert len(sas) == 20
+        changed = {c.field for sa in sas for c in sa.mutation.changes}
+        assert changed <= {"energy", "intent", "icd10", "morphology"}
 
     def test_empty_vocabulary_and_replacement_pools(self):
         # Every candidate drawing age, intent or morphology is dropped; the

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.detector import ModelParams, detect
-from rxcheck.distance import InsufficientData, QueryProfile, query_profile
+from rxcheck.distance import InsufficientData, QueryProfile
 from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set
 from rxcheck.train import (
@@ -118,8 +118,8 @@ class TestF1Objective:
     @staticmethod
     def profiles(reference_db, pool, sa_set):
         return (
-            [query_profile(record, reference_db) for record in pool],
-            [query_profile(sa.mutated, reference_db) for sa in sa_set],
+            [QueryProfile(record, reference_db) for record in pool],
+            [QueryProfile(sa.mutated, reference_db) for sa in sa_set],
         )
 
     def test_huge_thresholds_score_zero(self, setup):
