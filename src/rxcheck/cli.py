@@ -19,6 +19,7 @@ trained it is a usage error. simulate skips a technique the same way.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -289,12 +290,7 @@ def _cmd_ingest(args) -> int:
             "size": db.size,
             "theta": db.theta,
             "tau": db.tau,
-            "rx_scaler": {
-                "f_min": db.rx_scaler.f_min,
-                "f_max": db.rx_scaler.f_max,
-                "d_min": db.rx_scaler.d_min,
-                "d_max": db.rx_scaler.d_max,
-            },
+            "rx_scaler": dataclasses.asdict(db.rx_scaler),
         }
     write_json(out / "db_meta.json", meta)
     print(

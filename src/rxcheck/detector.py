@@ -80,7 +80,7 @@ class ModelParams:
             try:
                 values[key] = float(value)
             except OverflowError:
-                raise MalformedParams(f"key {key!r}: {len(str(value))}-digit integer overflows a float") from None
+                raise MalformedParams(f"key {key!r}: {len(str(abs(value)))}-digit integer overflows a float") from None
         return cls(**values)
 
 

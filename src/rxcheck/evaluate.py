@@ -243,7 +243,7 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
 
 def _present_cell(row: Mapping[str, str | None], column: str, where: str) -> str:
     cell = row[column]
-    if cell is None:  # a short row
+    if cell is None or not cell.strip():  # a short row, or an empty cell
         raise ValueError(f"{where}: column {column!r}: missing cell")
     return cell
 

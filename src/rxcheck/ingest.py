@@ -4,13 +4,16 @@ construction of the immutable per-technique historical databases.
 The three front-end stages pass rows on as a records.RecordTable: parse
 fills its columns, normalize maps each distinct set of labels once, and
 filter decides each label rule once per distinct set of labels, so the
-TreatmentRecords it returns are built for the kept rows alone."""
+TreatmentRecords it returns are built for the kept rows alone.
+parse_dataset is the one CSV record reader and holds every cell rule of
+the schema."""
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
@@ -18,6 +21,7 @@ from . import distance
 from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
 from .records import (
     AGE_OUT_OF_RANGE,
+    CSV_COLUMNS,
     LABEL_FIELDS,
     MODELED_TECHNIQUES,
     NON_POSITIVE_RX,
@@ -26,7 +30,6 @@ from .records import (
     FeatureSchema,
     Prescription,
     RecordTable,
-    RowParser,
     TreatmentRecord,
     default_schema,
     json_object,
@@ -201,6 +204,24 @@ class SchemaError(ValueError):
     """The input header does not match the canonical record schema."""
 
 
+def _missing(cell: str | None) -> bool:
+    return cell is None or cell.strip() in ("", "-")
+
+
+class _Cells(dict):
+    """Raw cell -> convert(cell), or None for a missing cell; each distinct
+    cell is resolved once. A cell that convert rejects raises on every use
+    and is not stored."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self._convert = convert
+
+    def __missing__(self, cell):
+        value = self[cell] = None if _missing(cell) else self._convert(cell)
+        return value
+
+
 def parse_dataset(
     source: str | Path | IO[str],
 ) -> tuple[RecordTable, list[ParseDiagnostic]]:
@@ -211,6 +232,16 @@ def parse_dataset(
     file's leading byte order mark is dropped and its bytes that are not
     UTF-8 are replaced with U+FFFD. An unreadable source raises OSError; a
     header missing required columns raises SchemaError.
+
+    The cell rules of the canonical CSV schema: as in csv.DictReader, the
+    last of duplicate columns wins, a short row reads None for its absent
+    cells and extra cells are ignored. Every required cell is checked for a
+    missing value (empty, or a bare "-", after stripping) in CSV_COLUMNS
+    order before any cell is converted: record_id, the four prescription
+    cells and technique, then the integer conversions, then the age. A
+    malformed row fails with a reason naming its first failing cell. Rows
+    with the same raw prescription cells share one Prescription, and rows
+    with the same raw label cells one tuple of stripped labels.
     """
     with text_stream(source) as handle:
         reader = csv.reader(handle)
@@ -220,8 +251,54 @@ def parse_dataset(
         missing = [column for column in REQUIRED_COLUMNS if column not in header]
         if missing:
             raise SchemaError(f"header missing required columns: {', '.join(missing)}")
-        table, failures = RowParser(header).parse(reader)
-    return table, [ParseDiagnostic(number, reason) for number, reason in failures]
+        # The last of duplicate names wins; a column the header lacks reads
+        # the None appended to every row.
+        width = len(header)
+        position = {name: index for index, name in enumerate(header)}
+        take = itemgetter(*(position.get(column, width) for column in CSV_COLUMNS))
+        strip, to_age = _Cells(str.strip), _Cells(int)
+        prescriptions: dict[tuple, Prescription] = {}
+        labels_of: dict[tuple, tuple] = {}
+        table = RecordTable([], [], [], [])
+        add_id, add_prescription = table.ids.append, table.prescriptions.append
+        add_labels, add_age = table.labels.append, table.ages.append
+        diagnostics: list[ParseDiagnostic] = []
+        number = 0
+        for row in reader:
+            if not row:
+                continue
+            number += 1
+            if len(row) != width:
+                row = (row + [None] * width)[:width]
+            row.append(None)
+            cells = take(row)
+            try:
+                if _missing(cells[0]):
+                    raise ValueError("missing required value: record_id")
+                rx_cells = cells[1:5]
+                prescription = prescriptions.get(rx_cells)
+                if prescription is None:
+                    for column, cell in zip(REQUIRED_COLUMNS[1:5], rx_cells):
+                        if _missing(cell):
+                            raise ValueError(f"missing required value: {column}")
+                label_cells = cells[5:10]
+                labels = labels_of.get(label_cells)
+                if labels is None:
+                    labels = tuple(map(strip.__getitem__, label_cells))
+                    if labels[0] is None:
+                        raise ValueError("missing required value: technique")
+                    labels_of[label_cells] = labels
+                if prescription is None:
+                    prescription = prescriptions[rx_cells] = Prescription(*map(int, rx_cells))
+                age = to_age[cells[10]]
+            except (ValueError, TypeError) as exc:
+                diagnostics.append(ParseDiagnostic(number, str(exc)))
+                continue
+            add_id(cells[0].strip())
+            add_prescription(prescription)
+            add_labels(labels)
+            add_age(age)
+    return table, diagnostics
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Treatment record data model: prescriptions, feature schema, validation, CSV I/O.
+"""Treatment record data model: prescriptions, feature schema, validation,
+the canonical CSV schema and its writers, and JSON I/O.
 
-RowParser holds the cell rules of the CSV schema and reads rows into a
-RecordTable, a read-only sequence of records kept as columns that builds a
-TreatmentRecord only when one is read."""
+A RecordTable is a read-only sequence of records kept as columns that
+builds a TreatmentRecord only when one is read. ingest.parse_dataset, the
+one CSV record reader, fills it."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
 TECH_3D = "3D"
@@ -262,10 +263,6 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def _missing(cell: str | None) -> bool:
-    return cell is None or cell.strip() in ("", "-")
-
-
 def record_to_row(record: TreatmentRecord) -> dict[str, str]:
     p = record.prescription
     return {
@@ -281,93 +278,6 @@ def record_to_row(record: TreatmentRecord) -> dict[str, str]:
         "morphology": _cell(record.morphology),
         "age_at_tx": _cell(record.age_at_tx),
     }
-
-
-class _Cells(dict):
-    """Raw cell -> convert(cell), or None for a missing cell; each distinct
-    cell is resolved once. A cell that convert rejects raises on every use
-    and is not stored."""
-
-    def __init__(self, convert):
-        super().__init__()
-        self._convert = convert
-
-    def __missing__(self, cell):
-        value = self[cell] = None if _missing(cell) else self._convert(cell)
-        return value
-
-
-class RowParser:
-    """The cell rules of the canonical CSV schema, for rows read under one
-    header.
-
-    Every required cell is checked for a missing value (empty, or a bare
-    "-", after stripping) in CSV_COLUMNS order before any cell is converted:
-    record_id, the four prescription cells and technique, then the integer
-    conversions, then the age. A malformed row fails with a reason naming
-    its first failing cell. Rows with the same raw prescription cells share
-    one Prescription, and rows with the same raw label cells one tuple of
-    stripped labels.
-    """
-
-    def __init__(self, header: Sequence[str]):
-        # The last of duplicate names wins, as in csv.DictReader; a column
-        # the header lacks reads the None appended to every row.
-        self._width = len(header)
-        position = {name: index for index, name in enumerate(header)}
-        self._take = itemgetter(*(position.get(column, self._width) for column in CSV_COLUMNS))
-        self._strip = _Cells(str.strip)
-        self._ages = _Cells(int)
-        self._prescriptions: dict[tuple, Prescription] = {}
-        self._labels: dict[tuple, tuple] = {}
-
-    def parse(self, rows: Iterable[list[str]]) -> tuple["RecordTable", list[tuple[int, str]]]:
-        """The table of the records of csv.reader rows, in row order, and a
-        (row number, reason) per malformed row, numbered from 1. A blank line
-        is no row; as in csv.DictReader, a short row reads None for its
-        absent cells and extra cells are ignored."""
-        width, take, strip, to_age = self._width, self._take, self._strip, self._ages
-        prescriptions, labels_of = self._prescriptions, self._labels
-        table = RecordTable([], [], [], [])
-        add_id, add_prescription = table.ids.append, table.prescriptions.append
-        add_labels, add_age = table.labels.append, table.ages.append
-        diagnostics: list[tuple[int, str]] = []
-        number = 0
-        for row in rows:
-            if not row:
-                continue
-            number += 1
-            if len(row) != width:
-                row = (row + [None] * width)[:width]
-            row.append(None)
-            cells = take(row)
-            try:
-                if _missing(cells[0]):
-                    raise ValueError("missing required value: record_id")
-                rx_cells = cells[1:5]
-                prescription = prescriptions.get(rx_cells)
-                if prescription is None:
-                    for column, cell in zip(REQUIRED_COLUMNS[1:5], rx_cells):
-                        if _missing(cell):
-                            raise ValueError(f"missing required value: {column}")
-                label_cells = cells[5:10]
-                labels = labels_of.get(label_cells)
-                if labels is None:
-                    labels = tuple(map(strip.__getitem__, label_cells))
-                    if labels[0] is None:
-                        raise ValueError("missing required value: technique")
-                    labels_of[label_cells] = labels
-                if prescription is None:
-                    prescription = prescriptions[rx_cells] = Prescription(*map(int, rx_cells))
-                age = to_age[cells[10]]
-            except (ValueError, TypeError) as exc:
-                diagnostics.append((number, str(exc)))
-                continue
-            add_id(cells[0].strip())
-            add_prescription(prescription)
-            add_labels(labels)
-            add_age(age)
-        return table, diagnostics
 
 
 _labels_of = attrgetter(*LABEL_FIELDS)

@@ -118,14 +118,14 @@ def f1_metric(tp: int, fp: int, fn: int) -> float:
 
 def f1_objective(
     params: ModelParams,
-    reference_db: "HistoricalDB",
     holdout_pool: Sequence[QueryProfile],
     sa_set: Sequence[QueryProfile],
     runs: int,
 ) -> tuple[float, float]:
     """Mean and standard deviation of f1 over `runs` runs (anomaly =
-    positive class), from the QueryProfiles against reference_db of the
-    holdout pool and of the mutated anomaly records.
+    positive class), from the QueryProfiles of the holdout pool and of the
+    mutated anomaly records against one reference set, the first anomaly
+    profile's; a profile built against another raises ValueError.
 
     Every run scores the whole pool and the whole anomaly set, so all runs
     score the same. The mean of `runs` copies can still differ from the one
@@ -133,6 +133,7 @@ def f1_objective(
     """
     if not sa_set:
         raise InvalidTrainingSet("the anomaly class is empty")
+    reference_db = sa_set[0].db
     tp = sum(detect(sa, reference_db, params).flagged for sa in sa_set)
     fn = len(sa_set) - tp
     fp = sum(detect(profile, reference_db, params).flagged for profile in holdout_pool)
@@ -164,7 +165,7 @@ def search_parameters(
 
     def evaluate(params: ModelParams) -> TraceEntry:
         mean, std = f1_objective(
-            params, reference_db, pool_profiles, sa_profiles, runs=space.runs_per_point
+            params, pool_profiles, sa_profiles, runs=space.runs_per_point
         )
         return TraceEntry(params, mean, std)
 

@@ -332,6 +332,7 @@ class TestParamsIo:
         ("null", "key 'a': expected a number, got None"),
         ("0", "a and b must be finite and positive, got a=0.0, b=1.0"),
         pytest.param("1" + "0" * 400, "key 'a': 401-digit integer overflows a float", id="huge-integer"),
+        pytest.param("-1" + "0" * 400, "key 'a': 401-digit integer overflows a float", id="huge-negative-integer"),
     ])
     def test_bad_value_named_with_file_and_technique(self, tmp_path, value, problem):
         # A pathlib.Path source is named by its full path, not its file name.

@@ -234,7 +234,11 @@ class TestPredictionsCsv:
         ("r1,0,,md1", "column 'prediction': expected 0 or 1, got ''"),
         ("r1,0", "column 'prediction': expected 0 or 1, got None"),
         ("r1,1,0", "column 'source': missing cell"),
-    ], ids=["not-a-number", "not-binary", "empty", "short-row", "short-row-without-source"])
+        ("r1,1,1,", "column 'source': missing cell"),
+        ("r1,1,1, ", "column 'source': missing cell"),
+        (",1,1,md1", "column 'record_id': missing cell"),
+    ], ids=["not-a-number", "not-binary", "empty", "short-row", "short-row-without-source",
+            "empty-source", "blank-source", "empty-record-id"])
     def test_bad_label_named_with_file_row_and_column(self, tmp_path, row, problem):
         path = tmp_path / "preds.csv"
         path.write_text(f"record_id,truth,prediction,source\nr0,1,1,md1\n{row}\n")

@@ -1,4 +1,6 @@
-"""All JSON input goes through one reader, records.read_json."""
+"""All JSON input goes through one reader, records.read_json, and all CSV
+input through one reader per file kind: ingest.parse_dataset for an export,
+evaluate.read_predictions_csv for a predictions file."""
 
 from __future__ import annotations
 
@@ -10,11 +12,12 @@ import rxcheck
 PACKAGE = Path(rxcheck.__file__).parent
 
 
-class _JsonReads(ast.NodeVisitor):
-    """The scopes (dotted function names) that name json.load or json.loads,
-    and "<module>" for an import of either from json."""
+class _Reads(ast.NodeVisitor):
+    """The scopes (dotted function names) that name module.<one of names>,
+    and "<module>" for an import of one of them from module."""
 
-    def __init__(self):
+    def __init__(self, module: str, names: set[str]):
+        self.module, self.names = module, names
         self.scope, self.found = [], []
 
     def visit_FunctionDef(self, node):
@@ -25,19 +28,30 @@ class _JsonReads(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Attribute(self, node):
-        if isinstance(node.value, ast.Name) and node.value.id == "json" and node.attr in ("load", "loads"):
+        if isinstance(node.value, ast.Name) and node.value.id == self.module and node.attr in self.names:
             self.found.append(".".join(self.scope) or "<module>")
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node):
-        if node.module == "json" and {alias.name for alias in node.names} & {"load", "loads"}:
+        if node.module == self.module and {alias.name for alias in node.names} & self.names:
             self.found.append("<module>")
 
 
-def test_read_json_is_the_only_json_reader():
+def _readers(module: str, names: set[str]) -> list[str]:
+    """"<file stem>.<scope>" for each place in the package that names one of
+    module's names, in file order."""
     readers = []
     for path in sorted(PACKAGE.glob("*.py")):
-        visitor = _JsonReads()
+        visitor = _Reads(module, names)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         readers += [f"{path.stem}.{scope}" for scope in visitor.found]
-    assert readers == ["records.read_json"]
+    return readers
+
+
+def test_read_json_is_the_only_json_reader():
+    assert _readers("json", {"load", "loads"}) == ["records.read_json"]
+
+
+def test_one_csv_reader_per_file_kind():
+    assert _readers("csv", {"reader"}) == ["ingest.parse_dataset"]
+    assert _readers("csv", {"DictReader"}) == ["evaluate.read_predictions_csv"]

@@ -128,14 +128,14 @@ class TestF1Objective:
         params = ModelParams(a=500.0, b=2.0, mu=0.05, nu=0.05)
         blind = [sa for sa in sa_set if sa.mutation.kind == KIND_FEATURE]
         pool_profiles, sa_profiles = self.profiles(reference_db, pool, blind)
-        mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=5)
+        mean, std = f1_objective(params, pool_profiles, sa_profiles, runs=5)
         assert mean == 0.0 and std == 0.0
 
     def test_separating_thresholds_score_one(self, setup):
         reference_db, pool, sa_set = setup
         params = ModelParams(a=1.0, b=0.2, mu=0.05, nu=0.05)
         pool_profiles, sa_profiles = self.profiles(reference_db, pool, sa_set)
-        mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=5)
+        mean, std = f1_objective(params, pool_profiles, sa_profiles, runs=5)
         assert mean == 1.0 and std == 0.0
 
     def test_every_run_scores_the_whole_pool(self, setup):
@@ -149,14 +149,22 @@ class TestF1Objective:
         expected = f1_metric(tp, fp, len(sa_set) - tp)
         assert 0 < fp < len(pool) and 0.0 < expected < 1.0
         for runs in (1, 3, 50):
-            mean, std = f1_objective(params, reference_db, pool_profiles, sa_profiles, runs=runs)
+            mean, std = f1_objective(params, pool_profiles, sa_profiles, runs=runs)
             assert mean == pytest.approx(expected, abs=1e-15) and std < 1e-15
 
     def test_empty_sa_set_rejected(self, setup):
         reference_db, pool, _ = setup
         pool_profiles, _ = self.profiles(reference_db, pool, [])
         with pytest.raises(InvalidTrainingSet):
-            f1_objective(ModelParams(1, 1, 0.05, 0.05), reference_db, pool_profiles, [], runs=1)
+            f1_objective(ModelParams(1, 1, 0.05, 0.05), pool_profiles, [], runs=1)
+
+    def test_profile_of_another_reference_set_rejected(self, setup):
+        reference_db, pool, sa_set = setup
+        other_db = build_historical_db(list(reference_db.records))
+        pool_profiles, sa_profiles = self.profiles(reference_db, pool, sa_set)
+        pool_profiles[0] = QueryProfile(pool[0], other_db)
+        with pytest.raises(ValueError, match="built against another reference set"):
+            f1_objective(ModelParams(1, 1, 0.05, 0.05), pool_profiles, sa_profiles, runs=1)
 
 
 class TestSearchSpace:
