@@ -38,7 +38,9 @@ the ranked prefix are cached on the profile and extended on demand:
 training profiles each record once and scores every parameter point from
 it. The walk is the only source of the feature group's members and their
 distances. A group mean depends only on its members' multiset, as
-math.fsum is correctly rounded.
+math.fsum is correctly rounded. The profile keeps each R it gives by m and
+each F by n, so a search that visits a group size again reads its mean
+back; a group size that raises is not kept and raises again.
 
 The characteristic distances theta and tau, the means of both metrics over
 all ordered pairs of a reference set, are grouped sums rather than a pair
@@ -510,7 +512,10 @@ class QueryProfile:
     step over a single row reads the reference's row-grouped columns as
     slices; record indices into db.records come from rx_rows.members.
     sorted_rho is every record's rho, ascending, from the rows' counts;
-    every verdict reads it, so the constructor builds it.
+    every verdict reads it, so the constructor builds it. The group
+    functions keep R keyed by m and F keyed by n on the profile, the very
+    value they computed; a call that raises InsufficientNeighbors keeps
+    nothing.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -544,6 +549,9 @@ class QueryProfile:
         self._rho = np.empty(0, dtype=np.float64)
         self._ranked_index = self._index
         self._ranked_g = self._g
+        # R by m and F by n, as the group functions computed them.
+        self._r_by_m: dict[int, float] = {}
+        self._f_by_n: dict[int, float] = {}
 
     def nearest_comparable(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The first k comparable reference records in the feature group's
@@ -609,10 +617,13 @@ class QueryProfile:
 
 def closest_m_rx_distance(profile: QueryProfile, m: int) -> float:
     """Mean prescription distance over the m nearest records of profile.db."""
-    size = profile.db.size
-    if not 1 <= m <= size:
-        raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
-    return math.fsum(profile.sorted_rho[:m].tolist()) / m
+    r = profile._r_by_m.get(m)
+    if r is None:
+        size = profile.db.size
+        if not 1 <= m <= size:
+            raise InsufficientNeighbors(f"m={m} outside [1, {size}]")
+        r = profile._r_by_m[m] = math.fsum(profile.sorted_rho[:m].tolist()) / m
+    return r
 
 
 def closest_n_feature_distance(profile: QueryProfile, n: int) -> float:
@@ -624,15 +635,18 @@ def closest_n_feature_distance(profile: QueryProfile, n: int) -> float:
     n reference records share the query's exact prescription, the group is
     filled from the next-closest prescriptions.
     """
-    size = profile.db.size
-    if not 1 <= n <= size:
-        raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
-    take, g = profile.nearest_comparable(n)
-    if len(take) < n:
-        raise InsufficientNeighbors(
-            f"only {len(take)} comparable reference records for n={n}"
-        )
-    return math.fsum(g.tolist()) / n
+    f = profile._f_by_n.get(n)
+    if f is None:
+        size = profile.db.size
+        if not 1 <= n <= size:
+            raise InsufficientNeighbors(f"n={n} outside [1, {size}]")
+        take, g = profile.nearest_comparable(n)
+        if len(take) < n:
+            raise InsufficientNeighbors(
+                f"only {len(take)} comparable reference records for n={n}"
+            )
+        f = profile._f_by_n[n] = math.fsum(g.tolist()) / n
+    return f
 
 
 # ---------------------------------------------------------------------------

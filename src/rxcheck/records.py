@@ -371,8 +371,9 @@ def source_name(source: str | os.PathLike | IO[str]):
 def read_json(source: str | os.PathLike | IO[str]):
     """The JSON value in source. Text that is not JSON raises ValueError
     naming the source, and so do the constants NaN, Infinity and -Infinity,
-    which are not JSON though Python's json reads them, and a number too
-    large for a float: no value read is a non-finite float."""
+    which are not JSON though Python's json reads them, a number too large
+    for a float, and an integer with more digits than Python converts from
+    a string: no value read is a non-finite float."""
     name = source_name(source)
 
     def reject(constant):
@@ -384,9 +385,17 @@ def read_json(source: str | os.PathLike | IO[str]):
             raise ValueError(f"{name}: {text} overflows a float")
         return value
 
+    def whole(text):
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(
+                f"{name}: {len(text.lstrip('-'))}-digit integer exceeds Python's integer string limit"
+            ) from None
+
     with text_stream(source) as handle:
         try:
-            return json.load(handle, parse_constant=reject, parse_float=finite)
+            return json.load(handle, parse_constant=reject, parse_float=finite, parse_int=whole)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{name}: {exc}") from None
 

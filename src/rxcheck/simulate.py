@@ -161,8 +161,14 @@ def verify_rarity(
         count = db.rx_index.get(rx, 0)
         evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]}", count))
     elif mutation.kind == KIND_FEATURE:
+        # The prescription's fields, not r.rx, which builds a tuple per record.
+        fractions, dose = rx
         for change in mutation.changes:
-            count = sum(1 for r in db.records if r.rx == rx and getattr(r, change.field) == change.new)
+            count = sum(
+                1 for r in db.records
+                if r.prescription.fractions == fractions and r.prescription.dose_per_fraction == dose
+                and getattr(r, change.field) == change.new
+            )
             evidence.append(
                 RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
             )

@@ -269,7 +269,8 @@ def _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths) -> int:
     numpy scores every candidate at once. Each candidate whose numpy score
     lies within _RESCORE_MARGIN * max(1, |top|) of the top one is rescored
     with _candidate_score; the scalar maximum is always among them, so the
-    choice equals that of scoring every candidate with _candidate_score.
+    choice equals that of scoring every candidate with _candidate_score. A
+    lone candidate within the margin is that maximum and is not rescored.
     """
     x = np.asarray(candidates)[:, None, :]
     bw = np.asarray(bandwidths)
@@ -283,6 +284,8 @@ def _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths) -> int:
     approx = (log_density(good_by_dim) - log_density(bad_by_dim)).sum(axis=1)
     top = float(approx.max())
     near = np.flatnonzero(approx >= top - _RESCORE_MARGIN * max(1.0, abs(top)))
+    if len(near) == 1:
+        return int(near[0])
     exact = [_candidate_score(candidates[k], good_by_dim, bad_by_dim, bandwidths) for k in near]
     return int(near[exact.index(max(exact))])
 

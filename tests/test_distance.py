@@ -373,6 +373,23 @@ class TestQueryProfile:
         with pytest.raises(ValueError, match="another reference set"):
             detect(profile, other, params)
 
+    def test_a_group_size_that_raises_raises_again(self):
+        # Records without an age are incomparable to a query that has only
+        # its age: 3 of the 6 are comparable.
+        db = build_historical_db([
+            rec(f"r{k}", 10 + k, 200 + 10 * k, energy="x06", age_at_tx=50 + k if k % 2 else None)
+            for k in range(6)
+        ])
+        profile = QueryProfile(rec("q", 12, 220, age_at_tx=55), db)
+        fresh = QueryProfile(profile.record, db)
+        for _ in range(2):
+            with pytest.raises(InsufficientNeighbors, match="^only 3 comparable reference records for n=4$"):
+                closest_n_feature_distance(profile, 4)
+            with pytest.raises(InsufficientNeighbors, match=r"^m=7 outside \[1, 6\]$"):
+                closest_m_rx_distance(profile, 7)
+            assert closest_n_feature_distance(profile, 3) == closest_n_feature_distance(fresh, 3)
+            assert closest_m_rx_distance(profile, 6) == closest_m_rx_distance(fresh, 6)
+
 
 def _outcome(query, db, params):
     try:
@@ -631,6 +648,44 @@ def test_nearest_comparable_is_a_prefix_of_the_brute_force_order(drawn, data):
         take, g = profile.nearest_comparable(k)
         assert take.tolist() == [index for _, _, index in expected[:k]]
         assert all(close(got, want) for got, (_, want, _) in zip(g.tolist(), expected[:k]))
+
+
+def _value_or_reason(group, profile, k):
+    try:
+        return group(profile, k)
+    except InsufficientNeighbors as exc:
+        return str(exc)
+
+
+@seed(20217)
+@settings(deadline=None, max_examples=120, database=None)
+@given(drawn=_mirrored_references(), data=st.data())
+def test_reused_profile_gives_the_values_of_fresh_profiles(drawn, data):
+    # One profile keeps R by m and F by n. Over group sizes in any order,
+    # repeated and beyond the reference set or its comparable records, it
+    # gives bit-equal values and the same raises as a fresh profile per
+    # call, and detect on it gives the verdict of the record.
+    query, records = drawn
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        try:
+            db = build_historical_db(records)
+        except IncomparablePair:
+            return
+    sizes = st.integers(1, db.size + 1)
+    pairs = data.draw(st.lists(st.tuples(sizes, sizes), min_size=1, max_size=8))
+    pairs += data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8))
+    profile = QueryProfile(query, db)
+    for m, n in pairs:
+        for group, k in ((closest_m_rx_distance, m), (closest_n_feature_distance, n)):
+            assert _value_or_reason(group, profile, k) == _value_or_reason(group, QueryProfile(query, db), k)
+    params = ModelParams(
+        a=data.draw(st.floats(0.05, 50.0)), b=data.draw(st.floats(0.05, 50.0)),
+        mu=data.draw(st.floats(0.001, 0.1)), nu=data.draw(st.floats(0.001, 0.1)),
+    )
+    expected = _outcome(query, db, params)
+    assert _outcome(profile, db, params) == expected
+    assert _outcome(profile, db, params) == expected
 
 
 def _assert_sizes_match_oracle(query, db, m, n, profile):
