@@ -58,8 +58,8 @@ print(f"forged {len(sa_set)} simulated anomalies for the positive class")
 
 space = SearchSpace(budget=60, runs_per_point=20, strategy="adaptive")
 outcome = search_parameters(space, reference_db, pool, sa_set, seed=SEED)
-best = outcome.best_params
-print(f"\nbest mean f1 {outcome.best_f1_mean:.3f} +/- {outcome.best_f1_std:.3f} "
+best = outcome.best.params
+print(f"\nbest mean f1 {outcome.best.f1_mean:.3f} +/- {outcome.best.f1_std:.3f} "
       f"after {len(outcome.trace)} evaluations")
 print(f"  a={best.a:.3f} b={best.b:.3f} mu={best.mu:.4f} nu={best.nu:.4f}")
 m, n = best.group_sizes(reference_db.size)

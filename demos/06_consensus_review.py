@@ -38,18 +38,17 @@ best, worst, overlap = consensus_analysis(panel)
 cms = {name: confusion(preds) for name, preds in raters.items()}
 cms["consensus-best"] = confusion(best)
 cms["consensus-worst"] = confusion(worst)
-metrics = {name: macro_metrics(cm) for name, cm in cms.items()}
 
 print(f"{'source':<16} {'accuracy':>8} {'macro f1':>9} {'misses':>7}")
 for name in ("md1", "md2", "md3", "model", "consensus-best", "consensus-worst"):
     cm = cms[name]
-    print(f"{name:<16} {metrics[name].accuracy:>8.3f} {metrics[name].f1:>9.3f} "
-          f"{cm.fn + cm.fp:>7}")
+    metrics = macro_metrics(cm)
+    print(f"{name:<16} {metrics.accuracy:>8.3f} {metrics.f1:>9.3f} {cm.fn + cm.fp:>7}")
 
 print("\noverlap regions (rater flag sets vs the ground-truth anomaly set):")
 for region, count in overlap.items():
     print(f"  {region:<24} {count}")
 
 out = Path(__file__).parent / "out" / "review"
-written = emit_report(cms, metrics, out, venn=overlap)
+written = emit_report(cms, out, venn=overlap)
 print(f"\nwrote {len(written)} report files to {out}")

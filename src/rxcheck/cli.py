@@ -45,7 +45,6 @@ from .evaluate import (
     confusion,
     consensus_analysis,
     emit_report,
-    macro_metrics,
     read_predictions_csv,
 )
 from .ingest import (
@@ -75,7 +74,7 @@ from .records import (
 )
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
-from .train import SearchSpace, search_parameters, split_holdout, write_trace_csv
+from .train import STRATEGIES, SearchSpace, search_parameters, split_holdout, write_trace_csv
 
 EX_OK = 0
 EX_ERROR = 1
@@ -158,7 +157,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", required=True, help="historical records CSV")
     p.add_argument("--budget", type=at_least_1, default=100, help="search evaluations")
     p.add_argument("--runs", type=at_least_1, default=50, help="objective runs per point")
-    p.add_argument("--strategy", choices=("grid", "random", "adaptive"), default="adaptive")
+    p.add_argument("--strategy", choices=STRATEGIES, default="adaptive")
     p.add_argument("--sn", type=at_least_0, default=20, help="holdout pool size")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)
     p.add_argument("--seed", type=at_least_0, default=None, help="master seed (default 0)")
@@ -319,14 +318,13 @@ def _cmd_train(args) -> int:
             skipped += 1
             continue
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=args.seed)
-        params_by_technique[tech] = outcome.best_params
+        best = outcome.best
+        params_by_technique[tech] = best.params
         write_trace_csv(out / f"trace_{tech}.csv", outcome)
         write_sa_set(out / f"sa_{tech}.csv", out / f"sa_{tech}.json", sa_set)
         print(
-            f"train[{tech}]: best f1 {outcome.best_f1_mean:.3f} "
-            f"+/- {outcome.best_f1_std:.3f} at a={outcome.best_params.a:.3f} "
-            f"b={outcome.best_params.b:.3f} mu={outcome.best_params.mu:.4f} "
-            f"nu={outcome.best_params.nu:.4f}"
+            f"train[{tech}]: best f1 {best.f1_mean:.3f} +/- {best.f1_std:.3f} at a={best.params.a:.3f} "
+            f"b={best.params.b:.3f} mu={best.params.mu:.4f} nu={best.params.nu:.4f}"
         )
     if not params_by_technique:
         raise UsageError("no technique had enough records to train on")
@@ -370,9 +368,7 @@ def _cmd_check(args) -> int:
             verdict = detect(record, db, params, boundaries)
             lines.append(verdict_json(verdict))
         except (UnsupportedTechnique, InsufficientNeighbors, NonFiniteVerdict, OverflowError) as exc:
-            # args[0], not str(exc): UnsupportedTechnique is a KeyError,
-            # whose str() quotes the message.
-            reason = _too_large(record, exc) if isinstance(exc, OverflowError) else exc.args[0]
+            reason = _too_large(record, exc) if isinstance(exc, OverflowError) else str(exc)
             print(f"rxcheck: record {record.record_id}: {reason}", file=sys.stderr)
             errored = True
         else:
@@ -436,15 +432,12 @@ def _cmd_evaluate(args) -> int:
     out = _out_dir(args)
     raters = read_predictions_csv(args.input)
     cms = {source: confusion(preds) for source, preds in raters.items()}
-    metrics = {source: macro_metrics(cm) for source, cm in cms.items()}
     venn = None
     if len(raters) >= 2:
         best, worst, venn = consensus_analysis(raters)
         for consolidated in (best, worst):
-            source = consolidated[0].source
-            cms[source] = confusion(consolidated)
-            metrics[source] = macro_metrics(cms[source])
-    written = emit_report(cms, metrics, out, venn=venn)
+            cms[consolidated[0].source] = confusion(consolidated)
+    written = emit_report(cms, out, venn=venn)
     print(f"evaluate: wrote {len(written)} files to {out}")
     return EX_OK
 

@@ -96,6 +96,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 RX_DISTANCE_MAX = math.sqrt(2.0)
 WARN_RX_SCALED_OUT_OF_RANGE = "RxScaledOutOfRange"
 
+# The most bins a pairwise histogram may have; pairwise_histograms checks a
+# bin width against it before it allocates the bin edges.
+MAX_HISTOGRAM_BINS = 10**6
+
 _PAIR_BLOCK = 256
 _CELL_BLOCK = 1 << 20
 
@@ -773,10 +777,19 @@ def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram
     Bins cover [0, sqrt(2)] and [0, 1]; each histogram's masses sum to 1 over
     the unordered reference pairs (comparable pairs only, for features). The
     feature counts come from pair classes and need default_schema's layout,
-    one numeric feature first; another layout raises ValueError.
+    one numeric feature first; another layout raises ValueError. So does a
+    bin_width that is not positive or gives more than MAX_HISTOGRAM_BINS bins.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
+    # The prescription range is the longer one, so it has the most bins; a
+    # subnormal width gives an infinite count.
+    bins = RX_DISTANCE_MAX / bin_width
+    if bins > MAX_HISTOGRAM_BINS:
+        count = math.ceil(bins) if math.isfinite(bins) else bins
+        raise ValueError(
+            f"bin_width {bin_width!r} gives {count:.7g} bins over [0, sqrt(2)], more than {MAX_HISTOGRAM_BINS}"
+        )
     rho_edges = _edges(RX_DISTANCE_MAX, bin_width)
     g_edges = _edges(1.0, bin_width)
     rows = db.rx_rows

@@ -4,7 +4,7 @@ multi-rater consensus analysis, and a plot-ready report bundle."""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -113,49 +113,41 @@ def consensus_analysis(
     A region's sets are raters' flagged records and the ground-truth anomaly
     set; its key joins their names with '&' (raters sorted, then 'truth'),
     and records in no set count under 'none'.
+
+    Raises MismatchedRecords for fewer than two raters, for a rater that
+    repeats a record or covers another record set than the first rater, and
+    for the first record, in id order, whose raters disagree on its truth.
     """
     if len(raters) < 2:
         raise MismatchedRecords("consensus needs at least two raters")
 
-    by_record: dict[str, dict[str, LabeledPrediction]] = {}
-    record_sets = {}
+    indexes: dict[str, dict[str, LabeledPrediction]] = {}
     for source, predictions in raters.items():
-        record_sets[source] = {p.record_id for p in predictions}
-        for p in predictions:
-            by_record.setdefault(p.record_id, {})[source] = p
-    reference_ids = next(iter(record_sets.values()))
-    for source, ids in record_sets.items():
-        if ids != reference_ids:
+        index = indexes[source] = {p.record_id: p for p in predictions}
+        if len(index) != len(predictions):
+            raise MismatchedRecords(f"rater {source!r} repeats a record")
+        if index.keys() != next(iter(indexes.values())).keys():
             raise MismatchedRecords(f"rater {source!r} covers a different record set")
-    for record_id, per_source in by_record.items():
-        truths = {p.truth for p in per_source.values()}
-        if len(truths) > 1:
-            raise MismatchedRecords(f"inconsistent truth for record {record_id!r}")
 
+    sources = sorted(indexes)
     best: list[LabeledPrediction] = []
     worst: list[LabeledPrediction] = []
-    for record_id in sorted(by_record):
-        per_source = by_record[record_id]
-        truth = next(iter(per_source.values())).truth
-        any_correct = any(p.correct for p in per_source.values())
-        any_wrong = any(not p.correct for p in per_source.values())
+    counts: dict[str, int] = {}
+    for record_id in sorted(indexes[sources[0]]):
+        per_source = [indexes[source][record_id] for source in sources]
+        truth = per_source[0].truth
+        if any(p.truth != truth for p in per_source):
+            raise MismatchedRecords(f"inconsistent truth for record {record_id!r}")
+        any_correct = any(p.correct for p in per_source)
+        any_wrong = any(not p.correct for p in per_source)
         best.append(LabeledPrediction(record_id, truth, truth if any_correct else 1 - truth, "consensus-best"))
         worst.append(LabeledPrediction(record_id, truth, 1 - truth if any_wrong else truth, "consensus-worst"))
-
-    return best, worst, _region_counts(raters, by_record)
-
-
-def _region_counts(raters, by_record) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    sources = sorted(raters)
-    for record_id, per_source in by_record.items():
-        members = [s for s in sources if per_source[s].prediction == 1]
-        truth = next(iter(per_source.values())).truth
+        members = [source for source, p in zip(sources, per_source) if p.prediction == 1]
         if truth == 1:
             members.append("truth")
         key = "&".join(members) if members else "none"
         counts[key] = counts.get(key, 0) + 1
-    return dict(sorted(counts.items()))
+    return best, worst, dict(sorted(counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +156,25 @@ def _region_counts(raters, by_record) -> dict[str, int]:
 
 def emit_report(
     cms: Mapping[str, ConfusionMatrix],
-    metrics: Mapping[str, MacroMetrics],
     destination: str | Path,
     venn: Mapping[str, int] | None = None,
 ) -> list[Path]:
     """Write summary.json, confusion.csv, metrics.csv and venn.csv under
-    destination; venn is consensus_analysis's region counts. Byte-stable for
-    identical inputs."""
+    destination: each source's confusion matrix and its macro_metrics, and
+    venn, consensus_analysis's region counts. Every metric is computed before
+    the directory is created, so an UndefinedMacro leaves no file behind.
+    Byte-stable for identical inputs."""
+    metrics = {source: macro_metrics(cm) for source, cm in sorted(cms.items())}
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
 
     summary = {
-        "sources": sorted(set(cms) | set(metrics)),
+        "sources": sorted(cms),
         "confusion": {
             source: {"tp": cm.tp, "fp": cm.fp, "fn": cm.fn, "tn": cm.tn}
             for source, cm in sorted(cms.items())
         },
-        "metrics": {
-            source: {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "accuracy": m.accuracy,
-            }
-            for source, m in sorted(metrics.items())
-        },
+        "metrics": {source: asdict(m) for source, m in metrics.items()},
     }
     if venn is not None:
         summary["venn"] = dict(venn)
@@ -205,7 +191,7 @@ def emit_report(
         ("source", "precision", "recall", "f1", "accuracy"),
         (
             (source, repr(m.precision), repr(m.recall), repr(m.f1), repr(m.accuracy))
-            for source, m in sorted(metrics.items())
+            for source, m in metrics.items()
         ),
     )
     write_csv(
@@ -221,8 +207,10 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
     grouped by source. A missing column raises ValueError naming the file; a
     record_id or source cell that a short row lacks, or a truth or
     prediction cell that is not the integer 0 or 1, raises ValueError naming
-    the file, the data row (1-based, header excluded) and the column."""
+    the file, the data row (1-based, header excluded) and the column; a
+    record that its source already gave raises ValueError naming both rows."""
     grouped: dict[str, list[LabeledPrediction]] = {}
+    first_rows: dict[tuple[str, str], int] = {}
     name = source_name(source)
     with text_stream(source) as handle:
         reader = csv.DictReader(handle)
@@ -237,6 +225,11 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
                 prediction=_binary_cell(row, "prediction", where),
                 source=_present_cell(row, "source", where),
             )
+            first = first_rows.setdefault((prediction.source, prediction.record_id), number)
+            if first != number:
+                raise ValueError(
+                    f"{where}: record {prediction.record_id!r} of source {prediction.source!r} repeats row {first}"
+                )
             grouped.setdefault(prediction.source, []).append(prediction)
     return grouped
 

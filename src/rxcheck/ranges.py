@@ -27,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 DEFAULT_ALPHA_BETA = 1000.0
 
 
-class UnsupportedTechnique(KeyError):
+class UnsupportedTechnique(ValueError):
     pass
 
 

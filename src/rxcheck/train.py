@@ -75,9 +75,10 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class TrainingOutcome:
-    best_params: ModelParams
-    best_f1_mean: float
-    best_f1_std: float
+    """The search's trace, in evaluation order, and its best entry: the one
+    with the highest f1_mean, the earliest of equal ones."""
+
+    best: TraceEntry
     trace: tuple[TraceEntry, ...]
 
 
@@ -177,17 +178,7 @@ def search_parameters(
     else:
         trace = _adaptive_search(space, evaluate, substream(seed, "adaptive-search"))
 
-    best_index = 0
-    for k in range(1, len(trace)):
-        if trace[k].f1_mean > trace[best_index].f1_mean:
-            best_index = k
-    best = trace[best_index]
-    return TrainingOutcome(
-        best_params=best.params,
-        best_f1_mean=best.f1_mean,
-        best_f1_std=best.f1_std,
-        trace=tuple(trace),
-    )
+    return TrainingOutcome(best=max(trace, key=lambda e: e.f1_mean), trace=tuple(trace))
 
 
 def _in_range(value: float, lo: float, hi: float) -> float:

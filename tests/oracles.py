@@ -1,7 +1,7 @@
 """Independent brute-force reference implementations used to cross-check the
 library. Plain Python loops and sorts only; no shared code paths with the
-package internals beyond the record dataclasses, validate_record and the
-exclusion rule names."""
+package internals beyond the record and prediction dataclasses,
+validate_record and the exclusion rule names."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ import math
 from collections import Counter
 from dataclasses import replace
 
+from rxcheck.evaluate import LabeledPrediction
 from rxcheck.ingest import (
     RULE_DIAGNOSIS,
     RULE_DOSE,
@@ -135,6 +136,27 @@ def oracle_confusion(predictions):
         else:
             tn += 1
     return tp, fp, fn, tn
+
+
+def oracle_consensus(raters):
+    """(best, worst, regions) of raters (name -> LabeledPredictions over one
+    record set), from plain sets: the best case errs on the records every
+    rater got wrong, the worst case on those any rater got wrong, and a
+    record's region names the raters that flagged it (sorted), then 'truth'
+    for an anomaly, or 'none'."""
+    sources = sorted(raters)
+    truth = {p.record_id: p.truth for predictions in raters.values() for p in predictions}
+    wrong = [{p.record_id for p in raters[s] if p.prediction != p.truth} for s in sources]
+    flagged = [{p.record_id for p in raters[s] if p.prediction == 1} for s in sources]
+    everyone_wrong, anyone_wrong = set.intersection(*wrong), set.union(*wrong)
+    best, worst, regions = [], [], Counter()
+    for record_id in sorted(truth):
+        t = truth[record_id]
+        best.append(LabeledPrediction(record_id, t, 1 - t if record_id in everyone_wrong else t, "consensus-best"))
+        worst.append(LabeledPrediction(record_id, t, 1 - t if record_id in anyone_wrong else t, "consensus-worst"))
+        names = [s for s, ids in zip(sources, flagged) if record_id in ids] + (["truth"] if t == 1 else [])
+        regions["&".join(names) or "none"] += 1
+    return best, worst, dict(sorted(regions.items()))
 
 
 def close(a, b, tol=1e-12):

@@ -390,11 +390,11 @@ def run_experiment(technique: str, seed: int):
     oos_normals = extras[:10]
     oos_anomalies = _forge_out_of_sample(extras[10:20], reference_db, seed)
     flagged_anomalies = sum(
-        detect(record, reference_db, outcome.best_params).flagged
+        detect(record, reference_db, outcome.best.params).flagged
         for record in oos_anomalies
     )
     flagged_normals = sum(
-        detect(record, reference_db, outcome.best_params).flagged
+        detect(record, reference_db, outcome.best.params).flagged
         for record in oos_normals
     )
     oos_f1 = f1_metric(
@@ -433,7 +433,7 @@ def test_criterion_06_synthetic_end_to_end(experiments):
     ok = True
     for technique in ("3D", "IMRT", "SBRT"):
         result = experiments[technique]
-        training_f1 = result["outcome"].best_f1_mean
+        training_f1 = result["outcome"].best.f1_mean
         oos_f1 = result["oos_f1"]
         ok = ok and training_f1 >= 0.90 and oos_f1 >= 0.80
         summaries.append(f"{technique}: train {training_f1:.3f}, oos {oos_f1:.3f}")
@@ -455,7 +455,7 @@ def test_criterion_07_reproducibility(experiments):
     traces_differ = [e.params for e in alternate["outcome"].trace] != [
         e.params for e in first["outcome"].trace
     ]
-    train_drift = abs(alternate["outcome"].best_f1_mean - first["outcome"].best_f1_mean)
+    train_drift = abs(alternate["outcome"].best.f1_mean - first["outcome"].best.f1_mean)
     oos_drift = abs(alternate["oos_f1"] - first["oos_f1"])
     ok = identical and traces_differ and train_drift <= 0.05 and oos_drift <= 0.05
     _report(7, ok,

@@ -769,6 +769,24 @@ class TestSimulateEvaluateHist:
         assert abs(sum(masses) - 1.0) < 1e-9
         assert (out / "hist_feature_3D.csv").exists()
 
+    def test_evaluate_rejects_a_repeated_record(self, tmp_path, capsys):
+        path = tmp_path / "preds.csv"
+        path.write_text("record_id,truth,prediction,source\n"
+                        "r1,1,1,md\nr2,0,0,md\nr1,1,0,md\nr1,1,1,model\nr2,0,0,model\n")
+        out = tmp_path / "report"
+        assert run(["evaluate", "--input", str(path), "--out", str(out)]) == EX_ERROR
+        assert capsys.readouterr().err == f"rxcheck: error: {path}: row 3: record 'r1' of source 'md' repeats row 1\n"
+        assert list(out.iterdir()) == []
+
+    def test_hist_rejects_a_bin_width_with_too_many_bins(self, cohort_csv, tmp_path, capsys):
+        # sqrt(2) / 1.4142e-06 is just past the bound of 10**6 bins.
+        out = tmp_path / "hists"
+        assert run(["hist", "--input", str(cohort_csv), "--out", str(out), "--bin-width", "1.4142e-06"]) == EX_ERROR
+        assert capsys.readouterr().err == (
+            "rxcheck: error: bin_width 1.4142e-06 gives 1000010 bins over [0, sqrt(2)], more than 1000000\n"
+        )
+        assert list(out.iterdir()) == []
+
 
 class TestRunConfig:
     """A run config (--config) fills each setting whose flag is not given."""

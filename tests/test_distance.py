@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -881,6 +882,19 @@ class TestPairwiseHistograms:
     def test_bad_bin_width(self, small_db):
         with pytest.raises(ValueError):
             pairwise_histograms(small_db, 0.0)
+
+    def test_bin_width_past_the_bin_bound_rejected_before_allocation(self, small_db):
+        # One prescription bin too many; its edges alone would take 8 MB.
+        width = distance.RX_DISTANCE_MAX / (distance.MAX_HISTOGRAM_BINS + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as raised:
+                pairwise_histograms(small_db, width)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(raised.value) == f"bin_width {width!r} gives 1000001 bins over [0, sqrt(2)], more than 1000000"
+        assert peak < 1 << 20
 
     def test_layout_other_than_numeric_first_rejected(self, small_db):
         categorical = FeatureSchema(tuple(FeatureSpec(name, CATEGORICAL) for name in ("energy", "intent")))

@@ -5,6 +5,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.evaluate import (
     ConfusionMatrix,
@@ -18,7 +19,7 @@ from rxcheck.evaluate import (
     read_predictions_csv,
 )
 
-from oracles import oracle_confusion
+from oracles import oracle_confusion, oracle_consensus
 
 
 def preds(source, truths, predictions):
@@ -163,6 +164,17 @@ class TestConsensus:
         with pytest.raises(MismatchedRecords):
             consensus_analysis({"a": preds("a", [1], [1])})
 
+    @pytest.mark.parametrize("repeated", ["first", "second"])
+    def test_repeated_record_rejected(self, repeated):
+        # Two rows for one record would count it twice in the rater's
+        # confusion matrix, while the consensus could keep only one.
+        raters = {"a": preds("a", [1, 0], [1, 0]), "md": preds("md", [1, 0], [1, 0])}
+        source = "a" if repeated == "first" else "md"
+        raters[source] = raters[source] + [LabeledPrediction("r1", 0, 1, source)]
+        with pytest.raises(MismatchedRecords) as raised:
+            consensus_analysis(raters)
+        assert str(raised.value) == f"rater {source!r} repeats a record"
+
     def test_overlap_regions_cover_all_records(self):
         rng = np.random.default_rng(34)
         truths = [int(rng.integers(0, 2)) for _ in range(25)]
@@ -171,19 +183,42 @@ class TestConsensus:
         assert sum(regions.values()) == 25
 
 
+@st.composite
+def _panels(draw):
+    """2-4 raters, in a drawn order, over one set of 1-30 records, each
+    rater's predictions in a drawn order."""
+    names = draw(st.lists(st.sampled_from(["md2", "md1", "model", "b", "a&b"]), min_size=2, max_size=4, unique=True))
+    truths = draw(st.lists(st.integers(0, 1), min_size=1, max_size=30))
+    panel = {}
+    for name in names:
+        votes = draw(st.lists(st.integers(0, 1), min_size=len(truths), max_size=len(truths)))
+        panel[name] = draw(st.permutations(preds(name, truths, votes)))
+    return panel
+
+
+@seed(20251)
+@settings(deadline=None, max_examples=200, database=None)
+@given(raters=_panels())
+def test_consensus_matches_the_set_oracle(raters):
+    best, worst, regions = consensus_analysis(raters)
+    expected_best, expected_worst, expected_regions = oracle_consensus(raters)
+    assert best == expected_best
+    assert worst == expected_worst
+    assert list(regions.items()) == list(expected_regions.items())
+
+
 class TestEmitReport:
     def test_bundle_files_and_determinism(self, tmp_path):
         cm = ConfusionMatrix(10, 2, 3, 20)
-        metrics = macro_metrics(cm)
         for run in ("one", "two"):
-            written = emit_report({"model": cm}, {"model": metrics}, tmp_path / run)
+            written = emit_report({"model": cm}, tmp_path / run)
             names = {p.name for p in written}
             assert {"summary.json", "confusion.csv", "metrics.csv", "venn.csv"} <= names
         for name in ("summary.json", "confusion.csv", "metrics.csv", "venn.csv"):
             assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name, shallow=False)
 
     def test_empty_inputs_still_valid_bundle(self, tmp_path):
-        written = emit_report({}, {}, tmp_path / "empty")
+        written = emit_report({}, tmp_path / "empty")
         assert len(written) == 4
         assert (tmp_path / "empty" / "metrics.csv").read_text().startswith("source,")
 
@@ -194,10 +229,23 @@ class TestEmitReport:
             "md3": ConfusionMatrix(9, 1, 8, 29),
             "model": ConfusionMatrix(14, 4, 3, 26),
         }
-        metrics = {k: macro_metrics(v) for k, v in cms.items()}
-        emit_report(cms, metrics, tmp_path / "four")
+        emit_report(cms, tmp_path / "four")
         lines = (tmp_path / "four" / "metrics.csv").read_text().strip().split("\n")
         assert len(lines) == 5  # header + one per rater + the model
+
+    def test_metrics_are_each_sources_macro_metrics(self, tmp_path):
+        cms = {"md2": ConfusionMatrix(12, 4, 5, 26), "md1": ConfusionMatrix(10, 2, 7, 28)}
+        emit_report(cms, tmp_path / "two")
+        rows = (tmp_path / "two" / "metrics.csv").read_text().splitlines()
+        assert rows[1:] == [
+            ",".join([source, *map(repr, astuple(macro_metrics(cms[source])))]) for source in ("md1", "md2")
+        ]
+
+    def test_one_class_source_leaves_no_file(self, tmp_path):
+        cms = {"md1": ConfusionMatrix(10, 2, 7, 28), "md2": ConfusionMatrix(0, 0, 0, 10)}
+        with pytest.raises(UndefinedMacro):
+            emit_report(cms, tmp_path / "report")
+        assert not (tmp_path / "report").exists()
 
 
 class TestPredictionsCsv:
@@ -245,6 +293,13 @@ class TestPredictionsCsv:
         with pytest.raises(ValueError) as raised:
             read_predictions_csv(path)
         assert str(raised.value) == f"{path}: row 2: {problem}"
+
+    def test_repeated_record_named_with_both_rows(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text("record_id,truth,prediction,source\nr1,1,1,md\nr2,0,0,md\nr1,1,1,model\nr1,1,0,md\n")
+        with pytest.raises(ValueError) as raised:
+            read_predictions_csv(path)
+        assert str(raised.value) == f"{path}: row 4: record 'r1' of source 'md' repeats row 1"
 
     def test_short_row_without_record_id_named(self, tmp_path):
         # The columns may come in any order, so a short row can lack any cell.

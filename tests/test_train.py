@@ -181,7 +181,7 @@ class TestSearchParameters:
         space = SearchSpace(budget=1, runs_per_point=2, strategy="random")
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=0)
         assert len(outcome.trace) == 1
-        assert outcome.best_params == outcome.trace[0].params
+        assert outcome.best is outcome.trace[0]
 
     def test_grid_sixteen_gives_two_levels_per_axis(self, setup):
         reference_db, pool, sa_set = setup
@@ -232,9 +232,9 @@ class TestSearchParameters:
         space = SearchSpace(budget=12, runs_per_point=2, strategy="random")
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=2)
         best = max(entry.f1_mean for entry in outcome.trace)
-        assert outcome.best_f1_mean == best
+        assert outcome.best.f1_mean == best
         first = next(e for e in outcome.trace if e.f1_mean == best)
-        assert outcome.best_params == first.params
+        assert outcome.best is first
 
     def test_same_seed_reproduces_trace_bitwise(self, setup):
         reference_db, pool, sa_set = setup
@@ -254,7 +254,7 @@ class TestSearchParameters:
         reference_db, pool, sa_set = setup
         space = SearchSpace(budget=40, runs_per_point=3, strategy="adaptive")
         outcome = search_parameters(space, reference_db, pool, sa_set, seed=3)
-        assert outcome.best_f1_mean >= 0.9
+        assert outcome.best.f1_mean >= 0.9
 
     def test_profiles_each_record_once(self, setup, monkeypatch):
         # The search profiles every anomaly and pool record once, however
