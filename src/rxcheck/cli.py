@@ -260,8 +260,18 @@ def _eligible(kept, technique: str | None) -> dict:
     }
 
 
+def _build_db(rows):
+    """build_historical_db(rows), with a line on stderr for each degenerate
+    prescription dimension of the reference set."""
+    db = build_historical_db(rows)
+    for name in db.rx_scaler.degenerate:
+        print(f"rxcheck: {db.technique}: degenerate prescription dimension {name}: "
+              "it contributes 0 to every prescription distance", file=sys.stderr)
+    return db
+
+
 def _build_dbs(kept, technique: str | None) -> dict:
-    return {tech: build_historical_db(rows) for tech, rows in _eligible(kept, technique).items()}
+    return {tech: _build_db(rows) for tech, rows in _eligible(kept, technique).items()}
 
 
 def _forge(db, args) -> list:
@@ -311,7 +321,7 @@ def _cmd_train(args) -> int:
     for tech, rows in sorted(_eligible(kept, args.technique).items()):
         try:
             reference, pool = split_holdout(rows, args.sn, substream(args.seed, f"split:{tech}"))
-            reference_db = build_historical_db(reference)
+            reference_db = _build_db(reference)
             sa_set = _forge(reference_db, args)
         except (InsufficientData, IncomparablePair, GenerationExhausted) as exc:
             print(f"rxcheck: train[{tech}]: skipped: {exc}", file=sys.stderr)

@@ -51,8 +51,8 @@ pair of patterns the Gower denominator is constant, categorical mismatches
 come from per-pattern value counts, and numeric |difference| sums from one
 sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
-lie within the column's bound range, as they do when the schema was bound
-to the same records; pairwise_means checks that. theta and the
+lie within the column's range, as they do when encode_features takes the
+range from those values; pairwise_means checks that. theta and the
 prescription histogram share one pass over the pairs of distinct
 prescriptions, each weighted by the product of their counts.
 
@@ -73,7 +73,6 @@ mask is added to the numerator, and the mask to the denominator.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Sequence
@@ -84,8 +83,10 @@ from .records import (
     CATEGORICAL,
     NUMERIC,
     FeatureSchema,
+    FeatureSpec,
     Prescription,
     TreatmentRecord,
+    default_schema,
     validate_record,
     write_csv,
 )
@@ -145,20 +146,11 @@ class RxScaler:
     d_min: float
     d_max: float
 
-    @classmethod
-    def fit(cls, prescriptions: Sequence[Prescription]) -> "RxScaler":
-        if not prescriptions:
-            raise InsufficientData("cannot fit a scaler to zero prescriptions")
-        fs = [p.fractions for p in prescriptions]
-        ds = [p.dose_per_fraction for p in prescriptions]
-        scaler = cls(float(min(fs)), float(max(fs)), float(min(ds)), float(max(ds)))
-        if scaler.f_min == scaler.f_max or scaler.d_min == scaler.d_max:
-            warnings.warn(
-                "degenerate prescription dimension: it will contribute 0 to "
-                "all prescription distances",
-                stacklevel=2,
-            )
-        return scaler
+    @property
+    def degenerate(self) -> tuple[str, ...]:
+        """The names of the degenerate dimensions, fractions first."""
+        dimensions = (("fractions", self.f_min, self.f_max), ("dose_per_fraction", self.d_min, self.d_max))
+        return tuple(name for name, lo, hi in dimensions if lo == hi)
 
     def scale(self, p: Prescription) -> ScaledRx:
         return ScaledRx(
@@ -194,7 +186,8 @@ def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema
     comparable features.
 
     Raises IncomparablePair when every feature is missing on one side or the
-    other. Requires a schema with bound numeric ranges.
+    other. Requires a schema with numeric ranges, as a reference set's
+    feature_schema has.
     """
     num = 0.0
     den = 0
@@ -219,8 +212,8 @@ def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema
 def _numeric_contribution(a: float, b: float, spec) -> float:
     if spec.value_range is None:
         raise ValueError(
-            f"numeric feature {spec.name!r} has no bound range; "
-            "bind the schema to a reference set first"
+            f"numeric feature {spec.name!r} has no range; "
+            "use a reference set's feature_schema"
         )
     lo, hi = spec.value_range
     width = hi - lo
@@ -247,44 +240,41 @@ class _Column:
 
 @dataclass(frozen=True)
 class EncodedFeatures:
-    """Columnar view of a record list under a bound schema: position p of
-    every column is the list's record p. A HistoricalDB encodes its records
-    in rx_rows.members order, so each distinct prescription's records are
-    one contiguous run of positions."""
+    """Columnar view of a record list: position p of every column is the
+    list's record p, and schema is default_schema fitted to the columns. A
+    HistoricalDB encodes its records in rx_rows.members order, so each
+    distinct prescription's records are one contiguous run of positions."""
 
     columns: tuple[_Column, ...]
     size: int
+    schema: FeatureSchema
 
 
-def encode_features(records: Sequence[TreatmentRecord], schema: FeatureSchema) -> EncodedFeatures:
+def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
+    """The default_schema features of records as columns, each read once.
+    A numeric feature's range is the min and max of its present values,
+    (0.0, 0.0) when it has none; a categorical feature's codes number its
+    labels in first-seen order, and its vocabulary is the labels sorted."""
     columns: list[_Column] = []
-    for spec in schema.features:
+    specs: list[FeatureSpec] = []
+    for spec in default_schema().features:
         raw = [getattr(r, spec.name) for r in records]
         present = np.array([v is not None for v in raw], dtype=bool)
         if spec.kind == NUMERIC:
-            if spec.value_range is None:
-                raise ValueError(f"numeric feature {spec.name!r} has no bound range")
-            lo, hi = spec.value_range
             values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
+            # Rounding to float64 is monotone, so these are float(min) and
+            # float(max) of the integers.
+            seen = values[present]
+            lo, hi = (float(seen.min()), float(seen.max())) if len(seen) else (0.0, 0.0)
             columns.append(_Column(spec.name, NUMERIC, values, present, width=hi - lo))
+            specs.append(FeatureSpec(spec.name, NUMERIC, value_range=(lo, hi)))
         else:
             codes: dict[str, int] = {}
-            encoded = np.empty(len(raw), dtype=np.int64)
-            for k, v in enumerate(raw):
-                if v is None:
-                    encoded[k] = -1
-                else:
-                    encoded[k] = codes.setdefault(str(v), len(codes))
+            encoded = np.array([-1 if v is None else codes.setdefault(str(v), len(codes)) for v in raw],
+                               dtype=np.int64)
             columns.append(_Column(spec.name, CATEGORICAL, encoded, present, codes=codes))
-    return EncodedFeatures(tuple(columns), len(records))
-
-
-def scaled_rx_arrays(records: Sequence[TreatmentRecord], scaler: RxScaler) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled (fractions, dose per fraction) of every record, as RxScaler.scale
-    computes them one at a time."""
-    f = np.array([r.prescription.fractions for r in records], dtype=np.float64)
-    d = np.array([r.prescription.dose_per_fraction for r in records], dtype=np.float64)
-    return _scale_array(f, scaler.f_min, scaler.f_max), _scale_array(d, scaler.d_min, scaler.d_max)
+            specs.append(FeatureSpec(spec.name, CATEGORICAL, vocabulary=tuple(sorted(codes))))
+    return EncodedFeatures(tuple(columns), len(records), FeatureSchema(tuple(specs)))
 
 
 def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -311,9 +301,12 @@ class DistinctRx:
         return len(self.members)
 
 
-def distinct_rx(rx_f: np.ndarray, rx_d: np.ndarray) -> DistinctRx:
-    """Group records by their scaled float coordinates, so every record of a
-    row lies at exactly the row's distance from any point."""
+def distinct_rx(fractions: np.ndarray, doses: np.ndarray, scaler: RxScaler) -> DistinctRx:
+    """Group records by their float64 (fractions, dose per fraction) columns
+    as scaler scales them, so every record of a row lies at exactly the
+    row's distance from any point."""
+    rx_f = _scale_array(fractions, scaler.f_min, scaler.f_max)
+    rx_d = _scale_array(doses, scaler.d_min, scaler.d_max)
     # lexsort is stable: rows in (f, d) order, each row's records in input order.
     members = np.lexsort((rx_d, rx_f))
     f, d = rx_f[members], rx_d[members]
@@ -672,9 +665,8 @@ def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, f
     within a pair of patterns, so each feature's numerator sum over a
     pattern pair comes from per-pattern counts. The clamp at 1 is dropped,
     which needs every numeric column's present values to span at most its
-    width, as they do when the schema was bound to these records; a wider
-    column raises ValueError. Raises IncomparablePair when no pair shares a
-    feature.
+    width, as they do in encode_features' columns; a wider column raises
+    ValueError. Raises IncomparablePair when no pair shares a feature.
     """
     size = len(rows)
     if size < 2:
@@ -744,7 +736,7 @@ def _numeric_abs_diff_sums(col: _Column, pattern_of: np.ndarray, count: int) -> 
     if len(values) and values.max() - values.min() > col.width:
         raise ValueError(
             f"numeric feature {col.name!r}: present values span "
-            f"{values.max() - values.min()!r}, more than the bound width {col.width!r}"
+            f"{values.max() - values.min()!r}, more than the column width {col.width!r}"
         )
     if col.width <= 0.0:
         return np.zeros((count, count))

@@ -17,6 +17,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
+import numpy as np
+
 from . import distance
 from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
 from .records import (
@@ -31,7 +33,6 @@ from .records import (
     Prescription,
     RecordTable,
     TreatmentRecord,
-    default_schema,
     json_object,
     read_json,
     rx_exact_in_float,
@@ -453,8 +454,9 @@ def _replan_and_initial_ids(table: RecordTable, config: CohortConfig) -> tuple[s
 class HistoricalDB:
     """Immutable per-technique reference set.
 
-    Carries the prescription scaler, the bound feature schema, the exact
-    prescription occurrence index, and the characteristic pairwise distances
+    Carries the prescription scaler, the feature schema with the numeric
+    ranges and vocabularies of its records, the exact prescription
+    occurrence index, and the characteristic pairwise distances
     theta (prescriptions) and tau (features); for the distance kernels, the
     records grouped by distinct scaled prescription (rx_rows) and their
     encoded features in that grouped order: position p of encoded is
@@ -496,16 +498,18 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
     if inexact:
         raise ValueError(f"{RX_TOO_LARGE}: prescriptions above 2**53 in magnitude: {inexact[:3]}")
 
-    schema = default_schema().bind(records)
-    scaler = RxScaler.fit([r.prescription for r in records])
-    rx_rows = distance.distinct_rx(*distance.scaled_rx_arrays(records, scaler))
-    encoded = distance.encode_features([records[i] for i in rx_rows.members], schema)
+    # Every part is now exact in float64, so the scaler holds the ints' bounds.
+    fractions = np.array([r.prescription.fractions for r in records], dtype=np.float64)
+    doses = np.array([r.prescription.dose_per_fraction for r in records], dtype=np.float64)
+    scaler = RxScaler(float(fractions.min()), float(fractions.max()), float(doses.min()), float(doses.max()))
+    rx_rows = distance.distinct_rx(fractions, doses, scaler)
+    encoded = distance.encode_features([records[i] for i in rx_rows.members])
     theta, tau, skipped = distance.pairwise_means(rx_rows, encoded)
     return HistoricalDB(
         technique=techniques.pop(),
         records=records,
         rx_scaler=scaler,
-        feature_schema=schema,
+        feature_schema=encoded.schema,
         rx_index=dict(rx_index),
         theta=theta,
         tau=tau,

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -195,8 +195,8 @@ def rx_exact_in_float(rx: tuple[int, int]) -> bool:
 class FeatureSpec:
     """One non-prescription feature, of unit Gower weight: name, kind, domain.
 
-    value_range (numeric) and vocabulary (categorical) are fixed from a
-    reference set via FeatureSchema.bind.
+    value_range (numeric) and vocabulary (categorical) are those of a
+    reference set's columns, as a HistoricalDB's feature_schema holds them.
     """
 
     name: str
@@ -217,29 +217,6 @@ class FeatureSchema:
     """
 
     features: tuple[FeatureSpec, ...]
-
-    def spec(self, name: str) -> FeatureSpec:
-        for spec in self.features:
-            if spec.name == name:
-                return spec
-        raise KeyError(name)
-
-    def bind(self, records: Sequence[TreatmentRecord]) -> "FeatureSchema":
-        """Fix numeric ranges and categorical vocabularies from records."""
-        bound: list[FeatureSpec] = []
-        for spec in self.features:
-            values = [getattr(r, spec.name) for r in records]
-            values = [v for v in values if v is not None]
-            if spec.kind == NUMERIC:
-                if values:
-                    rng = (float(min(values)), float(max(values)))
-                else:
-                    rng = (0.0, 0.0)
-                bound.append(replace(spec, value_range=rng))
-            else:
-                vocab = tuple(sorted({str(v) for v in values}))
-                bound.append(replace(spec, vocabulary=vocab))
-        return FeatureSchema(tuple(bound))
 
 
 def default_schema() -> FeatureSchema:

@@ -1,7 +1,8 @@
 """Independent brute-force reference implementations used to cross-check the
 library. Plain Python loops and sorts only; no shared code paths with the
-package internals beyond the record and prediction dataclasses,
-validate_record and the exclusion rule names."""
+package internals beyond the record and prediction dataclasses, the
+feature schema's names and kinds, validate_record and the exclusion rule
+names."""
 
 from __future__ import annotations
 
@@ -23,10 +24,27 @@ from rxcheck.records import (
     CSV_COLUMNS,
     MODELED_TECHNIQUES,
     NUMERIC,
+    FeatureSchema,
     Prescription,
     TreatmentRecord,
+    default_schema,
     validate_record,
 )
+
+
+def oracle_schema(records):
+    """default_schema with each numeric range and categorical vocabulary
+    fixed from records, one feature at a time."""
+    bound = []
+    for spec in default_schema().features:
+        values = [getattr(r, spec.name) for r in records]
+        values = [v for v in values if v is not None]
+        if spec.kind == NUMERIC:
+            rng = (float(min(values)), float(max(values))) if values else (0.0, 0.0)
+            bound.append(replace(spec, value_range=rng))
+        else:
+            bound.append(replace(spec, vocabulary=tuple(sorted({str(v) for v in values}))))
+    return FeatureSchema(tuple(bound))
 
 
 def oracle_scale(value, lo, hi):
@@ -34,6 +52,19 @@ def oracle_scale(value, lo, hi):
     if width <= 0:
         return 0.0
     return (value - lo) / width
+
+
+def oracle_degenerate_lines(references):
+    """The command line's stderr line for each prescription dimension that
+    is constant over a reference set (technique: records), sorted."""
+    lines = []
+    for technique, records in references.items():
+        for name in ("fractions", "dose_per_fraction"):
+            values = {getattr(r.prescription, name) for r in records}
+            if len(values) == 1:
+                lines.append(f"rxcheck: {technique}: degenerate prescription dimension {name}: "
+                             "it contributes 0 to every prescription distance")
+    return sorted(lines)
 
 
 def oracle_rho(p1, p2, f_lo, f_hi, d_lo, d_hi):

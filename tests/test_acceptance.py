@@ -34,7 +34,6 @@ from rxcheck.evaluate import (
 )
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import Boundaries, QuantityBounds, TechniqueBounds
-from rxcheck.records import default_schema
 from rxcheck.seeding import substream
 from rxcheck.simulate import (
     KIND_FEATURE,
@@ -60,6 +59,7 @@ from oracles import (
     oracle_closest_n,
     oracle_gower,
     oracle_rho,
+    oracle_schema,
     oracle_theta_tau,
 )
 from synth import make_cohort
@@ -138,7 +138,7 @@ def test_criterion_02_metric_axioms():
 
     # Feature distance on 10^4 random pairs including missing values.
     records = [random_record(rng, i, missing_rate=0.25) for i in range(250)]
-    schema = default_schema().bind(records)
+    schema = oracle_schema(records)
     pairs_checked = 0
     for _ in range(10_000):
         i, j = map(int, rng.integers(0, len(records), 2))
@@ -156,7 +156,7 @@ def test_criterion_02_metric_axioms():
     # Affine invariance: positive rescalings of the numeric feature leave
     # every pairwise feature distance unchanged.
     base = [random_record(rng, i, missing_rate=0.1) for i in range(40)]
-    bound = default_schema().bind(base)
+    bound = oracle_schema(base)
     worst = 0.0
     for _ in range(100):
         alpha = float(rng.uniform(0.1, 10.0))
@@ -166,7 +166,7 @@ def test_criterion_02_metric_axioms():
                 r, age_at_tx=None if r.age_at_tx is None else alpha * r.age_at_tx + beta)
             for r in base
         ]
-        bound_t = default_schema().bind(transformed)
+        bound_t = oracle_schema(transformed)
         for _ in range(20):
             i, j = map(int, rng.integers(0, len(base), 2))
             try:
@@ -357,12 +357,12 @@ def _forge_out_of_sample(bases, reference_db, seed):
         check = verify_rarity(mutated, reference_db, 1, descriptor)
         assert check.accepted
         anomalies.append(mutated)
-    schema = reference_db.feature_schema
+    vocabularies = {spec.name: spec.vocabulary for spec in reference_db.feature_schema.features}
     for base in bases[5:10]:
         fields = [str(f) for f in rng.choice(("energy", "intent", "icd10"), 2, replace=False)]
         updates = {}
         for name in fields:
-            choices = [v for v in schema.spec(name).vocabulary if v != getattr(base, name)]
+            choices = [v for v in vocabularies[name] if v != getattr(base, name)]
             updates[name] = choices[int(rng.integers(len(choices)))]
         mutated, descriptor = mutate_features(base, updates)
         check = verify_rarity(mutated, reference_db, 1, descriptor)

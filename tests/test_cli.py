@@ -6,7 +6,6 @@ import io
 import json
 import math
 import re
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +24,7 @@ from rxcheck.ingest import (
     parse_dataset,
 )
 from rxcheck.ranges import Boundaries, table_preset, write_boundaries
-from rxcheck.records import Prescription, TreatmentRecord, default_schema, validate_record, write_records_csv
+from rxcheck.records import Prescription, TreatmentRecord, validate_record, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
 from conftest import rec, records_csv_text
@@ -33,10 +32,12 @@ from oracles import (
     close,
     oracle_closest_m,
     oracle_closest_n,
+    oracle_degenerate_lines,
     oracle_filter,
     oracle_normalize,
     oracle_parse,
     oracle_scale,
+    oracle_schema,
     oracle_theta_tau,
 )
 from synth import make_cohort
@@ -946,7 +947,7 @@ def _oracle_verdict(record, reference, params, quantile):
     verdict exists (no reference set, or too few comparable records)."""
     if reference is None:
         return None
-    schema = default_schema().bind(reference)
+    schema = oracle_schema(reference)
     theta, tau = oracle_theta_tau(reference, schema)
     size = len(reference)
     m, n = (max(1, math.floor(fraction * size + 0.5)) for fraction in (params.mu, params.nu))
@@ -1013,13 +1014,16 @@ def test_check_matches_the_oracle_chain(tmp_path_factory, inputs):
             for r in records
         }
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            # Small histories often hold a single fraction count or dose.
-            warnings.filterwarnings("ignore", "degenerate prescription dimension")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(["check", "--input", str(batch), "--historical", str(history),
                         "--params", str(params_path), *flags])
         verdicts = {v["record_id"]: v for v in verdict_lines(out.getvalue())}
+        # The reference sets are built, and name their degenerate prescription
+        # dimensions, before the batch is read.
+        degenerate = oracle_degenerate_lines(references)
         lines = err.getvalue().splitlines()
+        assert sorted(lines[:len(degenerate)]) == degenerate
+        lines = lines[len(degenerate):]
         assert sum(line.startswith("rxcheck: row ") for line in lines) == len(row_diagnostics)
         unscored = [_RECORD_LINE.fullmatch(line).group(1) for line in lines if not line.startswith("rxcheck: row ")]
         assert sorted(unscored + list(verdicts)) == sorted(expected)

@@ -2,13 +2,12 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from rxcheck import distance
 from rxcheck.detector import WARN_INSUFFICIENT_SAME_RX, ModelParams, detect, verdict_to_dict
@@ -29,10 +28,9 @@ from rxcheck.distance import (
     pairwise_means,
     rx_distance,
     scale_rx,
-    scaled_rx_arrays,
 )
 from rxcheck.ingest import build_historical_db
-from rxcheck.records import CATEGORICAL, FeatureSchema, FeatureSpec, Prescription, default_schema
+from rxcheck.records import Prescription
 
 from conftest import random_db, random_record, rec
 from oracles import (
@@ -41,6 +39,7 @@ from oracles import (
     oracle_closest_n,
     oracle_gower,
     oracle_rho,
+    oracle_schema,
     oracle_theta_tau,
 )
 
@@ -92,49 +91,49 @@ class TestRxDistance:
 
 
 class TestGowerDistance:
-    def test_identical_records(self, schema):
+    def test_identical_records(self):
         r = rec("a", 5, 400, energy="x06", intent="curative", icd10="C34.10",
                 morphology="80463", age_at_tx=60)
-        bound = schema.bind([r, r])
+        bound = oracle_schema([r, r])
         assert gower_distance(r, r, bound) == 0.0
 
-    def test_one_categorical_differs_gives_point_two(self, schema):
+    def test_one_categorical_differs_gives_point_two(self):
         # Five equal-weight features; a single categorical mismatch is 1/5.
         r1 = rec("a", 5, 400, energy="x06", intent="curative", icd10="C34.10",
                  morphology="80463", age_at_tx=60)
         r2 = replace(r1, record_id="b", intent="palliative")
-        bound = schema.bind([r1, r2])
+        bound = oracle_schema([r1, r2])
         assert gower_distance(r1, r2, bound) == pytest.approx(0.2)
 
-    def test_maximal_distance(self, schema):
+    def test_maximal_distance(self):
         r1 = rec("a", 5, 400, energy="x06", intent="curative", icd10="C34.10",
                  morphology="80463", age_at_tx=20)
         r2 = rec("b", 5, 400, energy="x15", intent="palliative", icd10="C15.9",
                  morphology="81406", age_at_tx=90)
-        bound = schema.bind([r1, r2])
+        bound = oracle_schema([r1, r2])
         assert gower_distance(r1, r2, bound) == 1.0
 
-    def test_missing_sides_drop_from_both_sums(self, schema):
+    def test_missing_sides_drop_from_both_sums(self):
         r1 = rec("a", 5, 400, energy="x06", intent=None, icd10="C34.10",
                  morphology="80463", age_at_tx=60)
         r2 = rec("b", 5, 400, energy="x15", intent="palliative", icd10="C34.10",
                  morphology="80463", age_at_tx=60)
-        bound = schema.bind([r1, r2])
+        bound = oracle_schema([r1, r2])
         # intent missing on one side: 4 comparable features, one differs.
         assert gower_distance(r1, r2, bound) == pytest.approx(0.25)
 
-    def test_out_of_range_numeric_clamped(self, schema):
+    def test_out_of_range_numeric_clamped(self):
         r1 = rec("a", 5, 400, age_at_tx=50)
         r2 = rec("b", 5, 400, age_at_tx=60)
-        bound = schema.bind([r1, r2])
+        bound = oracle_schema([r1, r2])
         query = rec("q", 5, 400, age_at_tx=120)
         # only age comparable; |120-50|/10 clamps to 1
         assert gower_distance(query, r1, bound) == 1.0
 
-    def test_incomparable_pair_raises(self, schema):
+    def test_incomparable_pair_raises(self):
         r1 = rec("a", 5, 400, energy="x06", icd10="C34.10", age_at_tx=None)
         r2 = rec("b", 5, 400, intent="curative", morphology="80463", age_at_tx=None)
-        bound = schema.bind([r1, r2])
+        bound = oracle_schema([r1, r2])
         with pytest.raises(IncomparablePair):
             gower_distance(r1, r2, bound)
 
@@ -143,10 +142,10 @@ class TestGowerDistance:
         with pytest.raises(ValueError):
             gower_distance(r, r, schema)
 
-    def test_symmetry_and_range_on_random_pairs(self, schema):
+    def test_symmetry_and_range_on_random_pairs(self):
         rng = np.random.default_rng(4)
         records = [random_record(rng, i, missing_rate=0.3) for i in range(40)]
-        bound = schema.bind(records)
+        bound = oracle_schema(records)
         for _ in range(300):
             i, j = rng.integers(0, len(records), 2)
             try:
@@ -157,10 +156,10 @@ class TestGowerDistance:
             assert g1 == g2
             assert 0.0 <= g1 <= 1.0
 
-    def test_matches_oracle(self, schema):
+    def test_matches_oracle(self):
         rng = np.random.default_rng(6)
         records = [random_record(rng, i, missing_rate=0.2) for i in range(30)]
-        bound = schema.bind(records)
+        bound = oracle_schema(records)
         for _ in range(200):
             i, j = rng.integers(0, len(records), 2)
             expected = oracle_gower(records[i], records[j], bound)
@@ -170,16 +169,16 @@ class TestGowerDistance:
             else:
                 assert close(gower_distance(records[i], records[j], bound), expected)
 
-    def test_affine_invariance(self, schema):
+    def test_affine_invariance(self):
         rng = np.random.default_rng(7)
         records = [random_record(rng, i) for i in range(25)]
-        bound = schema.bind(records)
+        bound = oracle_schema(records)
         alpha, beta = 3.7, -12.0
         transformed = [
             replace(r, age_at_tx=None if r.age_at_tx is None else alpha * r.age_at_tx + beta)
             for r in records
         ]
-        bound_t = schema.bind(transformed)
+        bound_t = oracle_schema(transformed)
         for _ in range(100):
             i, j = rng.integers(0, len(records), 2)
             try:
@@ -295,8 +294,8 @@ class TestClosestGroups:
                 icd10="C34.10", morphology="80463", age_at_tx=int(rng.integers(40, 80)))
             for i in range(15)
         ]
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db(records)
+        db = build_historical_db(records)
+        assert db.rx_scaler.degenerate == ("fractions", "dose_per_fraction")
         query = records[0]
         same = db.rx_index[query.rx]
         values = [closest_n_feature_distance(QueryProfile(query, db), n) for n in range(1, same + 1)]
@@ -416,9 +415,9 @@ class TestCharacteristicDistances:
     def test_all_identical_gives_zero(self):
         records = [rec(f"r{i}", 5, 400, energy="x06", icd10="C34.10", age_at_tx=60)
                    for i in range(4)]
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db(records)
+        db = build_historical_db(records)
         assert (db.theta, db.tau) == (0.0, 0.0)
+        assert db.rx_scaler.degenerate == ("fractions", "dose_per_fraction")
 
     def test_bounds(self):
         rng = np.random.default_rng(13)
@@ -429,28 +428,33 @@ class TestCharacteristicDistances:
             assert 0.0 <= tau <= 1.0
 
 
-def _means_inputs(records, schema):
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        rx_scaler = RxScaler.fit([r.prescription for r in records])
-    return distinct_rx(*scaled_rx_arrays(records, rx_scaler)), encode_features(records, schema)
+def _means_inputs(records):
+    """pairwise_means' inputs for records, as build_historical_db makes them
+    but in the records' order."""
+    fractions = np.array([r.prescription.fractions for r in records], dtype=np.float64)
+    doses = np.array([r.prescription.dose_per_fraction for r in records], dtype=np.float64)
+    rx_scaler = RxScaler(fractions.min(), fractions.max(), doses.min(), doses.max())
+    return distinct_rx(fractions, doses, rx_scaler), encode_features(records)
 
 
 class TestPairwiseMeans:
-    def test_numeric_values_wider_than_the_bound_range_rejected(self, schema):
+    def test_numeric_values_wider_than_the_bound_range_rejected(self):
         # The grouped sum drops the clamp at 1, which holds only while every
-        # present value lies inside the range the schema was bound to.
+        # present value lies inside its column's range: here the age column
+        # keeps the width of the first two records.
         records = [rec("a", 5, 400, age_at_tx=50), rec("b", 6, 400, age_at_tx=60),
                    rec("c", 7, 400, age_at_tx=90)]
-        bound = schema.bind(records[:2])
+        rows, encoded = _means_inputs(records)
+        age, *categories = encoded.columns
+        narrow = replace(encoded, columns=(replace(age, width=10.0), *categories))
         with pytest.raises(ValueError, match="age_at_tx"):
-            pairwise_means(*_means_inputs(records, bound))
+            pairwise_means(rows, narrow)
 
-    def test_no_comparable_pair_raises(self, schema):
+    def test_no_comparable_pair_raises(self):
         records = [rec("a", 5, 400, energy="x06"), rec("b", 6, 400, intent="curative"),
                    rec("c", 7, 400)]
         with pytest.raises(IncomparablePair):
-            pairwise_means(*_means_inputs(records, schema.bind(records)))
+            pairwise_means(*_means_inputs(records))
 
 
 _ENERGY = st.sampled_from(("x06", "x10", "x15"))
@@ -497,19 +501,19 @@ def _brute_force_incomparable(records, schema):
 @settings(deadline=None, max_examples=120, database=None)
 @given(records=_reference_sets(), data=st.data())
 def test_pairwise_means_matches_oracle_and_ignores_order(records, data):
-    schema = default_schema().bind(records)
+    schema = oracle_schema(records)
     order = data.draw(st.permutations(range(len(records))))
     shuffled = [records[k] for k in order]
     theta, tau = oracle_theta_tau(records, schema)
     if tau is None:
         for rows in (records, shuffled):
             with pytest.raises(IncomparablePair):
-                pairwise_means(*_means_inputs(rows, schema))
+                pairwise_means(*_means_inputs(rows))
         return
-    got = pairwise_means(*_means_inputs(records, schema))
+    got = pairwise_means(*_means_inputs(records))
     assert close(got[0], theta) and close(got[1], tau)
     assert got[2] == _brute_force_incomparable(records, schema)
-    assert pairwise_means(*_means_inputs(shuffled, schema)) == got
+    assert pairwise_means(*_means_inputs(shuffled)) == got
 
 
 @seed(20213)
@@ -525,15 +529,57 @@ def test_build_over_int64_prescriptions_rejects_or_matches_oracle(records):
         with pytest.raises(ValueError, match="RxTooLarge"):
             build_historical_db(records)
         return
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            assert oracle_theta_tau(records, default_schema().bind(records))[1] is None
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        assert oracle_theta_tau(records, oracle_schema(records))[1] is None
+        return
     theta, tau = oracle_theta_tau(records, db.feature_schema)
     assert close(db.theta, theta) and close(db.tau, tau)
+
+
+_PRESCRIPTION_PART = st.integers(1, 40) | st.integers(2 ** 53 - 3, 2 ** 53)
+_SCHEMA_AGE_MODES = {
+    "missing": st.none(),
+    "clinical": st.none() | st.integers(0, 120),
+    "past 2**53": st.none() | st.integers(2 ** 53 - 2, 2 ** 63) | st.integers(-(2 ** 63), 2 - 2 ** 53),
+}
+
+
+@st.composite
+def _column_references(draw):
+    """Records whose columns hold the edges of the derived values: one
+    prescription (both dimensions degenerate) or a few, up to 2**53; ages
+    all missing, clinical, or past 2**53, where float64 rounds them; and
+    energies of a one-label vocabulary or of three labels."""
+    prescriptions = draw(st.lists(st.tuples(_PRESCRIPTION_PART, _PRESCRIPTION_PART), min_size=1, max_size=3))
+    ages = _SCHEMA_AGE_MODES[draw(st.sampled_from(sorted(_SCHEMA_AGE_MODES)))]
+    energies = draw(st.sampled_from((st.just("x06"), _ENERGY)))
+    return [
+        rec(f"r{k}", *draw(st.sampled_from(prescriptions)), energy=draw(energies),
+            intent=draw(st.none() | _INTENT), age_at_tx=draw(ages))
+        for k in range(draw(st.integers(2, 12)))
+    ]
+
+
+@seed(20261)
+@settings(deadline=None, max_examples=80, database=None)
+@given(records=_column_references())
+@example(records=[rec("a", 5, 400, energy="x06"), rec("b", 5, 400, energy="x06")])
+@example(records=[rec("a", 5, 400, energy="x06", age_at_tx=2 ** 53 + 1),
+                  rec("b", 6, 2 ** 53, energy="x10", age_at_tx=2 ** 60 + 3)])
+def test_build_derives_schema_and_scaler_from_its_columns(records):
+    # Each range and vocabulary is the oracle's feature by feature, and the
+    # scaler holds the integer prescriptions' min and max exactly: Python
+    # compares a float with an int exactly.
+    db = build_historical_db(records)
+    assert db.feature_schema == oracle_schema(records)
+    fs = [r.prescription.fractions for r in records]
+    ds = [r.prescription.dose_per_fraction for r in records]
+    assert astuple(db.rx_scaler) == (min(fs), max(fs), min(ds), max(ds))
+    assert db.rx_scaler.degenerate == tuple(
+        name for name, values in (("fractions", fs), ("dose_per_fraction", ds)) if min(values) == max(values)
+    )
 
 
 @st.composite
@@ -593,12 +639,10 @@ def _level_sizes(query, db):
 @given(drawn=_mirrored_references(), data=st.data())
 def test_groups_over_equal_rho_levels_match_oracle(drawn, data):
     query, records = drawn
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
     sizes = _level_sizes(query, db)
     pairs = data.draw(st.lists(
         st.tuples(st.sampled_from(sizes), st.sampled_from(sizes)), min_size=1, max_size=6
@@ -637,12 +681,10 @@ def test_nearest_comparable_is_a_prefix_of_the_brute_force_order(drawn, data):
     # One profile answers group sizes in any order, below, at and beyond
     # the comparable count, and ranks only part of the level it cuts.
     query, records = drawn
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
     expected = _oracle_feature_order(query, db)
     profile = QueryProfile(query, db)
     for k in data.draw(st.lists(st.integers(1, db.size + 2), min_size=1, max_size=8)):
@@ -667,12 +709,10 @@ def test_reused_profile_gives_the_values_of_fresh_profiles(drawn, data):
     # gives bit-equal values and the same raises as a fresh profile per
     # call, and detect on it gives the verdict of the record.
     query, records = drawn
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
     sizes = st.integers(1, db.size + 1)
     pairs = data.draw(st.lists(st.tuples(sizes, sizes), min_size=1, max_size=8))
     pairs += data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=8))
@@ -721,13 +761,11 @@ def _r_f_status(query, db, params):
 )
 def test_detect_ignores_reference_order(records, queries, fractions, multipliers, data):
     order = data.draw(st.permutations(range(len(records))))
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            return
-        shuffled = build_historical_db([records[k] for k in order])
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
+    shuffled = build_historical_db([records[k] for k in order])
     params = ModelParams(*multipliers, *fractions)
     for query in queries:
         assert _r_f_status(query, shuffled, params) == _r_f_status(query, db, params)
@@ -766,22 +804,22 @@ def test_array_gower_equals_scalar_gower_exactly(records, data):
     # tolerance: over the pairs of a reference set and along a profile's
     # walk, with a constant (degenerate) or extreme age column, out-of-range
     # query ages and unseen query categories.
-    schema = default_schema().bind(records)
+    schema = oracle_schema(records)
     expected = [
         _gower_or_nan(records[j], records[k], schema)
         for j in range(len(records)) for k in range(j + 1, len(records))
     ]
-    columns = encode_features(records, schema).columns
+    encoded = encode_features(records)
+    assert encoded.schema == schema
+    columns = encoded.columns
     pairs = [(col, col.values[:, None], col.values, col.present[:, None] & col.present) for col in columns]
     got = _gower(pairs, (len(records), len(records)))[np.triu_indices(len(records), 1)]
     assert np.array_equal(got, expected, equal_nan=True)
 
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
     assert db.feature_schema == schema
     for query in data.draw(st.lists(_kernel_queries(records), min_size=1, max_size=4)):
         index, g = QueryProfile(query, db).nearest_comparable(db.size)
@@ -825,8 +863,8 @@ class TestPairwiseHistograms:
     def test_degenerate_db_single_zero_bin(self):
         records = [rec(f"r{i}", 5, 400, energy="x06", icd10="C34.10", age_at_tx=60)
                    for i in range(3)]
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db(records)
+        db = build_historical_db(records)
+        assert db.rx_scaler.degenerate == ("fractions", "dose_per_fraction")
         rx_hist, f_hist = pairwise_histograms(db, 0.1)
         assert rx_hist.mass[0] == 1.0 and rx_hist.mass[1:].sum() == 0.0
         assert f_hist.mass[0] == 1.0
@@ -897,8 +935,9 @@ class TestPairwiseHistograms:
         assert peak < 1 << 20
 
     def test_layout_other_than_numeric_first_rejected(self, small_db):
-        categorical = FeatureSchema(tuple(FeatureSpec(name, CATEGORICAL) for name in ("energy", "intent")))
-        db = replace(small_db, encoded=encode_features(small_db.records, categorical))
+        # The categorical columns alone, without the age column first.
+        encoded = small_db.encoded
+        db = replace(small_db, encoded=replace(encoded, columns=encoded.columns[1:3]))
         with pytest.raises(ValueError, match="one numeric feature first"):
             pairwise_histograms(db, 0.1)
 
@@ -942,18 +981,16 @@ def test_feature_histogram_counts_match_oracle_pairs(records, bin_width, cell_bl
     # The counts from pair classes against every pair's oracle distance,
     # binned by the histogram's own edges; small cell blocks split the ages
     # into several blocks.
-    schema = default_schema().bind(records)
+    schema = oracle_schema(records)
     gowers = [
         g for j, a in enumerate(records) for b in records[j + 1:]
         if (g := oracle_gower(a, b, schema)) is not None
     ]
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
-        try:
-            db = build_historical_db(records)
-        except IncomparablePair:
-            assert gowers == []
-            return
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        assert gowers == []
+        return
     with mock.patch.object(distance, "_CELL_BLOCK", cell_block):
         _, hist = pairwise_histograms(db, bin_width)
     counts = np.histogram(gowers, bins=_edges(1.0, bin_width))[0]

@@ -5,7 +5,6 @@ import csv
 import io
 import math
 import re
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -39,11 +38,18 @@ from rxcheck.records import (
     CSV_COLUMNS,
     Prescription,
     TreatmentRecord,
-    default_schema,
 )
 
 from conftest import rec, records_csv_text
-from oracles import close, oracle_filter, oracle_normalize, oracle_parse, oracle_theta_tau
+from oracles import (
+    close,
+    oracle_degenerate_lines,
+    oracle_filter,
+    oracle_normalize,
+    oracle_parse,
+    oracle_schema,
+    oracle_theta_tau,
+)
 
 
 def csv_of(records):
@@ -168,10 +174,8 @@ def test_ingest_command_accounts_for_every_row(tmp_path_factory, export):
     work = tmp_path_factory.mktemp("ingest")
     path, out = work / "rows.csv", work / "out"
     path.write_bytes(data)
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout), warnings.catch_warnings():
-        # Every admitted row of these exports has the same prescription.
-        warnings.filterwarnings("ignore", "degenerate prescription dimension")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         assert cli.run(["ingest", "--input", str(path), "--out", str(out)]) == cli.EX_OK
     kept, excluded, diagnostics = map(int, _INGEST_SUMMARY.match(stdout.getvalue()).groups())
     assert kept + excluded + diagnostics == sum(line != b"" for line in lines)
@@ -179,8 +183,10 @@ def test_ingest_command_accounts_for_every_row(tmp_path_factory, export):
     normalized, _ = oracle_normalize(oracle_parse(path)[0], config.label_mappings)
     expected_kept, expected_exclusions = oracle_filter(normalized, config)
     assert _csv_rows(out / "exclusions.csv") == [list(EXCLUSION_COLUMNS), *map(list, expected_exclusions)]
-    assert sum(len(_csv_rows(db)) - 1 for db in out.glob("db_*.csv")) == sum(
-        len(rows) for rows in expected_kept.values() if len(rows) >= 2)
+    references = {technique: rows for technique, rows in expected_kept.items() if len(rows) >= 2}
+    assert sum(len(_csv_rows(db)) - 1 for db in out.glob("db_*.csv")) == sum(map(len, references.values()))
+    # Every admitted row of these exports has the same prescription.
+    assert sorted(stderr.getvalue().splitlines()) == oracle_degenerate_lines(references)
 
 
 class TestNormalizeLabels:
@@ -443,9 +449,9 @@ class TestCohortConfig:
 class TestBuildHistoricalDb:
     def test_identical_records_give_zero_characteristics(self):
         records = [good("a"), good("b")]
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db(records)
+        db = build_historical_db(records)
         assert db.theta == 0.0 and db.tau == 0.0
+        assert db.rx_scaler.degenerate == ("fractions", "dose_per_fraction")
 
     def test_single_pair_full_separation(self):
         r1 = rec("a", 5, 1000, technique="SBRT", energy="x06", intent="curative",
@@ -453,8 +459,8 @@ class TestBuildHistoricalDb:
         r2 = rec("b", 10, 1000, technique="SBRT", energy="x15", intent="palliative",
                  icd10="C15.9", morphology="81406", age_at_tx=80)
         # Scaled prescriptions differ by (1, 0); every feature fully differs.
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db([r1, r2])
+        db = build_historical_db([r1, r2])
+        assert db.rx_scaler.degenerate == ("dose_per_fraction",)
         assert db.theta == 1.0
         assert db.tau == 1.0
 
@@ -480,7 +486,7 @@ class TestBuildHistoricalDb:
         # 0.667 where the exact value is 1.011.
         records = [rec("a", 2 ** 62, 100), rec("b", 2 ** 62 + 3, 200),
                    rec("c", 2 ** 62 + 3, 300)]
-        theta, _ = oracle_theta_tau(records, default_schema().bind(records))
+        theta, _ = oracle_theta_tau(records, oracle_schema(records))
         assert close(theta, (math.sqrt(1.25) + math.sqrt(2) + 0.5) / 3)
         with pytest.raises(ValueError, match="RxTooLarge"):
             build_historical_db(records)

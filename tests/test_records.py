@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from rxcheck.ingest import parse_dataset
+from rxcheck.ingest import build_historical_db, parse_dataset
 from rxcheck.records import (
     AGE_OUT_OF_RANGE,
     DOSE_MISMATCH,
@@ -75,14 +75,15 @@ class TestSchema:
         kinds = {spec.name: spec.kind for spec in schema.features}
         assert kinds["age_at_tx"] == "numeric"
 
-    def test_bind_fixes_ranges_and_vocab(self, schema):
+    def test_reference_set_fixes_ranges_and_vocab(self):
         records = [
-            rec("a", 1, 100, energy="x06", age_at_tx=40),
-            rec("b", 1, 100, energy="x15", age_at_tx=70),
+            rec("a", 1, 100, energy="x15", age_at_tx=70),
+            rec("b", 1, 100, energy="x06", age_at_tx=40),
         ]
-        bound = schema.bind(records)
-        assert bound.spec("age_at_tx").value_range == (40.0, 70.0)
-        assert bound.spec("energy").vocabulary == ("x06", "x15")
+        age, energy, intent, _, _ = build_historical_db(records).feature_schema.features
+        assert (age.name, age.value_range, age.vocabulary) == ("age_at_tx", (40.0, 70.0), None)
+        assert (energy.name, energy.vocabulary, energy.value_range) == ("energy", ("x06", "x15"), None)
+        assert intent.vocabulary == ()
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

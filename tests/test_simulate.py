@@ -107,7 +107,9 @@ class TestMutateFeatures:
                 assert change.old == getattr(base, change.field) != change.new
 
     def test_forged_ages_leave_observed_range(self, db):
-        lo, hi = db.feature_schema.spec("age_at_tx").value_range
+        age = db.feature_schema.features[0]
+        assert age.name == "age_at_tx"
+        lo, hi = age.value_range
         sas = generate_sa_set(db, {KIND_FEATURE: 50}, rng=np.random.default_rng(3))
         ages = [c.new for sa in sas for c in sa.mutation.changes if c.field == "age_at_tx"]
         assert ages
@@ -236,8 +238,8 @@ class TestGenerateSaSet:
         # mutation candidates can never be rare at threshold -1.
         records = [rec(f"r{i}", 5, 400, energy="x06", icd10="C34.10", age_at_tx=60)
                    for i in range(6)]
-        with pytest.warns(UserWarning, match="degenerate prescription dimension"):
-            db = build_historical_db(records)
+        db = build_historical_db(records)
+        assert db.rx_scaler.degenerate == ("fractions", "dose_per_fraction")
         with pytest.raises(GenerationExhausted):
             generate_sa_set(db, {KIND_FEATURE: 2}, threshold=-1,
                             rng=np.random.default_rng(1))
@@ -337,7 +339,7 @@ class TestGoldenOutput:
         ]
 
     def test_reference_without_ages_forges_no_age(self):
-        # bind gives an age-less reference the range (0, 0); the presence
+        # An age-less reference has the age range (0, 0); the presence
         # test, not the range, keeps age out of the forged changes.
         rng = np.random.default_rng(5)
         db = build_historical_db(
