@@ -10,13 +10,16 @@ For each workload of BENCHMARK.json and each seed, the script runs
 process from the root of each checkout, one run at a time, and reads the
 run's report from that checkout's .bench_work/results. The checkout that
 runs first moves on by one from each seed to the next, so that runs of the
-same seed meet the host in a similar state.
+same seed meet the host in a similar state. After a workload's untraced
+runs, each checkout makes one `perfbench/run.py --trace 1` run of it, on the
+first seed, for the per-layer metrics of BENCHMARK.json.
 
 BENCH_<N>.json, written at the root of this checkout, holds for each
 checkout its run stamp (git SHA, SHA-256 of src/rxcheck, Python, numpy,
 nproc, CPU) and, for each workload, the median and quartiles of the five
 end-to-end metrics over the seeds with every run's value, every run's
-failed share, and the output digests each run reported, by seed. The stamp
+failed share, the output digests each run reported, by seed, and the
+per-layer metrics of its traced run with that run's seed. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
 commit as "uncommitted on <sha>". Where a run reports digests per command
 (train), the file keeps those of the first MIN_REPEATS commands, which every
@@ -62,17 +65,17 @@ def checkout(text: str) -> tuple[str, Path]:
     return name, path
 
 
-def run_once(directory: Path, workload: str, seed: int) -> dict:
-    """One `perfbench/run.py --trace 0` run in directory; its report."""
+def run_once(directory: Path, workload: str, seed: int, trace: int) -> dict:
+    """One `perfbench/run.py --trace <trace>` run in directory; its report."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", str(trace)],
         cwd=directory, capture_output=True, text=True,
     )
     if done.returncode != 0:
-        raise SystemExit(f"bench/record.py: {workload} seed {seed} in {directory} exited "
+        raise SystemExit(f"bench/record.py: {workload} seed {seed} trace {trace} in {directory} exited "
                          f"{done.returncode}:\n{done.stderr or done.stdout}")
-    return json.loads((directory / ".bench_work" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    return json.loads((directory / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
 def commit_stamp(directory: Path, stamp: dict) -> dict:
@@ -100,11 +103,11 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
-def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict) -> dict:
-    """The BENCH file's content from stamps[checkout] and
-    reports[checkout][workload][seed], the checkouts in the order they ran
-    first. Two checkouts whose stamps name one commit must hold the same
-    sources."""
+def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict) -> dict:
+    """The BENCH file's content from stamps[checkout],
+    reports[checkout][workload][seed] and the traced run's report
+    traced[checkout][workload], the checkouts in the order they ran first.
+    Two checkouts whose stamps name one commit must hold the same sources."""
     by_sha: dict[str, tuple[str, str]] = {}
     for name, stamp in stamps.items():
         other, source = by_sha.setdefault(stamp["git_sha"], (name, stamp["source_sha256"]))
@@ -114,6 +117,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict) -> di
     bench = {
         "number": number,
         "command": f"perfbench/run.py --trace 0 --seconds {BENCHMARK['run_seconds']}",
+        "traced_command": "perfbench/run.py --trace 1",
         "seeds": seeds,
         "first_run_order": list(reports),
         "checkouts": {},
@@ -130,6 +134,10 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict) -> di
                 "metrics": metrics,
                 "failed_share": [run["failed_share"] for run in runs],
                 "digests": {str(seed): output_digests(by_seed[seed]["outputs"]) for seed in seeds},
+                "per_layer": {
+                    "seed": traced[name][workload]["seed"],
+                    "metrics": traced[name][workload]["result"]["metrics"],
+                },
             }
         bench["checkouts"][name] = {"stamp": stamps[name], "workloads": workloads}
     return bench
@@ -148,20 +156,28 @@ def main(argv=None) -> int:
     workloads = [workload["name"] for workload in BENCHMARK["workloads"]]
     stamps: dict[str, dict] = {}
     reports = {name: {workload: {} for workload in workloads} for name in checkouts}
+    traced = {name: {} for name in checkouts}
     names = list(checkouts)
+
+    def measured(name: str, workload: str, seed: int, trace: int) -> dict:
+        report = run_once(checkouts[name], workload, seed, trace)
+        # The source must not change while its checkout is measured.
+        if name not in stamps:
+            stamps[name] = commit_stamp(checkouts[name], report["stamp"])
+        if report["stamp"]["source_sha256"] != stamps[name]["source_sha256"]:
+            raise SystemExit(f"bench/record.py: the sources of {name!r} changed during the recording")
+        return report
+
     for workload in workloads:
         for turn, seed in enumerate(args.seeds):
             for name in names[turn % len(names):] + names[:turn % len(names)]:
-                report = run_once(checkouts[name], workload, seed)
-                # The source must not change while its checkout is measured.
-                if name not in stamps:
-                    stamps[name] = commit_stamp(checkouts[name], report["stamp"])
-                if report["stamp"]["source_sha256"] != stamps[name]["source_sha256"]:
-                    raise SystemExit(f"bench/record.py: the sources of {name!r} changed during the recording")
-                reports[name][workload][seed] = report
+                report = reports[name][workload][seed] = measured(name, workload, seed, 0)
                 value = report["result"]["metrics"]["items_per_s"]["value"]
                 print(f"{workload} seed {seed} {name}: items_per_s {value:.1f}", file=sys.stderr, flush=True)
-    bench = bench_file(args.number, args.seeds, stamps, reports)
+        for name in names:
+            traced[name][workload] = measured(name, workload, args.seeds[0], 1)
+            print(f"{workload} seed {args.seeds[0]} {name}: traced", file=sys.stderr, flush=True)
+    bench = bench_file(args.number, args.seeds, stamps, reports, traced)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(path)

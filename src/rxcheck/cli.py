@@ -74,7 +74,7 @@ from .records import (
 )
 from .seeding import substream
 from .simulate import KIND_FEATURE, KIND_RX_SWAP, GenerationExhausted, generate_sa_set, write_sa_set
-from .train import STRATEGIES, SearchSpace, search_parameters, split_holdout, write_trace_csv
+from .train import MAX_SEARCH_SIZE, STRATEGIES, SearchSpace, search_parameters, split_holdout, write_trace_csv
 
 EX_OK = 0
 EX_ERROR = 1
@@ -135,8 +135,8 @@ def _checked(convert, ok, requirement: str):
 
 
 def build_parser() -> _Parser:
-    at_least_1 = _checked(int, lambda v: v >= 1, "at least 1")
     at_least_0 = _checked(int, lambda v: v >= 0, "at least 0")
+    search_size = _checked(int, lambda v: 1 <= v <= MAX_SEARCH_SIZE, f"between 1 and {MAX_SEARCH_SIZE}")
     finite_positive = _checked(float, lambda v: 0 < v < float("inf"), "finite and positive")
     parser = _Parser(prog="rxcheck", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rxcheck {__version__}")
@@ -155,8 +155,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="optimize detector parameters per technique")
     p.add_argument("--input", required=True, help="historical records CSV")
-    p.add_argument("--budget", type=at_least_1, default=100, help="search evaluations")
-    p.add_argument("--runs", type=at_least_1, default=50, help="objective runs per point")
+    p.add_argument("--budget", type=search_size, default=100, help="search evaluations")
+    p.add_argument("--runs", type=search_size, default=50, help="objective runs per point")
     p.add_argument("--strategy", choices=STRATEGIES, default="adaptive")
     p.add_argument("--sn", type=at_least_0, default=20, help="holdout pool size")
     p.add_argument("--rarity-threshold", type=at_least_0, default=1)

@@ -8,10 +8,16 @@ of `runs` copies of one f1, and its f1_std is floating-point rounding noise
 (a, b, mu, nu) offers a near-uniform grid, uniform random draws, or an
 adaptive density-ratio strategy that concentrates draws where past
 evaluations scored well.
+
+The adaptive search keeps its ranking of the evaluated points by insertion,
+not by re-sorting. Its draws stay scalar and interleaved: PCG64 hands
+rng.integers buffered 32-bit halves while the ziggurat rng.standard_normal
+takes whole 64-bit words, so no batch reproduces the stream the trace needs.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +45,10 @@ STRATEGIES = (STRATEGY_GRID, STRATEGY_RANDOM, STRATEGY_ADAPTIVE)
 # the characteristic distances).
 SEARCH_RANGES = ((0.0, 2.0), (0.0, 2.0), (0.0, 0.1), (0.0, 0.1))
 
+# The most evaluations of a search and runs per objective: the adaptive
+# search allocates a (4, budget) array, and every evaluation a runs-long one.
+MAX_SEARCH_SIZE = 10**6
+
 
 class InvalidTrainingSet(ValueError):
     pass
@@ -51,17 +61,17 @@ class UndefinedMetric(ValueError):
 @dataclass(frozen=True)
 class SearchSpace:
     """The evaluation budget, the objective runs per point and the strategy
-    of a search over SEARCH_RANGES."""
+    of a search over SEARCH_RANGES. The budget and the runs each lie in
+    [1, MAX_SEARCH_SIZE]."""
 
     budget: int = 100
     runs_per_point: int = 50
     strategy: str = STRATEGY_ADAPTIVE
 
     def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError("budget must be at least 1")
-        if self.runs_per_point < 1:
-            raise ValueError("runs_per_point must be at least 1")
+        for name in ("budget", "runs_per_point"):
+            if not 1 <= getattr(self, name) <= MAX_SEARCH_SIZE:
+                raise ValueError(f"{name} must lie in [1, {MAX_SEARCH_SIZE}], got {getattr(self, name)}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
@@ -139,7 +149,7 @@ def f1_objective(
     fn = len(sa_set) - tp
     fp = sum(detect(profile, reference_db, params).flagged for profile in holdout_pool)
     scores = np.full(runs, f1_metric(tp, fp, fn))
-    return float(np.mean(scores)), float(np.std(scores))
+    return float(scores.mean()), float(scores.std())
 
 
 # ---------------------------------------------------------------------------
@@ -181,28 +191,24 @@ def search_parameters(
     return TrainingOutcome(best=max(trace, key=lambda e: e.f1_mean), trace=tuple(trace))
 
 
-def _in_range(value: float, lo: float, hi: float) -> float:
-    # Keep draws inside the half-open interval (lo, hi].
-    tiny = (hi - lo) * 1e-9
-    return min(max(value, lo + tiny), hi)
+# The rows of lower and upper clamp bounds, one column per dimension: clip
+# keeps every draw and lattice level inside the half-open interval (lo, hi].
+_CLAMPS = np.array([(lo + (hi - lo) * 1e-9, hi) for lo, hi in SEARCH_RANGES]).T
 
 
 def _draw_uniform(rng: np.random.Generator) -> ModelParams:
-    values = [
-        _in_range(lo + (hi - lo) * float(rng.random()), lo, hi) for lo, hi in SEARCH_RANGES
-    ]
-    return ModelParams(*values)
+    values = [lo + (hi - lo) * float(rng.random()) for lo, hi in SEARCH_RANGES]
+    return ModelParams(*np.array(values).clip(*_CLAMPS).tolist())
 
 
 def _grid_points(space: SearchSpace, rng: np.random.Generator) -> list[ModelParams]:
     """Near-uniform lattice over the 4-cube: the largest k with k**4 <= budget
     levels per axis, topped up with uniform draws to exactly budget points."""
     k = max(1, int(math.floor(space.budget ** 0.25 + 1e-9)))
-    # _in_range: the top level lo + (hi - lo) * k / k can round above hi.
-    levels = [
-        [_in_range(lo + (hi - lo) * (j + 1) / k, lo, hi) for j in range(k)]
-        for lo, hi in SEARCH_RANGES
-    ]
+    # The clamp: the top level lo + (hi - lo) * k / k can round above hi.
+    levels = np.array(
+        [[lo + (hi - lo) * (j + 1) / k for lo, hi in SEARCH_RANGES] for j in range(k)]
+    ).clip(*_CLAMPS).T.tolist()
     points: list[ModelParams] = []
     for a in levels[0]:
         for b in levels[1]:
@@ -217,33 +223,47 @@ def _grid_points(space: SearchSpace, rng: np.random.Generator) -> list[ModelPara
 def _adaptive_search(space: SearchSpace, evaluate, rng: np.random.Generator) -> list[TraceEntry]:
     """Sequential density-ratio search: seed with a random tranche, then draw
     candidates near the better evaluations and keep the candidate whose
-    good/bad kernel-density ratio is highest."""
+    good/bad kernel-density ratio is highest. The columns of one (4, budget)
+    array hold the points ranked by (-f1_mean, evaluation index), each new
+    one inserted by bisection: the good points are the first n_good."""
     n_init = min(space.budget, max(5, space.budget // 5))
     n_candidates = 24
     gamma = 0.25
+    integers, normal = rng.integers, rng.standard_normal
 
-    trace = [evaluate(_draw_uniform(rng)) for _ in range(n_init)]
+    trace: list[TraceEntry] = []
+    ranked_keys: list[float] = []  # -f1_mean of each ranked point
+    columns = np.empty((len(SEARCH_RANGES), space.budget))
+
+    def add(entry: TraceEntry) -> None:
+        # A point ranks after every earlier one of equal f1_mean.
+        position = bisect.bisect_right(ranked_keys, -entry.f1_mean)
+        ranked_keys.insert(position, -entry.f1_mean)
+        columns[:, position + 1 : len(trace) + 1] = columns[:, position : len(trace)]
+        columns[:, position] = _param_values(entry.params)
+        trace.append(entry)
+
+    for _ in range(n_init):
+        add(evaluate(_draw_uniform(rng)))
     for index in range(n_init, space.budget):
-        order = sorted(range(len(trace)), key=lambda k: (-trace[k].f1_mean, k))
+        # There are at least n_init >= 5 points, so n_good < len(trace) and
+        # both the good and the bad set hold at least one point.
         n_good = max(2, int(math.ceil(gamma * len(trace))))
-        good = [_param_values(trace[k].params) for k in order[:n_good]]
-        bad = [_param_values(trace[k].params) for k in order[n_good:]] or good
-        # Per dimension: the values of the good and the bad points, and the
-        # bandwidth, which narrows as the search progresses.
-        good_by_dim = list(zip(*good))
-        bad_by_dim = list(zip(*bad))
+        good_by_dim = columns[:, :n_good]
+        bad_by_dim = columns[:, n_good : len(trace)]
+        anchors_by_dim = good_by_dim.tolist()
+        # The bandwidth narrows as the search progresses.
         progress = index / space.budget
         bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in SEARCH_RANGES]
 
-        candidates = []
-        for _ in range(n_candidates):
-            values = []
-            for dim, (lo, hi) in enumerate(SEARCH_RANGES):
-                anchor = good[int(rng.integers(len(good)))][dim]
-                values.append(_in_range(anchor + bandwidths[dim] * float(rng.standard_normal()), lo, hi))
-            candidates.append(values)
+        # Per candidate and dimension, one integers draw and then one
+        # standard_normal draw, in this order.
+        candidates = np.array([
+            [anchors[integers(n_good)] + width * normal() for anchors, width in zip(anchors_by_dim, bandwidths)]
+            for _ in range(n_candidates)
+        ]).clip(*_CLAMPS)
         best = _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths)
-        trace.append(evaluate(ModelParams(*candidates[best])))
+        add(evaluate(ModelParams(*candidates[best].tolist())))
     return trace
 
 
@@ -265,14 +285,14 @@ def _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths) -> int:
     """
     x = np.asarray(candidates)[:, None, :]
     bw = np.asarray(bandwidths)
-
-    def log_density(points_by_dim) -> np.ndarray:
-        points = np.asarray(points_by_dim).T
-        z = (x - points) / bw
-        total = np.exp(-0.5 * z * z).sum(axis=1)
-        return np.log(total / (len(points) * bw * math.sqrt(2.0 * math.pi)) + 1e-12)
-
-    approx = (log_density(good_by_dim) - log_density(bad_by_dim)).sum(axis=1)
+    good, bad = np.asarray(good_by_dim), np.asarray(bad_by_dim)
+    # One kernel evaluation over the good points and then the bad ones, summed
+    # per candidate into (candidates, [good, bad], dimensions).
+    z = (x - np.concatenate((good, bad), axis=1).T) / bw
+    totals = np.add.reduceat(np.exp(-0.5 * z * z), [0, good.shape[1]], axis=1)
+    counts = np.array([[good.shape[1]], [bad.shape[1]]])
+    log_density = np.log(totals / (counts * bw * math.sqrt(2.0 * math.pi)) + 1e-12)
+    approx = (log_density[:, 0] - log_density[:, 1]).sum(axis=1)
     top = float(approx.max())
     near = np.flatnonzero(approx >= top - _RESCORE_MARGIN * max(1.0, abs(top)))
     if len(near) == 1:

@@ -1,8 +1,10 @@
-"""bench/record.py: the BENCH file's stamps name the commit each checkout holds."""
+"""bench/record.py: the BENCH file's stamps name the commit each checkout holds,
+and each checkout's traced run gives the per-layer metrics beside the medians."""
 
 from __future__ import annotations
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -29,18 +31,28 @@ def report(items_per_s: float) -> dict:
     }
 
 
+def traced_report(seed: int, search_self_s: float) -> dict:
+    return {"seed": seed, "result": {"correct": True, "metrics": {
+        "train.search_self_s": {"value": search_self_s, "unit": "s"},
+        "train.detect_per_eval": {"value": 40.0, "unit": "count"}}}}
+
+
 def test_bench_file_summarises_each_checkout(record):
     stamps = {"parent": {"git_sha": "abc", "source_sha256": "1"},
               "change": {"git_sha": "uncommitted on abc", "source_sha256": "2"}}
     reports = {name: {"check": {41: report(base + 1), 42: report(base + 2), 43: report(base + 6)}}
                for name, base in (("parent", 0), ("change", 10))}
-    bench = record.bench_file(21, [41, 42, 43], stamps, reports)
+    traced = {name: {"check": traced_report(41, base)} for name, base in (("parent", 0.2), ("change", 0.1))}
+    bench = record.bench_file(21, [41, 42, 43], stamps, reports, traced)
     change = bench["checkouts"]["change"]
     assert change["stamp"] == stamps["change"]
     assert change["workloads"]["check"]["metrics"]["items_per_s"] == {
         "unit": "1/s", "median": 12, "q1": 11.5, "q3": 14, "runs": [11, 12, 16]}
     assert change["workloads"]["check"]["digests"]["41"] == {
         "params_json_sha256": ["a", "b", "c"], "verdicts_jsonl_sha256": "e"}
+    assert change["workloads"]["check"]["per_layer"] == {"seed": 41, "metrics": {
+        "train.search_self_s": {"value": 0.1, "unit": "s"},
+        "train.detect_per_eval": {"value": 40.0, "unit": "count"}}}
     assert bench["first_run_order"] == ["parent", "change"]
 
 
@@ -48,7 +60,7 @@ def test_bench_file_refuses_one_commit_for_two_sources(record):
     stamps = {"parent": {"git_sha": "abc", "source_sha256": "1"},
               "change": {"git_sha": "abc", "source_sha256": "2"}}
     with pytest.raises(SystemExit, match="'parent' and 'change' are both stamped abc"):
-        record.bench_file(21, [41], stamps, {})
+        record.bench_file(21, [41], stamps, {}, {})
 
 
 def test_commit_stamp_marks_uncommitted_sources(record, tmp_path):
@@ -68,3 +80,40 @@ def test_commit_stamp_marks_uncommitted_sources(record, tmp_path):
     assert record.commit_stamp(tmp_path, stamp) == stamp
     source.write_text("x = 2\n")
     assert record.commit_stamp(tmp_path, stamp) == {"git_sha": "uncommitted on abc", "source_sha256": "1"}
+
+
+def test_each_checkout_makes_one_traced_run_per_workload(record, monkeypatch, tmp_path):
+    # The untraced runs of a workload alternate their first checkout; then
+    # each checkout makes one traced run on the first seed, and its
+    # per-layer metrics land in the BENCH file beside the medians.
+    runs = []
+
+    def run_once(directory, workload, seed, trace):
+        runs.append((directory.name, workload, seed, trace))
+        done = traced_report(seed, 0.1) if trace else report(100.0 + seed)
+        return {**done, "stamp": {"git_sha": directory.name, "source_sha256": directory.name}}
+
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(record, "run_once", run_once)
+    monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    assert record.main(["27", "--checkout", f"parent={tmp_path / 'parent'}",
+                        "--checkout", f"change={tmp_path / 'change'}", "--seeds", "41-42"]) == 0
+
+    workloads = [workload["name"] for workload in record.BENCHMARK["workloads"]]
+    assert runs == [
+        run
+        for workload in workloads
+        for run in [("parent", workload, 41, 0), ("change", workload, 41, 0),
+                    ("change", workload, 42, 0), ("parent", workload, 42, 0),
+                    ("parent", workload, 41, 1), ("change", workload, 41, 1)]
+    ]
+    bench = json.loads((tmp_path / "BENCH_27.json").read_text())
+    for name in ("parent", "change"):
+        for workload in workloads:
+            entry = bench["checkouts"][name]["workloads"][workload]
+            assert entry["per_layer"]["seed"] == 41
+            assert entry["per_layer"]["metrics"]["train.detect_per_eval"]["value"] == 40.0
+            assert entry["metrics"]["items_per_s"]["median"] == 141.5

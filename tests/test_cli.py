@@ -112,6 +112,8 @@ class TestExitCodes:
         ["train", "--budget", "0"],
         ["train", "--runs", "0"],
         ["train", "--runs", "-5"],
+        ["train", "--budget", "1000001"],
+        ["train", "--runs", "1000001"],
         ["train", "--sn", "-1"],
         ["train", "--rarity-threshold", "-1"],
         ["simulate", "--rarity-threshold", "-1"],

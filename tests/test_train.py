@@ -12,12 +12,16 @@ from rxcheck.distance import InsufficientData, QueryProfile
 from rxcheck.ingest import build_historical_db
 from rxcheck.simulate import KIND_FEATURE, KIND_RX_SWAP, generate_sa_set
 from rxcheck.train import (
+    MAX_SEARCH_SIZE,
     SEARCH_RANGES,
     InvalidTrainingSet,
     SearchSpace,
     UndefinedMetric,
+    TraceEntry,
+    _adaptive_search,
     _best_candidate,
     _kde,
+    _param_values,
     f1_metric,
     f1_objective,
     search_parameters,
@@ -173,6 +177,14 @@ class TestSearchSpace:
             SearchSpace(budget=0)
         with pytest.raises(ValueError):
             SearchSpace(strategy="anneal")
+
+    @pytest.mark.parametrize("field", ["budget", "runs_per_point"])
+    def test_sizes_past_the_cap_rejected(self, field):
+        # Rejected before the search allocates its columns or the objective
+        # its runs.
+        with pytest.raises(ValueError, match=f"{field} must lie in \\[1, 1000000\\], got 1000001"):
+            SearchSpace(**{field: MAX_SEARCH_SIZE + 1})
+        assert getattr(SearchSpace(**{field: MAX_SEARCH_SIZE}), field) == MAX_SEARCH_SIZE
 
 
 class TestSearchParameters:
@@ -334,3 +346,68 @@ def test_best_candidate_matches_scalar_scoring(good, bad, candidates, copies, ba
     good_by_dim, bad_by_dim = list(zip(*good)), list(zip(*bad))
     chosen = _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths)
     assert chosen == _scalar_choice(candidates, good_by_dim, bad_by_dim, bandwidths)
+
+
+def _reference_in_range(value, lo, hi):
+    tiny = (hi - lo) * 1e-9
+    return min(max(value, lo + tiny), hi)
+
+
+def _reference_draw_uniform(rng):
+    return ModelParams(*[
+        _reference_in_range(lo + (hi - lo) * float(rng.random()), lo, hi) for lo, hi in SEARCH_RANGES
+    ])
+
+
+def _reference_adaptive_search(space, evaluate, rng):
+    """The adaptive search's loop as it was when it re-sorted the whole trace
+    and rebuilt the good and bad points on every iteration."""
+    n_init = min(space.budget, max(5, space.budget // 5))
+    n_candidates = 24
+    gamma = 0.25
+
+    trace = [evaluate(_reference_draw_uniform(rng)) for _ in range(n_init)]
+    for index in range(n_init, space.budget):
+        order = sorted(range(len(trace)), key=lambda k: (-trace[k].f1_mean, k))
+        n_good = max(2, int(math.ceil(gamma * len(trace))))
+        good = [_param_values(trace[k].params) for k in order[:n_good]]
+        bad = [_param_values(trace[k].params) for k in order[n_good:]] or good
+        good_by_dim = list(zip(*good))
+        bad_by_dim = list(zip(*bad))
+        progress = index / space.budget
+        bandwidths = [(hi - lo) * max(0.35 * (1.0 - progress), 0.05) for lo, hi in SEARCH_RANGES]
+
+        candidates = []
+        for _ in range(n_candidates):
+            values = []
+            for dim, (lo, hi) in enumerate(SEARCH_RANGES):
+                anchor = good[int(rng.integers(len(good)))][dim]
+                values.append(_reference_in_range(anchor + bandwidths[dim] * float(rng.standard_normal()), lo, hi))
+            candidates.append(values)
+        best = _best_candidate(candidates, good_by_dim, bad_by_dim, bandwidths)
+        trace.append(evaluate(ModelParams(*candidates[best])))
+    return trace
+
+
+@seed(20227)
+@settings(deadline=None, max_examples=200, database=None)
+@given(
+    budget=st.one_of(st.integers(5, 8), st.integers(1, 60)),
+    generator_seed=st.integers(0, 2**64 - 1),
+    levels=st.lists(st.sampled_from([0.0, 0.5, 2 / 3, 1.0]), min_size=1, max_size=3, unique=True),
+    data=st.data(),
+)
+def test_adaptive_search_matches_the_re_sorting_loop(budget, generator_seed, levels, data):
+    # f1 from two or three values, or one: most points tie, and the order
+    # among equal f1 decides which points are good. Budgets 5-8 leave the
+    # fewest bad points, one at budget 5.
+    scores = data.draw(st.lists(st.sampled_from(levels), min_size=budget, max_size=budget))
+    space = SearchSpace(budget=budget, runs_per_point=1)
+    results = []
+    for search in (_adaptive_search, _reference_adaptive_search):
+        rng = np.random.default_rng(generator_seed)
+        scored = iter(scores)
+        trace = search(space, lambda params: TraceEntry(params, next(scored), 0.0), rng)
+        points = [tuple(map(repr, _param_values(entry.params))) for entry in trace]
+        results.append((points, rng.bit_generator.state))
+    assert results[0] == results[1]
