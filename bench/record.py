@@ -11,15 +11,17 @@ process from the root of each checkout, one run at a time, and reads the
 run's report from that checkout's .bench_work/results. The checkout that
 runs first moves on by one from each seed to the next, so that runs of the
 same seed meet the host in a similar state. After a workload's untraced
-runs, each checkout makes one `perfbench/run.py --trace 1` run of it, on the
-first seed, for the per-layer metrics of BENCHMARK.json.
+runs, each checkout makes one `perfbench/run.py --trace 1` run of it on each
+of the first TRACED_SEEDS seeds, in the same alternating order, for the
+per-layer metrics of BENCHMARK.json.
 
 BENCH_<N>.json, written at the root of this checkout, holds for each
 checkout its run stamp (git SHA, SHA-256 of src/rxcheck, Python, numpy,
 nproc, CPU) and, for each workload, the median and quartiles of the five
 end-to-end metrics over the seeds with every run's value, every run's
 failed share, the output digests each run reported, by seed, and the
-per-layer metrics of its traced run with that run's seed. The stamp
+median of each per-layer metric over its traced runs with every run's
+value, beside the traced seeds. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
 commit as "uncommitted on <sha>". Where a run reports digests per command
 (train), the file keeps those of the first MIN_REPEATS commands, which every
@@ -44,6 +46,10 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from run import MIN_REPEATS  # noqa: E402 - the benchmark's own minimum
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+# One traced run's per-layer numbers are noisy: a layer whose code did not
+# change can read 0.04 s in one run and 0.066 s in the next.
+TRACED_SEEDS = 3
 
 
 def seed_list(text: str) -> list[int]:
@@ -103,11 +109,23 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
 
 
+def per_layer(by_seed: dict) -> dict:
+    """The traced seeds, and each per-layer metric's median over the traced
+    reports by_seed[seed] with every run's value, in seed order."""
+    runs = [by_seed[seed] for seed in sorted(by_seed)]
+    metrics = {}
+    for metric, entry in runs[0]["result"]["metrics"].items():
+        values = [run["result"]["metrics"][metric]["value"] for run in runs]
+        metrics[metric] = {"unit": entry["unit"], "median": statistics.median(values), "runs": values}
+    return {"seeds": sorted(by_seed), "metrics": metrics}
+
+
 def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict) -> dict:
     """The BENCH file's content from stamps[checkout],
-    reports[checkout][workload][seed] and the traced run's report
-    traced[checkout][workload], the checkouts in the order they ran first.
-    Two checkouts whose stamps name one commit must hold the same sources."""
+    reports[checkout][workload][seed] and the traced runs' reports
+    traced[checkout][workload][seed], the checkouts in the order they ran
+    first. Two checkouts whose stamps name one commit must hold the same
+    sources."""
     by_sha: dict[str, tuple[str, str]] = {}
     for name, stamp in stamps.items():
         other, source = by_sha.setdefault(stamp["git_sha"], (name, stamp["source_sha256"]))
@@ -134,10 +152,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, trace
                 "metrics": metrics,
                 "failed_share": [run["failed_share"] for run in runs],
                 "digests": {str(seed): output_digests(by_seed[seed]["outputs"]) for seed in seeds},
-                "per_layer": {
-                    "seed": traced[name][workload]["seed"],
-                    "metrics": traced[name][workload]["result"]["metrics"],
-                },
+                "per_layer": per_layer(traced[name][workload]),
             }
         bench["checkouts"][name] = {"stamp": stamps[name], "workloads": workloads}
     return bench
@@ -156,8 +171,11 @@ def main(argv=None) -> int:
     workloads = [workload["name"] for workload in BENCHMARK["workloads"]]
     stamps: dict[str, dict] = {}
     reports = {name: {workload: {} for workload in workloads} for name in checkouts}
-    traced = {name: {} for name in checkouts}
+    traced = {name: {workload: {} for workload in workloads} for name in checkouts}
     names = list(checkouts)
+
+    def turn_order(turn: int) -> list[str]:
+        return names[turn % len(names):] + names[:turn % len(names)]
 
     def measured(name: str, workload: str, seed: int, trace: int) -> dict:
         report = run_once(checkouts[name], workload, seed, trace)
@@ -170,13 +188,14 @@ def main(argv=None) -> int:
 
     for workload in workloads:
         for turn, seed in enumerate(args.seeds):
-            for name in names[turn % len(names):] + names[:turn % len(names)]:
+            for name in turn_order(turn):
                 report = reports[name][workload][seed] = measured(name, workload, seed, 0)
                 value = report["result"]["metrics"]["items_per_s"]["value"]
                 print(f"{workload} seed {seed} {name}: items_per_s {value:.1f}", file=sys.stderr, flush=True)
-        for name in names:
-            traced[name][workload] = measured(name, workload, args.seeds[0], 1)
-            print(f"{workload} seed {args.seeds[0]} {name}: traced", file=sys.stderr, flush=True)
+        for turn, seed in enumerate(args.seeds[:TRACED_SEEDS]):
+            for name in turn_order(turn):
+                traced[name][workload][seed] = measured(name, workload, seed, 1)
+                print(f"{workload} seed {seed} {name}: traced", file=sys.stderr, flush=True)
     bench = bench_file(args.number, args.seeds, stamps, reports, traced)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

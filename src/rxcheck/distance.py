@@ -47,7 +47,8 @@ all ordered pairs of a reference set, are grouped sums rather than a pair
 loop. theta weights the distances between distinct prescriptions by their
 counts, O(U^2) in U distinct prescriptions. tau groups the records by
 presence pattern (which features they have, at most 2^k patterns): within a
-pair of patterns the Gower denominator is constant, categorical mismatches
+pair of patterns the Gower denominator is constant, read from
+encode_features' table, categorical mismatches
 come from per-pattern value counts, and numeric |difference| sums from one
 sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
@@ -65,9 +66,16 @@ pair) follow from the per-tuple age counts; each (class, age pair) gets its
 distance once and weighs in with its count. The cost grows with the tuples
 and distinct ages present, not with S^2.
 
-The walk and the pair classes share one array Gower kernel, which
-accumulates in place: each feature's contribution times the pair's validity
-mask is added to the numerator, and the mask to the denominator.
+The walk and the pair classes share one array Gower kernel. It adds up the
+numerator only, in place and in schema order: a numeric feature's clipped
+|difference| / width times the pair's validity mask, a categorical mismatch
+where both sides have the feature. The caller supplies the denominators,
+which depend only on which features the two sides have. encode_features
+gives each record its presence pattern and a table of the features each pair
+of patterns shares, NaN where none, so an incomparable pair divides to NaN;
+the walk reads the query's row of that table at the records' patterns, and
+the pair classes count a class's shared categories plus 1 when both ages
+are present.
 """
 
 from __future__ import annotations
@@ -243,11 +251,19 @@ class EncodedFeatures:
     """Columnar view of a record list: position p of every column is the
     list's record p, and schema is default_schema fitted to the columns. A
     HistoricalDB encodes its records in rx_rows.members order, so each
-    distinct prescription's records are one contiguous run of positions."""
+    distinct prescription's records are one contiguous run of positions.
+
+    pattern[p] is record p's presence pattern: bit k-1-f is set where it has
+    feature f of the k, so feature 0 is the most significant bit and integer
+    order is the row order np.unique(present, axis=0) gives. denominators[q,
+    p] is the Gower denominator of a pair with patterns q and p, the number
+    of features both have, and NaN where they share none."""
 
     columns: tuple[_Column, ...]
     size: int
     schema: FeatureSchema
+    pattern: np.ndarray
+    denominators: np.ndarray
 
 
 def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
@@ -257,9 +273,12 @@ def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
     labels in first-seen order, and its vocabulary is the labels sorted."""
     columns: list[_Column] = []
     specs: list[FeatureSpec] = []
+    pattern = np.zeros(len(records), dtype=np.intp)
     for spec in default_schema().features:
         raw = [getattr(r, spec.name) for r in records]
         present = np.array([v is not None for v in raw], dtype=bool)
+        pattern <<= 1
+        pattern |= present
         if spec.kind == NUMERIC:
             values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
             # Rounding to float64 is monotone, so these are float(min) and
@@ -274,7 +293,11 @@ def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
                                dtype=np.int64)
             columns.append(_Column(spec.name, CATEGORICAL, encoded, present, codes=codes))
             specs.append(FeatureSpec(spec.name, CATEGORICAL, vocabulary=tuple(sorted(codes))))
-    return EncodedFeatures(tuple(columns), len(records), FeatureSchema(tuple(specs)))
+    codes = np.arange(1 << len(columns))
+    both = codes[:, None] & codes
+    shared = sum((both >> bit) & 1 for bit in range(len(columns))).astype(np.float64)
+    shared[shared == 0.0] = np.nan
+    return EncodedFeatures(tuple(columns), len(records), FeatureSchema(tuple(specs)), pattern, shared)
 
 
 def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -325,34 +348,34 @@ def _rho(f, d, rx_f: np.ndarray, rx_d: np.ndarray) -> np.ndarray:
     return np.sqrt(df * df + dd * dd)
 
 
-def _gower(pairs, shape) -> np.ndarray:
+def _gower(pairs, den) -> np.ndarray:
     """Gower distances between a left and a right side of encoded records.
 
     pairs yields (column, left, right, valid) for each column the left side
     has: left and right are values in the column's code space that broadcast
-    to shape, and valid marks the pairs where neither side misses the
-    feature. Entries are NaN where the pair is incomparable. Accumulates
-    features in schema order, in place, so results match the scalar
-    gower_distance bit for bit.
+    to den's shape, and valid marks the pairs where neither side misses the
+    feature. den holds each pair's number of shared features, NaN where the
+    pair is incomparable, so those entries are NaN. Accumulates features in
+    schema order, in place, so results match the scalar gower_distance bit
+    for bit.
     """
-    num = np.zeros(shape, dtype=np.float64)
-    den = np.zeros(shape, dtype=np.float64)
+    num = np.zeros(np.shape(den), dtype=np.float64)
     for col, left, right, valid in pairs:
         if col.kind == NUMERIC and col.width > 0:
             contribution = np.subtract(left, right)
             np.abs(contribution, out=contribution)
             contribution /= col.width
             np.minimum(contribution, 1.0, out=contribution)
+            # Every term is finite and non-negative, so masking by
+            # multiplication adds exactly 0.0 where a side misses the
+            # feature, and x + 0.0 == x.
+            contribution *= valid
+            num += contribution
         else:
-            # Categories, or a degenerate numeric range: any difference is maximal.
-            contribution = (left != right).astype(np.float64)
-        # Every term is finite and non-negative, so masking by multiplication
-        # adds exactly 0.0 where a side misses the feature, and x + 0.0 == x.
-        contribution *= valid
-        num += contribution
-        den += valid
-    # num is 0.0 wherever den is, and 0.0 / nan is nan.
-    den[den == 0.0] = np.nan
+            # Categories, or a degenerate numeric range: any difference is
+            # maximal, an exact 1.0.
+            num += (left != right) & valid
+    # num is 0.0 wherever den is NaN, and 0.0 / nan is nan.
     num /= den
     return num
 
@@ -470,9 +493,12 @@ def _class_pairs(encoded: EncodedFeatures):
         a, b, c = np.nonzero(pairs)
         upper = a <= b + lo
         a, b, c = a[upper], b[upper], c[upper]
-        columns = [(age, age_values[a], age_values[b + lo], (a < len(ages)) & (b + lo < len(ages)))]
+        both_ages = (a < len(ages)) & (b + lo < len(ages))
+        columns = [(age, age_values[a], age_values[b + lo], both_ages)]
         columns += [(col, False, class_mismatched[c] > i, class_shared[c] > i) for i, col in enumerate(categories)]
-        g = _gower(columns, len(a))
+        den = (class_shared[c] + both_ages).astype(np.float64)
+        den[den == 0.0] = np.nan
+        g = _gower(columns, den)
         defined = ~np.isnan(g)
         yield g[defined], pairs[a, b, c][defined]
 
@@ -507,12 +533,16 @@ class QueryProfile:
     below the level it cuts, and the cut level's records with g up to the
     value np.partition selects, ties included; only these are sorted. A
     step over a single row reads the reference's row-grouped columns as
-    slices; record indices into db.records come from rx_rows.members.
-    sorted_rho is every record's rho, ascending, from the rows' counts;
-    every verdict reads it, so the constructor builds it. The group
-    functions keep R keyed by m and F keyed by n on the profile, the very
-    value they computed; a call that raises InsufficientNeighbors keeps
-    nothing.
+    slices; record indices into db.records come from rx_rows.members. The
+    Gower denominators of a step are the query's row of the reference's
+    denominators table read at the records' presence patterns; only a step
+    whose denominators hold a NaN (a record sharing no feature with the
+    query) gathers its comparable records. A query with no feature is
+    comparable to no record and walks nothing. sorted_rho is every
+    record's rho, ascending, from the rows' counts; every verdict reads it,
+    so the constructor builds it. The group functions keep R keyed by m and
+    F keyed by n on the profile, the very value they computed; a call that
+    raises InsufficientNeighbors keeps nothing.
     """
 
     def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
@@ -525,6 +555,12 @@ class QueryProfile:
         self.warnings = tuple(warnings)
         self.same_rx_count = db.rx_index.get(record.rx, 0)
         self._features = tuple(_query_features(record, db.encoded))
+        # The query's presence pattern, feature 0 the most significant bit,
+        # picks its row of denominators, one per reference pattern.
+        mask = 0
+        for col in db.encoded.columns:
+            mask = 2 * mask + (getattr(record, col.name) is not None)
+        self._den = db.encoded.denominators[mask]
         # A prescription that scales far outside [0, 1] can square past the
         # float range; its R would be infinite, so it gets no profile.
         with np.errstate(over="ignore"):
@@ -538,7 +574,9 @@ class QueryProfile:
         self._counts = db.rx_rows.counts[self._rows]
         self.sorted_rho = np.repeat(self._level_rho, self._counts)
         self._cumulative = np.cumsum(self._counts)
-        self._walked = 0                                # rows walked, at a level end
+        # Rows walked, at a level end. A query with no feature is comparable
+        # to no record, so it has nothing to walk.
+        self._walked = len(self._rows) if mask == 0 else 0
         # The walked comparable records in level order, and a prefix of the
         # feature group's order ranked from them.
         self._index = np.empty(0, dtype=np.intp)
@@ -603,12 +641,18 @@ class QueryProfile:
             first = np.repeat(rows.starts[self._rows[start:stop]] - (np.cumsum(counts) - counts), counts)
             positions = first + np.arange(len(first))
         index = rows.members[positions]
-        g = _gower(_against(self._features, positions), len(index))
+        den = self._den[self.db.encoded.pattern[positions]]
+        g = _gower(_against(self._features, positions), den)
         rho = np.repeat(self._level_rho[start:stop], counts)
-        defined = ~np.isnan(g)
-        self._index = np.concatenate((self._index, index[defined]))
-        self._g = np.concatenate((self._g, g[defined]))
-        self._rho = np.concatenate((self._rho, rho[defined]))
+        # The sum is NaN iff some record shares no feature with the query.
+        if math.isnan(den.sum()):
+            defined = ~np.isnan(den)
+            index, g, rho = index[defined], g[defined], rho[defined]
+        if start:
+            index = np.concatenate((self._index, index))
+            g = np.concatenate((self._g, g))
+            rho = np.concatenate((self._rho, rho))
+        self._index, self._g, self._rho = index, g, rho
         self._walked = stop
 
 
@@ -689,14 +733,10 @@ def _distinct_rx_sum(rows: DistinctRx) -> float:
 def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
     """Sum of Gower distances over comparable ordered pairs j != k, and their
     number, from the records grouped by presence pattern."""
-    present = np.column_stack([col.present for col in encoded.columns])
-    patterns, pattern_of, sizes = np.unique(
-        present, axis=0, return_inverse=True, return_counts=True
-    )
-    pattern_of = pattern_of.ravel()
+    patterns, pattern_of, sizes = np.unique(encoded.pattern, return_inverse=True, return_counts=True)
     count = len(patterns)
     # The denominator of a pattern pair is the number of features both have.
-    den = patterns.astype(np.int64) @ patterns.T
+    den = encoded.denominators[patterns[:, None], patterns]
     num = np.zeros((count, count))
     # Schema order, as in _gower, so each numerator rounds the same. A
     # pattern without a feature has no record with it, so it adds 0 there.
@@ -706,7 +746,7 @@ def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
         else:
             num += _mismatch_counts(col, pattern_of, count)
     pairs = np.outer(sizes, sizes) - np.diag(sizes)
-    comparable = den > 0
+    comparable = ~np.isnan(den)
     total = math.fsum((num[comparable] / den[comparable]).tolist())
     return total, int(pairs[comparable].sum())
 

@@ -115,9 +115,11 @@ def table_preset() -> Boundaries:
 
 def derive_boundaries(db: "HistoricalDB", quantile: Quantile) -> Boundaries:
     """Empirical quantiles of fractions, dose per fraction, and BED over the
-    database, as boundaries for its technique."""
-    fractions = np.array([r.prescription.fractions for r in db.records], dtype=np.float64)
-    doses = np.array([r.prescription.dose_per_fraction for r in db.records], dtype=np.float64)
+    database, as boundaries for its technique. The columns repeat each
+    distinct prescription of db.rx_index by its count: the records'
+    multiset, so the quantiles of a record walk."""
+    counts = np.fromiter(db.rx_index.values(), dtype=np.intp, count=len(db.rx_index))
+    fractions, doses = np.repeat(np.array(list(db.rx_index), dtype=np.float64), counts, axis=0).T
     levels = (quantile.low_q, quantile.high_q)
     pairs = (np.quantile(value_of(fractions, doses), levels).tolist() for _, value_of in _QUANTITIES)
     return Boundaries(by_technique={db.technique: _technique_bounds(pairs)}, check_bed=True)

@@ -1,5 +1,6 @@
 """bench/record.py: the BENCH file's stamps name the commit each checkout holds,
-and each checkout's traced run gives the per-layer metrics beside the medians."""
+and each checkout's traced runs give per-layer medians beside the end-to-end
+ones."""
 
 from __future__ import annotations
 
@@ -42,7 +43,9 @@ def test_bench_file_summarises_each_checkout(record):
               "change": {"git_sha": "uncommitted on abc", "source_sha256": "2"}}
     reports = {name: {"check": {41: report(base + 1), 42: report(base + 2), 43: report(base + 6)}}
                for name, base in (("parent", 0), ("change", 10))}
-    traced = {name: {"check": traced_report(41, base)} for name, base in (("parent", 0.2), ("change", 0.1))}
+    # Reports in any seed order; the file lists the runs in seed order.
+    traced = {name: {"check": {seed: traced_report(seed, value) for seed, value in zip((43, 41, 42), values)}}
+              for name, values in (("parent", (0.4, 0.3, 0.2)), ("change", (0.5, 0.1, 0.2)))}
     bench = record.bench_file(21, [41, 42, 43], stamps, reports, traced)
     change = bench["checkouts"]["change"]
     assert change["stamp"] == stamps["change"]
@@ -50,9 +53,9 @@ def test_bench_file_summarises_each_checkout(record):
         "unit": "1/s", "median": 12, "q1": 11.5, "q3": 14, "runs": [11, 12, 16]}
     assert change["workloads"]["check"]["digests"]["41"] == {
         "params_json_sha256": ["a", "b", "c"], "verdicts_jsonl_sha256": "e"}
-    assert change["workloads"]["check"]["per_layer"] == {"seed": 41, "metrics": {
-        "train.search_self_s": {"value": 0.1, "unit": "s"},
-        "train.detect_per_eval": {"value": 40.0, "unit": "count"}}}
+    assert change["workloads"]["check"]["per_layer"] == {"seeds": [41, 42, 43], "metrics": {
+        "train.search_self_s": {"unit": "s", "median": 0.2, "runs": [0.1, 0.2, 0.5]},
+        "train.detect_per_eval": {"unit": "count", "median": 40.0, "runs": [40.0, 40.0, 40.0]}}}
     assert bench["first_run_order"] == ["parent", "change"]
 
 
@@ -82,15 +85,16 @@ def test_commit_stamp_marks_uncommitted_sources(record, tmp_path):
     assert record.commit_stamp(tmp_path, stamp) == {"git_sha": "uncommitted on abc", "source_sha256": "1"}
 
 
-def test_each_checkout_makes_one_traced_run_per_workload(record, monkeypatch, tmp_path):
+def test_each_checkout_makes_traced_runs_on_the_first_seeds(record, monkeypatch, tmp_path):
     # The untraced runs of a workload alternate their first checkout; then
-    # each checkout makes one traced run on the first seed, and its
-    # per-layer metrics land in the BENCH file beside the medians.
+    # each checkout makes one traced run on each of the first three seeds,
+    # in the same alternating order, and the medians of their per-layer
+    # metrics land in the BENCH file beside the end-to-end ones.
     runs = []
 
     def run_once(directory, workload, seed, trace):
         runs.append((directory.name, workload, seed, trace))
-        done = traced_report(seed, 0.1) if trace else report(100.0 + seed)
+        done = traced_report(seed, seed / 100) if trace else report(100.0 + seed)
         return {**done, "stamp": {"git_sha": directory.name, "source_sha256": directory.name}}
 
     for name in ("parent", "change"):
@@ -99,21 +103,43 @@ def test_each_checkout_makes_one_traced_run_per_workload(record, monkeypatch, tm
     monkeypatch.setattr(record, "run_once", run_once)
     monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
     monkeypatch.setattr(record, "ROOT", tmp_path)
-    assert record.main(["27", "--checkout", f"parent={tmp_path / 'parent'}",
-                        "--checkout", f"change={tmp_path / 'change'}", "--seeds", "41-42"]) == 0
+    assert record.main(["28", "--checkout", f"parent={tmp_path / 'parent'}",
+                        "--checkout", f"change={tmp_path / 'change'}", "--seeds", "41-44"]) == 0
 
     workloads = [workload["name"] for workload in record.BENCHMARK["workloads"]]
+    order = [("parent", "change"), ("change", "parent")]
     assert runs == [
         run
         for workload in workloads
-        for run in [("parent", workload, 41, 0), ("change", workload, 41, 0),
-                    ("change", workload, 42, 0), ("parent", workload, 42, 0),
-                    ("parent", workload, 41, 1), ("change", workload, 41, 1)]
+        for run in [(name, workload, seed, 0) for seed in (41, 42, 43, 44) for name in order[seed % 2 == 0]]
+        + [(name, workload, seed, 1) for seed in (41, 42, 43) for name in order[seed % 2 == 0]]
     ]
-    bench = json.loads((tmp_path / "BENCH_27.json").read_text())
+    bench = json.loads((tmp_path / "BENCH_28.json").read_text())
     for name in ("parent", "change"):
         for workload in workloads:
             entry = bench["checkouts"][name]["workloads"][workload]
-            assert entry["per_layer"]["seed"] == 41
-            assert entry["per_layer"]["metrics"]["train.detect_per_eval"]["value"] == 40.0
-            assert entry["metrics"]["items_per_s"]["median"] == 141.5
+            assert entry["per_layer"]["seeds"] == [41, 42, 43]
+            assert entry["per_layer"]["metrics"]["train.search_self_s"] == {
+                "unit": "s", "median": 0.42, "runs": [0.41, 0.42, 0.43]}
+            assert entry["metrics"]["items_per_s"]["median"] == 142.5
+
+
+def test_fewer_seeds_than_traced_runs_trace_every_seed(record, monkeypatch, tmp_path):
+    runs = []
+
+    def run_once(directory, workload, seed, trace):
+        runs.append((directory.name, seed, trace))
+        done = traced_report(seed, 0.1) if trace else report(100.0)
+        return {**done, "stamp": {"git_sha": directory.name, "source_sha256": directory.name}}
+
+    (tmp_path / "only" / "perfbench").mkdir(parents=True)
+    (tmp_path / "only" / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(record, "run_once", run_once)
+    monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    assert record.main(["28", "--checkout", f"only={tmp_path / 'only'}", "--seeds", "7"]) == 0
+    assert runs == [("only", 7, 0), ("only", 7, 1)] * len(record.BENCHMARK["workloads"])
+    bench = json.loads((tmp_path / "BENCH_28.json").read_text())
+    per_layer = bench["checkouts"]["only"]["workloads"]["check"]["per_layer"]
+    assert per_layer["seeds"] == [7]
+    assert per_layer["metrics"]["train.search_self_s"] == {"unit": "s", "median": 0.1, "runs": [0.1]}

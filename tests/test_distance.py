@@ -364,6 +364,19 @@ class TestQueryProfile:
             with pytest.raises(InsufficientNeighbors):
                 detect(candidate, db, ModelParams(a=100.0, b=1.0, mu=0.1, nu=0.1))
 
+    def test_a_query_without_features_does_not_walk(self):
+        # No reference record shares a feature with it, so the kernel never
+        # runs; the failure is the one a walk over every record would give.
+        db = random_db(np.random.default_rng(17), 40)
+        with mock.patch.object(distance, "_gower", side_effect=AssertionError("walked")) as kernel:
+            profile = QueryProfile(rec("blank", 12, 300), db)
+            index, g = profile.nearest_comparable(db.size)
+            assert (index.tolist(), g.tolist()) == ([], [])
+            with pytest.raises(InsufficientNeighbors) as raised:
+                closest_n_feature_distance(profile, 7)
+        assert raised.value.args == ("only 0 comparable reference records for n=7",)
+        kernel.assert_not_called()
+
     def test_profile_of_another_reference_rejected(self):
         rng = np.random.default_rng(18)
         db, other = random_db(rng, 10), random_db(rng, 10)
@@ -813,7 +826,8 @@ def test_array_gower_equals_scalar_gower_exactly(records, data):
     assert encoded.schema == schema
     columns = encoded.columns
     pairs = [(col, col.values[:, None], col.values, col.present[:, None] & col.present) for col in columns]
-    got = _gower(pairs, (len(records), len(records)))[np.triu_indices(len(records), 1)]
+    pattern = encoded.pattern
+    got = _gower(pairs, encoded.denominators[pattern[:, None], pattern])[np.triu_indices(len(records), 1)]
     assert np.array_equal(got, expected, equal_nan=True)
 
     try:
@@ -826,6 +840,47 @@ def test_array_gower_equals_scalar_gower_exactly(records, data):
         scalar = [_gower_or_nan(query, r, schema) for r in db.records]
         assert sorted(index.tolist()) == [i for i, value in enumerate(scalar) if not math.isnan(value)]
         assert g.tolist() == [scalar[i] for i in index.tolist()]
+
+
+def _presence_code(flags) -> int:
+    """flags as a binary number, the first flag the most significant bit."""
+    return int("".join("1" if flag else "0" for flag in flags), 2)
+
+
+def test_denominators_count_the_features_two_patterns_share():
+    encoded = encode_features([rec("r0", 5, 400)])
+    size = 1 << len(encoded.columns)
+    assert encoded.denominators.shape == (size, size)
+    for q in range(size):
+        for p in range(size):
+            shared = bin(q & p).count("1")
+            if shared:
+                assert encoded.denominators[q, p] == shared
+            else:
+                assert math.isnan(encoded.denominators[q, p])
+
+
+@seed(20216)
+@settings(deadline=None, max_examples=80, database=None)
+@given(records=_reference_sets(), data=st.data())
+def test_presence_patterns_give_the_comparable_records(records, data):
+    # A record's pattern reads its presence flags in schema order, the first
+    # feature the most significant bit, so the distinct patterns ascend in
+    # the order of the distinct presence rows. A walk gives exactly the
+    # records whose pattern shares a bit with the query's.
+    encoded = encode_features(records)
+    present = np.column_stack([col.present for col in encoded.columns])
+    assert encoded.pattern.tolist() == [_presence_code(row) for row in present]
+    assert np.unique(encoded.pattern).tolist() == [_presence_code(row) for row in np.unique(present, axis=0)]
+    try:
+        db = build_historical_db(records)
+    except IncomparablePair:
+        return
+    pattern = db.encoded.pattern
+    for query in data.draw(st.lists(_kernel_queries(records), min_size=1, max_size=4)):
+        mask = _presence_code(getattr(query, col.name) is not None for col in db.encoded.columns)
+        index, _ = QueryProfile(query, db).nearest_comparable(db.size)
+        assert sorted(index.tolist()) == sorted(db.rx_rows.members[(pattern & mask) != 0].tolist())
 
 
 def test_row_grouped_layout_keeps_build_outputs_and_record_indices():

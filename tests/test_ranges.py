@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import (
     Boundaries,
     Quantile,
@@ -150,6 +151,30 @@ class TestDeriveBoundaries:
         path = tmp_path / "derived.json"
         write_boundaries(path, derived)
         assert load_boundaries(path) == derived
+
+    def test_prescription_counts_give_the_quantiles_of_a_record_walk(self):
+        # The columns come from db.rx_index in its own order; the quantiles
+        # of the records' multiset do not depend on it. The second reference
+        # of each seed adds records at three regimens, so prescriptions repeat.
+        levels = [(0, 1), (0.005, 0.995), (0.1, 0.9), (0.25, 0.75), (0.5, 0.5)]
+        regimens = [(5, 400), (10, 300), (25, 180)]
+        for seed in range(6):
+            base = random_db(np.random.default_rng(seed), 10 + 15 * seed)
+            repeated = [rec(f"x{k}", *regimens[k % 3]) for k in range(20 + seed)]
+            for db in (base, build_historical_db([*base.records, *repeated])):
+                self._assert_record_walk_quantiles(db, levels)
+
+    @staticmethod
+    def _assert_record_walk_quantiles(db, levels):
+        fractions = np.array([r.prescription.fractions for r in db.records], dtype=np.float64)
+        doses = np.array([r.prescription.dose_per_fraction for r in db.records], dtype=np.float64)
+        for low, high in levels:
+            walked = [np.quantile(value, (low, high)).tolist()
+                      for value in (fractions, doses, compute_bed(fractions, doses))]
+            bounds = derive_boundaries(db, Quantile(low, high)).by_technique["3D"]
+            assert [[bounds.fractions.lo, bounds.fractions.hi],
+                    [bounds.dose_per_fraction.lo, bounds.dose_per_fraction.hi],
+                    [bounds.bed.lo, bounds.bed.hi]] == walked
 
     def test_invalid_quantiles(self):
         with pytest.raises(ValueError):
