@@ -19,7 +19,9 @@ BENCH_<N>.json, written at the root of this checkout, holds for each
 checkout its run stamp (git SHA, SHA-256 of src/rxcheck, Python, numpy,
 nproc, CPU) and, for each workload, the median and quartiles of the five
 end-to-end metrics over the seeds with every run's value, every run's
-failed share, the output digests each run reported, by seed, and the
+failed share and host-speed kernel median (perfbench/hostspeed.py's
+kernel_median_ms, a clock for the host's state during the run), the output
+digests each run reported, by seed, and the
 median of each per-layer metric over its traced runs with every run's
 value, beside the traced seeds. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
@@ -151,6 +153,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, trace
             workloads[workload] = {
                 "metrics": metrics,
                 "failed_share": [run["failed_share"] for run in runs],
+                "host_speed_kernel_median_ms": [run["host_speed"]["kernel_median_ms"] for run in runs],
                 "digests": {str(seed): output_digests(by_seed[seed]["outputs"]) for seed in seeds},
                 "per_layer": per_layer(traced[name][workload]),
             }

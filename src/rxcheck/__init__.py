@@ -19,6 +19,7 @@ from .detector import (
     verdict_to_dict,
 )
 from .distance import (
+    HistoricalDB,
     Histogram,
     IncomparablePair,
     QueryProfile,
@@ -42,7 +43,6 @@ from .evaluate import (
 )
 from .ingest import (
     CohortConfig,
-    HistoricalDB,
     build_historical_db,
     filter_cohort,
     normalize_dataset,

@@ -12,19 +12,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Mapping, TYPE_CHECKING
+from typing import Mapping
 
 from .distance import (
     WARN_RX_SCALED_OUT_OF_RANGE,  # noqa: F401 - one of the verdict warnings
+    HistoricalDB,
     QueryProfile,
     closest_m_rx_distance,
     closest_n_feature_distance,
 )
 from .ranges import Boundaries, RangeViolation, UnsupportedTechnique, check_range
-from .records import TreatmentRecord, json_object, read_json, source_name, write_json
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import HistoricalDB
+from .records import TreatmentRecord, json_number, json_object, read_json, source_name, write_json
 
 STATUS_PASS = "Pass"
 STATUS_RANGE = "RangeFlag"
@@ -71,17 +69,7 @@ class ModelParams:
         or is an integer too large for a float, naming the keys."""
         json_object("", payload, _PARAM_KEYS, required=True,
                     expected=f"an object with keys {', '.join(_PARAM_KEYS)}", error=MalformedParams)
-        values = {}
-        for key in _PARAM_KEYS:
-            value = payload[key]
-            # A bool is an int to isinstance, and float() would take a string.
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise MalformedParams(f"key {key!r}: expected a number, got {value!r}")
-            try:
-                values[key] = float(value)
-            except OverflowError:
-                raise MalformedParams(f"key {key!r}: {len(str(abs(value)))}-digit integer overflows a float") from None
-        return cls(**values)
+        return cls(**{key: json_number(f"key {key!r}", payload[key], MalformedParams) for key in _PARAM_KEYS})
 
 
 class NonFiniteVerdict(ValueError):
@@ -92,7 +80,7 @@ class MalformedParams(ValueError):
     """A parameters entry that is not an object with the keys a, b, mu, nu."""
 
 
-def thresholds(params: ModelParams, db: "HistoricalDB") -> tuple[float, float]:
+def thresholds(params: ModelParams, db: HistoricalDB) -> tuple[float, float]:
     """(t_Rx, t_F) = (a * theta, b * tau) for this reference set."""
     return params.a * db.theta, params.b * db.tau
 
@@ -124,7 +112,7 @@ class Verdict:
 
 def detect(
     query: TreatmentRecord | QueryProfile,
-    db: "HistoricalDB",
+    db: HistoricalDB,
     params: ModelParams,
     boundaries: Boundaries | None = None,
 ) -> Verdict:

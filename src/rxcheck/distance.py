@@ -53,9 +53,9 @@ come from per-pattern value counts, and numeric |difference| sums from one
 sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's range, as they do when encode_features takes the
-range from those values; pairwise_means checks that. theta and the
-prescription histogram share one pass over the pairs of distinct
-prescriptions, each weighted by the product of their counts.
+range from those values. theta and the prescription histogram share one
+pass over the pairs of distinct prescriptions, each weighted by the product
+of their counts.
 
 The feature histogram needs each pair's value, but visits no pair either.
 Under the default schema, age and four categories, a pair's Gower distance
@@ -83,7 +83,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -98,9 +98,6 @@ from .records import (
     validate_record,
     write_csv,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from .ingest import HistoricalDB
 
 RX_DISTANCE_MAX = math.sqrt(2.0)
 WARN_RX_SCALED_OUT_OF_RANGE = "RxScaledOutOfRange"
@@ -160,22 +157,16 @@ class RxScaler:
         dimensions = (("fractions", self.f_min, self.f_max), ("dose_per_fraction", self.d_min, self.d_max))
         return tuple(name for name, lo, hi in dimensions if lo == hi)
 
-    def scale(self, p: Prescription) -> ScaledRx:
-        return ScaledRx(
-            _scale_component(p.fractions, self.f_min, self.f_max),
-            _scale_component(p.dose_per_fraction, self.d_min, self.d_max),
-        )
-
-
-def _scale_component(value: float, lo: float, hi: float) -> float:
-    width = hi - lo
-    if width <= 0:
-        return 0.0
-    return (value - lo) / width
-
 
 def scale_rx(p: Prescription, scaler: RxScaler) -> ScaledRx:
-    return scaler.scale(p)
+    """p's coordinates under scaler: (value - min) / (max - min) per
+    dimension, and 0.0 in a degenerate one."""
+    f_width = scaler.f_max - scaler.f_min
+    d_width = scaler.d_max - scaler.d_min
+    return ScaledRx(
+        0.0 if f_width <= 0 else (p.fractions - scaler.f_min) / f_width,
+        0.0 if d_width <= 0 else (p.dose_per_fraction - scaler.d_min) / d_width,
+    )
 
 
 def rx_distance(i: ScaledRx, j: ScaledRx) -> float:
@@ -324,6 +315,36 @@ class DistinctRx:
         return len(self.members)
 
 
+@dataclass(frozen=True)
+class HistoricalDB:
+    """Immutable per-technique reference set, as ingest.build_historical_db
+    builds it. It lives here, beside the kernels that read its fields.
+
+    Carries the prescription scaler, the feature schema with the numeric
+    ranges and vocabularies of its records, the exact prescription
+    occurrence index, and the characteristic pairwise distances
+    theta (prescriptions) and tau (features); for the distance kernels, the
+    records grouped by distinct scaled prescription (rx_rows) and their
+    encoded features in that grouped order: position p of encoded is
+    records[rx_rows.members[p]]. Safe to share across workers.
+    """
+
+    technique: str
+    records: tuple[TreatmentRecord, ...]
+    rx_scaler: RxScaler
+    feature_schema: FeatureSchema
+    rx_index: Mapping[tuple[int, int], int]
+    theta: float
+    tau: float
+    incomparable_pairs: int
+    encoded: EncodedFeatures = field(repr=False, compare=False)
+    rx_rows: DistinctRx = field(repr=False, compare=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.records)
+
+
 def distinct_rx(fractions: np.ndarray, doses: np.ndarray, scaler: RxScaler) -> DistinctRx:
     """Group records by their float64 (fractions, dose per fraction) columns
     as scaler scales them, so every record of a row lies at exactly the
@@ -380,17 +401,6 @@ def _gower(pairs, den) -> np.ndarray:
     return num
 
 
-def _query_features(record: TreatmentRecord, encoded: EncodedFeatures):
-    # Only the query's present features, so a pair is valid wherever the
-    # reference has the value. A category the reference never saw gets code
-    # -2, which matches nothing.
-    for col in encoded.columns:
-        value = getattr(record, col.name)
-        if value is None:
-            continue
-        yield col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2)
-
-
 def _against(features, positions):
     """_gower pairs of a query's (column, value) features against the
     encoded rows at positions, a slice or an index array."""
@@ -418,11 +428,12 @@ def _class_pairs(encoded: EncodedFeatures):
     pair) and the number of record pairs at it. No pair of records is
     visited.
 
-    Needs one numeric feature (age) first and categorical ones after it, the
-    layout of default_schema. A pair's class is (s, k): the categories both
-    records have, and how many of those differ. _gower adds the age term,
-    then 0.0 or an exact 1.0 per category, and divides by s, plus 1 if both
-    records have an age, so g depends on the class and the two ages only.
+    encode_features lays the columns out as default_schema does: one
+    numeric feature (age) first, categorical ones after it. A pair's class
+    is (s, k): the categories both records have, and how many of those
+    differ. _gower adds the age term, then 0.0 or an exact 1.0 per
+    category, and divides by s, plus 1 if both records have an age, so g
+    depends on the class and the two ages only.
 
     Records group by categorical tuple, a missing value counting as a value,
     and cells[a, t] counts tuple t's records at age index a, the last index
@@ -433,8 +444,6 @@ def _class_pairs(encoded: EncodedFeatures):
     int64, which calls no BLAS.
     """
     age, *categories = encoded.columns
-    if age.kind != NUMERIC or any(col.kind != CATEGORICAL for col in categories):
-        raise ValueError("pair classes need one numeric feature first and categorical ones after it")
     tuple_of, first = np.zeros(encoded.size, dtype=np.int64), np.zeros(1, dtype=np.intp)
     for col in categories:
         _, first, tuple_of = np.unique(
@@ -545,8 +554,8 @@ class QueryProfile:
     raises InsufficientNeighbors keeps nothing.
     """
 
-    def __init__(self, record: TreatmentRecord, db: "HistoricalDB"):
-        scaled = db.rx_scaler.scale(record.prescription)
+    def __init__(self, record: TreatmentRecord, db: HistoricalDB):
+        scaled = scale_rx(record.prescription, db.rx_scaler)
         warnings = [v.kind for v in validate_record(record)]
         if not (0.0 <= scaled.f <= 1.0 and 0.0 <= scaled.d <= 1.0):
             warnings.append(WARN_RX_SCALED_OUT_OF_RANGE)
@@ -554,12 +563,18 @@ class QueryProfile:
         self.db = db
         self.warnings = tuple(warnings)
         self.same_rx_count = db.rx_index.get(record.rx, 0)
-        self._features = tuple(_query_features(record, db.encoded))
-        # The query's presence pattern, feature 0 the most significant bit,
-        # picks its row of denominators, one per reference pattern.
-        mask = 0
+        # Only the query's present features, so a pair is valid wherever the
+        # reference has the value. A category the reference never saw gets
+        # code -2, which matches nothing. The query's presence pattern,
+        # feature 0 the most significant bit, picks its row of denominators,
+        # one per reference pattern.
+        features, mask = [], 0
         for col in db.encoded.columns:
-            mask = 2 * mask + (getattr(record, col.name) is not None)
+            value = getattr(record, col.name)
+            mask = 2 * mask + (value is not None)
+            if value is not None:
+                features.append((col, float(value) if col.kind == NUMERIC else col.codes.get(str(value), -2)))
+        self._features = tuple(features)
         self._den = db.encoded.denominators[mask]
         # A prescription that scales far outside [0, 1] can square past the
         # float range; its R would be infinite, so it gets no profile.
@@ -709,8 +724,8 @@ def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, f
     within a pair of patterns, so each feature's numerator sum over a
     pattern pair comes from per-pattern counts. The clamp at 1 is dropped,
     which needs every numeric column's present values to span at most its
-    width, as they do in encode_features' columns; a wider column raises
-    ValueError. Raises IncomparablePair when no pair shares a feature.
+    width, as they do in encode_features' columns. Raises IncomparablePair
+    when no pair shares a feature.
     """
     size = len(rows)
     if size < 2:
@@ -772,15 +787,9 @@ def _numeric_abs_diff_sums(col: _Column, pattern_of: np.ndarray, count: int) -> 
     pair it separates: below[p] * above[q] + below[q] * above[p]. Every term
     is non-negative, so the sum does not cancel.
     """
-    values = col.values[col.present]
-    if len(values) and values.max() - values.min() > col.width:
-        raise ValueError(
-            f"numeric feature {col.name!r}: present values span "
-            f"{values.max() - values.min()!r}, more than the column width {col.width!r}"
-        )
     if col.width <= 0.0:
         return np.zeros((count, count))
-    distinct, rank = np.unique(values, return_inverse=True)
+    distinct, rank = np.unique(col.values[col.present], return_inverse=True)
     per_value = _pattern_counts(pattern_of[col.present], rank.ravel(), count, len(distinct))
     below = np.cumsum(per_value, axis=1)[:, :-1]
     above = per_value.sum(axis=1)[:, None] - below
@@ -803,14 +812,13 @@ class Histogram:
         ]
 
 
-def pairwise_histograms(db: "HistoricalDB", bin_width: float) -> tuple[Histogram, Histogram]:
+def pairwise_histograms(db: HistoricalDB, bin_width: float) -> tuple[Histogram, Histogram]:
     """Normalized histograms of pairwise prescription and feature distances.
 
     Bins cover [0, sqrt(2)] and [0, 1]; each histogram's masses sum to 1 over
     the unordered reference pairs (comparable pairs only, for features). The
-    feature counts come from pair classes and need default_schema's layout,
-    one numeric feature first; another layout raises ValueError. So does a
-    bin_width that is not positive or gives more than MAX_HISTOGRAM_BINS bins.
+    feature counts come from pair classes. A bin_width that is not positive
+    or gives more than MAX_HISTOGRAM_BINS bins raises ValueError.
     """
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")

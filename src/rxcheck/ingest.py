@@ -1,5 +1,7 @@
 """Raw data ingestion: parsing, label normalization, cohort filtering, and
-construction of the immutable per-technique historical databases.
+construction of the immutable per-technique historical databases. The
+HistoricalDB type is defined in distance, beside the kernels that read it;
+build_historical_db here builds one.
 
 The three front-end stages pass rows on as a records.RecordTable: parse
 fills its columns, normalize maps each distinct set of labels once, and
@@ -20,7 +22,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from . import distance
-from .distance import DistinctRx, EncodedFeatures, InsufficientData, RxScaler
+from .distance import HistoricalDB, InsufficientData, RxScaler
 from .records import (
     AGE_OUT_OF_RANGE,
     CSV_COLUMNS,
@@ -29,7 +31,6 @@ from .records import (
     NON_POSITIVE_RX,
     REQUIRED_COLUMNS,
     RX_TOO_LARGE,
-    FeatureSchema,
     Prescription,
     RecordTable,
     TreatmentRecord,
@@ -125,7 +126,9 @@ class CohortConfig:
 
     def __post_init__(self) -> None:
         for technique in MODELED_TECHNIQUES:
-            if not self.energy_whitelist.get(technique):
+            if technique not in self.energy_whitelist:
+                raise ValueError(f"no energy whitelist for {technique}")
+            if not self.energy_whitelist[technique]:
                 raise ValueError(f"empty energy whitelist for {technique}")
         if not isinstance(self.subject_delimiter, str) or not self.subject_delimiter:
             raise ValueError(
@@ -449,35 +452,6 @@ def _replan_and_initial_ids(table: RecordTable, config: CohortConfig) -> tuple[s
 # ---------------------------------------------------------------------------
 # Historical database
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class HistoricalDB:
-    """Immutable per-technique reference set.
-
-    Carries the prescription scaler, the feature schema with the numeric
-    ranges and vocabularies of its records, the exact prescription
-    occurrence index, and the characteristic pairwise distances
-    theta (prescriptions) and tau (features); for the distance kernels, the
-    records grouped by distinct scaled prescription (rx_rows) and their
-    encoded features in that grouped order: position p of encoded is
-    records[rx_rows.members[p]]. Safe to share across workers.
-    """
-
-    technique: str
-    records: tuple[TreatmentRecord, ...]
-    rx_scaler: RxScaler
-    feature_schema: FeatureSchema
-    rx_index: Mapping[tuple[int, int], int]
-    theta: float
-    tau: float
-    incomparable_pairs: int
-    encoded: EncodedFeatures = field(repr=False, compare=False)
-    rx_rows: DistinctRx = field(repr=False, compare=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.records)
-
 
 def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
     """Freeze a filtered, single-technique record list into a HistoricalDB.

@@ -11,17 +11,16 @@ loop over it.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import IO, Mapping, TYPE_CHECKING
+from typing import IO, Mapping
 
 import numpy as np
 
-from .records import TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, json_object, read_json, source_name, write_json
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import HistoricalDB
+from .distance import HistoricalDB
+from .records import (
+    TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, json_number, json_object, read_json, source_name, write_json,
+)
 
 # Linear-quadratic alpha/beta ratio, in cGy to match integer-cGy doses.
 DEFAULT_ALPHA_BETA = 1000.0
@@ -113,7 +112,7 @@ def table_preset() -> Boundaries:
     )
 
 
-def derive_boundaries(db: "HistoricalDB", quantile: Quantile) -> Boundaries:
+def derive_boundaries(db: HistoricalDB, quantile: Quantile) -> Boundaries:
     """Empirical quantiles of fractions, dose per fraction, and BED over the
     database, as boundaries for its technique. The columns repeat each
     distinct prescription of db.rx_index by its count: the records'
@@ -199,14 +198,9 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     for technique, row in payload["techniques"].items():
         where = f"{name}: technique {technique!r}"
         json_object(where, row, _BOUND_KEYS, required=True)
+        # The bounds keep the file's numbers: an integer is written back as one.
         for key in _BOUND_KEYS:
-            value = row[key]
-            # A bool is an int to isinstance.
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{where}: key {key!r}: expected a number, got {value!r}")
-            # read_json gives no infinite float, so only an integer can exceed this.
-            if abs(value) > sys.float_info.max:
-                raise ValueError(f"{where}: key {key!r}: {len(str(abs(value)))}-digit integer overflows a float")
+            json_number(f"{where}: key {key!r}", row[key])
         bounds = {}
         for quantity in _FIELD_QUANTITIES:
             lo, hi = row[f"min_{quantity}"], row[f"max_{quantity}"]

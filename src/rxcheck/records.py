@@ -400,6 +400,20 @@ def json_object(where: str, value, names: Collection[str] | None = None, *, requ
     return value
 
 
+def json_number(where: str, value, error: type[ValueError] = ValueError) -> float:
+    """float(value), when value is a JSON number that converts to a float.
+    Otherwise raises error "<where>: expected a number, got <value>", or
+    "<where>: N-digit integer overflows a float" for an integer float()
+    cannot convert."""
+    # A bool is an int to isinstance, and float() would take a string.
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{where}: expected a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{where}: {len(str(abs(value)))}-digit integer overflows a float") from None
+
+
 def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:
     """Write the header and then each row as CSV, every line ending in a
     bare newline."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import IO, Mapping, Sequence, TYPE_CHECKING
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .distance import HistoricalDB
 from .records import (
     AGE_MAX,
     AGE_MIN,
@@ -25,9 +26,6 @@ from .records import (
     write_json,
     write_records_csv,
 )
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import HistoricalDB
 
 KIND_RX_SWAP = "RxDigitSwap"
 KIND_FEATURE = "FeatureMutation"
@@ -144,7 +142,7 @@ def mutate_features(
 
 def verify_rarity(
     candidate: TreatmentRecord,
-    db: "HistoricalDB",
+    db: HistoricalDB,
     threshold: int,
     mutation: MutationDescriptor,
 ) -> RarityCheck:
@@ -183,7 +181,7 @@ def verify_rarity(
 # ---------------------------------------------------------------------------
 
 def generate_sa_set(
-    db: "HistoricalDB",
+    db: HistoricalDB,
     counts: Mapping[str, int],
     threshold: int = DEFAULT_RARITY_THRESHOLD,
     *,

@@ -21,18 +21,15 @@ import bisect
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, TYPE_CHECKING
+from typing import IO, Sequence
 
 import numpy as np
 
 from .detector import ModelParams, detect
-from .distance import InsufficientData, QueryProfile
+from .distance import HistoricalDB, InsufficientData, QueryProfile
 from .records import TreatmentRecord, write_csv
 from .seeding import substream
 from .simulate import SimulatedAnomaly
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .ingest import HistoricalDB
 
 STRATEGY_GRID = "grid"
 STRATEGY_RANDOM = "random"
@@ -158,7 +155,7 @@ def f1_objective(
 
 def search_parameters(
     space: SearchSpace,
-    reference_db: "HistoricalDB",
+    reference_db: HistoricalDB,
     holdout_pool: Sequence[TreatmentRecord],
     sa_set: Sequence[SimulatedAnomaly],
     seed: int,

@@ -25,6 +25,7 @@ from rxcheck.distance import (
     closest_n_feature_distance,
     gower_distance,
     rx_distance,
+    scale_rx,
 )
 from rxcheck.evaluate import (
     ConfusionMatrix,
@@ -97,8 +98,8 @@ def test_criterion_01_metric_oracle_equivalence():
                 db.rx_scaler.f_min, db.rx_scaler.f_max,
                 db.rx_scaler.d_min, db.rx_scaler.d_max,
             )
-            scaled_q = db.rx_scaler.scale(query.prescription)
-            scaled_j = db.rx_scaler.scale(records[j].prescription)
+            scaled_q = scale_rx(query.prescription, db.rx_scaler)
+            scaled_j = scale_rx(records[j].prescription, db.rx_scaler)
             assert close(rx_distance(scaled_q, scaled_j), expected_rho)
             expected_g = oracle_gower(query, records[j], schema)
             if expected_g is not None:

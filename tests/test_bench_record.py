@@ -24,10 +24,11 @@ def record(monkeypatch):
     return module
 
 
-def report(items_per_s: float) -> dict:
+def report(items_per_s: float, kernel_median_ms: float = 2.0) -> dict:
     return {
         "result": {"metrics": {"items_per_s": {"unit": "1/s", "value": items_per_s}}},
         "failed_share": 0.0,
+        "host_speed": {"kernel_runs": 9, "kernel_median_ms": kernel_median_ms, "nominal_ms": 2.0},
         "outputs": {"params_json_sha256": ["a", "b", "c", "d"], "verdicts_jsonl_sha256": "e", "commands": 4},
     }
 
@@ -41,7 +42,7 @@ def traced_report(seed: int, search_self_s: float) -> dict:
 def test_bench_file_summarises_each_checkout(record):
     stamps = {"parent": {"git_sha": "abc", "source_sha256": "1"},
               "change": {"git_sha": "uncommitted on abc", "source_sha256": "2"}}
-    reports = {name: {"check": {41: report(base + 1), 42: report(base + 2), 43: report(base + 6)}}
+    reports = {name: {"check": {41: report(base + 1, 2.5), 42: report(base + 2, 1.9), 43: report(base + 6, 2.1)}}
                for name, base in (("parent", 0), ("change", 10))}
     # Reports in any seed order; the file lists the runs in seed order.
     traced = {name: {"check": {seed: traced_report(seed, value) for seed, value in zip((43, 41, 42), values)}}
@@ -51,6 +52,9 @@ def test_bench_file_summarises_each_checkout(record):
     assert change["stamp"] == stamps["change"]
     assert change["workloads"]["check"]["metrics"]["items_per_s"] == {
         "unit": "1/s", "median": 12, "q1": 11.5, "q3": 14, "runs": [11, 12, 16]}
+    # Each untraced run's host-speed median, in seed order, beside its failed share.
+    assert change["workloads"]["check"]["host_speed_kernel_median_ms"] == [2.5, 1.9, 2.1]
+    assert change["workloads"]["check"]["failed_share"] == [0.0, 0.0, 0.0]
     assert change["workloads"]["check"]["digests"]["41"] == {
         "params_json_sha256": ["a", "b", "c"], "verdicts_jsonl_sha256": "e"}
     assert change["workloads"]["check"]["per_layer"] == {"seeds": [41, 42, 43], "metrics": {

@@ -451,18 +451,6 @@ def _means_inputs(records):
 
 
 class TestPairwiseMeans:
-    def test_numeric_values_wider_than_the_bound_range_rejected(self):
-        # The grouped sum drops the clamp at 1, which holds only while every
-        # present value lies inside its column's range: here the age column
-        # keeps the width of the first two records.
-        records = [rec("a", 5, 400, age_at_tx=50), rec("b", 6, 400, age_at_tx=60),
-                   rec("c", 7, 400, age_at_tx=90)]
-        rows, encoded = _means_inputs(records)
-        age, *categories = encoded.columns
-        narrow = replace(encoded, columns=(replace(age, width=10.0), *categories))
-        with pytest.raises(ValueError, match="age_at_tx"):
-            pairwise_means(rows, narrow)
-
     def test_no_comparable_pair_raises(self):
         records = [rec("a", 5, 400, energy="x06"), rec("b", 6, 400, intent="curative"),
                    rec("c", 7, 400)]
@@ -988,13 +976,6 @@ class TestPairwiseHistograms:
             tracemalloc.stop()
         assert str(raised.value) == f"bin_width {width!r} gives 1000001 bins over [0, sqrt(2)], more than 1000000"
         assert peak < 1 << 20
-
-    def test_layout_other_than_numeric_first_rejected(self, small_db):
-        # The categorical columns alone, without the age column first.
-        encoded = small_db.encoded
-        db = replace(small_db, encoded=replace(encoded, columns=encoded.columns[1:3]))
-        with pytest.raises(ValueError, match="one numeric feature first"):
-            pairwise_histograms(db, 0.1)
 
 
 @st.composite

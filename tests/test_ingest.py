@@ -429,6 +429,9 @@ class TestCohortConfig:
         ('{"energy_whitelist": {"3D": "x06"}}',
          "key 'energy_whitelist': technique '3D': expected a list of strings, got 'x06'"),
         ('{"energy_whitelist": {"3d": ["x06"]}}', "key 'energy_whitelist': unknown technique '3d'"),
+        # A modeled technique the whitelist leaves out is missing, not empty.
+        ('{"energy_whitelist": {"3D": ["x06"]}}', "no energy whitelist for IMRT"),
+        ('{"energy_whitelist": {"3D": ["x06"], "IMRT": [], "SBRT": ["x06"]}}', "empty energy whitelist for IMRT"),
         ('{"label_mappings": {"energy": ["x06"]}}',
          "key 'label_mappings': field 'energy': expected an object of strings, got ['x06']"),
         ('{"label_mappings": {"energy": {"6X": null}}}',
@@ -436,7 +439,8 @@ class TestCohortConfig:
         ('{"label_mappings": {"energi": {"6X": "x06"}}}', "key 'label_mappings': unknown field 'energi'"),
         ('{"subject_delimiter": 5}', "subject_delimiter must be a non-empty string, got 5"),
     ], ids=["array", "unknown-key", "string-whitelist", "non-string-item", "removed-key",
-            "whitelist-array", "technique-string", "unknown-technique", "mapping-array",
+            "whitelist-array", "technique-string", "unknown-technique", "missing-technique",
+            "empty-technique", "mapping-array",
             "mapping-null", "unknown-field", "delimiter-number"])
     def test_malformed_config_named(self, tmp_path, text, problem):
         path = tmp_path / "cohort.json"

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +95,27 @@ def test_run_config_integer_beyond_the_string_limit_named_with_the_file(tmp_path
                 "--config", str(config)])
     assert code == EX_ERROR
     assert capsys.readouterr().err == f"rxcheck: error: {config}: {_TOO_LONG}\n"
+
+
+def test_params_and_boundaries_read_a_number_alike(tmp_path):
+    # An integer just past the largest float rounds to it, so float() takes
+    # it; an integer float() cannot convert is refused alike by both readers.
+    params, bounds = tmp_path / "params.json", tmp_path / "bounds.json"
+
+    def write(value):
+        params.write_text(json.dumps({"3D": {"a": value, "b": 1, "mu": 0.05, "nu": 0.05}}))
+        bounds.write_text(json.dumps({"techniques": {"3D": {
+            "min_bed": 0, "max_bed": value, "min_fractions": 1, "max_fractions": 5,
+            "min_dose_per_fraction": 600, "max_dose_per_fraction": 2000}}}))
+
+    edge = int(sys.float_info.max) + 1
+    write(edge)
+    assert load_params_json(params)["3D"].a == sys.float_info.max
+    assert load_boundaries(bounds).by_technique["3D"].bed.hi == edge
+    write(10**400)
+    with pytest.raises(ValueError) as raised:
+        load_params_json(params)
+    assert str(raised.value) == f"{params}: technique '3D': key 'a': 401-digit integer overflows a float"
+    with pytest.raises(ValueError) as raised:
+        load_boundaries(bounds)
+    assert str(raised.value) == f"{bounds}: technique '3D': key 'max_bed': 401-digit integer overflows a float"
