@@ -13,7 +13,8 @@ runs first moves on by one from each seed to the next, so that runs of the
 same seed meet the host in a similar state. After a workload's untraced
 runs, each checkout makes one `perfbench/run.py --trace 1` run of it on each
 of the first TRACED_SEEDS seeds, in the same alternating order, for the
-per-layer metrics of BENCHMARK.json.
+per-layer metrics of BENCHMARK.json. After its workload runs, each checkout
+runs its own `python -m pytest -q -m bench` once, as a child process.
 
 BENCH_<N>.json, written at the root of this checkout, holds for each
 checkout its run stamp (git SHA, SHA-256 of src/rxcheck, Python, numpy,
@@ -23,7 +24,9 @@ failed share and host-speed kernel median (perfbench/hostspeed.py's
 kernel_median_ms, a clock for the host's state during the run), the output
 digests each run reported, by seed, and the
 median of each per-layer metric over its traced runs with every run's
-value, beside the traced seeds. The stamp
+value, beside the traced seeds; and for each checkout, its pytest -m bench
+run's exit code, pass and fail counts and each benchmark's median time in
+seconds, a failing run recorded as it is. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
 commit as "uncommitted on <sha>". Where a run reports digests per command
 (train), the file keeps those of the first MIN_REPEATS commands, which every
@@ -38,9 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,6 +91,23 @@ def run_once(directory: Path, workload: str, seed: int, trace: int) -> dict:
     return json.loads((directory / ".bench_work" / "results" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
 
 
+def run_bench_tests(directory: Path) -> dict:
+    """One `python -m pytest -q -m bench` run in directory: its exit code,
+    its pass and fail counts (errors count as failures) and each
+    benchmark's median in seconds, by test id."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "benchmarks.json"
+        done = subprocess.run([sys.executable, "-m", "pytest", "-q", "-m", "bench", f"--benchmark-json={path}"],
+                              cwd=directory, capture_output=True, text=True)
+        benchmarks = json.loads(path.read_text())["benchmarks"] if path.is_file() else []
+    lines = done.stdout.strip().splitlines()
+    counts = {"passed": 0, "failed": 0}
+    for number, outcome in re.findall(r"(\d+) (passed|failed|error)", lines[-1] if lines else ""):
+        counts["passed" if outcome == "passed" else "failed"] += int(number)
+    return {"exit_code": done.returncode, **counts,
+            "median_s": {entry["fullname"]: entry["stats"]["median"] for entry in benchmarks}}
+
+
 def commit_stamp(directory: Path, stamp: dict) -> dict:
     """stamp, with git_sha "uncommitted on <sha>" when the rxcheck sources
     in directory differ from its HEAD commit (the run stamps HEAD's SHA)."""
@@ -122,10 +144,11 @@ def per_layer(by_seed: dict) -> dict:
     return {"seeds": sorted(by_seed), "metrics": metrics}
 
 
-def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict) -> dict:
+def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict, bench_tests: dict) -> dict:
     """The BENCH file's content from stamps[checkout],
-    reports[checkout][workload][seed] and the traced runs' reports
-    traced[checkout][workload][seed], the checkouts in the order they ran
+    reports[checkout][workload][seed], the traced runs' reports
+    traced[checkout][workload][seed] and each checkout's run_bench_tests
+    result bench_tests[checkout], the checkouts in the order they ran
     first. Two checkouts whose stamps name one commit must hold the same
     sources."""
     by_sha: dict[str, tuple[str, str]] = {}
@@ -138,6 +161,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, trace
         "number": number,
         "command": f"perfbench/run.py --trace 0 --seconds {BENCHMARK['run_seconds']}",
         "traced_command": "perfbench/run.py --trace 1",
+        "bench_tests_command": "python -m pytest -q -m bench",
         "seeds": seeds,
         "first_run_order": list(reports),
         "checkouts": {},
@@ -157,7 +181,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, trace
                 "digests": {str(seed): output_digests(by_seed[seed]["outputs"]) for seed in seeds},
                 "per_layer": per_layer(traced[name][workload]),
             }
-        bench["checkouts"][name] = {"stamp": stamps[name], "workloads": workloads}
+        bench["checkouts"][name] = {"stamp": stamps[name], "workloads": workloads, "bench_tests": bench_tests[name]}
     return bench
 
 
@@ -199,7 +223,11 @@ def main(argv=None) -> int:
             for name in turn_order(turn):
                 traced[name][workload][seed] = measured(name, workload, seed, 1)
                 print(f"{workload} seed {seed} {name}: traced", file=sys.stderr, flush=True)
-    bench = bench_file(args.number, args.seeds, stamps, reports, traced)
+    bench_tests = {}
+    for name in names:
+        bench_tests[name] = run_bench_tests(checkouts[name])
+        print(f"pytest -m bench {name}: exit code {bench_tests[name]['exit_code']}", file=sys.stderr, flush=True)
+    bench = bench_file(args.number, args.seeds, stamps, reports, traced, bench_tests)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print(path)

@@ -58,7 +58,6 @@ from .ranges import (
     table_preset,
 )
 from .records import (
-    FeatureSchema,
     FeatureSpec,
     Prescription,
     TreatmentRecord,
@@ -86,7 +85,6 @@ __all__ = [
     "Boundaries",
     "CohortConfig",
     "ConfusionMatrix",
-    "FeatureSchema",
     "FeatureSpec",
     "Histogram",
     "HistoricalDB",

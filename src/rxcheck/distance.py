@@ -54,8 +54,8 @@ sort and per-pattern counts below each gap between sorted values. This
 drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's range, as they do when encode_features takes the
 range from those values. theta and the prescription histogram share one
-pass over the pairs of distinct prescriptions, each weighted by the product
-of their counts.
+pass over the pairs of rows, the pairs within a row included at distance 0,
+each weighted by the number of record pairs it stands for.
 
 The feature histogram needs each pair's value, but visits no pair either.
 Under the default schema, age and four categories, a pair's Gower distance
@@ -90,7 +90,6 @@ import numpy as np
 from .records import (
     CATEGORICAL,
     NUMERIC,
-    FeatureSchema,
     FeatureSpec,
     Prescription,
     TreatmentRecord,
@@ -180,7 +179,7 @@ def rx_distance(i: ScaledRx, j: ScaledRx) -> float:
 # Gower feature distance
 # ---------------------------------------------------------------------------
 
-def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema) -> float:
+def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: Sequence[FeatureSpec]) -> float:
     """Gower dissimilarity: the mean contribution of the schema's
     comparable features.
 
@@ -190,7 +189,7 @@ def gower_distance(i: TreatmentRecord, j: TreatmentRecord, schema: FeatureSchema
     """
     num = 0.0
     den = 0
-    for spec in schema.features:
+    for spec in schema:
         a = getattr(i, spec.name)
         b = getattr(j, spec.name)
         if a is None or b is None:
@@ -252,7 +251,7 @@ class EncodedFeatures:
 
     columns: tuple[_Column, ...]
     size: int
-    schema: FeatureSchema
+    schema: tuple[FeatureSpec, ...]
     pattern: np.ndarray
     denominators: np.ndarray
 
@@ -265,7 +264,7 @@ def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
     columns: list[_Column] = []
     specs: list[FeatureSpec] = []
     pattern = np.zeros(len(records), dtype=np.intp)
-    for spec in default_schema().features:
+    for spec in default_schema():
         raw = [getattr(r, spec.name) for r in records]
         present = np.array([v is not None for v in raw], dtype=bool)
         pattern <<= 1
@@ -288,7 +287,7 @@ def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
     both = codes[:, None] & codes
     shared = sum((both >> bit) & 1 for bit in range(len(columns))).astype(np.float64)
     shared[shared == 0.0] = np.nan
-    return EncodedFeatures(tuple(columns), len(records), FeatureSchema(tuple(specs)), pattern, shared)
+    return EncodedFeatures(tuple(columns), len(records), tuple(specs), pattern, shared)
 
 
 def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -332,7 +331,7 @@ class HistoricalDB:
     technique: str
     records: tuple[TreatmentRecord, ...]
     rx_scaler: RxScaler
-    feature_schema: FeatureSchema
+    feature_schema: tuple[FeatureSpec, ...]
     rx_index: Mapping[tuple[int, int], int]
     theta: float
     tau: float
@@ -409,16 +408,19 @@ def _against(features, positions):
 
 
 def _row_pairs(rows: DistinctRx):
-    """Yields (rho, pairs) for the pairs of distinct rows u < v, with u in
-    one block of at most _PAIR_BLOCK rows at a time: their prescription
-    distance and the number of record pairs they stand for,
-    counts[u] * counts[v]."""
+    """Yields (rho, pairs) for the pairs of rows u <= v, with u in one block
+    of at most _PAIR_BLOCK rows at a time: their prescription distance and
+    the number of record pairs they stand for, counts[u] * counts[v], or
+    counts[u] * (counts[u] - 1) // 2 at rho 0 within row u. theta and the
+    prescription histogram share this one pass over every pair of records."""
     count = len(rows.counts)
     for lo in range(0, count, _PAIR_BLOCK):
         hi = min(lo + _PAIR_BLOCK, count)
         rho = _rho(rows.f[lo:hi, None], rows.d[lo:hi, None], rows.f[lo:], rows.d[lo:])
         pairs = rows.counts[lo:hi, None] * rows.counts[lo:]
-        upper = np.arange(count - lo)[None, :] > np.arange(hi - lo)[:, None]
+        own = rows.counts[lo:hi]
+        np.fill_diagonal(pairs, own * (own - 1) // 2)
+        upper = np.arange(count - lo)[None, :] >= np.arange(hi - lo)[:, None]
         yield rho[upper], pairs[upper]
 
 
@@ -730,19 +732,12 @@ def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, f
     size = len(rows)
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
-    theta = 2.0 * _distinct_rx_sum(rows) / (size * (size - 1))
+    # The pairs within a row add exact zeros, which keep the sum's bits.
+    theta = 2.0 * math.fsum(t for rho, n in _row_pairs(rows) for t in (n * rho).tolist()) / (size * (size - 1))
     tau_sum, comparable = _pattern_gower_sum(encoded)
     if comparable == 0:
         raise IncomparablePair("no comparable pair in the reference set")
     return theta, tau_sum / comparable, size * (size - 1) - comparable
-
-
-def _distinct_rx_sum(rows: DistinctRx) -> float:
-    """Sum of prescription distances over unordered pairs of records, from
-    the distinct rows and their counts; equal prescriptions add 0."""
-    return math.fsum(
-        term for rho, pairs in _row_pairs(rows) for term in (pairs * rho).tolist()
-    )
 
 
 def _pattern_gower_sum(encoded: EncodedFeatures) -> tuple[float, int]:
@@ -830,34 +825,27 @@ def pairwise_histograms(db: HistoricalDB, bin_width: float) -> tuple[Histogram, 
         raise ValueError(
             f"bin_width {bin_width!r} gives {count:.7g} bins over [0, sqrt(2)], more than {MAX_HISTOGRAM_BINS}"
         )
-    rho_edges = _edges(RX_DISTANCE_MAX, bin_width)
-    g_edges = _edges(1.0, bin_width)
-    rows = db.rx_rows
-    rho_counts = np.zeros(len(rho_edges) - 1, dtype=np.int64)
-    # Pairs within a distinct row are at distance 0; a pair of rows stands
-    # for the product of their counts.
-    rho_counts[0] = (rows.counts * (rows.counts - 1) // 2).sum()
-    for rho, pairs in _row_pairs(rows):
-        rho_counts += np.histogram(rho, bins=rho_edges, weights=pairs)[0]
-    g_counts = np.zeros(len(g_edges) - 1, dtype=np.int64)
-    for g, pairs in _class_pairs(db.encoded):
-        g_counts += np.histogram(g, bins=g_edges, weights=pairs)[0]
     return (
-        Histogram(rho_edges, _normalize(rho_counts)),
-        Histogram(g_edges, _normalize(g_counts)),
+        _histogram(_row_pairs(db.rx_rows), RX_DISTANCE_MAX, bin_width),
+        _histogram(_class_pairs(db.encoded), 1.0, bin_width),
     )
+
+
+def _histogram(blocks, upper: float, bin_width: float) -> Histogram:
+    """The normalized histogram over [0, upper] of (values, pairs) blocks,
+    each value weighing in with its number of record pairs."""
+    edges = _edges(upper, bin_width)
+    counts = np.zeros(len(edges) - 1, dtype=np.int64)
+    for values, pairs in blocks:
+        counts += np.histogram(values, bins=edges, weights=pairs)[0]
+    return Histogram(edges, counts / max(counts.sum(), 1))
 
 
 def _edges(upper: float, bin_width: float) -> np.ndarray:
     count = max(1, math.ceil(upper / bin_width - 1e-12))
-    return bin_width * np.arange(count + 1, dtype=np.float64)
-
-
-def _normalize(counts: np.ndarray) -> np.ndarray:
-    total = counts.sum()
-    if total == 0:
-        return counts.astype(np.float64)
-    return counts / float(total)
+    edges = bin_width * np.arange(count + 1, dtype=np.float64)
+    edges[-1] = max(edges[-1], upper)  # count * bin_width can round below upper
+    return edges
 
 
 def write_histogram_csv(destination: str | Path | IO[str], histogram: Histogram) -> None:

@@ -19,6 +19,14 @@ class UndefinedMacro(ValueError):
     """A class is absent from the truth labels; macro averages are undefined."""
 
 
+# The report's own names: two consensus sources and two Venn regions, whose keys join names with '&'.
+_RESERVED_SOURCES = ("consensus-best", "consensus-worst", "truth", "none")
+
+
+def _reserved(source: str) -> bool:
+    return source in _RESERVED_SOURCES or "&" in source
+
+
 @dataclass(frozen=True)
 class LabeledPrediction:
     record_id: str
@@ -114,15 +122,18 @@ def consensus_analysis(
     set; its key joins their names with '&' (raters sorted, then 'truth'),
     and records in no set count under 'none'.
 
-    Raises MismatchedRecords for fewer than two raters, for a rater that
-    repeats a record or covers another record set than the first rater, and
-    for the first record, in id order, whose raters disagree on its truth.
+    Raises MismatchedRecords for fewer than two raters, for a rater with a
+    reserved name, for a rater that repeats a record or covers another
+    record set than the first rater, and for the first record, in id order,
+    whose raters disagree on its truth.
     """
     if len(raters) < 2:
         raise MismatchedRecords("consensus needs at least two raters")
 
     indexes: dict[str, dict[str, LabeledPrediction]] = {}
     for source, predictions in raters.items():
+        if _reserved(source):
+            raise MismatchedRecords(f"rater {source!r} has a reserved name")
         index = indexes[source] = {p.record_id: p for p in predictions}
         if len(index) != len(predictions):
             raise MismatchedRecords(f"rater {source!r} repeats a record")
@@ -206,9 +217,10 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
     """Read rater predictions (columns record_id, truth, prediction, source),
     grouped by source. A missing column raises ValueError naming the file; a
     record_id or source cell that a short row lacks, or a truth or
-    prediction cell that is not the integer 0 or 1, raises ValueError naming
-    the file, the data row (1-based, header excluded) and the column; a
-    record that its source already gave raises ValueError naming both rows."""
+    prediction cell that is not the integer 0 or 1, or a reserved source
+    name, raises ValueError naming the file, the data row (1-based, header
+    excluded) and the column; a record that its source already gave raises
+    ValueError naming both rows."""
     grouped: dict[str, list[LabeledPrediction]] = {}
     first_rows: dict[tuple[str, str], int] = {}
     name = source_name(source)
@@ -225,6 +237,8 @@ def read_predictions_csv(source: str | Path) -> dict[str, list[LabeledPrediction
                 prediction=_binary_cell(row, "prediction", where),
                 source=_present_cell(row, "source", where),
             )
+            if _reserved(prediction.source):
+                raise ValueError(f"{where}: column 'source': {prediction.source!r} is a reserved name")
             first = first_rows.setdefault((prediction.source, prediction.record_id), number)
             if first != number:
                 raise ValueError(

@@ -209,26 +209,16 @@ class FeatureSpec:
             raise ValueError(f"unknown feature kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Ordered non-prescription feature descriptors entering the Gower metric.
-
-    Technique is a partition key for the historical databases, not a feature.
-    """
-
-    features: tuple[FeatureSpec, ...]
-
-
-def default_schema() -> FeatureSchema:
-    """The default feature set: age plus four categorical descriptors."""
-    return FeatureSchema(
-        (
-            FeatureSpec("age_at_tx", NUMERIC),
-            FeatureSpec("energy", CATEGORICAL),
-            FeatureSpec("intent", CATEGORICAL),
-            FeatureSpec("icd10", CATEGORICAL),
-            FeatureSpec("morphology", CATEGORICAL),
-        )
+def default_schema() -> tuple[FeatureSpec, ...]:
+    """The default feature set entering the Gower metric, in order: age plus
+    four categorical descriptors. Technique is a partition key for the
+    historical databases, not a feature."""
+    return (
+        FeatureSpec("age_at_tx", NUMERIC),
+        FeatureSpec("energy", CATEGORICAL),
+        FeatureSpec("intent", CATEGORICAL),
+        FeatureSpec("icd10", CATEGORICAL),
+        FeatureSpec("morphology", CATEGORICAL),
     )
 
 
@@ -325,12 +315,12 @@ def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterato
     in mode with newline="" and closed on exit; a handle is used as it is.
     A path opened for reading decodes UTF-8, drops a leading byte order mark
     and replaces invalid bytes with U+FFFD, so one bad byte spoils a cell,
-    not the whole read."""
+    not the whole read. A path opened for writing encodes UTF-8."""
     if isinstance(target, (str, os.PathLike)):
         if mode == "r":
             handle = open(target, mode, newline="", encoding="utf-8-sig", errors="replace")
         else:
-            handle = open(target, mode, newline="")
+            handle = open(target, mode, newline="", encoding="utf-8")
         with handle:
             yield handle
     else:

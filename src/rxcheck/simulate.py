@@ -237,7 +237,7 @@ def _mutate(kind, base, db, rng):
     if kind == KIND_RX_SWAP:
         return swap_leading_digits(base)
     n_fields = int(rng.integers(1, 3))
-    schema = db.feature_schema.features
+    schema = db.feature_schema
     picked = rng.choice(len(schema), size=n_fields, replace=False)
     # A feature that no reference record has drops the candidate before any
     # value is drawn: no reference record could be compared on its new value.

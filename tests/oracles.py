@@ -24,7 +24,6 @@ from rxcheck.records import (
     CSV_COLUMNS,
     MODELED_TECHNIQUES,
     NUMERIC,
-    FeatureSchema,
     Prescription,
     TreatmentRecord,
     default_schema,
@@ -36,7 +35,7 @@ def oracle_schema(records):
     """default_schema with each numeric range and categorical vocabulary
     fixed from records, one feature at a time."""
     bound = []
-    for spec in default_schema().features:
+    for spec in default_schema():
         values = [getattr(r, spec.name) for r in records]
         values = [v for v in values if v is not None]
         if spec.kind == NUMERIC:
@@ -44,7 +43,7 @@ def oracle_schema(records):
             bound.append(replace(spec, value_range=rng))
         else:
             bound.append(replace(spec, vocabulary=tuple(sorted({str(v) for v in values}))))
-    return FeatureSchema(tuple(bound))
+    return tuple(bound)
 
 
 def oracle_scale(value, lo, hi):
@@ -79,7 +78,7 @@ def oracle_gower(r1, r2, schema):
     """Returns None for an incomparable pair."""
     num = 0.0
     den = 0.0
-    for spec in schema.features:
+    for spec in schema:
         a = getattr(r1, spec.name)
         b = getattr(r2, spec.name)
         if a is None or b is None:

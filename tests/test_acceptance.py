@@ -151,7 +151,7 @@ def test_criterion_02_metric_axioms():
         assert g == gower_distance(records[j], records[i], schema)
         pairs_checked += 1
     for record in records[:50]:
-        if any(getattr(record, spec.name) is not None for spec in schema.features):
+        if any(getattr(record, spec.name) is not None for spec in schema):
             assert gower_distance(record, record, schema) == 0.0
 
     # Affine invariance: positive rescalings of the numeric feature leave
@@ -358,7 +358,7 @@ def _forge_out_of_sample(bases, reference_db, seed):
         check = verify_rarity(mutated, reference_db, 1, descriptor)
         assert check.accepted
         anomalies.append(mutated)
-    vocabularies = {spec.name: spec.vocabulary for spec in reference_db.feature_schema.features}
+    vocabularies = {spec.name: spec.vocabulary for spec in reference_db.feature_schema}
     for base in bases[5:10]:
         fields = [str(f) for f in rng.choice(("energy", "intent", "icd10"), 2, replace=False)]
         updates = {}

@@ -1,6 +1,6 @@
 """bench/record.py: the BENCH file's stamps name the commit each checkout holds,
-and each checkout's traced runs give per-layer medians beside the end-to-end
-ones."""
+each checkout's traced runs give per-layer medians beside the end-to-end
+ones, and each checkout's pytest -m bench run is kept beside them."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import importlib.util
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -47,8 +48,11 @@ def test_bench_file_summarises_each_checkout(record):
     # Reports in any seed order; the file lists the runs in seed order.
     traced = {name: {"check": {seed: traced_report(seed, value) for seed, value in zip((43, 41, 42), values)}}
               for name, values in (("parent", (0.4, 0.3, 0.2)), ("change", (0.5, 0.1, 0.2)))}
-    bench = record.bench_file(21, [41, 42, 43], stamps, reports, traced)
+    bench_tests = {name: {"exit_code": 0, "passed": 2, "failed": 0, "median_s": {"t::a": seconds}}
+                   for name, seconds in (("parent", 0.2), ("change", 0.1))}
+    bench = record.bench_file(21, [41, 42, 43], stamps, reports, traced, bench_tests)
     change = bench["checkouts"]["change"]
+    assert change["bench_tests"] == bench_tests["change"]
     assert change["stamp"] == stamps["change"]
     assert change["workloads"]["check"]["metrics"]["items_per_s"] == {
         "unit": "1/s", "median": 12, "q1": 11.5, "q3": 14, "runs": [11, 12, 16]}
@@ -67,7 +71,7 @@ def test_bench_file_refuses_one_commit_for_two_sources(record):
     stamps = {"parent": {"git_sha": "abc", "source_sha256": "1"},
               "change": {"git_sha": "abc", "source_sha256": "2"}}
     with pytest.raises(SystemExit, match="'parent' and 'change' are both stamped abc"):
-        record.bench_file(21, [41], stamps, {}, {})
+        record.bench_file(21, [41], stamps, {}, {}, {})
 
 
 def test_commit_stamp_marks_uncommitted_sources(record, tmp_path):
@@ -104,7 +108,12 @@ def test_each_checkout_makes_traced_runs_on_the_first_seeds(record, monkeypatch,
     for name in ("parent", "change"):
         (tmp_path / name / "perfbench").mkdir(parents=True)
         (tmp_path / name / "perfbench" / "run.py").write_text("")
+    def run_bench_tests(directory):
+        runs.append((directory.name, "pytest -m bench"))
+        return {"exit_code": 1, "passed": 3, "failed": 1, "median_s": {"t::a": 0.5}}
+
     monkeypatch.setattr(record, "run_once", run_once)
+    monkeypatch.setattr(record, "run_bench_tests", run_bench_tests)
     monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
     monkeypatch.setattr(record, "ROOT", tmp_path)
     assert record.main(["28", "--checkout", f"parent={tmp_path / 'parent'}",
@@ -117,9 +126,11 @@ def test_each_checkout_makes_traced_runs_on_the_first_seeds(record, monkeypatch,
         for workload in workloads
         for run in [(name, workload, seed, 0) for seed in (41, 42, 43, 44) for name in order[seed % 2 == 0]]
         + [(name, workload, seed, 1) for seed in (41, 42, 43) for name in order[seed % 2 == 0]]
-    ]
+    ] + [("parent", "pytest -m bench"), ("change", "pytest -m bench")]
     bench = json.loads((tmp_path / "BENCH_28.json").read_text())
     for name in ("parent", "change"):
+        # A failing run is recorded, not fatal.
+        assert bench["checkouts"][name]["bench_tests"]["exit_code"] == 1
         for workload in workloads:
             entry = bench["checkouts"][name]["workloads"][workload]
             assert entry["per_layer"]["seeds"] == [41, 42, 43]
@@ -139,6 +150,7 @@ def test_fewer_seeds_than_traced_runs_trace_every_seed(record, monkeypatch, tmp_
     (tmp_path / "only" / "perfbench").mkdir(parents=True)
     (tmp_path / "only" / "perfbench" / "run.py").write_text("")
     monkeypatch.setattr(record, "run_once", run_once)
+    monkeypatch.setattr(record, "run_bench_tests", lambda directory: {"exit_code": 0})
     monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
     monkeypatch.setattr(record, "ROOT", tmp_path)
     assert record.main(["28", "--checkout", f"only={tmp_path / 'only'}", "--seeds", "7"]) == 0
@@ -147,3 +159,31 @@ def test_fewer_seeds_than_traced_runs_trace_every_seed(record, monkeypatch, tmp_
     per_layer = bench["checkouts"]["only"]["workloads"]["check"]["per_layer"]
     assert per_layer["seeds"] == [7]
     assert per_layer["metrics"]["train.search_self_s"] == {"unit": "s", "median": 0.1, "runs": [0.1]}
+
+
+def test_bench_tests_run_keeps_counts_and_medians(record, tmp_path):
+    # A checkout with two bench tests, one of them failing, and a test that
+    # -m bench leaves out.
+    (tmp_path / "pyproject.toml").write_text(textwrap.dedent("""\
+        [tool.pytest.ini_options]
+        markers = ["bench: timing benchmarks"]
+        addopts = "-m 'not bench' -p no:cacheprovider"
+    """))
+    (tmp_path / "test_timed.py").write_text(textwrap.dedent("""\
+        import pytest
+
+        @pytest.mark.bench
+        def test_sum(benchmark):
+            benchmark(sum, range(10))
+
+        @pytest.mark.bench
+        def test_broken():
+            assert False
+
+        def test_untimed():
+            pass
+    """))
+    result = record.run_bench_tests(tmp_path)
+    assert (result["exit_code"], result["passed"], result["failed"]) == (1, 1, 1)
+    assert list(result["median_s"]) == ["test_timed.py::test_sum"]
+    assert result["median_s"]["test_timed.py::test_sum"] > 0

@@ -5,8 +5,12 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,21 @@ class TestIngest:
         assert [row[0] for row in exclusions] == ["brachy", "prostate", "old"]
         with open(out / "exclusions.csv", newline="") as handle:
             assert list(csv.reader(handle)) == [list(EXCLUSION_COLUMNS), *map(list, exclusions)]
+
+    def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
+        # A child process whose locale encoding is ASCII: the outputs are
+        # UTF-8 all the same, so a label outside ASCII is written as read.
+        records = [rec(f"r{i}", 10 + i, 300 - i, energy="x06", icd10="C34.10", morphology="80003\u00e9", age_at_tx=60)
+                   for i in range(3)]
+        path = tmp_path / "export.csv"
+        write_records_csv(path, records)
+        out = tmp_path / "ingested"
+        env = {**os.environ, "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C",
+               "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parent.parent), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-m", "rxcheck.cli", "ingest", "--input", str(path), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (EX_OK, "")
+        assert "80003\u00e9" in (out / "db_3D.csv").read_bytes().decode("utf-8")
 
 
 class TestCheck:
@@ -779,6 +798,19 @@ class TestSimulateEvaluateHist:
         out = tmp_path / "report"
         assert run(["evaluate", "--input", str(path), "--out", str(out)]) == EX_ERROR
         assert capsys.readouterr().err == f"rxcheck: error: {path}: row 3: record 'r1' of source 'md' repeats row 1\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("source", ["consensus-best", "none"])
+    def test_evaluate_rejects_a_reserved_source(self, tmp_path, capsys, source):
+        # A rater named as one of the report's own rows would share its
+        # cells: consensus-best's confusion row, or the Venn region of the
+        # records in no set.
+        path = tmp_path / "preds.csv"
+        path.write_text("record_id,truth,prediction,source\n"
+                        f"r1,1,1,md\nr2,0,0,md\nr3,0,0,md\nr1,1,1,{source}\nr2,0,1,{source}\nr3,0,0,{source}\n")
+        out = tmp_path / "report"
+        assert run(["evaluate", "--input", str(path), "--out", str(out)]) == EX_ERROR
+        assert capsys.readouterr().err == f"rxcheck: error: {path}: row 4: column 'source': {source!r} is a reserved name\n"
         assert list(out.iterdir()) == []
 
     def test_hist_rejects_a_bin_width_with_too_many_bins(self, cohort_csv, tmp_path, capsys):

@@ -470,11 +470,11 @@ _AGE_MODES = {
 
 
 @st.composite
-def _reference_sets(draw, max_size=24, rx_int=st.integers(1, 40) | st.integers(1, 2 ** 53)):
+def _reference_sets(draw, max_size=24, rx_int=st.integers(1, 40) | st.integers(1, 2 ** 53), max_rx=4):
     """Records of one technique: a few repeated prescriptions (possibly
     huge), random missingness including rows with every feature missing,
     and an age column that is clinical, extreme or constant."""
-    prescriptions = draw(st.lists(st.tuples(rx_int, rx_int), min_size=1, max_size=4))
+    prescriptions = draw(st.lists(st.tuples(rx_int, rx_int), min_size=1, max_size=max_rx))
     ages = _AGE_MODES[draw(st.sampled_from(sorted(_AGE_MODES)))]
     size = draw(st.integers(2, max_size))
     records = []
@@ -515,6 +515,28 @@ def test_pairwise_means_matches_oracle_and_ignores_order(records, data):
     assert close(got[0], theta) and close(got[1], tau)
     assert got[2] == _brute_force_incomparable(records, schema)
     assert pairwise_means(*_means_inputs(shuffled)) == got
+
+
+@seed(20218)
+@settings(deadline=None, max_examples=60, database=None)
+@given(records=_reference_sets(max_size=40, max_rx=16))
+def test_pair_blocks_give_one_theta_and_one_prescription_histogram(records):
+    # Each block size splits the rows differently, so a row's own pairs sit
+    # in a different block; the blocks still hold every pair once.
+    rows, encoded = _means_inputs(records)
+    size = len(records)
+    results = []
+    for block in (1, 2, 7, distance._PAIR_BLOCK):
+        with mock.patch.object(distance, "_PAIR_BLOCK", block):
+            assert sum(int(pairs.sum()) for _, pairs in distance._row_pairs(rows)) == size * (size - 1) // 2
+            try:
+                theta = pairwise_means(rows, encoded)[0].hex()
+            except IncomparablePair:  # tau has no pair; theta is not returned
+                theta = None
+            # The masses are the counts over one total, S(S-1)/2.
+            rx_mass = distance._histogram(distance._row_pairs(rows), distance.RX_DISTANCE_MAX, 0.05).mass
+        results.append((theta, rx_mass.tolist()))
+    assert all(result == results[0] for result in results)
 
 
 @seed(20213)
@@ -926,8 +948,8 @@ class TestPairwiseHistograms:
         rx_hist, f_hist = pairwise_histograms(db, 0.03)
         assert abs(rx_hist.mass.sum() - 1.0) < 1e-9
         assert abs(f_hist.mass.sum() - 1.0) < 1e-9
-        assert rx_hist.bin_edges[-1] >= math.sqrt(2) - 1e-12
-        assert f_hist.bin_edges[-1] >= 1.0 - 1e-12
+        assert rx_hist.bin_edges[-1] >= math.sqrt(2)
+        assert f_hist.bin_edges[-1] >= 1.0
 
     def test_shared_prescriptions_spike_at_zero(self, small_db):
         rx_hist, _ = pairwise_histograms(small_db, 0.05)
@@ -944,7 +966,12 @@ class TestPairwiseHistograms:
             for i, r in enumerate(records[:257])
         ]
         constant_age = [r if r.age_at_tx is None else replace(r, age_at_tx=60) for r in records[:40]]
-        for db in map(build_historical_db, (records, records[:256], featureless, constant_age)):
+        # Two records at opposite corners, both distances at the top of their
+        # range, which a width of sqrt(2) / 10 ends just below.
+        corners = [rec("a", 5, 200, energy="x06", age_at_tx=40), rec("b", 10, 400, energy="x15", age_at_tx=80)]
+        for records, width in ((records, 0.05), (records[:256], 0.05), (featureless, 0.05),
+                               (constant_age, 0.05), (corners, math.sqrt(2) / 10)):
+            db = build_historical_db(records)
             refs, schema = list(db.records), db.feature_schema
             f_lo, f_hi, d_lo, d_hi = (db.rx_scaler.f_min, db.rx_scaler.f_max,
                                       db.rx_scaler.d_min, db.rx_scaler.d_max)
@@ -956,9 +983,28 @@ class TestPairwiseHistograms:
                     g = oracle_gower(refs[j], refs[k], schema)
                     if g is not None:
                         gowers.append(g)
-            for hist, values in zip(pairwise_histograms(db, 0.05), (rhos, gowers)):
+            for hist, values in zip(pairwise_histograms(db, width), (rhos, gowers)):
                 counts = np.histogram(values, bins=hist.bin_edges)[0]
+                assert counts.sum() == len(values)
                 assert np.array_equal(np.rint(hist.mass * len(values)), counts)
+
+    @pytest.mark.parametrize("bin_width", [math.sqrt(2) / 10, 1 / 49])
+    def test_pairs_at_the_top_of_the_range_stay_in(self, bin_width):
+        # Opposite corners of the prescription range, every feature
+        # different: count * bin_width rounds just below sqrt(2) for the
+        # first width and just below 1 for the second.
+        db = build_historical_db([rec("a", 5, 200, energy="x06", icd10="C34.10", age_at_tx=40),
+                                  rec("b", 10, 400, energy="x15", icd10="C61", age_at_tx=80)])
+        for hist in pairwise_histograms(db, bin_width):
+            assert hist.mass[-1] == 1.0 and hist.mass.sum() == 1.0
+
+    def test_last_edge_reaches_the_top_of_the_range(self):
+        widths = {1 / k for k in range(1, 200)} | {k / 1000 for k in range(1, 1000)}
+        for upper in (distance.RX_DISTANCE_MAX, 1.0):
+            for width in widths | {upper / k for k in range(1, 200)}:
+                edges = _edges(upper, width)
+                assert edges[-1] >= upper
+                assert np.array_equal(edges[:-1], width * np.arange(len(edges) - 1, dtype=np.float64))
 
     def test_bad_bin_width(self, small_db):
         with pytest.raises(ValueError):
@@ -1010,7 +1056,7 @@ def _histogram_references(draw):
 @settings(deadline=None, max_examples=100, database=None)
 @given(
     records=_histogram_references(),
-    bin_width=st.sampled_from((0.05, 0.1, 0.25, 1.0)),
+    bin_width=st.sampled_from((0.05, 0.1, 0.25, 1.0, 1 / 49)),
     cell_block=st.sampled_from((1, 64, distance._CELL_BLOCK)),
 )
 def test_feature_histogram_counts_match_oracle_pairs(records, bin_width, cell_block):

@@ -175,6 +175,15 @@ class TestConsensus:
             consensus_analysis(raters)
         assert str(raised.value) == f"rater {source!r} repeats a record"
 
+    @pytest.mark.parametrize("source", ["consensus-best", "consensus-worst", "truth", "none", "md&model"])
+    def test_reserved_rater_name_rejected(self, source):
+        # A rater 'none' that flags a normal record would put it in one
+        # region with the records in no set.
+        raters = {"md": preds("md", [1, 0, 0], [1, 0, 0]), source: preds(source, [1, 0, 0], [1, 1, 0])}
+        with pytest.raises(MismatchedRecords) as raised:
+            consensus_analysis(raters)
+        assert str(raised.value) == f"rater {source!r} has a reserved name"
+
     def test_overlap_regions_cover_all_records(self):
         rng = np.random.default_rng(34)
         truths = [int(rng.integers(0, 2)) for _ in range(25)]
@@ -187,7 +196,7 @@ class TestConsensus:
 def _panels(draw):
     """2-4 raters, in a drawn order, over one set of 1-30 records, each
     rater's predictions in a drawn order."""
-    names = draw(st.lists(st.sampled_from(["md2", "md1", "model", "b", "a&b"]), min_size=2, max_size=4, unique=True))
+    names = draw(st.lists(st.sampled_from(["md2", "md1", "model", "b", "a-b"]), min_size=2, max_size=4, unique=True))
     truths = draw(st.lists(st.integers(0, 1), min_size=1, max_size=30))
     panel = {}
     for name in names:
@@ -285,8 +294,14 @@ class TestPredictionsCsv:
         ("r1,1,1,", "column 'source': missing cell"),
         ("r1,1,1, ", "column 'source': missing cell"),
         (",1,1,md1", "column 'record_id': missing cell"),
+        ("r1,1,1,consensus-best", "column 'source': 'consensus-best' is a reserved name"),
+        ("r1,1,1,consensus-worst", "column 'source': 'consensus-worst' is a reserved name"),
+        ("r1,1,1,truth", "column 'source': 'truth' is a reserved name"),
+        ("r1,1,1,none", "column 'source': 'none' is a reserved name"),
+        ("r1,1,1,md1&md2", "column 'source': 'md1&md2' is a reserved name"),
     ], ids=["not-a-number", "not-binary", "empty", "short-row", "short-row-without-source",
-            "empty-source", "blank-source", "empty-record-id"])
+            "empty-source", "blank-source", "empty-record-id", "consensus-best-source",
+            "consensus-worst-source", "truth-source", "none-source", "joined-source"])
     def test_bad_label_named_with_file_row_and_column(self, tmp_path, row, problem):
         path = tmp_path / "preds.csv"
         path.write_text(f"record_id,truth,prediction,source\nr0,1,1,md1\n{row}\n")

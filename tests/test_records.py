@@ -70,9 +70,9 @@ class TestValidateRecord:
 
 class TestSchema:
     def test_default_schema_features(self, schema):
-        names = tuple(spec.name for spec in schema.features)
+        names = tuple(spec.name for spec in schema)
         assert names == ("age_at_tx", "energy", "intent", "icd10", "morphology")
-        kinds = {spec.name: spec.kind for spec in schema.features}
+        kinds = {spec.name: spec.kind for spec in schema}
         assert kinds["age_at_tx"] == "numeric"
 
     def test_reference_set_fixes_ranges_and_vocab(self):
@@ -80,7 +80,7 @@ class TestSchema:
             rec("a", 1, 100, energy="x15", age_at_tx=70),
             rec("b", 1, 100, energy="x06", age_at_tx=40),
         ]
-        age, energy, intent, _, _ = build_historical_db(records).feature_schema.features
+        age, energy, intent, _, _ = build_historical_db(records).feature_schema
         assert (age.name, age.value_range, age.vocabulary) == ("age_at_tx", (40.0, 70.0), None)
         assert (energy.name, energy.vocabulary, energy.value_range) == ("energy", ("x06", "x15"), None)
         assert intent.vocabulary == ()

@@ -107,7 +107,7 @@ class TestMutateFeatures:
                 assert change.old == getattr(base, change.field) != change.new
 
     def test_forged_ages_leave_observed_range(self, db):
-        age = db.feature_schema.features[0]
+        age = db.feature_schema[0]
         assert age.name == "age_at_tx"
         lo, hi = age.value_range
         sas = generate_sa_set(db, {KIND_FEATURE: 50}, rng=np.random.default_rng(3))
@@ -345,7 +345,7 @@ class TestGoldenOutput:
         db = build_historical_db(
             [dataclasses.replace(random_record(rng, i), age_at_tx=None) for i in range(200)]
         )
-        assert db.feature_schema.features[0].value_range == (0.0, 0.0)
+        assert db.feature_schema[0].value_range == (0.0, 0.0)
         sas = generate_sa_set(db, {KIND_FEATURE: 20}, rng=np.random.default_rng(15))
         assert len(sas) == 20
         changed = {c.field for sa in sas for c in sa.mutation.changes}
