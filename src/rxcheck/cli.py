@@ -7,7 +7,8 @@ check writes one verdict per record. A record with too few comparable
 reference records or a number too large for a float, or of a technique
 with no reference set, no trained parameters or no boundaries in the
 --boundaries preset, gets a "rxcheck: record <id>: <reason>" line on stderr
-instead, the batch goes on, and the exit code is 1.
+instead, the batch goes on, and the exit code is 1. So does a batch row
+that fails to parse, with a "rxcheck: row <N>: <reason>" line.
 
 train skips a technique with at least 2 kept records that cannot be split
 into reference and holdout, built or given its simulated anomalies, with a
@@ -366,7 +367,8 @@ def _cmd_check(args) -> int:
         print(f"rxcheck: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
 
     lines = []
-    errored = flagged = False
+    # A batch row that failed to parse got no verdict, like a record refused below.
+    errored, flagged = bool(diagnostics), False
     for record in records:
         try:
             db = dbs.get(record.technique)

@@ -55,7 +55,8 @@ drops the clamp at 1, so it needs every numeric column's present values to
 lie within the column's range, as they do when encode_features takes the
 range from those values. theta and the prescription histogram share one
 pass over the pairs of rows, the pairs within a row included at distance 0,
-each weighted by the number of record pairs it stands for.
+each weighted by the number of record pairs it stands for; theta adds them
+with one math.fsum over the blocks' concatenated terms.
 
 The feature histogram needs each pair's value, but visits no pair either.
 Under the default schema, age and four categories, a pair's Gower distance
@@ -89,9 +90,11 @@ import numpy as np
 
 from .records import (
     CATEGORICAL,
+    LABEL_FIELDS,
     NUMERIC,
     FeatureSpec,
     Prescription,
+    RecordTable,
     TreatmentRecord,
     default_schema,
     validate_record,
@@ -256,21 +259,36 @@ class EncodedFeatures:
     denominators: np.ndarray
 
 
+def distinct_objects(column: Sequence) -> tuple[list, np.ndarray]:
+    """The distinct objects of a RecordTable column in first-seen order, and
+    the index of each row's object among them. Rows that share an object
+    share an index; equal objects need not, so a caller reads each object
+    once but may meet one value under two indices."""
+    first = dict(zip(map(id, column), column))
+    position = dict(zip(first, range(len(first))))
+    index = np.fromiter(map(position.__getitem__, map(id, column)), dtype=np.intp, count=len(column))
+    return list(first.values()), index
+
+
 def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
-    """The default_schema features of records as columns, each read once.
-    A numeric feature's range is the min and max of its present values,
+    """The default_schema features of records as columns, read from the age
+    and label columns of their RecordTable once per distinct object. A
+    numeric feature's range is the min and max of its present values,
     (0.0, 0.0) when it has none; a categorical feature's codes number its
     labels in first-seen order, and its vocabulary is the labels sorted."""
+    table = RecordTable.of(records)
+    ages, age_of = distinct_objects(table.ages)
+    # A label's first row holds the first-seen object with that label, so
+    # numbering the labels over the distinct objects numbers them in row order.
+    labels, labels_of = distinct_objects(table.labels)
     columns: list[_Column] = []
     specs: list[FeatureSpec] = []
-    pattern = np.zeros(len(records), dtype=np.intp)
+    pattern = np.zeros(len(table), dtype=np.intp)
     for spec in default_schema():
-        raw = [getattr(r, spec.name) for r in records]
-        present = np.array([v is not None for v in raw], dtype=bool)
-        pattern <<= 1
-        pattern |= present
         if spec.kind == NUMERIC:
-            values = np.array([0.0 if v is None else float(v) for v in raw], dtype=np.float64)
+            # The one numeric feature, the age.
+            present = np.array([v is not None for v in ages], dtype=bool)[age_of]
+            values = np.array([0.0 if v is None else float(v) for v in ages], dtype=np.float64)[age_of]
             # Rounding to float64 is monotone, so these are float(min) and
             # float(max) of the integers.
             seen = values[present]
@@ -278,16 +296,20 @@ def encode_features(records: Sequence[TreatmentRecord]) -> EncodedFeatures:
             columns.append(_Column(spec.name, NUMERIC, values, present, width=hi - lo))
             specs.append(FeatureSpec(spec.name, NUMERIC, value_range=(lo, hi)))
         else:
+            at = LABEL_FIELDS.index(spec.name)
             codes: dict[str, int] = {}
-            encoded = np.array([-1 if v is None else codes.setdefault(str(v), len(codes)) for v in raw],
-                               dtype=np.int64)
+            encoded = np.array([-1 if v[at] is None else codes.setdefault(str(v[at]), len(codes)) for v in labels],
+                               dtype=np.int64)[labels_of]
+            present = encoded >= 0
             columns.append(_Column(spec.name, CATEGORICAL, encoded, present, codes=codes))
             specs.append(FeatureSpec(spec.name, CATEGORICAL, vocabulary=tuple(sorted(codes))))
+        pattern <<= 1
+        pattern |= present
     codes = np.arange(1 << len(columns))
     both = codes[:, None] & codes
     shared = sum((both >> bit) & 1 for bit in range(len(columns))).astype(np.float64)
     shared[shared == 0.0] = np.nan
-    return EncodedFeatures(tuple(columns), len(records), tuple(specs), pattern, shared)
+    return EncodedFeatures(tuple(columns), len(table), tuple(specs), pattern, shared)
 
 
 def _scale_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -325,11 +347,13 @@ class HistoricalDB:
     theta (prescriptions) and tau (features); for the distance kernels, the
     records grouped by distinct scaled prescription (rx_rows) and their
     encoded features in that grouped order: position p of encoded is
-    records[rx_rows.members[p]]. Safe to share across workers.
+    records[rx_rows.members[p]]. records is the RecordTable the build read,
+    so a TreatmentRecord is built only when something reads one. Safe to
+    share across workers.
     """
 
     technique: str
-    records: tuple[TreatmentRecord, ...]
+    records: RecordTable
     rx_scaler: RxScaler
     feature_schema: tuple[FeatureSpec, ...]
     rx_index: Mapping[tuple[int, int], int]
@@ -733,7 +757,8 @@ def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, f
     if size < 2:
         raise InsufficientData(f"need at least 2 records, got {size}")
     # The pairs within a row add exact zeros, which keep the sum's bits.
-    theta = 2.0 * math.fsum(t for rho, n in _row_pairs(rows) for t in (n * rho).tolist()) / (size * (size - 1))
+    terms = np.concatenate([n * rho for rho, n in _row_pairs(rows)])
+    theta = 2.0 * math.fsum(terms.tolist()) / (size * (size - 1))
     tau_sum, comparable = _pattern_gower_sum(encoded)
     if comparable == 0:
         raise IncomparablePair("no comparable pair in the reference set")

@@ -3,12 +3,14 @@ construction of the immutable per-technique historical databases. The
 HistoricalDB type is defined in distance, beside the kernels that read it;
 build_historical_db here builds one.
 
-The three front-end stages pass rows on as a records.RecordTable: parse
-fills its columns, normalize maps each distinct set of labels once, and
-filter decides each label rule once per distinct set of labels, so the
-TreatmentRecords it returns are built for the kept rows alone.
-parse_dataset is the one CSV record reader and holds every cell rule of
-the schema."""
+The three front-end stages pass rows on as a records.RecordTable, and a
+reference set stays one up to the build: parse fills its columns, normalize
+maps each distinct set of labels once, filter decides each label rule once
+per distinct set of labels and each of validate_record's checks once per
+distinct prescription and per distinct age, and returns one table per
+technique, and build_historical_db reads the table's columns. No stage
+builds a TreatmentRecord per row. parse_dataset is the one CSV record
+reader and holds every cell rule of the schema."""
 
 from __future__ import annotations
 
@@ -34,12 +36,14 @@ from .records import (
     Prescription,
     RecordTable,
     TreatmentRecord,
+    age_violations,
     json_object,
+    ordered_violations,
+    prescription_violations,
     read_json,
     rx_exact_in_float,
     source_name,
     text_stream,
-    validate_record,
     write_json,
 )
 
@@ -234,8 +238,9 @@ def parse_dataset(
     Every input row yields either a record of the returned table or a
     diagnostic carrying the row number and reason; a blank line is no row. A
     file's leading byte order mark is dropped and its bytes that are not
-    UTF-8 are replaced with U+FFFD. An unreadable source raises OSError; a
-    header missing required columns raises SchemaError.
+    UTF-8 are replaced with U+FFFD. An unreadable source raises OSError; no
+    header, or a header missing required columns, raises SchemaError naming
+    the source.
 
     The cell rules of the canonical CSV schema: as in csv.DictReader, the
     last of duplicate columns wins, a short row reads None for its absent
@@ -251,10 +256,10 @@ def parse_dataset(
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None:
-            raise SchemaError("empty input: no header row")
+            raise SchemaError(f"{source_name(source)}: empty input: no header row")
         missing = [column for column in REQUIRED_COLUMNS if column not in header]
         if missing:
-            raise SchemaError(f"header missing required columns: {', '.join(missing)}")
+            raise SchemaError(f"{source_name(source)}: header missing required columns: {', '.join(missing)}")
         # The last of duplicate names wins; a column the header lacks reads
         # the None appended to every row.
         width = len(header)
@@ -354,38 +359,43 @@ EXCLUSION_COLUMNS = ("record_id", "rule", "detail")
 def filter_cohort(
     records: Sequence[TreatmentRecord],
     config: CohortConfig | None = None,
-) -> tuple[dict[str, list[TreatmentRecord]], list[tuple[str, str, str]]]:
+) -> tuple[dict[str, RecordTable], list[tuple[str, str, str]]]:
     """Apply the cohort rules and split survivors by technique.
 
-    Returns the kept records by technique and, in input order, one
-    (record_id, rule, detail) row per excluded record: the rows of
-    exclusions.csv, under EXCLUSION_COLUMNS. Decisions depend only on the
-    record multiset, so permuting the input permutes nothing but the
-    exclusion order: the per-technique sets are identical. Kept and excluded
-    records always account for every input record, and every kept record
-    passes validate_record.
-
-    The technique, energy and diagnosis rules are decided once per distinct
-    set of labels and the dose rule once per distinct prescription object;
-    a TreatmentRecord is built only for a row that passes every rule before
+    Returns the kept records by technique, each technique's as a
+    RecordTable in input order, and, in input order, one (record_id, rule,
+    detail) row per excluded record: the rows of exclusions.csv, under
+    EXCLUSION_COLUMNS. Decisions depend only on the record multiset, so
+    permuting the input permutes nothing but the exclusion order: the
+    per-technique sets are identical. Kept and excluded records always
+    account for every input record, and every kept record passes
     validate_record.
+
+    No TreatmentRecord is built. The technique, energy and diagnosis rules
+    are decided once per distinct set of labels; the dose rule and
+    validate_record's prescription checks once per distinct prescription
+    object, and its age check once per distinct age.
     """
     config = config or CohortConfig()
     table = RecordTable.of(records)
     replan_ids, initial_ids = _replan_and_initial_ids(table, config)
 
     label_rules: dict[tuple, tuple[str, str] | None] = {}
-    dose_rules: dict[int, tuple[str, str] | None] = {}    # by id(prescription)
-    kept: dict[str, list[TreatmentRecord]] = {t: [] for t in MODELED_TECHNIQUES}
+    # By id(prescription): the dose rule and validate_record's prescription
+    # violations.
+    rx_rules: dict[int, tuple] = {}
+    age_rules: dict[int | None, tuple] = {}
+    kept: dict[str, list[int]] = {t: [] for t in MODELED_TECHNIQUES}
     exclusions: list[tuple[str, str, str]] = []
-    for record_id, p, labels, age in zip(table.ids, table.prescriptions, table.labels, table.ages):
+    for row, (record_id, p, labels, age) in enumerate(zip(table.ids, table.prescriptions, table.labels, table.ages)):
         rule = label_rules.get(labels, False)
         if rule is False:
             rule = label_rules[labels] = _label_rule(labels, config)
         if rule is None:
-            rule = dose_rules.get(id(p), False)
-            if rule is False:
-                rule = dose_rules[id(p)] = _dose_rule(p)
+            checks = rx_rules.get(id(p))
+            if checks is None:
+                checks = rx_rules[id(p)] = _dose_rule(p), prescription_violations(p)
+            rule, rx_violations = checks
         if rule is None:
             if record_id in replan_ids:
                 rule = RULE_REPLAN, (
@@ -400,14 +410,16 @@ def filter_cohort(
                 # prescription (RULE_NON_POSITIVE_RX), an implausible age
                 # (RULE_AGE) or a prescription float64 cannot hold exactly
                 # (RULE_RX_TOO_LARGE).
-                record = TreatmentRecord(record_id, p, *labels, age)
-                violations = validate_record(record)
-                if not violations:
-                    kept[record.technique].append(record)
+                violations = age_rules.get(age)
+                if violations is None:
+                    violations = age_rules[age] = age_violations(age)
+                if not (rx_violations or violations):
+                    kept[labels[0]].append(row)
                     continue
-                rule = violations[0].kind, violations[0].detail
+                first = ordered_violations(rx_violations, violations)[0]
+                rule = first.kind, first.detail
         exclusions.append((record_id, *rule))
-    return kept, exclusions
+    return {tech: table.take(rows) for tech, rows in kept.items()}, exclusions
 
 
 def _label_rule(labels: tuple, config: CohortConfig) -> tuple[str, str] | None:
@@ -460,28 +472,33 @@ def build_historical_db(records: Sequence[TreatmentRecord]) -> HistoricalDB:
     characteristic distances are all computed over exactly these records.
     A fraction count or dose per fraction above 2**53 in magnitude raises
     ValueError: float64 scaling could merge it with a distinct prescription.
+    The records are read as a RecordTable's columns, each distinct
+    prescription object once, and the HistoricalDB keeps the table.
     """
-    records = tuple(records)
-    if len(records) < 2:
-        raise InsufficientData(f"need at least 2 records, got {len(records)}")
-    techniques = {r.technique for r in records}
+    table = RecordTable.of(records)
+    if len(table) < 2:
+        raise InsufficientData(f"need at least 2 records, got {len(table)}")
+    techniques = set(map(itemgetter(0), table.labels))
     if len(techniques) > 1:
         raise ValueError(f"records span multiple techniques: {sorted(techniques)}")
-    rx_index = Counter(r.rx for r in records)
+    prescriptions, rx_of = distance.distinct_objects(table.prescriptions)
+    rx_index: Counter = Counter()
+    for p, count in zip(prescriptions, np.bincount(rx_of, minlength=len(prescriptions)).tolist()):
+        rx_index[p.rx] += count
     inexact = sorted(rx for rx in rx_index if not rx_exact_in_float(rx))
     if inexact:
         raise ValueError(f"{RX_TOO_LARGE}: prescriptions above 2**53 in magnitude: {inexact[:3]}")
 
     # Every part is now exact in float64, so the scaler holds the ints' bounds.
-    fractions = np.array([r.prescription.fractions for r in records], dtype=np.float64)
-    doses = np.array([r.prescription.dose_per_fraction for r in records], dtype=np.float64)
+    fractions = np.array([p.fractions for p in prescriptions], dtype=np.float64)[rx_of]
+    doses = np.array([p.dose_per_fraction for p in prescriptions], dtype=np.float64)[rx_of]
     scaler = RxScaler(float(fractions.min()), float(fractions.max()), float(doses.min()), float(doses.max()))
     rx_rows = distance.distinct_rx(fractions, doses, scaler)
-    encoded = distance.encode_features([records[i] for i in rx_rows.members])
+    encoded = distance.encode_features(table.take(rx_rows.members.tolist()))
     theta, tau, skipped = distance.pairwise_means(rx_rows, encoded)
     return HistoricalDB(
         technique=techniques.pop(),
-        records=records,
+        records=table,
         rx_scaler=scaler,
         feature_schema=encoded.schema,
         rx_index=dict(rx_index),

@@ -3,7 +3,8 @@ the canonical CSV schema and its writers, and JSON I/O.
 
 A RecordTable is a read-only sequence of records kept as columns that
 builds a TreatmentRecord only when one is read. ingest.parse_dataset, the
-one CSV record reader, fills it."""
+one CSV record reader, fills it. A reference set stays a RecordTable from
+the parse to its HistoricalDB, so no stage builds a record per row."""
 
 from __future__ import annotations
 
@@ -141,12 +142,18 @@ class Violation:
 def validate_record(record: TreatmentRecord) -> tuple[Violation, ...]:
     """Record-level consistency checks: the violations found, none if consistent.
 
-    Checks: total equals fractions times dose per fraction, accumulated equals
-    total (anything else marks a re-plan / cone-down candidate), age within
-    [0, 120] when present, positive fractions / dose per fraction, and
-    fractions / dose per fraction of magnitude at most RX_EXACT_MAX.
+    Checks: positive fractions / dose per fraction, total equals fractions
+    times dose per fraction, accumulated equals total (anything else marks a
+    re-plan / cone-down candidate), age within [0, 120] when present, and
+    fractions / dose per fraction of magnitude at most RX_EXACT_MAX, in that
+    order: prescription_violations and age_violations, with the age check
+    before RxTooLarge.
     """
-    p = record.prescription
+    return ordered_violations(prescription_violations(record.prescription), age_violations(record.age_at_tx))
+
+
+def prescription_violations(p: Prescription) -> tuple[Violation, ...]:
+    """validate_record's checks of a prescription, in its order."""
     violations: list[Violation] = []
     if p.fractions < 1 or p.dose_per_fraction <= 0:
         violations.append(
@@ -170,10 +177,6 @@ def validate_record(record: TreatmentRecord) -> tuple[Violation, ...]:
                 f"accumulated_dose={p.accumulated_dose} != total_dose={p.total_dose}",
             )
         )
-    if record.age_at_tx is not None and not (AGE_MIN <= record.age_at_tx <= AGE_MAX):
-        violations.append(
-            Violation(AGE_OUT_OF_RANGE, f"age_at_tx={record.age_at_tx}")
-        )
     if not rx_exact_in_float(p.rx):
         violations.append(
             Violation(
@@ -183,6 +186,21 @@ def validate_record(record: TreatmentRecord) -> tuple[Violation, ...]:
             )
         )
     return tuple(violations)
+
+
+def age_violations(age: int | None) -> tuple[Violation, ...]:
+    """validate_record's check of an age at treatment."""
+    if age is not None and not (AGE_MIN <= age <= AGE_MAX):
+        return (Violation(AGE_OUT_OF_RANGE, f"age_at_tx={age}"),)
+    return ()
+
+
+def ordered_violations(rx: tuple[Violation, ...], age: tuple[Violation, ...]) -> tuple[Violation, ...]:
+    """A record's violations from those of its prescription and its age, in
+    validate_record's order: the age check comes before RxTooLarge."""
+    if rx and rx[-1].kind == RX_TOO_LARGE:
+        return rx[:-1] + age + rx[-1:]
+    return rx + age
 
 
 def rx_exact_in_float(rx: tuple[int, int]) -> bool:
@@ -230,21 +248,10 @@ def _cell(value) -> str:
     return "" if value is None else str(value)
 
 
-def record_to_row(record: TreatmentRecord) -> dict[str, str]:
-    p = record.prescription
-    return {
-        "record_id": record.record_id,
-        "fractions": str(p.fractions),
-        "dose_per_fraction": str(p.dose_per_fraction),
-        "total_dose": str(p.total_dose),
-        "accumulated_dose": str(p.accumulated_dose),
-        "technique": record.technique,
-        "energy": _cell(record.energy),
-        "intent": _cell(record.intent),
-        "icd10": _cell(record.icd10),
-        "morphology": _cell(record.morphology),
-        "age_at_tx": _cell(record.age_at_tx),
-    }
+def _row_cells(record_id: str, p: Prescription, labels: tuple, age: int | None) -> tuple[str, ...]:
+    """A record's cells in CSV_COLUMNS order, from a RecordTable row."""
+    return (record_id, str(p.fractions), str(p.dose_per_fraction), str(p.total_dose), str(p.accumulated_dose),
+            *map(_cell, labels), _cell(age))
 
 
 _labels_of = attrgetter(*LABEL_FIELDS)
@@ -257,8 +264,10 @@ class RecordTable(Sequence[TreatmentRecord]):
     (technique, energy, intent, icd10, morphology) tuple per row (LABEL_FIELDS
     order) and ages the ages. Rows with equal prescriptions or labels may
     share one object, so a stage can decide a rule once per distinct value.
-    A record is built each time one is read, and the table compares equal
-    to a list of the same records.
+    The front end's stages, the reference-set build and the readers that
+    walk every reference record read these columns; a record is built each
+    time one is read, and the table compares equal to a list of the same
+    records.
     """
 
     __slots__ = ("ids", "prescriptions", "labels", "ages")
@@ -287,6 +296,12 @@ class RecordTable(Sequence[TreatmentRecord]):
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    def take(self, rows: Iterable[int]) -> "RecordTable":
+        """A table of the rows at these indices, in their order."""
+        rows = list(rows)
+        return RecordTable(*(list(map(column.__getitem__, rows))
+                             for column in (self.ids, self.prescriptions, self.labels, self.ages)))
 
     def __getitem__(self, index: int | slice) -> "TreatmentRecord | RecordTable":
         """The record at an int index, or a table of the rows a slice takes."""
@@ -424,5 +439,7 @@ def write_json(destination: str | os.PathLike | IO[str], payload) -> None:
 
 
 def write_records_csv(destination: str | os.PathLike | IO[str], records: Iterable[TreatmentRecord]) -> None:
-    # record_to_row's keys are in CSV_COLUMNS order.
-    write_csv(destination, CSV_COLUMNS, (record_to_row(record).values() for record in records))
+    """Write records as the canonical CSV, from the columns of their
+    RecordTable."""
+    table = RecordTable.of(records)
+    write_csv(destination, CSV_COLUMNS, map(_row_cells, table.ids, table.prescriptions, table.labels, table.ages))

@@ -15,13 +15,15 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .distance import HistoricalDB
+from .distance import HistoricalDB, scale_rx
 from .records import (
     AGE_MAX,
     AGE_MIN,
+    LABEL_FIELDS,
     NUMERIC,
     FeatureSpec,
     Prescription,
+    RecordTable,
     TreatmentRecord,
     write_json,
     write_records_csv,
@@ -150,7 +152,8 @@ def verify_rarity(
 
     Prescription mutations count exact occurrences of the new prescription
     pair. Feature mutations count, per mutated field, reference records
-    sharing the candidate's exact prescription and the mutated value.
+    sharing the candidate's exact prescription and the mutated value; only
+    the records of that prescription's group in db.rx_rows are read.
     Accepted iff every count is at or below the threshold.
     """
     evidence: list[RarityEvidence] = []
@@ -159,14 +162,9 @@ def verify_rarity(
         count = db.rx_index.get(rx, 0)
         evidence.append(RarityEvidence(f"rx={rx[0]}x{rx[1]}", count))
     elif mutation.kind == KIND_FEATURE:
-        # The prescription's fields, not r.rx, which builds a tuple per record.
-        fractions, dose = rx
+        rows = _same_prescription(candidate.prescription, db)
         for change in mutation.changes:
-            count = sum(
-                1 for r in db.records
-                if r.prescription.fractions == fractions and r.prescription.dose_per_fraction == dose
-                and getattr(r, change.field) == change.new
-            )
+            count = _values_at(db.records, rows, change.field).count(change.new)
             evidence.append(
                 RarityEvidence(f"rx={rx[0]}x{rx[1]} & {change.field}={change.new}", count)
             )
@@ -174,6 +172,37 @@ def verify_rarity(
         raise InvalidMutation(f"unknown mutation kind {mutation.kind!r}")
     accepted = all(item.count <= threshold for item in evidence)
     return RarityCheck(accepted, tuple(evidence))
+
+
+def _same_prescription(p: Prescription, db: HistoricalDB) -> list[int]:
+    """The indices into db.records of the records with p's exact (fractions,
+    dose per fraction): those of the rx_rows group at p's scaled point whose
+    integers match, since distinct integers may scale to one point."""
+    if p.rx not in db.rx_index:
+        return []
+    # Every part in the reference is exact in float64, and scale_rx does the
+    # build's arithmetic, so p lands on its group's point.
+    scaled = scale_rx(p, db.rx_scaler)
+    rows = db.rx_rows
+    [group] = np.flatnonzero((rows.f == scaled.f) & (rows.d == scaled.d))
+    start = rows.starts[group]
+    members = rows.members[start:start + rows.counts[group]].tolist()
+    # The group holds every record with p's integers; when it holds as many
+    # records as they have, it holds no other.
+    if len(members) == db.rx_index[p.rx]:
+        return members
+    prescriptions, rx = db.records.prescriptions, p.rx
+    return [index for index in members if prescriptions[index].rx == rx]
+
+
+def _values_at(table: RecordTable, rows: list[int], name: str) -> list:
+    """The feature name of table's records at rows, read from its columns."""
+    if name == "age_at_tx":
+        return [table.ages[row] for row in rows]
+    if name not in LABEL_FIELDS:
+        raise InvalidMutation(f"unknown feature: {name!r}")
+    at = LABEL_FIELDS.index(name)
+    return [table.labels[row][at] for row in rows]
 
 
 # ---------------------------------------------------------------------------

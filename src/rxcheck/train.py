@@ -27,7 +27,7 @@ import numpy as np
 
 from .detector import ModelParams, detect
 from .distance import HistoricalDB, InsufficientData, QueryProfile
-from .records import TreatmentRecord, write_csv
+from .records import RecordTable, TreatmentRecord, write_csv
 from .seeding import substream
 from .simulate import SimulatedAnomaly
 
@@ -95,22 +95,24 @@ class TrainingOutcome:
 
 def split_holdout(
     records: Sequence[TreatmentRecord], s_n: int, rng: np.random.Generator
-) -> tuple[list[TreatmentRecord], list[TreatmentRecord]]:
-    """Disjoint (reference, holdout pool) split with a pool of size s_n.
+) -> tuple[RecordTable, RecordTable]:
+    """Disjoint (reference, holdout pool) split with a pool of size s_n, as
+    RecordTables of the records' rows in input order.
 
     The reference set rebuilds its own database (scaler, theta, tau), so the
     held-out normals never influence the characteristic distances.
     Deterministic per generator state.
     """
-    total = len(records)
+    table = RecordTable.of(records)
+    total = len(table)
     if s_n >= total:
         raise InsufficientData(f"s_n={s_n} must be smaller than the record count {total}")
     if s_n < 0:
         raise ValueError("s_n must be non-negative")
-    chosen = set(map(int, rng.choice(total, size=s_n, replace=False))) if s_n else set()
-    reference = [r for k, r in enumerate(records) if k not in chosen]
-    pool = [records[k] for k in sorted(chosen)]
-    return reference, pool
+    held = np.zeros(total, dtype=bool)
+    if s_n:
+        held[rng.choice(total, size=s_n, replace=False)] = True
+    return table.take(np.flatnonzero(~held).tolist()), table.take(np.flatnonzero(held).tolist())
 
 
 def f1_metric(tp: int, fp: int, fn: int) -> float:

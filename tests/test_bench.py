@@ -5,8 +5,11 @@ perfbench/sweep.py); one-shot detect over
 the check batch of perfbench/gen.py, whose Zipf regimens put about a
 thousand reference records at a query's own prescription; the cohort
 front end (parse, normalize, filter) on raw exports from perfbench/gen.py;
-and the `ingest` and `hist` commands, in process, on the 100k-row export of
-the benchmark's ingest-hist workload. Timed with pytest-benchmark.
+the `ingest` and `hist` commands, in process, on the 100k-row export of
+the benchmark's ingest-hist workload; what `check --quantile-boundaries`
+does before its first record, on the check workload's history; and a
+`train` command, in process, on a 100k-record single-technique export.
+Timed with pytest-benchmark.
 
 Not part of the default run (pyproject.toml deselects the bench marker).
 Run it with
@@ -35,6 +38,7 @@ from rxcheck.ingest import (
     normalize_dataset,
     parse_dataset,
 )
+from rxcheck.ranges import Quantile, derive_boundaries
 
 from conftest import random_db, random_record
 
@@ -104,6 +108,40 @@ def test_check_batch(benchmark, monkeypatch, tmp_path):
 
     scored = benchmark.pedantic(check_batch, rounds=5, iterations=1)
     assert scored == written["batch.csv"] - gen.CHECK_ALL_MISSING
+
+
+def test_check_setup(benchmark, monkeypatch, tmp_path):
+    # `check --quantile-boundaries 0.005,0.995` before its first record, on
+    # the history of the benchmark's check workload (seed 5): the front end,
+    # one reference set per technique and the boundaries derived from them.
+    _gen(monkeypatch).write_inputs("check", 5, tmp_path)
+    config, quantile = CohortConfig(), Quantile(0.005, 0.995)
+
+    def setup():
+        records, _ = parse_dataset(tmp_path / "history.csv")
+        kept, _ = filter_cohort(normalize_dataset(records, config.label_mappings)[0], config)
+        dbs = [build_historical_db(rows) for rows in kept.values() if len(rows) >= 2]
+        return [derive_boundaries(db, quantile) for db in dbs]
+
+    assert len(benchmark.pedantic(setup, rounds=10, iterations=1)) == 3
+
+
+def test_train_100k(benchmark, monkeypatch, tmp_path):
+    # A `train` command at its defaults on 100,000 admitted 3D records, the
+    # largest reference set per technique the north star asks for.
+    gen = _gen(monkeypatch)
+    path = tmp_path / "export.csv"
+    gen.write_rows(path, gen.Generator(5, "train").export({"3D": 100_000}, 0, 0))
+    argv = ["train", "--input", str(path), "--out", str(tmp_path / "out")]
+
+    def run():
+        with contextlib.redirect_stdout(io.StringIO()):
+            return cli.run(argv)
+
+    def collect():
+        gc.collect()
+
+    assert benchmark.pedantic(run, setup=collect, rounds=3, iterations=1) == cli.EX_OK
 
 
 @pytest.mark.parametrize("rows", [10_000, 100_000])

@@ -212,6 +212,18 @@ class TestCheck:
         assert payload["status"] == "Type1Flag"
         assert code == EX_FLAGGED
 
+    def test_batch_row_that_fails_to_parse_exits_1(self, cohort_csv, params_json, tmp_path, capsys):
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        query_path = tmp_path / "query.csv"
+        write_records_csv(query_path, records[:2])
+        query_path.write_text(query_path.read_text() + "bad,five,400,2000,2000,3D,x06,,C34.10,,\n")
+        code = run(["check", "--input", str(query_path),
+                    "--historical", str(cohort_csv), "--params", str(params_json)])
+        captured = capsys.readouterr()
+        assert [v["status"] for v in verdict_lines(captured.out)] == ["Pass", "Pass"]
+        assert captured.err == "rxcheck: row 3: invalid literal for int() with base 10: 'five'\n"
+        assert code == EX_ERROR
+
     def test_out_directory_jsonl(self, cohort_csv, params_json, tmp_path):
         records, _ = make_cohort("3D", per_cluster=15, seed=20)
         query_path = tmp_path / "query.csv"
@@ -1074,4 +1086,4 @@ def test_check_matches_the_oracle_chain(tmp_path_factory, inputs):
             assert (got["F"] is None) == (want["F"] is None)
             assert got["F"] is None or close(got["F"], want["F"])
         flagged = any(v["status"] != "Pass" for v in verdicts.values())
-        assert code == (EX_ERROR if unscored else EX_FLAGGED if flagged else EX_OK)
+        assert code == (EX_ERROR if unscored or row_diagnostics else EX_FLAGGED if flagged else EX_OK)

@@ -38,6 +38,7 @@ from rxcheck.records import (
     CSV_COLUMNS,
     Prescription,
     TreatmentRecord,
+    validate_record,
 )
 
 from conftest import rec, records_csv_text
@@ -78,6 +79,17 @@ class TestParseDataset:
     def test_malformed_header_raises(self):
         with pytest.raises(SchemaError):
             parse_dataset(io.StringIO("record_id,fractions\n1,2\n"))
+
+    def test_header_errors_name_the_file(self, tmp_path):
+        empty, short = tmp_path / "empty.csv", tmp_path / "short.csv"
+        empty.write_text("")
+        short.write_text("record_id,fractions\n1,2\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(empty))}: empty input: no header row$"):
+            parse_dataset(empty)
+        with pytest.raises(SchemaError, match=(
+                f"^{re.escape(str(short))}: header missing required columns: "
+                "dose_per_fraction, total_dose, accumulated_dose, technique$")):
+            parse_dataset(short)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
@@ -333,6 +345,36 @@ class TestFilterCohort:
         diagnosis = good("c", icd10="C61", age_at_tx=500)
         _, exclusions = filter_cohort([mismatch, replan, diagnosis])
         assert [rule for _, rule, _ in exclusions] == [RULE_DOSE, RULE_REPLAN, RULE_DIAGNOSIS]
+
+
+# Prescription parts and ages for validate_record's rules: non-positive
+# parts, parts above 2**53, ages outside [0, 120], and every combination.
+_RX_PARTS = (-(2 ** 60), -5, 0, 1, 5, 2 ** 53, 2 ** 53 + 1, 2 ** 60)
+_AGES = (None, -1, 0, 60, 120, 121, 2 ** 70)
+
+
+@seed(20217)
+@settings(deadline=None, max_examples=200, database=None)
+@given(data=st.data())
+def test_filter_validates_each_distinct_value_as_validate_record_does(data):
+    # Rows that pass every rule before validate_record's: modeled labels,
+    # consistent doses and one subject each, so no re-plan. Rows share a
+    # few Prescription objects, as parsed rows do, and equal prescriptions
+    # may also be distinct objects.
+    parts = st.sampled_from(_RX_PARTS)
+    prescriptions = [Prescription(f, d, f * d, f * d)
+                     for f, d in data.draw(st.lists(st.tuples(parts, parts), min_size=1, max_size=4))]
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(prescriptions), st.sampled_from(_AGES)),
+                              min_size=1, max_size=12))
+    records = [replace(good(f"P{i}/1", age_at_tx=age), prescription=p) for i, (p, age) in enumerate(rows)]
+    kept, exclusions = filter_cohort(records)
+    # As the per-row path gave them: the first violation of each excluded row.
+    expected = [(r.record_id, validate_record(r)[0].kind, validate_record(r)[0].detail)
+                for r in records if validate_record(r)]
+    assert exclusions == expected
+    assert kept["SBRT"] == [r for r in records if not validate_record(r)]
+    assert all(validate_record(r) == () for r in kept["SBRT"])
+    assert not kept["3D"] and not kept["IMRT"]
 
 
 # Records for normalize and filter: canonical, mapped, excluded and unmapped

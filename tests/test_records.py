@@ -18,7 +18,6 @@ from rxcheck.records import (
     default_schema,
     json_object,
     read_json,
-    record_to_row,
     validate_record,
     write_csv,
     write_json,
@@ -63,6 +62,14 @@ class TestValidateRecord:
         kinds = [v.kind for v in validate_record(rec("a", -(2 ** 60), 100))]
         assert kinds == [NON_POSITIVE_RX, RX_TOO_LARGE]
 
+    def test_every_check_in_order(self):
+        # The prescription checks, with the age check before RxTooLarge.
+        record = rec("a", -(2 ** 60), 100, total_dose=1, accumulated_dose=2, age_at_tx=130)
+        assert [v.kind for v in validate_record(record)] == [
+            NON_POSITIVE_RX, DOSE_MISMATCH, REPLAN_SUSPECT, AGE_OUT_OF_RANGE, RX_TOO_LARGE]
+        assert [v.kind for v in validate_record(rec("a", 2 ** 60, 100, age_at_tx=-1))] == [
+            AGE_OUT_OF_RANGE, RX_TOO_LARGE]
+
     def test_deterministic_and_pure(self):
         record = rec("a", 5, 400, total_dose=2200)
         assert validate_record(record) == validate_record(record)
@@ -90,8 +97,14 @@ class TestSchema:
             FeatureSpec("age_at_tx", "ordinal")
 
 
+def row_of(record) -> dict[str, str]:
+    """record's cells by column, as write_records_csv writes them."""
+    header, line = records_csv_text([record]).splitlines()
+    return dict(zip(header.split(","), line.split(",")))
+
+
 def parse_rows(*rows: dict[str, str]):
-    """parse_dataset of a CSV with one line per record_to_row dict."""
+    """parse_dataset of a CSV with one line per row_of dict."""
     buffer = io.StringIO()
     write_csv(buffer, rows[0], (row.values() for row in rows))
     buffer.seek(0)
@@ -119,7 +132,7 @@ class TestCsvRoundTrip:
         assert parsed.intent is None and parsed.age_at_tx is None
 
     def test_empty_and_dash_cells_mean_missing(self):
-        row = record_to_row(rec("a", 5, 400, icd10="C34.90", energy="x06"))
+        row = row_of(rec("a", 5, 400, icd10="C34.90", energy="x06"))
         row["intent"] = "-"
         row["morphology"] = ""
         (parsed,), diagnostics = parse_rows(row)
@@ -127,7 +140,7 @@ class TestCsvRoundTrip:
         assert parsed.intent is None and parsed.morphology is None
 
     def test_required_cell_missing_raises(self):
-        row = record_to_row(rec("a", 5, 400))
+        row = row_of(rec("a", 5, 400))
         row["fractions"] = ""
         records, diagnostics = parse_rows(row)
         assert records == []

@@ -5,8 +5,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.ingest import build_historical_db
+from rxcheck.records import Prescription
 from rxcheck.simulate import (
     KIND_FEATURE,
     KIND_RX_SWAP,
@@ -180,6 +182,48 @@ class TestVerifyRarity:
                         if r.rx == sa.mutated.rx and getattr(r, field_name) == value
                     )
                 assert evidence.count == expected
+
+
+# Prescription parts for drawn references. With both -2**53 and 2**53 in a
+# dimension its width is 2**54, and 2**53 - 1 scales to the point of 2**53:
+# one group of rx_rows then holds two distinct integer prescriptions, as it
+# does under _MERGED.
+_RARITY_PARTS = (1, 5, 2 ** 53 - 2, 2 ** 53 - 1, 2 ** 53, -(2 ** 53))
+_MERGED = [(-(2 ** 53), 5), (2 ** 53 - 1, 5), (2 ** 53, 5)]
+
+
+@seed(20218)
+@settings(deadline=None, max_examples=150, database=None)
+@given(data=st.data())
+def test_rarity_evidence_equals_a_full_walk(data):
+    parts = st.sampled_from(_RARITY_PARTS)
+    regimens = data.draw(st.lists(st.tuples(parts, parts), min_size=1, max_size=4))
+    regimens += _MERGED if data.draw(st.booleans()) else []
+    records = [
+        rec(f"r{i}", *data.draw(st.sampled_from(regimens)), energy=data.draw(st.sampled_from(ENERGIES[:2])),
+            intent=data.draw(st.sampled_from((None, "curative", "palliative"))),
+            age_at_tx=data.draw(st.sampled_from((None, 50, 60))))
+        for i in range(data.draw(st.integers(2, 16)))
+    ]
+    db = build_historical_db(records)
+    base = db.records[data.draw(st.integers(0, db.size - 1))]
+    updates = data.draw(st.dictionaries(
+        st.sampled_from(("energy", "intent", "age_at_tx")), st.sampled_from(("x06", "x10", "curative", 50, 70, None)),
+        min_size=1))
+    mutated, descriptor = mutate_features(base, updates)
+    # The last candidate has a prescription the reference lacks.
+    elsewhere = dataclasses.replace(mutated, prescription=Prescription(3, 7, 21, 21))
+    swapped = dataclasses.replace(descriptor, kind=KIND_RX_SWAP)
+    walk = list(db.records)
+    for candidate, mutation in ((mutated, descriptor), (mutated, swapped), (elsewhere, descriptor)):
+        if mutation.kind == KIND_RX_SWAP:
+            expected = [sum(r.rx == candidate.rx for r in walk)]
+        else:
+            expected = [sum(r.rx == candidate.rx and getattr(r, change.field) == change.new for r in walk)
+                        for change in mutation.changes]
+        check = verify_rarity(candidate, db, 1, mutation)
+        assert [item.count for item in check.evidence] == expected
+        assert check.accepted == all(count <= 1 for count in expected)
 
 
 class TestGenerateSaSet:
