@@ -8,7 +8,9 @@ reference records or a number too large for a float, or of a technique
 with no reference set, no trained parameters or no boundaries in the
 --boundaries preset, gets a "rxcheck: record <id>: <reason>" line on stderr
 instead, the batch goes on, and the exit code is 1. So does a batch row
-that fails to parse, with a "rxcheck: row <N>: <reason>" line.
+that fails to parse, with a "rxcheck: row <N>: <reason>" line. A batch
+with no record to check, or none of --technique, gets a
+"rxcheck: <batch file>: 0 records checked" line and keeps its exit code.
 
 train skips a technique with at least 2 kept records that cannot be split
 into reference and holdout, built or given its simulated anomalies, with a
@@ -365,6 +367,8 @@ def _cmd_check(args) -> int:
         records = [r for r in records if r.technique == args.technique]
     for diagnostic in diagnostics:
         print(f"rxcheck: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
+    if not records:
+        print(f"rxcheck: {args.input}: 0 records checked", file=sys.stderr)
 
     lines = []
     # A batch row that failed to parse got no verdict, like a record refused below.

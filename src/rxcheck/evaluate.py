@@ -195,7 +195,7 @@ def emit_report(
     write_csv(
         confusion_path,
         ("source", "tp", "fp", "fn", "tn"),
-        ((source, cm.tp, cm.fp, cm.fn, cm.tn) for source, cm in sorted(cms.items())),
+        ((source, str(cm.tp), str(cm.fp), str(cm.fn), str(cm.tn)) for source, cm in sorted(cms.items())),
     )
     write_csv(
         metrics_path,
@@ -208,7 +208,7 @@ def emit_report(
     write_csv(
         venn_path,
         ("region", "count"),
-        sorted(venn.items()) if venn is not None else (),
+        ((region, str(count)) for region, count in sorted(venn.items())) if venn is not None else (),
     )
     return written
 

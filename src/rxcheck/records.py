@@ -8,12 +8,13 @@ the parse to its HistoricalDB, so no stage builds a record per row."""
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
 from typing import IO, Collection, Iterable, Iterator, Mapping, Sequence
 
@@ -419,13 +420,46 @@ def json_number(where: str, value, error: type[ValueError] = ValueError) -> floa
         raise error(f"{where}: {len(str(abs(value)))}-digit integer overflows a float") from None
 
 
-def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str], rows: Iterable[Iterable]) -> None:
+# Rows rendered per write: a block's text is joined in one go, and a file is
+# never held as one string.
+CSV_BLOCK_ROWS = 4096
+
+_needs_quotes = re.compile('[",\n\r]').search
+
+
+def _quoted(cell: str) -> str:
+    """cell in double quotes, each quote doubled, when it holds a comma, a
+    quote, a line feed or a carriage return; otherwise cell."""
+    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
+
+
+def _render(block: list[Sequence[str]]) -> str:
+    """The CSV lines of block's rows, each ending in a newline. The rows are
+    joined as they are unless the text holds a quote or a carriage return,
+    or more commas or line feeds than the row and cell boundaries give; then
+    every cell goes through _quoted."""
+    text = "\n".join(map(",".join, block))
+    if (text.count(",") > sum(map(len, block)) - len(block) or text.count("\n") >= len(block)
+            or '"' in text or "\r" in text):
+        text = "\n".join([",".join(map(_quoted, row)) for row in block])
+    return text + "\n"
+
+
+def write_csv(destination: str | os.PathLike | IO[str], header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
     """Write the header and then each row as CSV, every line ending in a
-    bare newline."""
+    bare newline. Cells are strings and a row has at least two cells. A cell
+    is quoted when it holds a comma, a double quote, a line feed or a
+    carriage return, and a quote in it is doubled: the csv module's
+    QUOTE_MINIMAL, which leaves a carriage return bare under a "\n" line
+    terminator, plus the carriage return. Rows are rendered and written
+    CSV_BLOCK_ROWS at a time."""
+    rows = iter(rows)
     with text_stream(destination, "w") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        block = [header, *islice(rows, CSV_BLOCK_ROWS - 1)]
+        while block:
+            handle.write(_render(block))
+            block = list(islice(rows, CSV_BLOCK_ROWS))
 
 
 def write_json(destination: str | os.PathLike | IO[str], payload) -> None:

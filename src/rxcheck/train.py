@@ -331,7 +331,7 @@ def write_trace_csv(destination: str | Path | IO[str], outcome: TrainingOutcome)
         destination,
         ("eval_index", "a", "b", "mu", "nu", "f1_mean", "f1_std"),
         (
-            (index, repr(e.params.a), repr(e.params.b), repr(e.params.mu), repr(e.params.nu),
+            (str(index), repr(e.params.a), repr(e.params.b), repr(e.params.mu), repr(e.params.nu),
              repr(e.f1_mean), repr(e.f1_std))
             for index, e in enumerate(outcome.trace)
         ),

@@ -172,6 +172,30 @@ class TestIngest:
         with open(out / "exclusions.csv", newline="") as handle:
             assert list(csv.reader(handle)) == [list(EXCLUSION_COLUMNS), *map(list, exclusions)]
 
+    def test_ids_holding_a_carriage_return_read_back_as_written(self, tmp_path):
+        # csv.writer leaves a "\r" bare under a "\n" line terminator, and a
+        # reader then ends the row there; write_csv quotes it. The export
+        # itself is written by the csv module, with every cell quoted.
+        records, _ = make_cohort("3D", per_cluster=15, seed=20)
+        records = [replace(r, record_id=f"P{i}#X") if i % 3 == 0 else r for i, r in enumerate(records)]
+        excluded = [rec("ol#d", 10, 300, energy="x06", icd10="C34.10", age_at_tx=500),
+                    rec("pro#state", 10, 300, energy="x06", icd10="C61")]
+        path = tmp_path / "export.csv"
+        with open(path, "w", newline="") as handle:
+            rows = csv.reader(io.StringIO(records_csv_text(excluded[:1] + records + excluded[1:])))
+            csv.writer(handle, quoting=csv.QUOTE_ALL).writerows([row[0].replace("#", "\r"), *row[1:]] for row in rows)
+        out = tmp_path / "ingested"
+        assert run(["ingest", "--input", str(path), "--out", str(out)]) == EX_OK
+
+        def ids(name):
+            with open(out / name, newline="") as handle:
+                return [row[0] for row in csv.reader(handle)][1:]
+
+        kept = [replace(r, record_id=r.record_id.replace("#", "\r")) for r in records]
+        assert ids("db_3D.csv") == [r.record_id for r in kept]
+        assert ids("exclusions.csv") == ["ol\rd", "pro\rstate"]
+        assert parse_dataset(out / "db_3D.csv") == (kept, [])
+
     def test_outputs_are_utf8_under_an_ascii_locale(self, tmp_path):
         # A child process whose locale encoding is ASCII: the outputs are
         # UTF-8 all the same, so a label outside ASCII is written as read.
@@ -259,6 +283,23 @@ class TestCheck:
         write_records_csv(query, records[:1])
         code = run(["check", "--input", str(query), "--historical", str(cohort_csv)])
         assert code == EX_USAGE
+
+    def test_missing_historical_flag_is_usage_error(self, params_json, tmp_path, capsys):
+        query = tmp_path / "query.csv"
+        write_records_csv(query, make_cohort("3D", per_cluster=15, seed=20)[0][:1])
+        code = run(["check", "--input", str(query), "--params", str(params_json)])
+        assert code == EX_USAGE
+        assert capsys.readouterr().err == "rxcheck: check needs --historical (or a config with one)\n"
+
+    @pytest.mark.parametrize("technique", [None, "SBRT"], ids=["header-only", "technique-empties"])
+    def test_batch_with_no_record_says_so(self, cohort_csv, params_json, tmp_path, capsys, technique):
+        query = tmp_path / "query.csv"
+        write_records_csv(query, [] if technique is None else make_cohort("3D", per_cluster=15, seed=20)[0][:3])
+        flags = [] if technique is None else ["--technique", technique]
+        code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
+                    "--params", str(params_json), *flags])
+        assert code == EX_OK
+        assert capsys.readouterr() == ("", f"rxcheck: {query}: 0 records checked\n")
 
     def test_quantile_boundaries_mode(self, cohort_csv, params_json, tmp_path, capsys):
         # Fractions in the cohort span [4, 9]; 12 fractions violates the
@@ -775,6 +816,16 @@ class TestSimulateEvaluateHist:
         # Without --out or a config out there is nowhere to write.
         assert run([command, "--input", str(source)]) == EX_USAGE
         assert capsys.readouterr().err.endswith(f"rxcheck: {command} needs --out (or a config with one)\n")
+
+    @pytest.mark.parametrize("command, purpose", [("simulate", "to simulate from"), ("hist", "for histograms")])
+    def test_no_technique_with_2_records_is_usage_error(self, tmp_path, capsys, command, purpose):
+        path = tmp_path / "sparse.csv"
+        write_records_csv(path, [rec("a", 10, 300, energy="x06", icd10="C34.10"),
+                                 rec("b", 5, 1000, technique="SBRT", energy="x06", icd10="C34.10")])
+        out = tmp_path / "out"
+        assert run([command, "--input", str(path), "--out", str(out)]) == EX_USAGE
+        assert capsys.readouterr().err == f"rxcheck: no technique had enough records {purpose}\n"
+        assert list(out.iterdir()) == []
 
     def test_simulate_deterministic(self, cohort_csv, tmp_path):
         out1, out2 = tmp_path / "sa1", tmp_path / "sa2"

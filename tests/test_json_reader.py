@@ -64,6 +64,11 @@ def test_one_csv_reader_per_file_kind():
     assert _readers("csv", {"DictReader"}) == ["evaluate.read_predictions_csv"]
 
 
+def test_write_csv_is_the_only_csv_writer():
+    # records.write_csv renders its rows itself, so its quoting rule is the only one.
+    assert _readers("csv", {"writer", "DictWriter"}) == []
+
+
 # An integer literal longer than Python's int-string limit (4,300 digits by
 # default) fails json's own int(); the reader names the file and the length.
 _LONG = "1" + "0" * 5000

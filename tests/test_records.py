@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import io
 
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.ingest import build_historical_db, parse_dataset
 from rxcheck.records import (
@@ -145,6 +147,64 @@ class TestCsvRoundTrip:
         records, diagnostics = parse_rows(row)
         assert records == []
         assert [(d.row, d.reason) for d in diagnostics] == [(1, "missing required value: fractions")]
+
+
+# Cells of write_csv's property tests: spaces, empty cells and text outside
+# ASCII, without and with what the csv module quotes (a comma, a quote, a
+# line feed), and with a carriage return.
+_PLAIN = "a1 -\u00e9\u4e2d"
+_QUOTED = _PLAIN + ',"\n'
+
+
+def _row(alphabet: str):
+    """A row of 2 to 4 cells drawn from alphabet."""
+    return st.lists(st.text(st.sampled_from(alphabet), max_size=4), min_size=2, max_size=4)
+
+
+def _rows(alphabet: str):
+    return st.lists(_row(alphabet), max_size=9)
+
+
+def _needs_quotes(specials: str):
+    """A row whose first cell holds one of specials."""
+    return st.builds(lambda row, special: [row[0] + special, *row[1:]], _row(_QUOTED), st.sampled_from(specials))
+
+
+def _written(block_rows: int, header, rows) -> str:
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("rxcheck.records.CSV_BLOCK_ROWS", block_rows)
+        buffer = io.StringIO()
+        write_csv(buffer, header, rows)
+    return buffer.getvalue()
+
+
+class TestWriteCsv:
+    # A small block puts the row that needs quotes between plain blocks.
+    @seed(20232)
+    @settings(deadline=None, max_examples=200, database=None)
+    @given(block_rows=st.integers(1, 3), header=_row(_QUOTED),
+           before=_rows(_PLAIN), special=_needs_quotes(',"\n'), after=_rows(_PLAIN))
+    def test_bytes_equal_the_csv_modules(self, block_rows, header, before, special, after):
+        rows = [*before, special, *after]
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert _written(block_rows, header, rows) == expected.getvalue()
+
+    @seed(20233)
+    @settings(deadline=None, max_examples=200, database=None)
+    @given(block_rows=st.integers(1, 3), before=_rows(_PLAIN), special=_needs_quotes(',"\n\r'),
+           after=_rows(_QUOTED + "\r"))
+    def test_csv_reader_gives_back_every_row(self, block_rows, before, special, after):
+        rows = [*before, special, *after]
+        text = _written(block_rows, ["a", "b"], rows)
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["a", "b"], *rows]
+
+    def test_carriage_return_is_quoted(self):
+        buffer = io.StringIO()
+        write_csv(buffer, ("id", "note"), [("P0\rX", ""), ("P1", "a\r\n")])
+        assert buffer.getvalue() == 'id,note\n"P0\rX",\nP1,"a\r\n"\n'
 
 
 class TestRecordTable:
