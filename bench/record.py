@@ -28,7 +28,9 @@ value, beside the traced seeds; and for each checkout, its pytest -m bench
 run's exit code, pass and fail counts and each benchmark's median time in
 seconds, a failing run recorded as it is. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
-commit as "uncommitted on <sha>". Where a run reports digests per command
+commit as "uncommitted on <sha>". Two checkouts stamped with one commit
+must hold the same sources: the script stops when the second of them is
+stamped, after its first run. Where a run reports digests per command
 (train), the file keeps those of the first MIN_REPEATS commands, which every
 run makes, so that runs of one seed compare however many commands they fit
 in their time.
@@ -144,6 +146,17 @@ def per_layer(by_seed: dict) -> dict:
     return {"seeds": sorted(by_seed), "metrics": metrics}
 
 
+def check_stamps(stamps: dict) -> None:
+    """Exit unless the checkouts whose stamps name one commit hold the same
+    sources; two checkouts outside git are both stamped "unknown"."""
+    by_sha: dict[str, tuple[str, str]] = {}
+    for name, stamp in stamps.items():
+        other, source = by_sha.setdefault(stamp["git_sha"], (name, stamp["source_sha256"]))
+        if source != stamp["source_sha256"]:
+            raise SystemExit(f"bench/record.py: {other!r} and {name!r} are both stamped {stamp['git_sha']} "
+                             "but hold different sources")
+
+
 def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict, bench_tests: dict) -> dict:
     """The BENCH file's content from stamps[checkout],
     reports[checkout][workload][seed], the traced runs' reports
@@ -151,12 +164,7 @@ def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, trace
     result bench_tests[checkout], the checkouts in the order they ran
     first. Two checkouts whose stamps name one commit must hold the same
     sources."""
-    by_sha: dict[str, tuple[str, str]] = {}
-    for name, stamp in stamps.items():
-        other, source = by_sha.setdefault(stamp["git_sha"], (name, stamp["source_sha256"]))
-        if source != stamp["source_sha256"]:
-            raise SystemExit(f"bench/record.py: {other!r} and {name!r} are both stamped {stamp['git_sha']} "
-                             "but hold different sources")
+    check_stamps(stamps)
     bench = {
         "number": number,
         "command": f"perfbench/run.py --trace 0 --seconds {BENCHMARK['run_seconds']}",
@@ -209,6 +217,7 @@ def main(argv=None) -> int:
         # The source must not change while its checkout is measured.
         if name not in stamps:
             stamps[name] = commit_stamp(checkouts[name], report["stamp"])
+            check_stamps(stamps)
         if report["stamp"]["source_sha256"] != stamps[name]["source_sha256"]:
             raise SystemExit(f"bench/record.py: the sources of {name!r} changed during the recording")
         return report

@@ -751,11 +751,9 @@ def pairwise_means(rows: DistinctRx, encoded: EncodedFeatures) -> tuple[float, f
     pattern pair comes from per-pattern counts. The clamp at 1 is dropped,
     which needs every numeric column's present values to span at most its
     width, as they do in encode_features' columns. Raises IncomparablePair
-    when no pair shares a feature.
+    when no pair shares a feature; the caller checks for 2 records or more.
     """
     size = len(rows)
-    if size < 2:
-        raise InsufficientData(f"need at least 2 records, got {size}")
     # The pairs within a row add exact zeros, which keep the sum's bits.
     terms = np.concatenate([n * rho for rho, n in _row_pairs(rows)])
     theta = 2.0 * math.fsum(terms.tolist()) / (size * (size - 1))

@@ -139,9 +139,6 @@ class CohortConfig:
                 f"subject_delimiter must be a non-empty string, got {self.subject_delimiter!r}"
             )
 
-    def subject_key(self, record_id: str) -> str:
-        return record_id.split(self.subject_delimiter, 1)[0]
-
     @classmethod
     def from_json(cls, source: str | Path | IO[str]) -> "CohortConfig":
         """Read a config as to_json writes it; an absent key keeps its
@@ -445,18 +442,19 @@ def _replan_and_initial_ids(table: RecordTable, config: CohortConfig) -> tuple[s
     the re-plan's accumulated minus total dose. A re-plan never matches
     itself, as its two doses differ; a record sharing a re-plan's id is
     named by RULE_REPLAN before RULE_REPLAN_INITIAL."""
+    delimiter = config.subject_delimiter
     replan_ids: set[str] = set()
     priors_by_subject: dict[str, set[int]] = {}
     for record_id, p in zip(table.ids, table.prescriptions):
         if p.accumulated_dose != p.total_dose:
             replan_ids.add(record_id)
-            priors_by_subject.setdefault(config.subject_key(record_id), set()).add(
+            priors_by_subject.setdefault(record_id.split(delimiter, 1)[0], set()).add(
                 p.accumulated_dose - p.total_dose
             )
     initial_ids: set[str] = set()
     for record_id, p in zip(table.ids, table.prescriptions):
         if (p.accumulated_dose == p.total_dose
-                and p.total_dose in priors_by_subject.get(config.subject_key(record_id), ())):
+                and p.total_dose in priors_by_subject.get(record_id.split(delimiter, 1)[0], ())):
             initial_ids.add(record_id)
     return replan_ids, initial_ids
 

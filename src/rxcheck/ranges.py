@@ -11,7 +11,7 @@ loop over it.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import IO, Mapping
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .distance import HistoricalDB
 from .records import (
-    TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, json_number, json_object, read_json, source_name, write_json,
+    TECH_3D, TECH_IMRT, TECH_SBRT, TreatmentRecord, json_number, json_object, read_json, source_name,
 )
 
 # Linear-quadratic alpha/beta ratio, in cGy to match integer-cGy doses.
@@ -38,12 +38,10 @@ def compute_bed(fractions: int, dose_per_fraction: float) -> float:
 
 @dataclass(frozen=True)
 class QuantityBounds:
+    """Inclusive bounds; every Boundaries the package builds has lo <= hi."""
+
     lo: float
     hi: float
-
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
-            raise ValueError(f"lower bound {self.lo} exceeds upper bound {self.hi}")
 
     def contains(self, value: float) -> bool:
         return self.lo <= value <= self.hi
@@ -164,23 +162,9 @@ _FIELD_QUANTITIES = tuple(field.name for field in fields(TechniqueBounds))
 _BOUND_KEYS = tuple(f"{side}_{quantity}" for quantity in _FIELD_QUANTITIES for side in ("min", "max"))
 
 
-def write_boundaries(destination: str | Path | IO[str], boundaries: Boundaries) -> None:
-    payload = {
-        "check_bed": boundaries.check_bed,
-        "techniques": {
-            technique: {
-                f"{side}_{quantity}": value
-                for quantity in _FIELD_QUANTITIES
-                for side, value in zip(("min", "max"), astuple(getattr(bounds, quantity)))
-            }
-            for technique, bounds in sorted(boundaries.by_technique.items())
-        },
-    }
-    write_json(destination, payload)
-
-
 def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
-    """Read a boundaries preset as write_boundaries writes it.
+    """Read a boundaries preset: "techniques" maps each technique to numbers
+    "min_<quantity>" and "max_<quantity>"; "check_bed" is optional.
 
     A payload that is not an object with a "techniques" object or has an
     unknown key, or a technique entry that is not an object, lacks a key,
@@ -198,7 +182,7 @@ def load_boundaries(source: str | Path | IO[str]) -> Boundaries:
     for technique, row in payload["techniques"].items():
         where = f"{name}: technique {technique!r}"
         json_object(where, row, _BOUND_KEYS, required=True)
-        # The bounds keep the file's numbers: an integer is written back as one.
+        # The bounds keep the file's numbers: an integer stays one.
         for key in _BOUND_KEYS:
             json_number(f"{where}: key {key!r}", row[key])
         bounds = {}

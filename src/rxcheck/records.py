@@ -321,9 +321,6 @@ class RecordTable(Sequence[TreatmentRecord]):
 
     __hash__ = None
 
-    def __repr__(self) -> str:
-        return f"RecordTable({list(self)!r})"
-
 
 @contextmanager
 def text_stream(target: str | os.PathLike | IO[str], mode: str = "r") -> Iterator[IO[str]]:

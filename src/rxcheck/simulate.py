@@ -220,8 +220,8 @@ def generate_sa_set(
     the two kinds KIND_RX_SWAP and KIND_FEATURE.
 
     Base records are drawn from the reference set; each candidate must pass
-    verify_rarity against that same set at the given threshold and must
-    actually differ from its base. Any other key in counts, or a negative
+    verify_rarity against that same set at the given threshold, and differs
+    from its base by construction. Any other key in counts, or a negative
     count, raises InvalidMutation before any draw. A kind that is still short
     after _MAX_ATTEMPTS_PER_ITEM candidates per requested anomaly raises
     GenerationExhausted. Deterministic for a fixed generator.
@@ -250,8 +250,6 @@ def generate_sa_set(
             try:
                 mutated, descriptor = _mutate(kind, base, db, rng)
             except (DegenerateSwap, InvalidMutation):
-                continue
-            if not descriptor.changes:
                 continue
             check = verify_rarity(mutated, db, threshold, descriptor)
             if not check.accepted:

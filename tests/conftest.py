@@ -25,6 +25,15 @@ INTENTS = ("curative", "palliative")
 ICD10S = ("C34.10", "C34.90", "C15.9", "C78.1", "C34.30", "R91.1")
 MORPHOLOGIES = ("80463", "81406", "87203", "80703")
 
+# ranges.table_preset() as a boundaries file, the form load_boundaries reads.
+TABLE_PRESET_FILE = {"check_bed": False, "techniques": {
+    technique: {"min_bed": bed[0], "max_bed": bed[1], "min_fractions": fractions[0], "max_fractions": fractions[1],
+                "min_dose_per_fraction": dose[0], "max_dose_per_fraction": dose[1]}
+    for technique, fractions, dose, bed in (("3D", (1, 35), (150, 850), (16400, 292800)),
+                                             ("IMRT", (7, 47), (150, 700), (24000, 497000)),
+                                             ("SBRT", (1, 5), (400, 3000), (82000, 903000)))
+}}
+
 
 def rec(record_id, fractions, dose, technique="3D", **kwargs):
     return TreatmentRecord.create(record_id, fractions, dose, technique, **kwargs)

@@ -74,6 +74,29 @@ def test_bench_file_refuses_one_commit_for_two_sources(record):
         record.bench_file(21, [41], stamps, {}, {}, {})
 
 
+def test_one_stamp_for_two_sources_stops_after_the_first_runs(record, monkeypatch, tmp_path):
+    # Two checkouts outside git are both stamped "unknown"; their sources
+    # differ, so the recording stops before any further run.
+    runs = []
+
+    def run_once(directory, workload, seed, trace):
+        runs.append(directory.name)
+        return {**report(100.0), "stamp": {"git_sha": "unknown", "source_sha256": directory.name}}
+
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(record, "run_once", run_once)
+    monkeypatch.setattr(record, "run_bench_tests", lambda directory: {"exit_code": 0})
+    monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    with pytest.raises(SystemExit, match="'parent' and 'change' are both stamped unknown"):
+        record.main(["33", "--checkout", f"parent={tmp_path / 'parent'}",
+                     "--checkout", f"change={tmp_path / 'change'}", "--seeds", "41-44"])
+    assert runs == ["parent", "change"]
+    assert not (tmp_path / "BENCH_33.json").exists()
+
+
 def test_commit_stamp_marks_uncommitted_sources(record, tmp_path):
     def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],

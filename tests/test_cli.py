@@ -27,11 +27,10 @@ from rxcheck.ingest import (
     normalize_dataset,
     parse_dataset,
 )
-from rxcheck.ranges import Boundaries, table_preset, write_boundaries
 from rxcheck.records import Prescription, TreatmentRecord, validate_record, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
-from conftest import rec, records_csv_text
+from conftest import TABLE_PRESET_FILE, rec, records_csv_text
 from oracles import (
     close,
     oracle_closest_m,
@@ -103,6 +102,13 @@ class TestExitCodes:
 
     def test_unknown_flag_is_usage_error(self):
         assert run(["ingest", "--input", "x.csv", "--out", "y", "--bogus"]) == EX_USAGE
+
+    def test_main_exits_with_the_run_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["rxcheck", "frobnicate"])
+        with pytest.raises(SystemExit) as raised:
+            cli.main()
+        assert raised.value.code == EX_USAGE
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
 
     def test_flags_the_handler_does_not_read_are_usage_errors(self, tmp_path, capsys):
         for command, flag, value in [("ingest", "--seed", "1"), ("check", "--seed", "1"),
@@ -635,8 +641,8 @@ class TestCheck:
         query = tmp_path / "query.csv"
         write_records_csv(query, records[:2])
         boundaries = tmp_path / "bounds.json"
-        write_boundaries(boundaries, Boundaries(
-            by_technique={"SBRT": table_preset().by_technique["SBRT"]}, check_bed=False))
+        boundaries.write_text(json.dumps({"check_bed": False,
+                                          "techniques": {"SBRT": TABLE_PRESET_FILE["techniques"]["SBRT"]}}))
         code = run(["check", "--input", str(query), "--historical", str(cohort_csv),
                     "--params", str(params_json), "--boundaries", str(boundaries)])
         assert code == EX_ERROR
@@ -898,7 +904,7 @@ class TestRunConfig:
 
     def test_boundary_flags_exclude_each_other(self, query, cohort_csv, params_json, tmp_path, capsys):
         bounds = tmp_path / "bounds.json"
-        write_boundaries(bounds, table_preset())
+        bounds.write_text(json.dumps(TABLE_PRESET_FILE))
         assert run(["check", "--input", str(query), "--historical", str(cohort_csv),
                     "--params", str(params_json), "--boundaries", str(bounds),
                     "--quantile-boundaries", "0,1"]) == EX_USAGE
@@ -909,7 +915,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("key", ["historical", "params", "boundaries", "out"])
     def test_flag_beats_config(self, query, cohort_csv, params_json, tmp_path, key):
         bounds = tmp_path / "bounds.json"
-        write_boundaries(bounds, table_preset())
+        bounds.write_text(json.dumps(TABLE_PRESET_FILE))
         out = tmp_path / "out"
         flags = {"historical": cohort_csv, "params": params_json, "boundaries": bounds, "out": out}
         argv = ["check", "--input", str(query)]

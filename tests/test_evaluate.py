@@ -68,6 +68,16 @@ class TestConfusion:
         with pytest.raises(ValueError):
             confusion([])
 
+    @pytest.mark.parametrize("truth, prediction", [(2, 0), (0, -1)])
+    def test_non_binary_label_rejected(self, truth, prediction):
+        with pytest.raises(ValueError, match="truth and prediction must be binary"):
+            LabeledPrediction("r", truth, prediction, "m")
+
+    @pytest.mark.parametrize("cells", [(-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)])
+    def test_negative_cell_rejected(self, cells):
+        with pytest.raises(ValueError, match="confusion cells must be non-negative"):
+            ConfusionMatrix(*cells)
+
 
 class TestMacroMetrics:
     def test_perfect_matrix(self):

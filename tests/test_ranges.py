@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 
 from rxcheck.ingest import build_historical_db
 from rxcheck.ranges import (
@@ -18,10 +19,9 @@ from rxcheck.ranges import (
     derive_boundaries,
     load_boundaries,
     table_preset,
-    write_boundaries,
 )
 
-from conftest import rec, random_db
+from conftest import TABLE_PRESET_FILE, rec, random_db
 
 
 class TestComputeBed:
@@ -68,7 +68,7 @@ class TestTablePreset:
 
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "bounds.json"
-        write_boundaries(path, table_preset())
+        path.write_text(json.dumps(TABLE_PRESET_FILE))
         loaded = load_boundaries(path)
         assert loaded == table_preset()
 
@@ -149,7 +149,10 @@ class TestDeriveBoundaries:
         beds = [compute_bed(r.prescription.fractions, r.prescription.dose_per_fraction) for r in db.records]
         assert bounds.bed == QuantityBounds(float(np.quantile(beds, 0.1)), float(np.quantile(beds, 0.9)))
         path = tmp_path / "derived.json"
-        write_boundaries(path, derived)
+        path.write_text(json.dumps({"techniques": {"3D": {
+            f"{side}_{quantity}": getattr(getattr(bounds, quantity), end)
+            for quantity in ("bed", "fractions", "dose_per_fraction") for side, end in (("min", "lo"), ("max", "hi"))
+        }}}))
         assert load_boundaries(path) == derived
 
     def test_prescription_counts_give_the_quantiles_of_a_record_walk(self):
@@ -179,6 +182,37 @@ class TestDeriveBoundaries:
     def test_invalid_quantiles(self):
         with pytest.raises(ValueError):
             Quantile(0.9, 0.1)
+
+
+@st.composite
+def _quantile_pairs(draw, size):
+    """A Quantile over size records. Half of them put both levels between
+    the same two order statistics, one on each side of the midpoint, where
+    numpy's linear interpolation switches from a + (b - a) t to
+    b - (b - a)(1 - t)."""
+    if draw(st.booleans()):
+        below = draw(st.integers(0, size - 2))
+        steps = (draw(st.floats(0.3, 0.5)), draw(st.floats(0.5, 0.7)))
+        levels = [min((below + step) / (size - 1), 1.0) for step in steps]
+    else:
+        levels = [draw(st.floats(0.0, 1.0)) for _ in range(2)]
+    return Quantile(*sorted(levels))
+
+
+@seed(20233)
+@settings(deadline=None, max_examples=300, database=None)
+@given(data=st.data())
+def test_derived_bounds_are_ordered(data):
+    # QuantityBounds does not check lo <= hi: ordered levels must give
+    # ordered quantiles of every quantity, BED's non-integers included.
+    prescriptions = data.draw(st.lists(st.tuples(st.integers(1, 2 ** 26), st.integers(1, 2 ** 26)),
+                                       min_size=2, max_size=12))
+    db = build_historical_db([rec(f"r{i}", fractions, dose, energy="x06")
+                              for i, (fractions, dose) in enumerate(prescriptions)])
+    bounds = derive_boundaries(db, data.draw(_quantile_pairs(len(prescriptions)))).by_technique["3D"]
+    for quantity in ("fractions", "dose_per_fraction", "bed"):
+        limits = getattr(bounds, quantity)
+        assert limits.lo <= limits.hi, quantity
 
 
 class TestCheckRange:

@@ -100,6 +100,11 @@ class TestMutateFeatures:
         with pytest.raises(InvalidMutation):
             mutate_features(rec("a", 5, 400), {"technique": "IMRT"})
 
+    @pytest.mark.parametrize("name", ["bogus", "record_id", "prescription"])
+    def test_unknown_feature_rejected(self, name):
+        with pytest.raises(InvalidMutation, match=f"unknown feature: '{name}'"):
+            mutate_features(rec("a", 5, 400), {name: "x"})
+
     def test_forged_values_differ_from_the_base(self, db):
         sas = generate_sa_set(db, {KIND_FEATURE: 20}, rng=np.random.default_rng(2))
         by_id = {r.record_id: r for r in db.records}
@@ -164,6 +169,13 @@ class TestVerifyRarity:
         unknown = dataclasses.replace(descriptor, kind="NoSuchKind")
         with pytest.raises(InvalidMutation, match="unknown mutation kind"):
             verify_rarity(mutated, db, 1, unknown)
+
+    def test_feature_outside_the_schema_rejected(self, db):
+        base = db.records[0]
+        mutated, descriptor = mutate_features(base, {"intent": "palliative"})
+        outside = dataclasses.replace(descriptor, changes=(dataclasses.replace(descriptor.changes[0], field="bogus"),))
+        with pytest.raises(InvalidMutation, match="unknown feature: 'bogus'"):
+            verify_rarity(mutated, db, 1, outside)
 
     def test_evidence_matches_independent_scan(self, db):
         rng = np.random.default_rng(5)

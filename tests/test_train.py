@@ -92,6 +92,11 @@ class TestSplitHoldout:
         with pytest.raises(InsufficientData):
             split_holdout(records, len(records), np.random.default_rng(0))
 
+    def test_negative_holdout_rejected(self):
+        records, _ = make_cohort("3D", per_cluster=2, seed=16)
+        with pytest.raises(ValueError, match="s_n must be non-negative"):
+            split_holdout(records, -1, np.random.default_rng(0))
+
 
 class TestF1Metric:
     def test_perfect(self):
@@ -106,6 +111,11 @@ class TestF1Metric:
     def test_undefined_on_all_zero(self):
         with pytest.raises(UndefinedMetric):
             f1_metric(0, 0, 0)
+
+    @pytest.mark.parametrize("counts", [(-1, 0, 0), (1, -1, 0), (0, 1, -1)])
+    def test_negative_count_rejected(self, counts):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            f1_metric(*counts)
 
     def test_harmonic_mean_cross_check(self):
         rng = np.random.default_rng(17)
