@@ -13,8 +13,10 @@ runs first moves on by one from each seed to the next, so that runs of the
 same seed meet the host in a similar state. After a workload's untraced
 runs, each checkout makes one `perfbench/run.py --trace 1` run of it on each
 of the first TRACED_SEEDS seeds, in the same alternating order, for the
-per-layer metrics of BENCHMARK.json. After its workload runs, each checkout
-runs its own `python -m pytest -q -m bench` once, as a child process.
+per-layer metrics of BENCHMARK.json. After the workload runs, each checkout
+runs its own `python -m pytest -q -m bench` BENCH_TEST_RUNS times, as a
+child process, and the checkout that runs first moves on by one from each
+round to the next.
 
 BENCH_<N>.json, written at the root of this checkout, holds for each
 checkout its run stamp (git SHA, SHA-256 of src/rxcheck, Python, numpy,
@@ -24,9 +26,10 @@ failed share and host-speed kernel median (perfbench/hostspeed.py's
 kernel_median_ms, a clock for the host's state during the run), the output
 digests each run reported, by seed, and the
 median of each per-layer metric over its traced runs with every run's
-value, beside the traced seeds; and for each checkout, its pytest -m bench
-run's exit code, pass and fail counts and each benchmark's median time in
-seconds, a failing run recorded as it is. The stamp
+value, beside the traced seeds; and for each checkout, each of its
+pytest -m bench runs' exit code, pass and fail counts and each benchmark's
+median time in seconds, a failing run recorded as it is, beside each
+benchmark's median over those runs. The stamp
 of a checkout whose src/rxcheck differs from its HEAD commit names that
 commit as "uncommitted on <sha>". Two checkouts stamped with one commit
 must hold the same sources: the script stops when the second of them is
@@ -59,6 +62,9 @@ BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 # One traced run's per-layer numbers are noisy: a layer whose code did not
 # change can read 0.04 s in one run and 0.066 s in the next.
 TRACED_SEEDS = 3
+# One pytest -m bench run's medians are noisy too: one benchmark's median
+# can move by 1.8x between two runs of the same code.
+BENCH_TEST_RUNS = 3
 
 
 def seed_list(text: str) -> list[int]:
@@ -108,6 +114,16 @@ def run_bench_tests(directory: Path) -> dict:
         counts["passed" if outcome == "passed" else "failed"] += int(number)
     return {"exit_code": done.returncode, **counts,
             "median_s": {entry["fullname"]: entry["stats"]["median"] for entry in benchmarks}}
+
+
+def bench_tests_summary(runs: list[dict]) -> dict:
+    """One checkout's run_bench_tests results, each run as it came, and each
+    benchmark's median over the runs that timed it."""
+    medians: dict[str, list[float]] = {}
+    for run in runs:
+        for test, seconds in run["median_s"].items():
+            medians.setdefault(test, []).append(seconds)
+    return {"median_s": {test: statistics.median(values) for test, values in medians.items()}, "runs": runs}
 
 
 def commit_stamp(directory: Path, stamp: dict) -> dict:
@@ -160,8 +176,8 @@ def check_stamps(stamps: dict) -> None:
 def bench_file(number: int, seeds: list[int], stamps: dict, reports: dict, traced: dict, bench_tests: dict) -> dict:
     """The BENCH file's content from stamps[checkout],
     reports[checkout][workload][seed], the traced runs' reports
-    traced[checkout][workload][seed] and each checkout's run_bench_tests
-    result bench_tests[checkout], the checkouts in the order they ran
+    traced[checkout][workload][seed] and each checkout's bench_tests_summary
+    bench_tests[checkout], the checkouts in the order they ran
     first. Two checkouts whose stamps name one commit must hold the same
     sources."""
     check_stamps(stamps)
@@ -232,10 +248,13 @@ def main(argv=None) -> int:
             for name in turn_order(turn):
                 traced[name][workload][seed] = measured(name, workload, seed, 1)
                 print(f"{workload} seed {seed} {name}: traced", file=sys.stderr, flush=True)
-    bench_tests = {}
-    for name in names:
-        bench_tests[name] = run_bench_tests(checkouts[name])
-        print(f"pytest -m bench {name}: exit code {bench_tests[name]['exit_code']}", file=sys.stderr, flush=True)
+    bench_runs: dict[str, list[dict]] = {name: [] for name in names}
+    for turn in range(BENCH_TEST_RUNS):
+        for name in turn_order(turn):
+            bench_runs[name].append(run_bench_tests(checkouts[name]))
+            print(f"pytest -m bench {name} run {turn + 1}: exit code {bench_runs[name][-1]['exit_code']}",
+                  file=sys.stderr, flush=True)
+    bench_tests = {name: bench_tests_summary(runs) for name, runs in bench_runs.items()}
     bench = bench_file(args.number, args.seeds, stamps, reports, traced, bench_tests)
     path = ROOT / f"BENCH_{args.number}.json"
     path.write_text(json.dumps(bench, indent=1) + "\n")

@@ -8,8 +8,8 @@ reference records or a number too large for a float, or of a technique
 with no reference set, no trained parameters or no boundaries in the
 --boundaries preset, gets a "rxcheck: record <id>: <reason>" line on stderr
 instead, the batch goes on, and the exit code is 1. So does a batch row
-that fails to parse, with a "rxcheck: row <N>: <reason>" line. A batch
-with no record to check, or none of --technique, gets a
+that fails to parse, with a "rxcheck: <batch file>: row <N>: <reason>"
+line. A batch with no record to check, or none of --technique, gets a
 "rxcheck: <batch file>: 0 records checked" line and keeps its exit code.
 
 train skips a technique with at least 2 kept records that cannot be split
@@ -242,25 +242,16 @@ def _load_cohort(args) -> CohortConfig:
     return CohortConfig()
 
 
-def _load_new_records(input_path: str, cohort: CohortConfig):
-    records, diagnostics = parse_dataset(input_path)
-    normalized, unmapped = normalize_dataset(records, cohort.label_mappings)
-    return normalized, diagnostics, unmapped
-
-
-def _read_cohort(input_path: str, cohort: CohortConfig):
-    normalized, diagnostics, unmapped = _load_new_records(input_path, cohort)
-    kept, exclusions = filter_cohort(normalized, cohort)
-    return kept, exclusions, diagnostics, unmapped
-
-
-def _eligible(kept, technique: str | None) -> dict:
-    """The techniques (or the one asked for) with at least 2 kept records."""
-    return {
-        tech: rows
-        for tech, rows in kept.items()
-        if len(rows) >= 2 and technique in (None, tech)
-    }
+def _front_end(path: str, cohort: CohortConfig, technique: str | None):
+    """Parse, normalize and filter the export at path. Returns the kept
+    tables of the techniques with at least 2 kept records (only technique's
+    when it is given), and, over every technique, the kept count, the
+    exclusion rows, the parse diagnostics and the unmapped-label Counter."""
+    records, diagnostics = parse_dataset(path)
+    records, unmapped = normalize_dataset(records, cohort.label_mappings)
+    kept, exclusions = filter_cohort(records, cohort)
+    tables = {tech: rows for tech, rows in kept.items() if len(rows) >= 2 and technique in (None, tech)}
+    return tables, sum(map(len, kept.values())), exclusions, diagnostics, unmapped
 
 
 def _build_db(rows):
@@ -273,8 +264,9 @@ def _build_db(rows):
     return db
 
 
-def _build_dbs(kept, technique: str | None) -> dict:
-    return {tech: _build_db(rows) for tech, rows in _eligible(kept, technique).items()}
+def _reference_sets(tables) -> dict:
+    """The reference set of each of _front_end's tables, built in its order."""
+    return {tech: _build_db(rows) for tech, rows in tables.items()}
 
 
 def _forge(db, args) -> list:
@@ -291,8 +283,8 @@ def _forge(db, args) -> list:
 def _cmd_ingest(args) -> int:
     cohort = _load_cohort(args)
     out = _out_dir(args)
-    kept, exclusions, diagnostics, unmapped = _read_cohort(args.input, cohort)
-    dbs = _build_dbs(kept, args.technique)
+    tables, kept, exclusions, diagnostics, unmapped = _front_end(args.input, cohort, args.technique)
+    dbs = _reference_sets(tables)
 
     write_csv(out / "exclusions.csv", EXCLUSION_COLUMNS, exclusions)
     meta = {}
@@ -306,7 +298,7 @@ def _cmd_ingest(args) -> int:
         }
     write_json(out / "db_meta.json", meta)
     print(
-        f"ingest: kept {sum(len(v) for v in kept.values())} records, "
+        f"ingest: kept {kept} records, "
         f"excluded {len(exclusions)}, parse diagnostics {len(diagnostics)}, "
         f"unmapped labels {sum(unmapped.values())}"
     )
@@ -316,12 +308,12 @@ def _cmd_ingest(args) -> int:
 def _cmd_train(args) -> int:
     cohort = _load_cohort(args)
     out = _out_dir(args)
-    kept, _, _, _ = _read_cohort(args.input, cohort)
+    tables = _front_end(args.input, cohort, args.technique)[0]
 
     space = SearchSpace(budget=args.budget, runs_per_point=args.runs, strategy=args.strategy)
     params_by_technique = {}
     skipped = 0
-    for tech, rows in sorted(_eligible(kept, args.technique).items()):
+    for tech, rows in sorted(tables.items()):
         try:
             reference, pool = split_holdout(rows, args.sn, substream(args.seed, f"split:{tech}"))
             reference_db = _build_db(reference)
@@ -355,18 +347,20 @@ def _cmd_check(args) -> int:
     # A config's boundaries are read even when --quantile-boundaries replaces them.
     boundaries = load_boundaries(args.boundaries) if args.boundaries else None
     params_by_technique = load_params_json(args.params)
-    dbs = _build_dbs(_read_cohort(args.historical, cohort)[0], args.technique)
+    dbs = _reference_sets(_front_end(args.historical, cohort, args.technique)[0])
     if quantile is not None:
         merged = {}
         for db in dbs.values():
             merged.update(derive_boundaries(db, quantile).by_technique)
         boundaries = Boundaries(by_technique=merged, check_bed=True)
 
-    records, diagnostics, _ = _load_new_records(args.input, cohort)
+    # The batch is checked as it is: parsed and normalized, never filtered.
+    records, diagnostics = parse_dataset(args.input)
+    records, _ = normalize_dataset(records, cohort.label_mappings)
     if args.technique is not None:
         records = [r for r in records if r.technique == args.technique]
     for diagnostic in diagnostics:
-        print(f"rxcheck: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
+        print(f"rxcheck: {args.input}: row {diagnostic.row}: {diagnostic.reason}", file=sys.stderr)
     if not records:
         print(f"rxcheck: {args.input}: 0 records checked", file=sys.stderr)
 
@@ -428,7 +422,7 @@ def _parse_quantile(text: str) -> Quantile:
 def _cmd_simulate(args) -> int:
     cohort = _load_cohort(args)
     out = _out_dir(args)
-    dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
+    dbs = _reference_sets(_front_end(args.input, cohort, args.technique)[0])
     if not dbs:
         raise UsageError("no technique had enough records to simulate from")
     skipped = 0
@@ -461,7 +455,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_hist(args) -> int:
     cohort = _load_cohort(args)
     out = _out_dir(args)
-    dbs = _build_dbs(_read_cohort(args.input, cohort)[0], args.technique)
+    dbs = _reference_sets(_front_end(args.input, cohort, args.technique)[0])
     if not dbs:
         raise UsageError("no technique had enough records for histograms")
     for tech, db in sorted(dbs.items()):

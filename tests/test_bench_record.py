@@ -1,6 +1,6 @@
 """bench/record.py: the BENCH file's stamps name the commit each checkout holds,
 each checkout's traced runs give per-layer medians beside the end-to-end
-ones, and each checkout's pytest -m bench run is kept beside them."""
+ones, and each checkout's pytest -m bench runs are kept beside them."""
 
 from __future__ import annotations
 
@@ -149,11 +149,11 @@ def test_each_checkout_makes_traced_runs_on_the_first_seeds(record, monkeypatch,
         for workload in workloads
         for run in [(name, workload, seed, 0) for seed in (41, 42, 43, 44) for name in order[seed % 2 == 0]]
         + [(name, workload, seed, 1) for seed in (41, 42, 43) for name in order[seed % 2 == 0]]
-    ] + [("parent", "pytest -m bench"), ("change", "pytest -m bench")]
+    ] + [(name, "pytest -m bench") for turn in range(record.BENCH_TEST_RUNS) for name in order[turn % 2]]
     bench = json.loads((tmp_path / "BENCH_28.json").read_text())
     for name in ("parent", "change"):
         # A failing run is recorded, not fatal.
-        assert bench["checkouts"][name]["bench_tests"]["exit_code"] == 1
+        assert [run["exit_code"] for run in bench["checkouts"][name]["bench_tests"]["runs"]] == [1, 1, 1]
         for workload in workloads:
             entry = bench["checkouts"][name]["workloads"][workload]
             assert entry["per_layer"]["seeds"] == [41, 42, 43]
@@ -173,7 +173,7 @@ def test_fewer_seeds_than_traced_runs_trace_every_seed(record, monkeypatch, tmp_
     (tmp_path / "only" / "perfbench").mkdir(parents=True)
     (tmp_path / "only" / "perfbench" / "run.py").write_text("")
     monkeypatch.setattr(record, "run_once", run_once)
-    monkeypatch.setattr(record, "run_bench_tests", lambda directory: {"exit_code": 0})
+    monkeypatch.setattr(record, "run_bench_tests", lambda directory: {"exit_code": 0, "median_s": {}})
     monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
     monkeypatch.setattr(record, "ROOT", tmp_path)
     assert record.main(["28", "--checkout", f"only={tmp_path / 'only'}", "--seeds", "7"]) == 0
@@ -182,6 +182,45 @@ def test_fewer_seeds_than_traced_runs_trace_every_seed(record, monkeypatch, tmp_
     per_layer = bench["checkouts"]["only"]["workloads"]["check"]["per_layer"]
     assert per_layer["seeds"] == [7]
     assert per_layer["metrics"]["train.search_self_s"] == {"unit": "s", "median": 0.1, "runs": [0.1]}
+
+
+def test_bench_tests_alternate_and_keep_every_run(record, monkeypatch, tmp_path):
+    # Each checkout makes BENCH_TEST_RUNS pytest -m bench runs, the first
+    # checkout alternating from round to round; every run is kept beside
+    # each benchmark's median over the runs that timed it.
+    calls = []
+
+    def run_bench_tests(directory):
+        calls.append(directory.name)
+        turn = calls.count(directory.name) - 1
+        seconds = {"parent": (0.3, 0.1, 0.9), "change": (0.2, 0.8, 0.4)}[directory.name][turn]
+        timed = {"t::a": seconds, "t::b": 2 * seconds}
+        if (directory.name, turn) == ("parent", 2):
+            del timed["t::a"]  # a run in which t::a failed
+        return {"exit_code": 0, "passed": 1, "failed": 0, "median_s": timed}
+
+    for name in ("parent", "change"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    monkeypatch.setattr(record, "run_once", lambda directory, workload, seed, trace: {
+        **(traced_report(seed, 0.1) if trace else report(100.0)),
+        "stamp": {"git_sha": directory.name, "source_sha256": directory.name}})
+    monkeypatch.setattr(record, "run_bench_tests", run_bench_tests)
+    monkeypatch.setattr(record, "commit_stamp", lambda directory, stamp: stamp)
+    monkeypatch.setattr(record, "ROOT", tmp_path)
+    assert record.main(["34", "--checkout", f"parent={tmp_path / 'parent'}",
+                        "--checkout", f"change={tmp_path / 'change'}", "--seeds", "7"]) == 0
+    assert record.BENCH_TEST_RUNS == 3
+    assert calls == ["parent", "change", "change", "parent", "parent", "change"]
+    checkouts = json.loads((tmp_path / "BENCH_34.json").read_text())["checkouts"]
+    change = checkouts["change"]["bench_tests"]
+    assert [run["median_s"] for run in change["runs"]] == [
+        {"t::a": 0.2, "t::b": 0.4}, {"t::a": 0.8, "t::b": 1.6}, {"t::a": 0.4, "t::b": 0.8}]
+    assert change["median_s"] == {"t::a": 0.4, "t::b": 0.8}
+    # The parent's third run timed t::b alone, so t::a's median is over two runs.
+    parent = checkouts["parent"]["bench_tests"]
+    assert [sorted(run["median_s"]) for run in parent["runs"]] == [["t::a", "t::b"], ["t::a", "t::b"], ["t::b"]]
+    assert parent["median_s"] == {"t::a": 0.2, "t::b": 0.6}
 
 
 def test_bench_tests_run_keeps_counts_and_medians(record, tmp_path):

@@ -27,7 +27,7 @@ from rxcheck.ingest import (
     normalize_dataset,
     parse_dataset,
 )
-from rxcheck.records import Prescription, TreatmentRecord, validate_record, write_records_csv
+from rxcheck.records import MODELED_TECHNIQUES, Prescription, TreatmentRecord, validate_record, write_records_csv
 from rxcheck.simulate import swap_leading_digits
 
 from conftest import TABLE_PRESET_FILE, rec, records_csv_text
@@ -251,7 +251,7 @@ class TestCheck:
                     "--historical", str(cohort_csv), "--params", str(params_json)])
         captured = capsys.readouterr()
         assert [v["status"] for v in verdict_lines(captured.out)] == ["Pass", "Pass"]
-        assert captured.err == "rxcheck: row 3: invalid literal for int() with base 10: 'five'\n"
+        assert captured.err == f"rxcheck: {query_path}: row 3: invalid literal for int() with base 10: 'five'\n"
         assert code == EX_ERROR
 
     def test_out_directory_jsonl(self, cohort_csv, params_json, tmp_path):
@@ -892,6 +892,63 @@ class TestSimulateEvaluateHist:
         assert list(out.iterdir()) == []
 
 
+COMMAND_FLAGS = {
+    "ingest": [],
+    "train": ["--budget", "1", "--runs", "2", "--sn", "6", "--seed", "0", "--strategy", "random"],
+    "simulate": ["--seed", "3"],
+    "hist": [],
+}
+
+
+@pytest.mark.parametrize("technique", [None, "3D"], ids=["every-technique", "technique-3D"])
+@pytest.mark.parametrize("command", [*COMMAND_FLAGS, "check"])
+def test_only_techniques_with_2_kept_records_get_a_reference_set(
+    params_json, tmp_path, capsys, command, technique
+):
+    # 3D and SBRT keep 90 records each and IMRT exactly 1; one 3D row and
+    # one IMRT row are excluded. Every command makes the same reference sets:
+    # 3D and SBRT, or 3D alone under --technique 3D.
+    three_d, _ = make_cohort("3D", per_cluster=15, seed=20)
+    imrt, _ = make_cohort("IMRT", per_cluster=15, seed=21)
+    sbrt, _ = make_cohort("SBRT", per_cluster=15, seed=22)
+    excluded = [rec("prostate", 10, 300, energy="x06", icd10="C61"),
+                rec("imrt-prostate", 10, 300, technique="IMRT", energy="x06", icd10="C61")]
+    export = tmp_path / "export.csv"
+    write_records_csv(export, [excluded[0], *three_d, imrt[0], excluded[1], *sbrt])
+    flags = ["--technique", technique] if technique else []
+    built = ["3D"] if technique else ["3D", "SBRT"]
+    out = tmp_path / "out"
+
+    if command == "check":
+        batch = tmp_path / "batch.csv"
+        write_records_csv(batch, [three_d[0], imrt[0], sbrt[0]])
+        code = run(["check", "--input", str(batch), "--historical", str(export),
+                    "--params", str(params_json), *flags])
+        captured = capsys.readouterr()
+        assert [v["record_id"] for v in verdict_lines(captured.out)] == [three_d[0].record_id]
+        if technique:
+            assert (code, captured.err) == (EX_OK, "")
+        else:
+            assert code == EX_ERROR
+            assert captured.err == (
+                f"rxcheck: record {imrt[0].record_id}: no reference database for technique 'IMRT'\n"
+                f"rxcheck: record {sbrt[0].record_id}: no trained parameters for technique 'SBRT'\n"
+            )
+        return
+
+    assert run([command, "--input", str(export), "--out", str(out), *COMMAND_FLAGS[command], *flags]) == EX_OK
+    written = [path.name for path in out.iterdir()]
+    assert sorted({tech for tech in MODELED_TECHNIQUES for name in written if tech in name}) == built
+    for name in ("params.json", "db_meta.json"):
+        if name in written:
+            assert list(json.loads((out / name).read_text())) == built
+    if command == "ingest":
+        # The counts and exclusions.csv cover every technique, whatever --technique says.
+        assert capsys.readouterr().out == "ingest: kept 181 records, excluded 2, parse diagnostics 0, unmapped labels 0\n"
+        with open(out / "exclusions.csv", newline="") as handle:
+            assert [row[0] for row in csv.reader(handle)][1:] == ["prostate", "imrt-prostate"]
+
+
 class TestRunConfig:
     """A run config (--config) fills each setting whose flag is not given."""
 
@@ -1127,8 +1184,9 @@ def test_check_matches_the_oracle_chain(tmp_path_factory, inputs):
         lines = err.getvalue().splitlines()
         assert sorted(lines[:len(degenerate)]) == degenerate
         lines = lines[len(degenerate):]
-        assert sum(line.startswith("rxcheck: row ") for line in lines) == len(row_diagnostics)
-        unscored = [_RECORD_LINE.fullmatch(line).group(1) for line in lines if not line.startswith("rxcheck: row ")]
+        row_line = f"rxcheck: {batch}: row "
+        assert sum(line.startswith(row_line) for line in lines) == len(row_diagnostics)
+        unscored = [_RECORD_LINE.fullmatch(line).group(1) for line in lines if not line.startswith(row_line)]
         assert sorted(unscored + list(verdicts)) == sorted(expected)
         assert all(expected[record_id] is None for record_id in unscored)
         for record_id, got in verdicts.items():
